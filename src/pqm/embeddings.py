@@ -25,6 +25,8 @@ from .numbers import (
     ZERO_MOD1,
     char_chi_p,
     char_omega,
+    crt_idempotents,
+    crt_join_mu,
     factorize,
     lift_tilde_xi,
 )
@@ -130,31 +132,12 @@ def def2_point_embed(
     """
     if ell % k != 0:
         raise ValueError("labels must divide")
-    residues, moduli = [x % q for q in _prime_power_parts(k)], _prime_power_parts(k)
-    for q in _prime_power_parts(ell):
-        p = next(iter(factorize(q)))
-        if all(next(iter(factorize(m))) != p for m in moduli):
-            residues.append(0)
-            moduli.append(q)
-        else:
-            i = next(
-                j for j, m in enumerate(moduli) if next(iter(factorize(m))) == p
-            )
-            moduli[i] = q  # lift the residue into the larger power unchanged
-    x2 = _crt_solve(residues, moduli)
-    return x2, (ell // k) * frak_p
-
-
-def _prime_power_parts(n: int) -> list[int]:
-    return [p**e for p, e in factorize(n).items()]
-
-
-def _crt_solve(residues, moduli) -> int:
-    x, m = 0, 1
-    for r, q in zip(residues, moduli):  # moduli are coprime prime powers
-        t = ((r - x) * pow(m % q, -1, q)) % q
-        x, m = x + m * t, m * q
-    return x % m
+    k_exp = factorize(k)
+    # the residue mod p^{e_k(p)} lifts unchanged into Z(p^{e_l(p)})
+    comps = tuple(
+        x % f.p ** k_exp[f.p] if f.p in k_exp else 0 for f in crt_idempotents(ell)
+    )
+    return crt_join_mu(ell, comps), (ell // k) * frak_p
 
 
 # ---------------------------------------------------------------------------

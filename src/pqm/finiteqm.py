@@ -31,6 +31,8 @@ from .numbers import (
     RatMod1,
     ZERO_MOD1,
     crt_idempotents,
+    crt_split_mu,
+    crt_split_nu_hat,
     rat_decompose,
 )
 
@@ -126,20 +128,14 @@ def fourier_matrix(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mu_flat_indices(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    factors = crt_idempotents(n)
-    dims = tuple(f.q for f in factors)
-    x = np.arange(n)
-    comps = [x % f.q for f in factors]
-    return np.ravel_multi_index(comps, dims), dims
+def _flat_indices(n: int, rep: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Flat positions in the prime-power grid of every index of Z(n).
 
-
-def _nu_hat_flat_indices(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    factors = crt_idempotents(n)
-    dims = tuple(f.q for f in factors)
-    x = np.arange(n)
-    comps = [(x * f.t) % f.q for f in factors]
-    return np.ravel_multi_index(comps, dims), dims
+    Position indices split by the mu map, momentum indices by the nu-hat map.
+    """
+    dims = tuple(f.q for f in crt_idempotents(n))
+    split = crt_split_mu if rep == POSITION else crt_split_nu_hat
+    return np.ravel_multi_index(split(n, np.arange(n)), dims), dims
 
 
 def _axis_fourier(a: np.ndarray, axis: int, position_side: bool) -> np.ndarray:
@@ -156,15 +152,14 @@ def fourier_good(f: FiniteState) -> FiniteState:
     if len(factors) == 1:
         return fourier(f)
     pos = f.rep == POSITION
-    src, dims = (_mu_flat_indices if pos else _nu_hat_flat_indices)(f.n)
-    dst, _ = (_nu_hat_flat_indices if pos else _mu_flat_indices)(f.n)
+    other = MOMENTUM if pos else POSITION
+    src, dims = _flat_indices(f.n, f.rep)
+    dst, _ = _flat_indices(f.n, other)
     a = np.zeros(dims, dtype=complex)
     a.flat[src] = f.amplitudes
     for axis in range(len(dims)):
         a = _axis_fourier(a, axis, pos)
-    return FiniteState(
-        f.n, MOMENTUM if pos else POSITION, a.flat[dst].copy()
-    )
+    return FiniteState(f.n, other, a.flat[dst].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +707,7 @@ def tensor_factor(
     general fallback is the exact basis-slice decomposition with rank <= n.
     """
     factors = crt_idempotents(f.n)
-    src, dims = (
-        _mu_flat_indices if f.rep == POSITION else _nu_hat_flat_indices
-    )(f.n)
+    src, dims = _flat_indices(f.n, f.rep)
     a = np.zeros(dims, dtype=complex)
     a.flat[src] = f.amplitudes
     terms = []
@@ -745,7 +738,7 @@ def tensor_join(
                 raise ValueError("factor does not match the prime-power component")
             cur = np.multiply.outer(cur, st.amplitudes)
         a = a + cur
-    src, _ = (_mu_flat_indices if rep == POSITION else _nu_hat_flat_indices)(n)
+    src, _ = _flat_indices(n, rep)
     return FiniteState(n, rep, a.flat[src].copy())
 
 
@@ -787,7 +780,7 @@ def hw_factor_matrix_check(d: HWElement) -> float:
     full = np.array([[1.0 + 0j]])
     for fac in factors:
         full = np.kron(full, hw_matrix(parts[fac.p]))
-    src, _ = _mu_flat_indices(d.n)
+    src, _ = _flat_indices(d.n, POSITION)
     remapped = full[np.ix_(src, src)]
     return float(np.max(np.abs(remapped - hw_matrix(d))))
 

@@ -13,6 +13,8 @@ Conventions:
   part, i.e. a fraction m / p^k with 0 <= m < p^k.
 * Integers embed into base-p digits via their residue mod p^N, so negative
   integers come out in (p-1)-complement form.
+* The four CRT index maps take an int or an integer ndarray; on an array
+  they act element-wise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
+
+import numpy as np
 
 
 class PrecisionError(ValueError):
@@ -59,6 +63,19 @@ def factorize(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def valuation(m: int, p: int) -> int:
+    """The exponent v of p in the nonzero integer m = p^v u, p not dividing u."""
+    if p < 2:
+        raise ValueError(f"p={p} must be >= 2")
+    if m == 0:
+        raise ValueError("valuation of 0 is undefined")
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +189,8 @@ class PadicInt:
     @classmethod
     def from_rational(cls, q: Fraction, p: int, precision: int) -> "PadicInt":
         """The canonical image of a rational with denominator coprime to p."""
+        if p < 2:
+            raise ValueError(f"{p} is not prime")
         if q.denominator % p == 0:
             raise ValueError(f"{q} is not a {p}-adic integer")
         inv = pow(q.denominator, -1, p**precision)
@@ -212,13 +231,6 @@ class PadicInt:
         return f"PadicInt(p={self.p}, digits={self.digits})"
 
 
-def padic_arith(a: PadicInt, b: PadicInt, op: str) -> PadicInt:
-    """Truncated arithmetic in Z_p; ``op`` is one of add, sub, mul."""
-    if op not in ("add", "sub", "mul"):
-        raise ValueError(f"unknown op {op!r}")
-    return a._binop(b, op)
-
-
 def padic_ord_abs(
     x: "PadicInt | Fraction | int", p: int | None = None
 ) -> tuple[int, Fraction]:
@@ -236,17 +248,12 @@ def padic_ord_abs(
         )
     if p is None:
         raise ValueError("p required for rational input")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     q = Fraction(x)
     if q == 0:
         raise ValueError("valuation of 0 is undefined")
-    ord_ = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        ord_ += 1
-    while den % p == 0:
-        den //= p
-        ord_ -= 1
+    ord_ = valuation(q.numerator, p) - valuation(q.denominator, p)
     return ord_, Fraction(1, p) ** ord_
 
 
@@ -310,12 +317,8 @@ class PadicFrac:
         q -= math.floor(q)
         if q == 0:
             return cls.zero(p)
-        k = 0
-        den = q.denominator
-        while den % p == 0:
-            den //= p
-            k += 1
-        if den != 1:
+        k = valuation(q.denominator, p)
+        if q.denominator != p**k:
             raise ValueError(f"{q} has a denominator not a power of {p}")
         m = q.numerator * (p**k // q.denominator)
         digits = []
@@ -480,51 +483,61 @@ def crt_idempotents(n: int) -> tuple[CrtFactor, ...]:
     return tuple(factors)
 
 
-def crt_split_mu(n: int, mu: int) -> tuple[int, ...]:
+# Array maps form products below n^2, which must fit in int64.
+_ARRAY_N_MAX = 2**31
+
+
+def _check_array_modulus(n: int) -> None:
+    if n > _ARRAY_N_MAX:
+        raise ValueError(f"array CRT maps need n <= 2^31, got n={n}")
+
+
+def _check_index(n: int, x, name: str) -> None:
+    """Raise unless x, an int or an integer ndarray, lies in [0, n)."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be an integer array, got {x.dtype}")
+        _check_array_modulus(n)
+        if x.size and (x.min() < 0 or x.max() >= n):
+            raise ValueError(f"{name} has entries out of range for Z({n})")
+    elif not 0 <= x < n:
+        raise ValueError(f"{name}={x} out of range for Z({n})")
+
+
+def crt_split_mu(n: int, mu: "int | np.ndarray") -> tuple:
     """mu |-> (mu mod p_i^{e_i}), the position-type index map."""
-    if not 0 <= mu < n:
-        raise ValueError(f"mu={mu} out of range for Z({n})")
+    _check_index(n, mu, "mu")
     return tuple(mu % f.q for f in crt_idempotents(n))
 
 
-def crt_join_mu(n: int, comps: tuple[int, ...]) -> int:
+def crt_join_mu(n: int, comps: tuple) -> "int | np.ndarray":
     """(mu_i) |-> sum mu_i w_i mod n, inverse of crt_split_mu."""
     factors = crt_idempotents(n)
     if len(comps) != len(factors):
         raise ValueError("component count mismatch")
+    if isinstance(comps[0], np.ndarray):
+        _check_array_modulus(n)
     return sum(c * f.w for c, f in zip(comps, factors)) % n
 
 
-def crt_split_nu_hat(n: int, nu: int) -> tuple[int, ...]:
+def crt_split_nu_hat(n: int, nu: "int | np.ndarray") -> tuple:
     """nu |-> (nu t_i mod p_i^{e_i}), the momentum-type 'hat' index map.
 
     The defining property is the partial-fraction identity
     nu/n = sum nu_hat_i / p_i^{e_i} mod 1.
     """
-    if not 0 <= nu < n:
-        raise ValueError(f"nu={nu} out of range for Z({n})")
+    _check_index(n, nu, "nu")
     return tuple((nu * f.t) % f.q for f in crt_idempotents(n))
 
 
-def crt_join_nu_hat(n: int, comps: tuple[int, ...]) -> int:
+def crt_join_nu_hat(n: int, comps: tuple) -> "int | np.ndarray":
     """(nu_hat_i) |-> sum nu_hat_i u_i mod n, inverse of crt_split_nu_hat."""
     factors = crt_idempotents(n)
     if len(comps) != len(factors):
         raise ValueError("component count mismatch")
+    if isinstance(comps[0], np.ndarray):
+        _check_array_modulus(n)
     return sum(c * f.u for c, f in zip(comps, factors)) % n
-
-
-def crt_maps(n: int, value, direction: str):
-    """Spec-level dispatcher over the four CRT index maps."""
-    if direction == "split_mu":
-        return crt_split_mu(n, value)
-    if direction == "join_mu":
-        return crt_join_mu(n, tuple(value))
-    if direction == "split_nu_hat":
-        return crt_split_nu_hat(n, value)
-    if direction == "join_nu_hat":
-        return crt_join_nu_hat(n, tuple(value))
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +565,6 @@ def char_chi_global(a: ProfiniteInt, b: Mapping[int, PadicFrac]) -> UnitPhase:
     return UnitPhase(q)
 
 
-def char_eval(kind: str, *args) -> UnitPhase:
-    """Dispatcher: kind is ``omega_n``, ``chi_p`` or ``chi_global``."""
-    if kind == "omega_n":
-        return char_omega(*args)
-    if kind == "chi_p":
-        return char_chi_p(*args)
-    if kind == "chi_global":
-        return char_chi_global(*args)
-    raise ValueError(f"unknown character kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Q/Z <-> per-prime components
 # ---------------------------------------------------------------------------
@@ -577,8 +579,7 @@ def rat_decompose(q: RatMod1) -> dict[int, PadicFrac]:
         return {}
     n = q.denominator
     out: dict[int, PadicFrac] = {}
-    for f in crt_idempotents(n) if n >= 2 else ():
-        kp = (q.numerator * f.t) % f.q
+    for f, kp in zip(crt_idempotents(n), crt_split_nu_hat(n, q.numerator)):
         if kp:
             out[f.p] = PadicFrac.from_fraction(Fraction(kp, f.q), f.p)
     return out

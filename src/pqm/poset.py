@@ -224,8 +224,10 @@ def divisor_poset(n: int) -> FinitePoset:
     """N(n): all divisors of n except 1, ordered by divisibility."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    divs = sorted(d for d in range(2, n + 1) if n % d == 0)
-    return FinitePoset(tuple(divs))
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return FinitePoset(tuple(sorted(divs)[1:]))
 
 
 @dataclass(frozen=True)
@@ -364,18 +366,3 @@ def check_t1(poset: FinitePoset) -> "tuple[bool, tuple | None]":
             if m != x and poset.leq(m, x):
                 return False, (m, x)
     return True, None
-
-
-def topology_ops(poset: FinitePoset, query: str, arg=None):
-    """Spec-level dispatcher over the divisor-topology checks."""
-    if query == "basis":
-        return basis_open(poset, arg)
-    if query == "is_open":
-        return is_open(poset, arg)
-    if query == "is_closed":
-        return is_closed(poset, arg)
-    if query == "check_T0":
-        return check_t0(poset)
-    if query == "check_T1":
-        return check_t1(poset)
-    raise ValueError(f"unknown query {query!r}")

@@ -30,10 +30,14 @@ from .numbers import (
     RatMod1,
     ZERO_MOD1,
     crt_idempotents,
+    crt_split_mu,
+    crt_split_nu_hat,
     is_prime,
     rat_decompose,
+    valuation,
 )
-from .finiteqm import MOMENTUM, POSITION, FiniteState, fourier as _finite_fourier
+from .finiteqm import MOMENTUM, POSITION, FiniteState, _hat_values
+from .finiteqm import fourier as _finite_fourier
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,7 @@ class LocalSBFunction:
 
 
 def _degree_of(p: int, count: int) -> int:
-    d = 0
-    while p**d < count:
-        d += 1
+    d = valuation(count, p) if count else 0
     if p**d != count:
         raise ValueError(f"value count {count} is not a power of {p}")
     return d
@@ -136,11 +138,8 @@ def scale_variable(f: LocalSBFunction, lam: int) -> LocalSBFunction:
     """
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
-    r = 0
-    u = lam
-    while u % f.p == 0:
-        u //= f.p
-        r += 1
+    r = valuation(lam, f.p)
+    u = lam // f.p**r
     if f.side == POSITION:
         d = max(f.degree - r, 0)
         q_old = f.p**f.degree
@@ -193,12 +192,8 @@ def delta_family(p: int, precision: int, kind: str) -> LocalSBFunction:
 def character_function(p: int, frak_p: Fraction) -> LocalSBFunction:
     """The position-side function x |-> chi_p(x * frak_p)."""
     frak_p = Fraction(frak_p) % 1
-    k = 0
-    den = frak_p.denominator
-    while den % p == 0:
-        den //= p
-        k += 1
-    if den != 1:
+    k = valuation(frak_p.denominator, p)
+    if frak_p.denominator != p**k:
         raise ValueError("frak_p must have a p-power denominator")
     q = p**k
     vals = tuple(np.exp(2j * np.pi * float(frak_p * j)) for j in range(q))
@@ -214,11 +209,7 @@ def hat_transform_2adic(f: LocalSBFunction) -> tuple[complex, ...]:
         raise ValueError("the hat transform is specific to p = 2")
     if f.side != MOMENTUM:
         raise ValueError("input must be a momentum-side function")
-    q = 2 ** (f.degree + 1)
-    y = np.arange(q)
-    m = np.arange(q // 2)
-    kernel = np.exp(2j * np.pi * np.outer(y, m) / q)
-    return tuple(kernel @ f.array())
+    return tuple(_hat_values(f.array()))
 
 
 def local_displace(
@@ -231,17 +222,10 @@ def local_displace(
     denominator of 2a requires.
     """
     for q in (a, c):
-        den = q.denominator
-        while den % f.p == 0:
-            den //= f.p
-        if den != 1:
+        if q.denominator != f.p ** valuation(q.denominator, f.p):
             raise ValueError(f"label {q} is not supported at p={f.p}")
     two_a = (a.as_fraction * 2) % 1
-    m_exp = 0
-    den = two_a.denominator
-    while den % f.p == 0:
-        den //= f.p
-        m_exp += 1
+    m_exp = valuation(two_a.denominator, f.p)
     d = max(f.degree, m_exp)
     g = refine(f, d)
     q = f.p**d
@@ -359,19 +343,17 @@ def canonicalize_global(f: GlobalSBFunction) -> FiniteState:
     for p, d in degrees.items():
         ell *= p**d
     factors_of_ell = crt_idempotents(ell)
+    split = crt_split_mu if f.side == POSITION else crt_split_nu_hat
+    comps = split(ell, np.arange(ell))
     amps = np.zeros(ell, dtype=complex)
-    idx = np.arange(ell)
     for c, term_factors in f.terms:
         term = np.full(ell, c, dtype=complex)
-        for fac in factors_of_ell:
+        for fac, comp in zip(factors_of_ell, comps):
             fp = refine(
                 term_factors.get(fac.p, trivial_local(fac.p, f.side)),
                 degrees[fac.p],
             ).array()
-            if f.side == POSITION:
-                term = term * fp[idx % fac.q]
-            else:
-                term = term * fp[(idx * fac.t) % fac.q]
+            term = term * fp[comp]
         amps += term
     return FiniteState(ell, f.side, amps)
 
@@ -411,8 +393,8 @@ def global_displace(
             fp = factors.get(p, trivial_local(p, f.side))
             need = max(
                 fp.degree,
-                _p_exponent(ap.denominator, p),
-                _p_exponent(cp.denominator, p),
+                valuation(ap.denominator, p),
+                valuation(cp.denominator, p),
             )
             bp = _component_residue(b, p, need + 1)
             new_factors[p] = local_displace(fp, ap, bp, cp)
@@ -427,11 +409,3 @@ def global_parity(
     two_a = RatMod1.of(2 * a.as_fraction)
     two_b = b + b if isinstance(b, ProfiniteInt) else 2 * b
     return global_reflect(global_displace(f, two_a, two_b))
-
-
-def _p_exponent(den: int, p: int) -> int:
-    e = 0
-    while den % p == 0:
-        den //= p
-        e += 1
-    return e

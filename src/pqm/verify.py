@@ -369,15 +369,19 @@ def suite_numbers(cfg: VerifyConfig) -> list[CheckResult]:
 
     ok = True
     for n in range(2, 1001):
-        seen_mu = set()
-        seen_nu = set()
-        for v in range(n):
-            mu = nm.crt_split_mu(n, v)
-            nu = nm.crt_split_nu_hat(n, v)
-            seen_mu.add(mu)
-            seen_nu.add(nu)
-            ok = ok and nm.crt_join_mu(n, mu) == v and nm.crt_join_nu_hat(n, nu) == v
-        ok = ok and len(seen_mu) == n and len(seen_nu) == n
+        v = np.arange(n)
+        dims = tuple(f.q for f in nm.crt_idempotents(n))
+        mu = nm.crt_split_mu(n, v)
+        nu = nm.crt_split_nu_hat(n, v)
+        ok = ok and (
+            np.array_equal(nm.crt_join_mu(n, mu), v)
+            and np.array_equal(nm.crt_join_nu_hat(n, nu), v)
+            # a bijection onto the component grid: each flat index hit once
+            and all(
+                np.all(np.bincount(np.ravel_multi_index(c, dims), minlength=n) == 1)
+                for c in (mu, nu)
+            )
+        )
     rep.add("crt_round_trips_bijective", 0.0 if ok else 1.0, 0.0)
 
     ok = True

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pqm.cli import dump_state, load_state, main
 from pqm.finiteqm import POSITION, random_state
@@ -168,6 +169,20 @@ class TestPosetPadicCommands:
         assert main(["padic", "ord", "--p", "2", "--value", "12"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ord"] == 2 and out["abs"] == "1/4"
+
+    @pytest.mark.parametrize("p", ["1", "0", "4", "-3"])
+    def test_ord_rejects_non_prime(self, p, capsys):
+        assert main(["padic", "ord", "--p", p, "--value", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pqm: error: {p} is not prime\n"
+
+    @pytest.mark.parametrize("p", ["1", "0", "4", "-3"])
+    def test_expand_rejects_non_prime(self, p, capsys):
+        assert main(["padic", "expand", "--p", p, "--value", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pqm: error: {p} is not prime\n"
 
     def test_expand_minus_one(self, capsys):
         assert main(["padic", "expand", "--p", "3", "--value", "-1", "--precision", "4"]) == 0

@@ -23,7 +23,6 @@ from pqm.numbers import (
     frac_mul,
     lift_tilde_xi,
     ostrowski_product,
-    padic_arith,
     padic_ord_abs,
     project_xi,
     rat_decompose,
@@ -47,7 +46,7 @@ class TestPadicInt:
 
     def test_three_squared_base_two(self):
         a = PadicInt.from_int(3, 2, 4)
-        assert padic_arith(a, a, "mul").digits == (1, 0, 0, 1)  # 9 mod 16
+        assert (a * a).digits == (1, 0, 0, 1)  # 9 mod 16
 
     def test_min_precision(self):
         a = PadicInt.from_int(5, 3, 6)
@@ -57,7 +56,7 @@ class TestPadicInt:
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError):
-            padic_arith(PadicInt.from_int(1, 2, 3), PadicInt.from_int(1, 3, 3), "add")
+            PadicInt.from_int(1, 2, 3) + PadicInt.from_int(1, 3, 3)
 
     def test_schoolbook_matches_integer_arithmetic(self):
         rng = random.Random(2)
@@ -89,6 +88,11 @@ class TestOrdAbs:
     def test_padic_input(self):
         a = PadicInt.from_int(12, 2, 6)
         assert padic_ord_abs(a) == (2, Fraction(1, 4))
+
+    @pytest.mark.parametrize("p", [1, 0, 4, -3])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError, match="not prime"):
+            padic_ord_abs(Fraction(8), p)
 
     def test_all_zero_is_undetermined(self):
         with pytest.raises(PrecisionError):
@@ -239,6 +243,7 @@ class TestCrt:
     def test_nu_hat_partial_fractions(self):
         hats = crt_split_nu_hat(6, 5)
         assert hats == (1, 1)  # 5/6 = 1/2 + 1/3 mod 1
+        assert crt_join_nu_hat(6, hats) == 5
         assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
     @pytest.mark.parametrize("n", [6, 12, 30, 36, 60, 200])
@@ -378,6 +383,12 @@ def test_padic_frac_arithmetic():
         a + PadicFrac.from_fraction(Fraction(1, 3), 3)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_padic_frac_rejects_small_p(p):
+    with pytest.raises(ValueError):
+        PadicFrac.from_fraction(Fraction(1, 4), p)
+
+
 def test_unit_phase_algebra():
     from pqm.numbers import UnitPhase
 
@@ -396,24 +407,3 @@ def test_profinite_subtraction():
     assert c.component(3, 3).residue() == (9 - 2) % 27
     assert c.component(5, 2).residue() == 5
 
-
-def test_crt_maps_dispatcher():
-    from pqm.numbers import crt_maps
-
-    assert crt_maps(12, 7, "split_mu") == (3, 1)
-    assert crt_maps(12, (3, 1), "join_mu") == 7
-    assert crt_maps(6, 5, "split_nu_hat") == (1, 1)
-    assert crt_maps(6, (1, 1), "join_nu_hat") == 5
-    with pytest.raises(ValueError):
-        crt_maps(6, 1, "sideways")
-
-
-def test_char_eval_dispatcher():
-    from pqm.numbers import char_eval
-
-    assert char_eval("omega_n", 4, 2).exponent == RatMod1(1, 2)
-    a = PadicInt.from_int(3, 2, 4)
-    b = PadicFrac.from_fraction(Fraction(1, 2), 2)
-    assert char_eval("chi_p", a, b).exponent == RatMod1(1, 2)
-    with pytest.raises(ValueError):
-        char_eval("chi_q", a, b)

@@ -227,6 +227,7 @@ class TestTopology:
         assert not is_open(p, {4})
         assert is_closed(p, {4, 12})  # up-set of 4
         assert not is_closed(p, {4})
+        assert check_t0(p) is True
 
     def test_unions_and_intersections_of_basis_open(self):
         p = divisor_poset(36)
@@ -261,15 +262,3 @@ class TestTopology:
         assert not ok
         assert basis_open(p, els[1]) == {els[0], els[1]}
 
-    def test_topology_ops_dispatcher(self):
-        from pqm.poset import topology_ops
-
-        p = divisor_poset(12)
-        assert topology_ops(p, "basis", 4) == {2, 4}
-        assert topology_ops(p, "is_open", {2, 4})
-        assert topology_ops(p, "is_closed", {4, 12})
-        assert topology_ops(p, "check_T0") is True
-        ok, witness = topology_ops(p, "check_T1")
-        assert not ok and witness is not None
-        with pytest.raises(ValueError):
-            topology_ops(p, "interior")

@@ -1,0 +1,125 @@
+"""Property tests for the CRT maps, the p-valuation, divisor posets and the
+composite-label point embedding."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pqm.embeddings import def2_point_embed
+from pqm.numbers import (
+    crt_idempotents,
+    crt_join_mu,
+    crt_join_nu_hat,
+    crt_split_mu,
+    crt_split_nu_hat,
+    factorize,
+    valuation,
+)
+from pqm.poset import divisor_poset
+
+MAPS = [(crt_split_mu, crt_join_mu), (crt_split_nu_hat, crt_join_nu_hat)]
+_settings = settings(deadline=None)
+
+
+@pytest.mark.parametrize("split, join", MAPS)
+@_settings
+@given(data=st.data(), n=st.integers(2, 10**6))
+def test_join_inverts_split(split, join, data, n):
+    x = data.draw(st.integers(0, n - 1))
+    assert join(n, split(n, x)) == x
+
+
+@pytest.mark.parametrize("split, join", MAPS)
+@_settings
+@given(data=st.data(), n=st.integers(2, 10**6))
+def test_split_inverts_join(split, join, data, n):
+    comps = tuple(data.draw(st.integers(0, f.q - 1)) for f in crt_idempotents(n))
+    assert split(n, join(n, comps)) == comps
+
+
+@pytest.mark.parametrize("split, _", MAPS)
+@_settings
+@given(n=st.integers(2, 3000))
+def test_split_is_a_bijection(split, _, n):
+    comps = split(n, np.arange(n))
+    assert len(set(zip(*(c.tolist() for c in comps)))) == n
+
+
+@pytest.mark.parametrize("split, join", MAPS)
+@_settings
+@given(data=st.data(), n=st.integers(2, 10**6))
+def test_scalar_and_array_agree(split, join, data, n):
+    xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+    arr = np.array(xs, dtype=np.int64)
+    comps = split(n, arr)
+    joined = join(n, comps)
+    for i, x in enumerate(xs):
+        assert tuple(int(c[i]) for c in comps) == split(n, x)
+        assert int(joined[i]) == join(n, split(n, x)) == x
+
+
+@pytest.mark.parametrize("split, _", MAPS)
+def test_array_out_of_range_rejected(split, _):
+    with pytest.raises(ValueError):
+        split(12, np.array([0, 12]))
+    with pytest.raises(ValueError):
+        split(12, np.array([-1, 3]))
+    with pytest.raises(ValueError):
+        split(12, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("split, join", MAPS)
+def test_array_maps_refuse_int64_overflow(split, join):
+    n = 2 * (2**31 + 11)  # products x * t and c * w would pass 2^63
+    comps = split(n, n - 1)
+    assert join(n, comps) == n - 1  # Python ints do not overflow
+    with pytest.raises(ValueError):
+        split(n, np.array([n - 1]))
+    with pytest.raises(ValueError):
+        join(n, tuple(np.array([c]) for c in comps))
+
+
+@_settings
+@given(
+    m=st.integers(-(10**12), 10**12).filter(bool),
+    p=st.sampled_from([2, 3, 5, 7, 11, 101, 65537]) | st.integers(2, 50),
+)
+def test_valuation_splits_off_the_unit(m, p):
+    v = valuation(m, p)
+    u, r = divmod(m, p**v)
+    assert r == 0 and u % p != 0
+
+
+@pytest.mark.parametrize("m, p", [(0, 2), (8, 1), (8, 0), (8, -3)])
+def test_valuation_rejects_bad_input(m, p):
+    with pytest.raises(ValueError):
+        valuation(m, p)
+
+
+@_settings
+@given(n=st.integers(2, 5000))
+def test_divisor_poset_matches_trial_division(n):
+    assert divisor_poset(n).elements == tuple(
+        d for d in range(2, n + 1) if n % d == 0
+    )
+
+
+@_settings
+@given(
+    k=st.integers(1, 200),
+    r=st.integers(1, 200),
+    x=st.integers(-(10**6), 10**6),
+    frak_p=st.integers(0, 10**6),
+)
+def test_def2_point_embed_components(k, r, x, frak_p):
+    ell = k * r
+    assume(ell >= 2)
+    x2, p2 = def2_point_embed(x, frak_p, k, ell)
+    assert 0 <= x2 < ell and p2 == r * frak_p
+    k_exp = factorize(k)
+    for p, e in factorize(ell).items():
+        if p in k_exp:
+            assert (x2 - x) % p ** k_exp[p] == 0
+        else:
+            assert x2 % p**e == 0

@@ -221,6 +221,11 @@ class TestConstructors:
         with pytest.raises(ValueError):
             character_function(3, Fraction(1, 2))
 
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_character_function_rejects_small_p(self, p):
+        with pytest.raises(ValueError):
+            character_function(p, Fraction(1, 4))
+
     def test_delta_unknown_kind(self):
         with pytest.raises(ValueError):
             delta_family(2, 1, "bump")
