@@ -2,7 +2,7 @@
 
 State files are JSON ({"n", "rep", "amplitudes": [[re, im], ...]}, optional
 "metadata"), phase-space tables are CSV with header ``a,b,re,im``.  Exit
-codes: 0 success, 1 verification failure, 2 usage or parse errors.
+codes: 0 success, 1 verification failure, 2 usage, parse or I/O errors.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ def load_state(path: str) -> fq.FiniteState:
         amps = np.array(
             [complex(re, im) for re, im in data["amplitudes"]], dtype=complex
         )
+        if not np.isfinite(amps).all():
+            raise ValueError("non-finite amplitude")
         return fq.FiniteState(n, rep, amps)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
@@ -366,10 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"pqm: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"pqm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ functions use the normalized Haar weight 1/n in inner products, momentum-side
 functions use the counting weight 1.  The Fourier transform always applies
 the forward kernel omega_n(-XP) with the source representation's measure and
 flips the tag, which makes F^2 = parity and F^4 = 1 hold at the level of
-stored values.
+stored values.  Every transform runs on ``numpy.fft`` in O(n log n) time and
+O(n) memory; the dense ``fourier_matrix`` serves only as the oracle.
 
 Displacement conventions.  A displacement is determined by continuum data
 (a, b, c) with a, c in Q/Z and b an integer, acting on position functions as
@@ -37,11 +38,6 @@ from .numbers import (
 )
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _dft_matrix(n: int, sign: int) -> np.ndarray:
-    j = np.arange(n)
-    return np.exp(sign * 2j * np.pi * np.outer(j, j) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +88,10 @@ def random_state(n: int, rng, rep: str = POSITION, normalized: bool = True) -> F
 
 def fourier(f: FiniteState) -> FiniteState:
     """Apply the Fourier operator: forward kernel, source measure, tag flip."""
-    w = _dft_matrix(f.n, -1)
     return FiniteState(
         f.n,
         MOMENTUM if f.rep == POSITION else POSITION,
-        f.measure_weight * (w @ f.amplitudes),
+        f.measure_weight * np.fft.fft(f.amplitudes),
     )
 
 
@@ -104,14 +99,14 @@ def to_momentum(f: FiniteState) -> FiniteState:
     """Coordinate change: the momentum-side values of the same state."""
     if f.rep == MOMENTUM:
         return f
-    return FiniteState(f.n, MOMENTUM, (_dft_matrix(f.n, -1) @ f.amplitudes) / f.n)
+    return FiniteState(f.n, MOMENTUM, np.fft.fft(f.amplitudes) / f.n)
 
 
 def to_position(f: FiniteState) -> FiniteState:
     """Coordinate change: the position-side values of the same state."""
     if f.rep == POSITION:
         return f
-    return FiniteState(f.n, POSITION, _dft_matrix(f.n, +1) @ f.amplitudes)
+    return FiniteState(f.n, POSITION, f.n * np.fft.ifft(f.amplitudes))
 
 
 def fourier_matrix(n: int) -> np.ndarray:
@@ -119,8 +114,10 @@ def fourier_matrix(n: int) -> np.ndarray:
 
     Applying this to position values gives sqrt(n) times the values that
     ``fourier`` stores on the momentum side (the measure retag factor).
+    This dense n x n matrix is the oracle the FFT paths are checked against.
     """
-    return _dft_matrix(n, -1) / math.sqrt(n)
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -138,28 +135,17 @@ def _flat_indices(n: int, rep: str) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.ravel_multi_index(split(n, np.arange(n)), dims), dims
 
 
-def _axis_fourier(a: np.ndarray, axis: int, position_side: bool) -> np.ndarray:
-    q = a.shape[axis]
-    w = _dft_matrix(q, -1)
-    if position_side:
-        w = w / q
-    return np.moveaxis(np.tensordot(w, np.moveaxis(a, axis, 0), axes=(1, 0)), 0, axis)
-
-
 def fourier_good(f: FiniteState) -> FiniteState:
-    """The Fourier transform via CRT index remaps and per-prime-power DFTs."""
-    factors = crt_idempotents(f.n)
-    if len(factors) == 1:
+    """Good's prime-factor transform: CRT index remaps, per-prime-power FFTs."""
+    if len(crt_idempotents(f.n)) == 1:
         return fourier(f)
-    pos = f.rep == POSITION
-    other = MOMENTUM if pos else POSITION
+    other = MOMENTUM if f.rep == POSITION else POSITION
     src, dims = _flat_indices(f.n, f.rep)
     dst, _ = _flat_indices(f.n, other)
     a = np.zeros(dims, dtype=complex)
     a.flat[src] = f.amplitudes
-    for axis in range(len(dims)):
-        a = _axis_fourier(a, axis, pos)
-    return FiniteState(f.n, other, a.flat[dst].copy())
+    a = f.measure_weight * np.fft.fftn(a)
+    return FiniteState(f.n, other, a.flat[dst])
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +556,10 @@ def parity_expand_check(theta, exploratory: bool = False) -> ParityCheckResult:
 
 
 def _hat_values(momentum_values: np.ndarray) -> np.ndarray:
-    """hat(y/2) = sum_P e(y P / 2n) F(P), indexed by y mod 2n."""
+    """hat(y/2) = sum_P e(y P / 2n) F(P), indexed by y mod 2n: 2n times the
+    inverse FFT of F zero-padded to length 2n."""
     n = len(momentum_values)
-    y = np.arange(2 * n)
-    kernel = np.exp(2j * np.pi * np.outer(y, np.arange(n)) / (2 * n))
-    return kernel @ momentum_values
+    return 2 * n * np.fft.ifft(momentum_values, 2 * n)
 
 
 def marginal_a_matrix(n: int, a: int) -> np.ndarray:

@@ -191,6 +191,8 @@ class PadicInt:
         """The canonical image of a rational with denominator coprime to p."""
         if p < 2:
             raise ValueError(f"{p} is not prime")
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
         if q.denominator % p == 0:
             raise ValueError(f"{q} is not a {p}-adic integer")
         inv = pow(q.denominator, -1, p**precision)

@@ -111,20 +111,21 @@ def suite_good(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("good", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 1)
     res = 0.0
+    # both FFT paths against the dense matrix oracle at small n
     for n in (6, 10, 12, 15, 30, 36):
+        w = np.sqrt(n) * fq.fourier_matrix(n)
         for r in (POSITION, MOMENTUM):
             for _ in range(max(cfg.samples, 1)):
                 f = fq.random_state(n, rng, rep=r)
-                res = max(
-                    res,
-                    float(
-                        np.max(
-                            np.abs(
-                                fq.fourier_good(f).amplitudes - fq.fourier(f).amplitudes
-                            )
-                        )
-                    ),
-                )
+                want = f.measure_weight * (w @ f.amplitudes)
+                for g in (fq.fourier_good(f), fq.fourier(f)):
+                    res = max(res, float(np.max(np.abs(g.amplitudes - want))))
+    # Good against the single FFT at a large mixed radix, relative to the peak
+    for r in (POSITION, MOMENTUM):
+        f = fq.random_state(2 * 3 * 5 * 7 * 11 * 13, rng, rep=r)
+        want = fq.fourier(f).amplitudes
+        gap = np.max(np.abs(fq.fourier_good(f).amplitudes - want))
+        res = max(res, float(gap / np.max(np.abs(want))))
     rep.add("good_factorization_matches_direct", res, 1e-10)
     return rep.done()
 

@@ -15,6 +15,12 @@ def _write_state(path, n=6, rep=POSITION, seed=1):
     return f
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("pqm: error: ") and err.count("\n") == 1
+    return err
+
+
 class TestStateFiles:
     def test_round_trip_bit_identical(self, tmp_path):
         p1 = tmp_path / "f.json"
@@ -72,6 +78,22 @@ class TestFourierCommand:
         _write_state(src, n=6)
         assert main(["fourier", "--n", "7", "--in", str(src), "--out", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_amplitude_exits_2(self, bad, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        src.write_text(f'{{"n": 2, "rep": "position", "amplitudes": [[1.0, 0.0], [{bad}, 0.0]]}}')
+        out = tmp_path / "o.json"
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert "non-finite" in _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        _write_state(src, n=4)
+        out = tmp_path / "missing" / "o.json"
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        _one_error_line(capsys)
+
 
 class TestWignerCommand:
     def test_table_matches_oracle(self, tmp_path):
@@ -85,6 +107,12 @@ class TestWignerCommand:
         for line in lines[1:]:
             a, b, re, im = line.split(",")
             assert abs(float(im)) <= 1e-12  # Wigner rows are real
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        _write_state(src, n=2)
+        assert main(["wigner", "--in", str(src), "--out", str(tmp_path / "no" / "w.csv")]) == 2
+        _one_error_line(capsys)
 
     def test_weyl_emits_complex(self, tmp_path):
         src = tmp_path / "f.json"
@@ -184,6 +212,13 @@ class TestPosetPadicCommands:
         assert captured.out == ""
         assert captured.err == f"pqm: error: {p} is not prime\n"
 
+    @pytest.mark.parametrize("precision", ["-1", "-5"])
+    def test_expand_rejects_negative_precision(self, precision, capsys):
+        assert main(
+            ["padic", "expand", "--p", "3", "--value", "1/2", "--precision", precision]
+        ) == 2
+        assert capsys.readouterr().err == "pqm: error: precision must be >= 1\n"
+
     def test_expand_minus_one(self, capsys):
         assert main(["padic", "expand", "--p", "3", "--value", "-1", "--precision", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -252,6 +287,11 @@ class TestVerifyCommand:
         cfg = tmp_path / "pqm.cfg"
         cfg.write_text("not_a_key = 1\n")
         assert main(["verify", "--suite", "poset", "--config", str(cfg)]) == 2
+
+    def test_unwritable_json_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "no" / "r.json"
+        assert main(["verify", "--suite", "poset", "--json", str(report)]) == 2
+        _one_error_line(capsys)
 
     def test_report_deterministic(self, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"

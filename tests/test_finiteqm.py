@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -588,3 +589,30 @@ class TestEvolve:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             evolve(np.ones((3, 3)), random_state(3, RNG))
+
+
+class TestLargeN:
+    def test_fourier_of_delta_is_uniform_in_linear_memory(self):
+        # the transform must not build an n x n matrix: 2^20 amplitudes
+        # would need 16 TiB
+        n = 2**20
+        amps = np.zeros(n, dtype=complex)
+        amps[0] = n
+        f = FiniteState(n, POSITION, amps)
+        tracemalloc.start()
+        try:
+            g = fourier(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.rep == MOMENTUM
+        assert np.max(np.abs(g.amplitudes - 1.0)) < 1e-12
+        assert peak < 4 * 16 * n
+
+    def test_good_matches_fft_at_30030(self):
+        rng = np.random.default_rng(30030)
+        for rep in (POSITION, MOMENTUM):
+            f = random_state(2 * 3 * 5 * 7 * 11 * 13, rng, rep=rep)
+            a = fourier_good(f).amplitudes
+            b = fourier(f).amplitudes
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))

@@ -74,6 +74,11 @@ class TestPadicInt:
         three = PadicInt.from_int(3, 2, 5)
         assert (a * three).residue() == 1
 
+    @pytest.mark.parametrize("precision", [0, -1, -4])
+    def test_from_rational_rejects_precision_below_one(self, precision):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            PadicInt.from_rational(Fraction(1, 2), 3, precision)
+
 
 class TestOrdAbs:
     def test_twelve_at_two(self):

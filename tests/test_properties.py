@@ -1,5 +1,5 @@
-"""Property tests for the CRT maps, the p-valuation, divisor posets and the
-composite-label point embedding."""
+"""Property tests for the CRT maps, the p-valuation, divisor posets, the
+composite-label point embedding and the FFT paths of the Fourier transform."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqm.embeddings import def2_point_embed
+from pqm.finiteqm import (
+    MOMENTUM,
+    POSITION,
+    _hat_values,
+    fourier,
+    fourier_good,
+    random_state,
+    to_momentum,
+    to_position,
+)
 from pqm.numbers import (
     crt_idempotents,
     crt_join_mu,
@@ -123,3 +133,37 @@ def test_def2_point_embed_components(k, r, x, frak_p):
             assert (x2 - x) % p ** k_exp[p] == 0
         else:
             assert x2 % p**e == 0
+
+
+def _dense_sum(values, sign, modulus, rows):
+    # out[y] = sum_x values[x] e(sign x y / modulus) for y < rows, written out
+    x = np.arange(len(values))
+    y = np.arange(rows)[:, None]
+    return np.exp(sign * 2j * np.pi * x * y / modulus) @ values
+
+
+@_settings
+@given(
+    n=st.integers(2, 64),
+    rep=st.sampled_from([POSITION, MOMENTUM]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_paths_match_dense_sums(n, rep, seed):
+    f = random_state(n, np.random.default_rng(seed), rep=rep)
+    a = f.amplitudes
+    other = MOMENTUM if rep == POSITION else POSITION
+    want = f.measure_weight * _dense_sum(a, -1, n, n)
+    for transform in (fourier, fourier_good):
+        g = transform(f)
+        assert g.rep == other
+        np.testing.assert_allclose(g.amplitudes, want, rtol=0, atol=1e-12)
+    if rep == POSITION:
+        momentum = _dense_sum(a, -1, n, n) / n
+        np.testing.assert_allclose(to_momentum(f).amplitudes, momentum, rtol=0, atol=1e-12)
+        assert to_position(f) is f
+    else:
+        position = _dense_sum(a, +1, n, n)
+        np.testing.assert_allclose(to_position(f).amplitudes, position, rtol=0, atol=1e-12)
+        assert to_momentum(f) is f
+    hat = _dense_sum(a, +1, 2 * n, 2 * n)
+    np.testing.assert_allclose(_hat_values(a), hat, rtol=0, atol=1e-12)
