@@ -2,7 +2,8 @@
 
 State files are JSON ({"n", "rep", "amplitudes": [[re, im], ...]}, optional
 "metadata"), phase-space tables are CSV with header ``a,b,re,im``.  Exit
-codes: 0 success, 1 verification failure, 2 usage, parse or I/O errors.
+codes: 0 success, 1 verification failure, 2 usage, parse or I/O errors and
+running out of memory.
 """
 
 from __future__ import annotations
@@ -51,16 +52,18 @@ def load_state(path: str) -> fq.FiniteState:
 
 
 def dump_state(f: fq.FiniteState, path: str, metadata: dict | None = None) -> None:
+    a = f.amplitudes
     data = {
         "n": f.n,
         "rep": f.rep,
-        "amplitudes": [[z.real, z.imag] for z in f.amplitudes],
+        "amplitudes": np.column_stack((a.real, a.imag)).tolist(),
     }
     if metadata:
         data["metadata"] = metadata
+    # one json.dumps call takes the C encoder; a streamed json.dump does not
+    text = json.dumps(data, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +125,16 @@ def cmd_displace(args) -> int:
 
 def cmd_wigner(args) -> int:
     f = load_state(args.infile)
-    n = f.n
-    doubled = args.doubled and args.kind == "wigner" and n % 2 == 0
-    a_range = 2 * n if doubled else n
-    rows = []
-    for a in range(a_range):
-        for b in range(n):
-            v = fq.weyl_wigner(f, a, b, args.kind, doubled)
-            rows.append((a, b, v.real, v.imag))
+    doubled = args.doubled and args.kind == "wigner" and f.n % 2 == 0
+    table = fq.wigner_table(f, args.kind, doubled)
+    # a-major rows of Python floats, so the values print as repr(float)
+    text = "".join(
+        f"{a},{b},{re!r},{im!r}\n"
+        for a, (res, ims) in enumerate(zip(table.real.tolist(), table.imag.tolist()))
+        for b, (re, im) in enumerate(zip(res, ims))
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("a,b,re,im\n")
-        for a, b, re, im in rows:
-            fh.write(f"{a},{b},{re!r},{im!r}\n")
+        fh.write("a,b,re,im\n" + text)
     return 0
 
 
@@ -370,6 +371,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"pqm: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"pqm: error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -358,12 +358,72 @@ def parity_matrix(pt: PhasePoint, rep: str = POSITION) -> np.ndarray:
 def weyl_wigner(
     f: FiniteState, a: int, b: int, kind: str, doubled: bool = False
 ) -> complex:
-    """The Weyl function (f, D(a,b,0) f) or the Wigner function (f, P(a,b) f)."""
+    """The Weyl function (f, D(a,b,0) f) or the Wigner function (f, P(a,b) f).
+
+    One point at a time; ``wigner_table`` gives the whole table and this is
+    its oracle.
+    """
     if kind == "weyl":
         return inner(f, displace(HWElement.from_canonical(f.n, a, b, 0), f))
     if kind == "wigner":
         return inner(f, parity_apply(PhasePoint(f.n, a, b, doubled), f))
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _shift_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, x - b) mod n as [b, x] arrays: D(a, b, 0) lives on these entries."""
+    x = np.arange(n)
+    return np.broadcast_to(x, (n, n)), (x - x[:, None]) % n
+
+
+def _reflect_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-y - b, y - b) mod n as [b, y] arrays: P(a, b)^T lives on these entries."""
+    y = np.arange(n)
+    return (-y - y[:, None]) % n, (y - y[:, None]) % n
+
+
+def _displacement_phases(n: int) -> np.ndarray:
+    """e(s_ab) as an [a, b] array, with the scalar exponent s_ab of D(a, b, 0)
+    (-ab/n for odd n, -ab/(2n) for even n) reduced exactly before the float."""
+    den = n if n % 2 else 2 * n
+    j = np.arange(n)
+    return np.exp(2j * np.pi * ((-j[:, None] * j) % den) / den)
+
+
+def _parity_k(n: int, doubled: bool) -> int:
+    """k with P(a, b)[x, -x - 2b] = e(-k a (x + b) / n): 4 odd, 2 even, 1 doubled."""
+    if n % 2:
+        if doubled:
+            raise ValueError("doubled grid applies to even n only")
+        return 4
+    return 1 if doubled else 2
+
+
+def wigner_table(f: FiniteState, kind: str, doubled: bool = False) -> np.ndarray:
+    """Every value of ``weyl_wigner`` at once, as an (a_range, n) array [a, b].
+
+    One length-n FFT per b over the wrapped diagonals of f f^*, in
+    O(n^2 log n) time and O(n^2) memory, on the position values:
+
+        Weyl:   V(a,b) = (1/n) e(s_ab) sum_x e(c a x/n) f*(x) f(x - b)
+        Wigner: W(a,b) = (1/n) sum_y e(-k a y/n) f*(y - b) f(-y - b)
+
+    a_range is 2n on the even-n doubled Wigner grid and n otherwise;
+    ``doubled`` has no effect on the Weyl table, as in ``weyl_wigner``.
+    """
+    if kind not in ("weyl", "wigner"):
+        raise ValueError(f"unknown kind {kind!r}")
+    n = f.n
+    v = to_position(f).amplitudes
+    if kind == "weyl":
+        rows, cols = _shift_indices(n)
+        diag = np.fft.ifft(v.conj()[rows] * v[cols], axis=1)  # [b, m]
+        ca = (_chi_coeff(n) * np.arange(n)) % n
+        return _displacement_phases(n) * diag[:, ca].T
+    ka = (_parity_k(n, doubled) * np.arange(2 * n if doubled else n)) % n
+    rows, cols = _reflect_indices(n)
+    diag = np.fft.fft(v[rows] * v.conj()[cols], axis=1, norm="forward")  # [b, m]
+    return diag[:, ka].T
 
 
 # ---------------------------------------------------------------------------
@@ -421,42 +481,49 @@ def random_hermitian(n: int, rng) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-_GRID_CACHE: dict[int, list[list[np.ndarray]]] = {}
-_PARITY_CACHE: dict[tuple[int, bool], list[list[np.ndarray]]] = {}
+def _square_operator(theta) -> np.ndarray:
+    m = _as_matrix(theta)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+        raise ValueError("operator must be a square matrix with n >= 2")
+    return m
 
 
 def _displacement_grid(n: int) -> list[list[np.ndarray]]:
-    """The n x n grid of D(a, b, 0) position matrices (cached, read-only)."""
-    if n not in _GRID_CACHE:
-        _GRID_CACHE[n] = [
-            [hw_matrix(HWElement.from_canonical(n, a, b, 0)) for b in range(n)]
-            for a in range(n)
-        ]
-    return _GRID_CACHE[n]
+    """The n x n grid of D(a, b, 0) position matrices, built point by point.
+
+    The brute-force reference for the tomography sums: it holds n^4 values,
+    so it is for small n only.
+    """
+    return [
+        [hw_matrix(HWElement.from_canonical(n, a, b, 0)) for b in range(n)]
+        for a in range(n)
+    ]
 
 
-def _parity_grid(n: int, doubled: bool = False) -> list[list[np.ndarray]]:
-    if (n, doubled) not in _PARITY_CACHE:
-        a_range = 2 * n if doubled else n
-        _PARITY_CACHE[(n, doubled)] = [
-            [parity_matrix(PhasePoint(n, a, b, doubled)) for b in range(n)]
-            for a in range(a_range)
-        ]
-    return _PARITY_CACHE[(n, doubled)]
+def _character_sum(n: int, k: int, length: int) -> np.ndarray:
+    """sum_{a < length} e(k a d / n) for each d in Z(n), by one FFT over a.
+
+    ``length`` is a multiple of n: n, or 2n on the doubled parity grid.
+    """
+    d = np.arange(n)
+    return np.fft.fft(np.ones(length))[(-k * d * (length // n)) % length]
 
 
 def resolution_identity_check(theta) -> float:
-    """Residual of (1/n) sum_{a,b} D theta D^dagger = tr(theta) 1."""
-    theta = _as_matrix(theta)
+    """Residual of (1/n) sum_{a,b} D theta D^dagger = tr(theta) 1.
+
+    Entry [x, y] of D(a,b,0) theta D(a,b,0)^dagger is
+    e(c a (x - y)/n) theta[x - b, y - b], so entry [x, y] of the sum is
+    (1/n) A(x - y) S(x - y) with A(d) = sum_a e(c a d/n) and
+    S(d) = sum_z theta[z, z - d]: it depends on x - y only.
+    """
+    theta = _square_operator(theta)
     n = theta.shape[0]
-    grid = _displacement_grid(n)
-    acc = np.zeros_like(theta)
-    for a in range(n):
-        for b in range(n):
-            d = grid[a][b]
-            acc += d @ theta @ d.conj().T
-    acc /= n
-    return float(np.max(np.abs(acc - np.trace(theta) * np.eye(n))))
+    rows, cols = _shift_indices(n)
+    s = theta[rows, cols].sum(axis=1)  # S(d), d = b
+    acc = _character_sum(n, _chi_coeff(n), n) * s / n
+    acc[0] -= np.trace(theta)
+    return float(np.max(np.abs(acc)))
 
 
 def operator_expand(theta) -> tuple[np.ndarray, float]:
@@ -466,37 +533,44 @@ def operator_expand(theta) -> tuple[np.ndarray, float]:
     here is the group adjoint D(-a,-b,0) of the continuum formalism; for odd
     n it coincides with canonical index negation, for even n the two differ
     by an exact sign (-1)^(a+b).
+
+    D(a,b,0) holds e(s_ab + c a x/n) at [x, x - b], so the coefficient
+    e(-s_ab) sum_x e(-c a x/n) theta[x, x - b] is an FFT of theta's b-th
+    wrapped diagonal, and the reconstruction is an inverse FFT per b.
     """
-    theta = _as_matrix(theta)
+    theta = _square_operator(theta)
     n = theta.shape[0]
-    grid = _displacement_grid(n)
-    coeffs = np.zeros((n, n), dtype=complex)
-    recon = np.zeros_like(theta)
-    for a in range(n):
-        for b in range(n):
-            d = grid[a][b]
-            coeffs[a, b] = np.trace(d.conj().T @ theta)
-            recon += coeffs[a, b] * d
-    recon /= n
-    return coeffs, float(np.max(np.abs(recon - theta)))
+    rows, cols = _shift_indices(n)
+    diag = theta[rows, cols]  # [b, x] = theta[x, x - b]
+    ca = (_chi_coeff(n) * np.arange(n)) % n
+    phases = _displacement_phases(n)
+    coeffs = phases.conj() * np.fft.fft(diag, axis=1)[:, ca].T
+    # recon[x, x - b] = (1/n) sum_a coeffs[a, b] e(s_ab + c a x/n)
+    spectrum = np.empty((n, n), dtype=complex)
+    spectrum[:, ca] = (coeffs * phases).T
+    recon = np.fft.ifft(spectrum, axis=1)
+    return coeffs, float(np.max(np.abs(recon - diag)))
 
 
 def coherent_check(g: FiniteState) -> float:
     """Residual of the coherent-state resolution of the identity.
 
     The fiducial must be normalized; the projector carries the measure
-    weight, so (1/n) sum_{a,b} |g_ab><g_ab| = 1.
+    weight, so (1/n) sum_{a,b} |g_ab><g_ab| = 1.  Entry [x, y] of the sum is
+    (w/n) A(x - y) r(x - y), with r the circular autocorrelation of g's
+    values and A(d) the character sum over the label that sets the phase:
+    sum_a e(c a d/n) on the position side, sum_b e(-b d/n) on the momentum
+    side.
     """
     if abs(norm(g) - 1.0) > 1e-9:
         raise ValueError("fiducial state must be normalized")
     n = g.n
-    acc = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            v = displace(HWElement.from_canonical(n, a, b, 0), g).amplitudes
-            acc += np.outer(v, v.conj())
-    acc *= g.measure_weight / n
-    return float(np.max(np.abs(acc - np.eye(n))))
+    k = _chi_coeff(n) if g.rep == POSITION else -1
+    spectrum = np.fft.fft(g.amplitudes)
+    r = np.fft.ifft(spectrum * spectrum.conj())  # r(d) = sum_z g(z + d) g*(z)
+    acc = _character_sum(n, k, n) * r * (g.measure_weight / n)
+    acc[0] -= 1.0
+    return float(np.max(np.abs(acc)))
 
 
 @dataclass(frozen=True)
@@ -506,48 +580,66 @@ class ParityCheckResult:
     tomography_residual: float  # theta = (1/n) sum P tr(theta P)
 
 
+def _parity_expansion_residual(n: int) -> float:
+    """Max gap of P(a, b) = (1/n) sum_{a',b'} omega_n(2(a'b - ab')) D(a',b',0), odd n.
+
+    Entry [x, x - b'] of the sum is
+    (1/n) e(-2ab'/n) sum_{a'} e(s_{a'b'} + 2a'(b + x)/n): one inverse FFT over
+    a' per b', shared by every (a, b).  The n^2 matrices are compared in a
+    loop over a, in O(n^3) memory.
+    """
+    j = np.arange(n)
+    b, x = j[:, None], j[None, :]
+    spectrum = np.fft.ifft(_displacement_phases(n), axis=0)  # [m, b']
+    terms = spectrum[(2 * (b + x)) % n]  # [b, x, b'] up to e(-2ab'/n)
+    worst = 0.0
+    for a in range(n):
+        gap = np.exp(-2j * np.pi * ((2 * a * j) % n) / n) * terms
+        # P(a, b) holds e(-4a(x + b)/n) at [x, -x - 2b], i.e. b' = 2(x + b)
+        gap[b, x, (2 * (b + x)) % n] -= np.exp(-2j * np.pi * ((4 * a * (b + x)) % n) / n)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
 def parity_expand_check(theta, exploratory: bool = False) -> ParityCheckResult:
     """Finite analogs of the parity identities; guaranteed for odd n.
 
     For even n the doubled-grid variants are exploratory and only run when
     ``exploratory`` is set; residuals are then reported without any claim.
+
+    P(a, b) holds e(-k a (x + b)/n) at [x, -x - 2b], so entry [x, y] of
+    sum P theta P is A(x - y) sum_b theta[-x - 2b, -y - 2b] with
+    A(d) = sum_a e(-k a d/n); tr(theta P(a, b)) is an FFT over y of
+    theta[-y - b, y - b]; and the tomography sum at [y - b, -y - b] is an FFT
+    over a of those traces.
     """
-    theta = _as_matrix(theta)
+    theta = _square_operator(theta)
     n = theta.shape[0]
     if n % 2 == 0 and not exploratory:
         raise ValueError("unsupported regime: even n needs exploratory=True")
     doubled = n % 2 == 0
     a_range = 2 * n if doubled else n
-    par = _parity_grid(n, doubled)
-    disp = _displacement_grid(n)
+    k = _parity_k(n, doubled)
+    expansion = 0.0 if doubled else _parity_expansion_residual(n)
+    j = np.arange(n)
 
-    expansion = 0.0
-    if not doubled:
-        # P(a, b) = (1/n) sum_{a', b'} omega_n(2(a'b - ab')) D(a', b', 0),
-        # evaluated over the whole grid with two tensor contractions
-        stack = np.array(disp)  # (a', b', n, n)
-        w = np.exp(2j * np.pi * np.arange(n)[:, None] * np.arange(n)[None, :] / n)
-        w2 = w[:, (2 * np.arange(n)) % n]  # w2[x, y] = omega_n(2 x y)
-        mid = np.tensordot(w2.conj(), stack, axes=(1, 1))  # (a, a', n, n)
-        full = np.tensordot(w2, mid, axes=(0, 1))  # contract a': (b, a, n, n)
-        for a in range(n):
-            for b in range(n):
-                acc = full[b, a] / n
-                expansion = max(expansion, float(np.max(np.abs(acc - par[a][b]))))
+    # 2b runs g = gcd(2, n) times over the residues = 0 mod g, so entry
+    # [x, x + d] of the sum over b depends on x mod g and d only
+    g = 2 if doubled else 1
+    diag = theta[(-j[:, None]) % n, (-j[:, None] - j) % n]  # [z, d] = theta[-z, -z - d]
+    per_class = g * diag.reshape(n // g, g, n).sum(axis=0)  # [x mod g, d]
+    sandwich = _character_sum(n, -k, a_range)[(-j) % n] * per_class / a_range
+    sandwich[:, 0] -= np.trace(theta)
 
-    sandwich = np.zeros((n, n), dtype=complex)
-    tomo = np.zeros((n, n), dtype=complex)
-    for a in range(a_range):
-        for b in range(n):
-            p = par[a][b]
-            sandwich += p @ theta @ p
-            tomo += p * np.trace(theta @ p)
-    weight = 1.0 / (2 * n if doubled else n)
-    sandwich_res = float(
-        np.max(np.abs(weight * sandwich - np.trace(theta) * np.eye(n)))
+    rows, cols = _reflect_indices(n)
+    traces = np.fft.fft(theta[rows, cols], axis=1)[:, (k * np.arange(a_range)) % n]
+    # sum_a e(-k a y/n) tr(theta P(a, b)), the entry at [y - b, -y - b]
+    weights = np.fft.fft(traces, axis=1)[:, (k * j * (a_range // n)) % a_range]
+    tomo = -theta.copy()
+    np.add.at(tomo, (cols, rows), weights / a_range)
+    return ParityCheckResult(
+        expansion, float(np.max(np.abs(sandwich))), float(np.max(np.abs(tomo)))
     )
-    tomo_res = float(np.max(np.abs(weight * tomo - theta)))
-    return ParityCheckResult(expansion, sandwich_res, tomo_res)
 
 
 # ---------------------------------------------------------------------------

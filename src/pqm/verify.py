@@ -170,6 +170,25 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
 # --- resolution of identity and operator expansion --------------------------
 
 
+def _displacements(n: int) -> list[np.ndarray]:
+    """Every D(a, b, 0) position matrix, one point at a time (the oracle)."""
+    return [
+        fq.hw_matrix(fq.HWElement.from_canonical(n, a, b, 0))
+        for a in range(n)
+        for b in range(n)
+    ]
+
+
+def _table_gap(f: fq.FiniteState, kind: str, doubled: bool = False) -> float:
+    """Max gap of ``wigner_table`` against ``weyl_wigner`` at every point."""
+    table = fq.wigner_table(f, kind, doubled)
+    return max(
+        abs(table[a, b] - fq.weyl_wigner(f, a, b, kind, doubled))
+        for a in range(table.shape[0])
+        for b in range(f.n)
+    )
+
+
 def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("tomography", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 3)
@@ -181,6 +200,20 @@ def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
             res_resolution = max(res_resolution, fq.resolution_identity_check(theta))
             _, r = fq.operator_expand(theta)
             res_expand = max(res_expand, r)
+    # brute-force oracles, one sample per n: the sums over explicit matrices
+    for n in range(2, min(cfg.max_n, 6) + 1):
+        theta = fq.random_operator(n, rng)
+        disp = _displacements(n)
+        acc = sum(d @ theta @ d.conj().T for d in disp) / n
+        res_resolution = max(
+            res_resolution, float(np.max(np.abs(acc - np.trace(theta) * np.eye(n))))
+        )
+        coeffs, _ = fq.operator_expand(theta)
+        want = np.array([np.trace(d.conj().T @ theta) for d in disp])
+        res_expand = max(res_expand, float(np.max(np.abs(coeffs.ravel() - want))))
+    for n in range(2, min(cfg.max_n, 8) + 1):
+        for r in (POSITION, MOMENTUM):
+            res_expand = max(res_expand, _table_gap(fq.random_state(n, rng, rep=r), "weyl"))
     rep.add("resolution_of_identity", res_resolution, 1e-9)
     rep.add("displacement_expansion", res_expand, 1e-9)
     return rep.done()
@@ -216,6 +249,24 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
             exp_res = max(exp_res, out.expansion_residual)
             sand_res = max(sand_res, out.sandwich_residual)
             tomo_res = max(tomo_res, out.tomography_residual)
+    # brute-force oracles: the Wigner table point by point, and the sandwich
+    # and tomography sums over explicit parity matrices
+    for n in range(2, min(cfg.max_n, 8) + 1):
+        for r in (POSITION, MOMENTUM):
+            f = fq.random_state(n, rng, rep=r)
+            tomo_res = max(tomo_res, _table_gap(f, "wigner"))
+            if n % 2 == 0:
+                tomo_res = max(tomo_res, _table_gap(f, "wigner", doubled=True))
+    for n in (3, 5):
+        theta = fq.random_operator(n, rng)
+        par = [fq.parity_matrix(fq.PhasePoint(n, a, b)) for a in range(n) for b in range(n)]
+        sandwich = sum(p @ theta @ p for p in par) / n
+        tomo = sum(p * np.trace(theta @ p) for p in par) / n
+        tomo_res = max(
+            tomo_res,
+            float(np.max(np.abs(sandwich - np.trace(theta) * np.eye(n)))),
+            float(np.max(np.abs(tomo - theta))),
+        )
     rep.add("parity_displacement_expansion", exp_res, 1e-9)
     rep.add("parity_sandwich_trace", sand_res, 1e-9)
     rep.add("parity_tomography", tomo_res, 1e-9)
@@ -290,6 +341,12 @@ def suite_coherent(cfg: VerifyConfig) -> list[CheckResult]:
     for n in range(2, min(cfg.max_n, 12) + 1):
         for _ in range(max(cfg.samples // 2, 10)):
             res = max(res, fq.coherent_check(fq.random_state(n, rng)))
+    # brute-force oracle, one fiducial per n: the explicit outer-product sum
+    for n in range(2, min(cfg.max_n, 6) + 1):
+        g = fq.random_state(n, rng)
+        vs = [d @ g.amplitudes for d in _displacements(n)]
+        acc = sum(np.outer(v, v.conj()) for v in vs) * (g.measure_weight / n)
+        res = max(res, float(np.max(np.abs(acc - np.eye(n)))))
     rep.add("coherent_resolution_of_identity", res, 1e-9)
     return rep.done()
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from pqm import finiteqm as fq
 from pqm.cli import dump_state, load_state, main
-from pqm.finiteqm import POSITION, random_state
+from pqm.finiteqm import MOMENTUM, POSITION, random_state, weyl_wigner
 
 RNG = np.random.default_rng(99)
 
@@ -37,6 +38,27 @@ class TestStateFiles:
         data = json.loads(p.read_text())
         assert data["metadata"] == {"seed": 7}
         assert data["rep"] == POSITION
+
+    @pytest.mark.parametrize("metadata", [None, {"method": "good", "seed": 7}])
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    def test_bytes_match_streamed_encoding(self, metadata, rep, tmp_path):
+        # the per-amplitude list and streamed json.dump the writer replaced
+        f = random_state(33, RNG, rep=rep)
+        f.amplitudes[3] = complex(-0.0, 1e-300)
+        data = {
+            "n": f.n,
+            "rep": f.rep,
+            "amplitudes": [[z.real, z.imag] for z in f.amplitudes],
+        }
+        if metadata:
+            data["metadata"] = metadata
+        old = tmp_path / "old.json"
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True)
+            fh.write("\n")
+        new = tmp_path / "new.json"
+        dump_state(f, str(new), metadata=metadata)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestFourierCommand:
@@ -87,6 +109,17 @@ class TestFourierCommand:
         assert "non-finite" in _one_error_line(capsys)
         assert not out.exists()
 
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a dense path that cannot allocate reports one line, no traceback
+        def out_of_memory(f):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(fq, "fourier", out_of_memory)
+        src = tmp_path / "f.json"
+        _write_state(src)
+        assert main(["fourier", "--in", str(src), "--out", str(tmp_path / "g.json")]) == 2
+        assert _one_error_line(capsys).startswith("pqm: error: out of memory")
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         src = tmp_path / "f.json"
         _write_state(src, n=4)
@@ -107,6 +140,31 @@ class TestWignerCommand:
         for line in lines[1:]:
             a, b, re, im = line.split(",")
             assert abs(float(im)) <= 1e-12  # Wigner rows are real
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize(
+        "flags, kind, doubled",
+        [
+            (["--kind", "weyl"], "weyl", False),
+            (["--kind", "wigner"], "wigner", False),
+            (["--doubled"], "wigner", True),
+        ],
+    )
+    def test_every_cell_matches_weyl_wigner(self, n, flags, kind, doubled, tmp_path):
+        src = tmp_path / "f.json"
+        _write_state(src, n=n, seed=n)
+        f = load_state(str(src))
+        out = tmp_path / "w.csv"
+        assert main(["wigner", *flags, "--in", str(src), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        doubled = doubled and n % 2 == 0
+        a_range = 2 * n if doubled else n
+        assert lines[0] == "a,b,re,im" and len(lines) == 1 + a_range * n
+        for i, line in enumerate(lines[1:]):
+            a, b, re, im = line.split(",")
+            assert (int(a), int(b)) == divmod(i, n)  # a-major rows
+            want = weyl_wigner(f, int(a), int(b), kind, doubled)
+            assert abs(complex(float(re), float(im)) - want) <= 1e-12
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         src = tmp_path / "f.json"

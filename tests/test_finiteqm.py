@@ -51,7 +51,9 @@ from pqm.finiteqm import (
     to_momentum,
     to_position,
     weyl_wigner,
+    wigner_table,
 )
+from pqm import finiteqm
 
 RNG = np.random.default_rng(20240817)
 
@@ -357,6 +359,25 @@ class TestWeylWigner:
                 ) < 1e-12
 
 
+class TestWignerTable:
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_shapes(self, n):
+        f = random_state(n, RNG)
+        assert wigner_table(f, "weyl").shape == (n, n)
+        assert wigner_table(f, "wigner").shape == (n, n)
+        # the doubled grid is a Wigner-only, even-n variant, as in weyl_wigner
+        assert wigner_table(f, "weyl", doubled=True).shape == (n, n)
+        if n % 2 == 0:
+            assert wigner_table(f, "wigner", doubled=True).shape == (2 * n, n)
+
+    def test_rejects_bad_kind_and_odd_doubled(self):
+        f = random_state(5, RNG)
+        with pytest.raises(ValueError):
+            wigner_table(f, "husimi")
+        with pytest.raises(ValueError):
+            wigner_table(f, "wigner", doubled=True)
+
+
 class TestTomography:
     def test_identity_input(self):
         assert resolution_identity_check(np.eye(4)) < 1e-12
@@ -390,6 +411,14 @@ class TestTomography:
         assert m.is_unitary()
         assert m.trace() == 3
         assert resolution_identity_check(m) < 1e-12
+
+    @pytest.mark.parametrize(
+        "check", [resolution_identity_check, operator_expand, parity_expand_check]
+    )
+    def test_rejects_non_square_and_tiny(self, check):
+        for bad in (np.ones((3, 4)), np.ones((1, 1)), np.ones(3)):
+            with pytest.raises(ValueError):
+                check(bad)
 
     def test_operator_matrix_product_and_adjoint(self):
         u = OperatorMatrix(hw_matrix(hw_z(4)))
@@ -616,3 +645,55 @@ class TestLargeN:
             a = fourier_good(f).amplitudes
             b = fourier(f).amplitudes
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_wigner_table_at_1024_in_quadratic_memory(self):
+        # per point this table takes minutes; as FFTs it is one n x n array
+        # and a few temporaries
+        n = 1024
+        f = random_state(n, np.random.default_rng(1024))
+        tracemalloc.start()
+        try:
+            table = wigner_table(f, "wigner")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (n, n)
+        assert peak < 6 * 16 * n * n
+        for a, b in ((0, 0), (1, 2), (1023, 511), (517, 3)):
+            assert abs(table[a, b] - weyl_wigner(f, a, b, "wigner")) < 1e-12
+
+    def test_parity_check_at_33_below_10_mb(self):
+        theta = random_operator(33, np.random.default_rng(33))
+        tracemalloc.start()
+        try:
+            res = parity_expand_check(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(res.expansion_residual, res.sandwich_residual, res.tomography_residual) < 1e-9
+        assert peak < 10 * 2**20
+
+
+class TestNoGridCaches:
+    def test_no_module_level_caches(self):
+        assert not hasattr(finiteqm, "_GRID_CACHE")
+        assert not hasattr(finiteqm, "_PARITY_CACHE")
+
+    def test_second_call_allocates_as_much_as_first(self):
+        # a cache would fill on the first call at this n and skip the work
+        # on the second
+        n = 27
+        theta = random_operator(n, np.random.default_rng(27))
+        f = random_state(n, np.random.default_rng(28))
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                resolution_identity_check(theta)
+                operator_expand(theta)
+                parity_expand_check(theta)
+                wigner_table(f, "wigner")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] >= 0.9 * peaks[0]

@@ -1,5 +1,6 @@
 """Property tests for the CRT maps, the p-valuation, divisor posets, the
-composite-label point embedding and the FFT paths of the Fourier transform."""
+composite-label point embedding, the FFT paths of the Fourier transform and
+the FFT paths of the phase-space tables and tomography sums."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,20 @@ from pqm.embeddings import def2_point_embed
 from pqm.finiteqm import (
     MOMENTUM,
     POSITION,
+    PhasePoint,
+    _displacement_grid,
     _hat_values,
     fourier,
     fourier_good,
+    operator_expand,
+    parity_expand_check,
+    parity_matrix,
+    random_operator,
     random_state,
     to_momentum,
     to_position,
+    weyl_wigner,
+    wigner_table,
 )
 from pqm.numbers import (
     crt_idempotents,
@@ -167,3 +176,56 @@ def test_fft_paths_match_dense_sums(n, rep, seed):
         assert to_momentum(f) is f
     hat = _dense_sum(a, +1, 2 * n, 2 * n)
     np.testing.assert_allclose(_hat_values(a), hat, rtol=0, atol=1e-12)
+
+
+@_settings
+@given(
+    n=st.integers(2, 16),
+    rep=st.sampled_from([POSITION, MOMENTUM]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tables_match_weyl_wigner(n, rep, seed):
+    f = random_state(n, np.random.default_rng(seed), rep=rep)
+    grids = [("weyl", False), ("wigner", False)] + ([("wigner", True)] if n % 2 == 0 else [])
+    for kind, doubled in grids:
+        table = wigner_table(f, kind, doubled)
+        want = [
+            [weyl_wigner(f, a, b, kind, doubled) for b in range(n)]
+            for a in range(table.shape[0])
+        ]
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
+
+
+@_settings
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_tomography_sums_match_dense_sums(n, seed):
+    theta = random_operator(n, np.random.default_rng(seed))
+    grid = _displacement_grid(n)  # grid[a][b] = D(a, b, 0), point by point
+    coeffs, _ = operator_expand(theta)
+    want = [[np.trace(d.conj().T @ theta) for d in row] for row in grid]
+    np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-12)
+
+    # odd n, and the exploratory doubled grid for even n
+    a_range = n if n % 2 else 2 * n
+    par = {
+        (a, b): parity_matrix(PhasePoint(n, a, b, doubled=n % 2 == 0))
+        for a in range(a_range)
+        for b in range(n)
+    }
+    sandwich = sum(p @ theta @ p for p in par.values()) / a_range
+    tomo = sum(p * np.trace(theta @ p) for p in par.values()) / a_range
+    expansion = 0.0
+    if n % 2:
+        # P(a, b) = (1/n) sum_{a', b'} e(2(a'b - ab')/n) D(a', b', 0)
+        j = np.arange(n)
+        w = np.exp(4j * np.pi * np.outer(j, j) / n)  # w[p, q] = e(2pq/n)
+        acc = np.einsum("pb,aq,pqxy->abxy", w, w.conj(), np.array(grid), optimize=True)
+        expansion = max(np.max(np.abs(acc[a, b] / n - p)) for (a, b), p in par.items())
+    want = (
+        expansion,
+        np.max(np.abs(sandwich - np.trace(theta) * np.eye(n))),
+        np.max(np.abs(tomo - theta)),
+    )
+    got = parity_expand_check(theta, exploratory=True)
+    got = (got.expansion_residual, got.sandwich_residual, got.tomography_residual)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
