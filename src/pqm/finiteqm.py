@@ -191,17 +191,15 @@ class HWElement:
         cls, n: int, a: RatMod1, b: int, c: RatMod1 = ZERO_MOD1
     ) -> "HWElement":
         """Build from continuum data (a, b, c); requires 2a on the 1/n grid."""
-        two_a = a.as_fraction * 2
-        r = two_a * n
-        if r.denominator != 1:
+        r, rem = divmod(2 * n * a.numerator, a.denominator)
+        if rem:
             raise ValueError(f"a={a} does not displace the Z({n}) momentum grid")
-        r = int(r) % n
+        r %= n
         if n % 2:
             alpha = (r * pow(2, -1, n)) % n
         else:
             alpha = r
-        phase = RatMod1.of(c.as_fraction - a.as_fraction * b)
-        return cls(n, alpha, b % n, phase)
+        return cls(n, alpha, b % n, c - a.scaled(b))
 
     @property
     def frak_a(self) -> RatMod1:
@@ -211,9 +209,7 @@ class HWElement:
     @property
     def frak_c(self) -> RatMod1:
         """The continuum label c in Q/Z (phase = c - a b)."""
-        return self.phase + RatMod1.of(
-            self.frak_a.as_fraction * self.beta
-        )
+        return self.phase + self.frak_a.scaled(self.beta)
 
 
 def hw_identity(n: int) -> HWElement:
@@ -260,15 +256,14 @@ def displace(d: HWElement, f: FiniteState) -> FiniteState:
         raise ValueError("dimension mismatch")
     n, c = d.n, _chi_coeff(d.n)
     x = np.arange(n)
+    s = d.phase.numerator / d.phase.denominator
     if f.rep == POSITION:
-        angles = _TWO_PI * (
-            float(d.phase.as_fraction) + (c * d.alpha % n) * x / n
-        )
+        angles = _TWO_PI * (s + (c * d.alpha % n) * x / n)
         out = np.exp(1j * angles) * f.amplitudes[(x - d.beta) % n]
     else:
         shift = (c * d.alpha) % n
         q = (x - shift) % n
-        angles = _TWO_PI * (float(d.phase.as_fraction) - d.beta * q / n)
+        angles = _TWO_PI * (s - d.beta * q / n)
         out = np.exp(1j * angles) * f.amplitudes[q]
     return FiniteState(n, f.rep, out)
 
@@ -277,7 +272,7 @@ def hw_matrix(d: HWElement, rep: str = POSITION) -> np.ndarray:
     n, c = d.n, _chi_coeff(d.n)
     x = np.arange(n)
     m = np.zeros((n, n), dtype=complex)
-    s = float(d.phase.as_fraction)
+    s = d.phase.numerator / d.phase.denominator
     if rep == POSITION:
         m[x, (x - d.beta) % n] = np.exp(
             2j * np.pi * (s + (c * d.alpha % n) * x / n)
@@ -336,8 +331,7 @@ def parity_quarter_period(n: int, doubled: bool = False) -> int | None:
 
 def parity_displacement(pt: PhasePoint) -> HWElement:
     """The element D(2a, 2b, 0) whose composition with F^2 is the parity."""
-    two_a = RatMod1.of(2 * pt.frak_a.as_fraction)
-    return HWElement.from_phase_space(pt.n, two_a, 2 * pt.b)
+    return HWElement.from_phase_space(pt.n, pt.frak_a.scaled(2), 2 * pt.b)
 
 
 def parity_apply(pt: PhasePoint, f: FiniteState) -> FiniteState:
@@ -431,42 +425,8 @@ def wigner_table(f: FiniteState, kind: str, doubled: bool = False) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class OperatorMatrix:
-    """A dense operator on Z(n), stored as its position-representation matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.entries @ other.entries)
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        return is_unitary(self.entries, tol)
-
-
-def _as_matrix(theta) -> np.ndarray:
-    if isinstance(theta, OperatorMatrix):
-        return theta.entries
-    return np.asarray(theta, dtype=complex)
-
-
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = _as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     return bool(
         np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol
     )
@@ -482,7 +442,7 @@ def random_hermitian(n: int, rng) -> np.ndarray:
 
 
 def _square_operator(theta) -> np.ndarray:
-    m = _as_matrix(theta)
+    m = np.asarray(theta, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError("operator must be a square matrix with n >= 2")
     return m
@@ -861,17 +821,3 @@ def hw_factor_matrix_check(d: HWElement) -> float:
     remapped = full[np.ix_(src, src)]
     return float(np.max(np.abs(remapped - hw_matrix(d))))
 
-
-# ---------------------------------------------------------------------------
-# Generic unitary evolution
-# ---------------------------------------------------------------------------
-
-
-def evolve(u, f: FiniteState, tol: float = 1e-10) -> FiniteState:
-    """Apply a unitary to the state's current-representation values."""
-    u = _as_matrix(u)
-    if u.shape != (f.n, f.n):
-        raise ValueError("dimension mismatch")
-    if not is_unitary(u, tol):
-        raise ValueError("operator is not unitary to tolerance")
-    return FiniteState(f.n, f.rep, u @ f.amplitudes)

@@ -6,6 +6,9 @@ appear when a phase is finally evaluated numerically.
 
 Conventions:
 
+* A Q/Z value is a reduced pair of plain integers, and its arithmetic stays
+  in integers.  ``Fraction`` is accepted (``RatMod1.of``) and returned
+  (``as_fraction``) only at the boundary.
 * A truncated p-adic integer carries an explicit precision N and represents
   a residue mod p^N.  Binary operations return the minimum precision of
   their operands and raise instead of silently extending.
@@ -102,26 +105,38 @@ class RatMod1:
 
     @classmethod
     def of(cls, numerator: int | Fraction, denominator: int = 1) -> "RatMod1":
-        q = Fraction(numerator, denominator)
-        q -= math.floor(q)
-        return cls(q.numerator, q.denominator)
+        """numerator / denominator mod 1; a Fraction numerator is accepted."""
+        if isinstance(numerator, Fraction):
+            denominator *= numerator.denominator
+            numerator = numerator.numerator
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        numerator %= denominator
+        g = math.gcd(numerator, denominator)
+        return cls(numerator // g, denominator // g)
 
     @property
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
     def __add__(self, other: "RatMod1") -> "RatMod1":
-        return RatMod1.of(self.as_fraction + other.as_fraction)
+        return RatMod1.of(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            self.denominator * other.denominator,
+        )
 
     def __sub__(self, other: "RatMod1") -> "RatMod1":
-        return RatMod1.of(self.as_fraction - other.as_fraction)
+        return RatMod1.of(
+            self.numerator * other.denominator - other.numerator * self.denominator,
+            self.denominator * other.denominator,
+        )
 
     def __neg__(self) -> "RatMod1":
-        return RatMod1.of(-self.as_fraction)
+        return RatMod1.of(-self.numerator, self.denominator)
 
     def scaled(self, k: int) -> "RatMod1":
         """k * q mod 1 for an integer k."""
-        return RatMod1.of(self.as_fraction * k)
+        return RatMod1.of(k * self.numerator, self.denominator)
 
     def __bool__(self) -> bool:
         return self.numerator != 0
@@ -155,6 +170,24 @@ class UnitPhase:
 # ---------------------------------------------------------------------------
 
 
+def _to_digits(value: int, p: int, count: int) -> tuple[int, ...]:
+    """The base-p digits of value mod p^count, least significant first."""
+    r = value % p**count
+    digits = []
+    for _ in range(count):
+        r, d = divmod(r, p)
+        digits.append(d)
+    return tuple(digits)
+
+
+def _from_digits(digits: tuple[int, ...], p: int) -> int:
+    """sum d_v p^v over the digits, least significant first."""
+    r = 0
+    for d in reversed(digits):
+        r = r * p + d
+    return r
+
+
 @dataclass(frozen=True)
 class PadicInt:
     """A p-adic integer truncated to N digits, i.e. a residue mod p^N.
@@ -179,12 +212,7 @@ class PadicInt:
 
     @classmethod
     def from_int(cls, value: int, p: int, precision: int) -> "PadicInt":
-        r = value % p**precision
-        digits = []
-        for _ in range(precision):
-            r, d = divmod(r, p)
-            digits.append(d)
-        return cls(p, tuple(digits))
+        return cls(p, _to_digits(value, p, precision))
 
     @classmethod
     def from_rational(cls, q: Fraction, p: int, precision: int) -> "PadicInt":
@@ -200,31 +228,30 @@ class PadicInt:
 
     def residue(self) -> int:
         """The integer representative in [0, p^N)."""
-        return sum(d * self.p**v for v, d in enumerate(self.digits))
+        return _from_digits(self.digits, self.p)
 
-    def _binop(self, other: "PadicInt", op: str) -> "PadicInt":
-        if not isinstance(other, PadicInt):
-            return NotImplemented  # type: ignore[return-value]
+    def _shared_precision(self, other: "PadicInt") -> int:
         if self.p != other.p:
             raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
-        n = min(self.precision, other.precision)
-        a, b = self.residue(), other.residue()
-        if op == "add":
-            r = a + b
-        elif op == "sub":
-            r = a - b
-        else:
-            r = a * b
-        return PadicInt.from_int(r, self.p, n)
+        return min(self.precision, other.precision)
 
     def __add__(self, other: "PadicInt") -> "PadicInt":
-        return self._binop(other, "add")
+        if not isinstance(other, PadicInt):
+            return NotImplemented
+        n = self._shared_precision(other)
+        return PadicInt.from_int(self.residue() + other.residue(), self.p, n)
 
     def __sub__(self, other: "PadicInt") -> "PadicInt":
-        return self._binop(other, "sub")
+        if not isinstance(other, PadicInt):
+            return NotImplemented
+        n = self._shared_precision(other)
+        return PadicInt.from_int(self.residue() - other.residue(), self.p, n)
 
     def __mul__(self, other: "PadicInt") -> "PadicInt":
-        return self._binop(other, "mul")
+        if not isinstance(other, PadicInt):
+            return NotImplemented
+        n = self._shared_precision(other)
+        return PadicInt.from_int(self.residue() * other.residue(), self.p, n)
 
     def __neg__(self) -> "PadicInt":
         return PadicInt.from_int(-self.residue(), self.p, self.precision)
@@ -275,7 +302,7 @@ def project_xi(a: PadicInt, k: int) -> int:
     """The truncation map xi_k: Z_p -> Z(p^k) (keep the first k digits)."""
     if not (1 <= k <= a.precision):
         raise PrecisionError(f"k={k} exceeds precision {a.precision}")
-    return sum(d * a.p**v for v, d in enumerate(a.digits[:k]))
+    return _from_digits(a.digits[:k], a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +341,17 @@ class PadicFrac:
 
     @classmethod
     def from_fraction(cls, q: "Fraction | RatMod1", p: int) -> "PadicFrac":
-        if isinstance(q, RatMod1):
-            q = q.as_fraction
-        q -= math.floor(q)
-        if q == 0:
+        if not isinstance(q, RatMod1):
+            q = RatMod1.of(q)
+        if not q:
             return cls.zero(p)
         k = valuation(q.denominator, p)
         if q.denominator != p**k:
-            raise ValueError(f"{q} has a denominator not a power of {p}")
-        m = q.numerator * (p**k // q.denominator)
-        digits = []
-        for _ in range(k):
-            m, d = divmod(m, p)
-            digits.append(d)
+            raise ValueError(
+                f"{q.numerator}/{q.denominator} has a denominator not a power of {p}"
+            )
         # digits[j] is d_{-k+j}: the low base-p digit of the numerator is d_{-k}
-        return cls(p, tuple(digits))
+        return cls(p, _to_digits(q.numerator, p, k))
 
     @property
     def as_fraction(self) -> Fraction:
@@ -336,19 +359,20 @@ class PadicFrac:
 
     @property
     def numerator_int(self) -> int:
-        return sum(d * self.p**j for j, d in enumerate(self.digits))
+        return _from_digits(self.digits, self.p)
 
     @property
     def as_ratmod1(self) -> RatMod1:
-        return RatMod1.of(self.as_fraction)
+        # a nonzero leading digit makes numerator_int / p^degree reduced
+        return RatMod1(self.numerator_int, self.p**self.degree)
 
     def __add__(self, other: "PadicFrac") -> "PadicFrac":
         if self.p != other.p:
             raise ValueError("prime mismatch")
-        return PadicFrac.from_fraction(self.as_fraction + other.as_fraction, self.p)
+        return PadicFrac.from_fraction(self.as_ratmod1 + other.as_ratmod1, self.p)
 
     def __neg__(self) -> "PadicFrac":
-        return PadicFrac.from_fraction(-self.as_fraction, self.p)
+        return PadicFrac.from_fraction(-self.as_ratmod1, self.p)
 
     def __repr__(self) -> str:
         if not self.digits:
@@ -362,7 +386,7 @@ def lift_tilde_xi(beta: int, k: int, p: int) -> PadicFrac:
         raise ValueError("k must be >= 0")
     if not (0 <= beta < p**k or (k == 0 and beta == 0)):
         raise ValueError(f"beta={beta} out of range for Z({p}^{k})")
-    return PadicFrac.from_fraction(Fraction(beta, p**k) if k else Fraction(0), p)
+    return PadicFrac.from_fraction(RatMod1.of(beta, p**k), p)
 
 
 def frac_mul(a: PadicInt, b: PadicFrac) -> PadicFrac:
@@ -377,7 +401,7 @@ def frac_mul(a: PadicInt, b: PadicFrac) -> PadicFrac:
             f"need {k} digits of a to multiply by a degree-{k} coset, "
             f"have {a.precision}"
         )
-    return PadicFrac.from_fraction(project_xi(a, k) * b.as_fraction, a.p)
+    return PadicFrac.from_fraction(b.as_ratmod1.scaled(project_xi(a, k)), a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +607,9 @@ def rat_decompose(q: RatMod1) -> dict[int, PadicFrac]:
     out: dict[int, PadicFrac] = {}
     for f, kp in zip(crt_idempotents(n), crt_split_nu_hat(n, q.numerator)):
         if kp:
-            out[f.p] = PadicFrac.from_fraction(Fraction(kp, f.q), f.p)
+            out[f.p] = PadicFrac.from_fraction(RatMod1.of(kp, f.q), f.p)
     return out
 
 
 def rat_recombine(parts: Mapping[int, PadicFrac]) -> RatMod1:
-    total = Fraction(0)
-    for frac in parts.values():
-        total += frac.as_fraction
-    return RatMod1.of(total)
+    return sum((frac.as_ratmod1 for frac in parts.values()), ZERO_MOD1)

@@ -191,12 +191,14 @@ def delta_family(p: int, precision: int, kind: str) -> LocalSBFunction:
 
 def character_function(p: int, frak_p: Fraction) -> LocalSBFunction:
     """The position-side function x |-> chi_p(x * frak_p)."""
-    frak_p = Fraction(frak_p) % 1
+    frak_p = RatMod1.of(frak_p)
     k = valuation(frak_p.denominator, p)
     if frak_p.denominator != p**k:
         raise ValueError("frak_p must have a p-power denominator")
     q = p**k
-    vals = tuple(np.exp(2j * np.pi * float(frak_p * j)) for j in range(q))
+    vals = tuple(
+        np.exp(2j * np.pi * (frak_p.numerator * j / q)) for j in range(q)
+    )
     return LocalSBFunction(p, POSITION, k, vals)
 
 
@@ -224,26 +226,24 @@ def local_displace(
     for q in (a, c):
         if q.denominator != f.p ** valuation(q.denominator, f.p):
             raise ValueError(f"label {q} is not supported at p={f.p}")
-    two_a = (a.as_fraction * 2) % 1
+    two_a = a.scaled(2)
     m_exp = valuation(two_a.denominator, f.p)
     d = max(f.degree, m_exp)
     g = refine(f, d)
     q = f.p**d
-    scalar = c.as_fraction - a.as_fraction * b
     if f.side == POSITION:
-        vals = tuple(
-            np.exp(2j * np.pi * float((scalar + two_a * j) % 1))
-            * g.values[(j - b) % q]
-            for j in range(q)
-        )
+        scalar = c - a.scaled(b)
+        exps = [scalar + two_a.scaled(j) for j in range(q)]
+        src = [(j - b) % q for j in range(q)]
     else:
-        shift = int(two_a * q)  # exact by construction of d
-        scalar = c.as_fraction + a.as_fraction * b
-        vals = tuple(
-            np.exp(2j * np.pi * float((scalar - Fraction(b * m, q)) % 1))
-            * g.values[(m - shift) % q]
-            for m in range(q)
-        )
+        shift = two_a.numerator * (q // two_a.denominator)  # exact by construction of d
+        scalar = c + a.scaled(b)
+        exps = [scalar - RatMod1.of(b * m, q) for m in range(q)]
+        src = [(m - shift) % q for m in range(q)]
+    vals = tuple(
+        np.exp(2j * np.pi * (e.numerator / e.denominator)) * g.values[i]
+        for e, i in zip(exps, src)
+    )
     return LocalSBFunction(f.p, f.side, d, vals)
 
 
@@ -366,7 +366,7 @@ def _component_residue(b, p: int, precision: int) -> int:
             raise PrecisionError(
                 f"insufficient precision in b at p={p} for the displacement support"
             ) from exc
-        return sum(d * p**v for v, d in enumerate(comp.digits))
+        return comp.residue()
     return int(b)
 
 
@@ -406,6 +406,6 @@ def global_parity(
     f: GlobalSBFunction, a: RatMod1, b: "int | ProfiniteInt"
 ) -> GlobalSBFunction:
     """P(a, b) = F^2 D(2a, 2b, 0) applied componentwise."""
-    two_a = RatMod1.of(2 * a.as_fraction)
+    two_a = a.scaled(2)
     two_b = b + b if isinstance(b, ProfiniteInt) else 2 * b
     return global_reflect(global_displace(f, two_a, two_b))

@@ -50,6 +50,10 @@ class VerifyConfig:
             raise ValueError("tolerance must be positive")
         if self.max_n < 2:
             raise ValueError("max dimension must be >= 2")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if self.poset_limit < 2:
+            raise ValueError("poset limit must be >= 2")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -115,7 +119,7 @@ def suite_good(cfg: VerifyConfig) -> list[CheckResult]:
     for n in (6, 10, 12, 15, 30, 36):
         w = np.sqrt(n) * fq.fourier_matrix(n)
         for r in (POSITION, MOMENTUM):
-            for _ in range(max(cfg.samples, 1)):
+            for _ in range(cfg.samples):
                 f = fq.random_state(n, rng, rep=r)
                 want = f.measure_weight * (w @ f.amplitudes)
                 for g in (fq.fourier_good(f), fq.fourier(f)):

@@ -346,6 +346,25 @@ class TestVerifyCommand:
         cfg.write_text("not_a_key = 1\n")
         assert main(["verify", "--suite", "poset", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "suite, key, value",
+        [
+            ("fourier", "samples", -5),
+            ("fourier", "samples", 0),
+            ("poset", "poset_limit", 1),
+            ("poset", "poset_limit", -3),
+        ],
+    )
+    def test_vacuous_config_exits_2(self, tmp_path, capsys, suite, key, value):
+        # a sweep over no cases would report PASS with residual 0
+        flag = "--" + key.replace("_", "-")
+        assert main(["verify", "--suite", suite, flag, str(value)]) == 2
+        assert key.replace("_", " ") in _one_error_line(capsys)
+        cfg = tmp_path / "pqm.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["verify", "--suite", suite, "--config", str(cfg)]) == 2
+        assert key.replace("_", " ") in _one_error_line(capsys)
+
     def test_unwritable_json_exits_2(self, tmp_path, capsys):
         report = tmp_path / "no" / "r.json"
         assert main(["verify", "--suite", "poset", "--json", str(report)]) == 2

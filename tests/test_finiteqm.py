@@ -11,11 +11,9 @@ from pqm.finiteqm import (
     POSITION,
     FiniteState,
     HWElement,
-    OperatorMatrix,
     PhasePoint,
     coherent_check,
     displace,
-    evolve,
     fourier,
     fourier_good,
     fourier_matrix,
@@ -34,7 +32,6 @@ from pqm.finiteqm import (
     marginal_b_expected,
     marginal_b_matrix,
     momentum_pairing,
-    norm,
     operator_expand,
     parity_apply,
     parity_expand_check,
@@ -98,6 +95,13 @@ class TestFourier:
         f2 = fourier(fourier(f))
         assert np.max(np.abs(f2.amplitudes - f.amplitudes[(-np.arange(n)) % n])) < 1e-12
         assert abs(inner(f, g) - inner(fourier(f), fourier(g))) < 1e-12
+        # the dense oracle is unitary and holds sqrt(n) times the
+        # measure-retagged fourier values
+        u = fourier_matrix(n)
+        assert is_unitary(u, 1e-12)
+        assert np.max(
+            np.abs(u @ f.amplitudes - math.sqrt(n) * fourier(f).amplitudes)
+        ) < 1e-12
 
     def test_coordinate_change_roundtrip(self):
         f = random_state(7, RNG)
@@ -406,12 +410,6 @@ class TestTomography:
         assert res == 0.0
         assert np.max(np.abs(coeffs)) == 0.0
 
-    def test_operator_matrix_wrapper(self):
-        m = OperatorMatrix(np.eye(3))
-        assert m.is_unitary()
-        assert m.trace() == 3
-        assert resolution_identity_check(m) < 1e-12
-
     @pytest.mark.parametrize(
         "check", [resolution_identity_check, operator_expand, parity_expand_check]
     )
@@ -419,14 +417,6 @@ class TestTomography:
         for bad in (np.ones((3, 4)), np.ones((1, 1)), np.ones(3)):
             with pytest.raises(ValueError):
                 check(bad)
-
-    def test_operator_matrix_product_and_adjoint(self):
-        u = OperatorMatrix(hw_matrix(hw_z(4)))
-        prod = u @ u.adjoint()
-        assert np.max(np.abs(prod.entries - np.eye(4))) < 1e-12
-        assert prod.n == 4
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.ones((2, 3)))
 
 
 class TestParityIdentities:
@@ -595,29 +585,6 @@ class TestTensor:
 
         d = hw_scalar_mul(HWElement.from_canonical(6, 1, 5, 2), RatMod1(2, 7))
         assert hw_factor_matrix_check(d) < 1e-12
-
-
-class TestEvolve:
-    def test_identity(self):
-        f = random_state(5, RNG)
-        assert np.allclose(evolve(np.eye(5), f).amplitudes, f.amplitudes)
-
-    def test_fourier_unitary(self):
-        n = 6
-        f = random_state(n, RNG)
-        u = fourier_matrix(n)
-        assert is_unitary(u, 1e-12)
-        got = evolve(u, f)
-        # the fixed-representation unitary stores sqrt(n) times the
-        # measure-retagged fourier values
-        assert np.max(
-            np.abs(got.amplitudes - math.sqrt(n) * fourier(f).amplitudes)
-        ) < 1e-12
-        assert abs(norm(got) - norm(f)) < 1e-12
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            evolve(np.ones((3, 3)), random_state(3, RNG))
 
 
 class TestLargeN:

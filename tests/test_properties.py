@@ -1,6 +1,10 @@
 """Property tests for the CRT maps, the p-valuation, divisor posets, the
-composite-label point embedding, the FFT paths of the Fourier transform and
-the FFT paths of the phase-space tables and tomography sums."""
+composite-label point embedding, the FFT paths of the Fourier transform, the
+FFT paths of the phase-space tables and tomography sums, and the exact Q/Z
+and p-adic arithmetic (with ``Fraction`` and plain integers as oracles)."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +15,15 @@ from pqm.embeddings import def2_point_embed
 from pqm.finiteqm import (
     MOMENTUM,
     POSITION,
+    HWElement,
     PhasePoint,
     _displacement_grid,
     _hat_values,
     fourier,
     fourier_good,
+    hw_adjoint,
+    hw_matrix,
+    hw_mul,
     operator_expand,
     parity_expand_check,
     parity_matrix,
@@ -27,12 +35,19 @@ from pqm.finiteqm import (
     wigner_table,
 )
 from pqm.numbers import (
+    PadicFrac,
+    PadicInt,
+    RatMod1,
     crt_idempotents,
     crt_join_mu,
     crt_join_nu_hat,
     crt_split_mu,
     crt_split_nu_hat,
     factorize,
+    frac_mul,
+    project_xi,
+    rat_decompose,
+    rat_recombine,
     valuation,
 )
 from pqm.poset import divisor_poset
@@ -229,3 +244,102 @@ def test_tomography_sums_match_dense_sums(n, seed):
     got = parity_expand_check(theta, exploratory=True)
     got = (got.expansion_residual, got.sandwich_residual, got.tomography_residual)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+_ints = st.integers(-(10**6), 10**6)
+_dens = _ints.filter(bool)
+_primes = st.sampled_from([2, 3, 5, 7, 11, 97])
+
+
+def _mod1(q: Fraction) -> tuple[int, int]:
+    q -= math.floor(q)
+    return q.numerator, q.denominator
+
+
+def _pair(r: RatMod1) -> tuple[int, int]:
+    assert type(r.numerator) is int and type(r.denominator) is int
+    return r.numerator, r.denominator
+
+
+@_settings
+@given(a=_ints, b=_dens, c=_ints, d=_dens, k=_ints)
+def test_ratmod1_matches_fraction_mod_1(a, b, c, d, k):
+    x, y = Fraction(a, b), Fraction(c, d)
+    rx, ry = RatMod1.of(a, b), RatMod1.of(y)
+    assert _pair(rx) == _mod1(x)
+    assert _pair(ry) == _mod1(y)
+    assert _pair(RatMod1.of(y, b)) == _mod1(y / b)
+    assert _pair(rx + ry) == _mod1(x + y)
+    assert _pair(rx - ry) == _mod1(x - y)
+    assert _pair(-rx) == _mod1(-x)
+    assert _pair(rx.scaled(k)) == _mod1(k * x)
+    assert rx.as_fraction == Fraction(*_mod1(x))
+
+
+def _hw_element(data, n: int) -> HWElement:
+    alpha, beta = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    return HWElement(n, alpha, beta, RatMod1.of(data.draw(_ints), data.draw(_dens)))
+
+
+@_settings
+@given(data=st.data(), n=st.integers(2, 10**4))
+def test_hw_phase_space_labels_round_trip(data, n):
+    d = _hw_element(data, n)
+    assert HWElement.from_phase_space(n, d.frak_a, d.beta, d.frak_c) == d
+
+
+@_settings
+@given(data=st.data(), n=st.integers(2, 32), rep=st.sampled_from([POSITION, MOMENTUM]))
+def test_hw_mul_matches_matrix_product(data, n, rep):
+    d1, d2 = _hw_element(data, n), _hw_element(data, n)
+    want = hw_matrix(d1, rep) @ hw_matrix(d2, rep)
+    np.testing.assert_allclose(hw_matrix(hw_mul(d1, d2), rep), want, rtol=0, atol=1e-12)
+    want = hw_matrix(d1, rep).conj().T
+    np.testing.assert_allclose(hw_matrix(hw_adjoint(d1), rep), want, rtol=0, atol=1e-12)
+
+
+@_settings
+@given(p=_primes, data=st.data())
+def test_padic_frac_matches_fraction(p, data):
+    k1, k2 = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    x = Fraction(data.draw(st.integers(0, p**k1 - 1)), p**k1)
+    y = Fraction(data.draw(st.integers(0, p**k2 - 1)), p**k2)
+    a, b = PadicFrac.from_fraction(x, p), PadicFrac.from_fraction(y, p)
+    assert a.as_fraction == x and b.as_fraction == y
+    assert (a + b).as_fraction == (x + y) % 1
+    assert (-a).as_fraction == (-x) % 1
+    z = data.draw(st.integers(-(10**12), 10**12))
+    u = PadicInt.from_int(z, p, max(k2, 1) + data.draw(st.integers(0, 3)))
+    assert frac_mul(u, b).as_fraction == (z * y) % 1
+
+
+@_settings
+@given(num=_ints, den=_dens)
+def test_rat_decompose_matches_fraction(num, den):
+    q = RatMod1.of(num, den)
+    parts = rat_decompose(q)
+    for p, part in parts.items():
+        assert part.p == p and set(factorize(part.as_fraction.denominator)) == {p}
+    assert sum(part.as_fraction for part in parts.values()) % 1 == q.as_fraction
+    assert rat_recombine(parts) == q
+
+
+@_settings
+@given(
+    p=_primes,
+    n1=st.integers(1, 12),
+    n2=st.integers(1, 12),
+    x=st.integers(-(10**12), 10**12),
+    y=st.integers(-(10**12), 10**12),
+    data=st.data(),
+)
+def test_padic_int_matches_integer_residues(p, n1, n2, x, y, data):
+    a, b = PadicInt.from_int(x, p, n1), PadicInt.from_int(y, p, n2)
+    assert a.digits == tuple(x % p**n1 // p**v % p for v in range(n1))
+    assert a.residue() == x % p**n1
+    n = min(n1, n2)
+    for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y)):
+        assert got.precision == n and got.residue() == want % p**n
+    assert (-a).residue() == -x % p**n1
+    k = data.draw(st.integers(1, n1))
+    assert project_xi(a, k) == a.residue() % p**k
