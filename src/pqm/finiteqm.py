@@ -343,10 +343,8 @@ def parity_apply(pt: PhasePoint, f: FiniteState) -> FiniteState:
 
 
 def parity_matrix(pt: PhasePoint, rep: str = POSITION) -> np.ndarray:
-    n = pt.n
-    neg = np.zeros((n, n))
-    neg[np.arange(n), (-np.arange(n)) % n] = 1.0
-    return neg @ hw_matrix(parity_displacement(pt), rep)
+    """The matrix of x |-> -x applied after D(2a, 2b, 0): its rows reversed mod n."""
+    return hw_matrix(parity_displacement(pt), rep)[(-np.arange(pt.n)) % pt.n]
 
 
 def weyl_wigner(

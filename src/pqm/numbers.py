@@ -9,12 +9,13 @@ Conventions:
 * A Q/Z value is a reduced pair of plain integers, and its arithmetic stays
   in integers.  ``Fraction`` is accepted (``RatMod1.of``) and returned
   (``as_fraction``) only at the boundary.
-* A truncated p-adic integer carries an explicit precision N and represents
-  a residue mod p^N.  Binary operations return the minimum precision of
+* A truncated p-adic integer is an element of Z(p^N): it stores its
+  precision N and its residue in [0, p^N), and every operation is integer
+  arithmetic mod p^N.  Binary operations return the minimum precision of
   their operands and raise instead of silently extending.
 * A coset in Q_p/Z_p is represented by the unique element with zero integer
-  part, i.e. a fraction m / p^k with 0 <= m < p^k.
-* Integers embed into base-p digits via their residue mod p^N, so negative
+  part, stored as a fraction m / p^k with 0 <= m < p^k and p not dividing m.
+* Base-p digits are derived from the stored residue on demand, so negative
   integers come out in (p-1)-complement form.
 * The four CRT index maps take an int or an integer ndarray; on an array
   they act element-wise.
@@ -180,39 +181,36 @@ def _to_digits(value: int, p: int, count: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _from_digits(digits: tuple[int, ...], p: int) -> int:
-    """sum d_v p^v over the digits, least significant first."""
-    r = 0
-    for d in reversed(digits):
-        r = r * p + d
-    return r
-
-
 @dataclass(frozen=True)
 class PadicInt:
-    """A p-adic integer truncated to N digits, i.e. a residue mod p^N.
+    """A p-adic integer truncated to N = ``precision`` digits: a residue mod p^N.
 
-    ``digits[v]`` is the coefficient of p^v, each in [0, p-1].
+    ``residue`` is the representative in [0, p^N); the base-p digits are
+    derived from it.
     """
 
     p: int
-    digits: tuple[int, ...]
+    precision: int
+    residue: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if len(self.digits) < 1:
+        if self.precision < 1:
             raise ValueError("precision must be >= 1")
-        if any(not (0 <= d < self.p) for d in self.digits):
-            raise ValueError("digit out of range")
+        if not 0 <= self.residue < self.p**self.precision:
+            raise ValueError(
+                f"residue {self.residue} out of range for Z({self.p}^{self.precision})"
+            )
 
     @property
-    def precision(self) -> int:
-        return len(self.digits)
+    def digits(self) -> tuple[int, ...]:
+        """``digits[v]`` is the coefficient of p^v, each in [0, p-1]."""
+        return _to_digits(self.residue, self.p, self.precision)
 
     @classmethod
     def from_int(cls, value: int, p: int, precision: int) -> "PadicInt":
-        return cls(p, _to_digits(value, p, precision))
+        return cls(p, precision, value % p**precision)
 
     @classmethod
     def from_rational(cls, q: Fraction, p: int, precision: int) -> "PadicInt":
@@ -226,10 +224,6 @@ class PadicInt:
         inv = pow(q.denominator, -1, p**precision)
         return cls.from_int(q.numerator * inv, p, precision)
 
-    def residue(self) -> int:
-        """The integer representative in [0, p^N)."""
-        return _from_digits(self.digits, self.p)
-
     def _shared_precision(self, other: "PadicInt") -> int:
         if self.p != other.p:
             raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
@@ -239,22 +233,22 @@ class PadicInt:
         if not isinstance(other, PadicInt):
             return NotImplemented
         n = self._shared_precision(other)
-        return PadicInt.from_int(self.residue() + other.residue(), self.p, n)
+        return PadicInt.from_int(self.residue + other.residue, self.p, n)
 
     def __sub__(self, other: "PadicInt") -> "PadicInt":
         if not isinstance(other, PadicInt):
             return NotImplemented
         n = self._shared_precision(other)
-        return PadicInt.from_int(self.residue() - other.residue(), self.p, n)
+        return PadicInt.from_int(self.residue - other.residue, self.p, n)
 
     def __mul__(self, other: "PadicInt") -> "PadicInt":
         if not isinstance(other, PadicInt):
             return NotImplemented
         n = self._shared_precision(other)
-        return PadicInt.from_int(self.residue() * other.residue(), self.p, n)
+        return PadicInt.from_int(self.residue * other.residue, self.p, n)
 
     def __neg__(self) -> "PadicInt":
-        return PadicInt.from_int(-self.residue(), self.p, self.precision)
+        return PadicInt.from_int(-self.residue, self.p, self.precision)
 
     def __repr__(self) -> str:
         return f"PadicInt(p={self.p}, digits={self.digits})"
@@ -265,16 +259,16 @@ def padic_ord_abs(
 ) -> tuple[int, Fraction]:
     """Valuation and absolute value (ord, p^-ord) of a nonzero element.
 
-    For a truncated PadicInt whose digits are all zero the valuation is not
+    For a truncated PadicInt whose residue is 0 the valuation is not
     determined by the available digits, so this raises PrecisionError.
     """
     if isinstance(x, PadicInt):
-        for v, d in enumerate(x.digits):
-            if d != 0:
-                return v, Fraction(1, x.p**v)
-        raise PrecisionError(
-            f"valuation undetermined at precision {x.precision}: all digits zero"
-        )
+        if x.residue == 0:
+            raise PrecisionError(
+                f"valuation undetermined at precision {x.precision}: all digits zero"
+            )
+        v = valuation(x.residue, x.p)
+        return v, Fraction(1, x.p**v)
     if p is None:
         raise ValueError("p required for rational input")
     if not is_prime(p):
@@ -302,7 +296,7 @@ def project_xi(a: PadicInt, k: int) -> int:
     """The truncation map xi_k: Z_p -> Z(p^k) (keep the first k digits)."""
     if not (1 <= k <= a.precision):
         raise PrecisionError(f"k={k} exceeds precision {a.precision}")
-    return _from_digits(a.digits[:k], a.p)
+    return a.residue % a.p**k
 
 
 # ---------------------------------------------------------------------------
@@ -314,30 +308,30 @@ def project_xi(a: PadicInt, k: int) -> int:
 class PadicFrac:
     """A coset in Q_p/Z_p represented with zero integer part.
 
-    ``digits`` are d_{-k} .. d_{-1}; the value is sum d_v p^v over
-    v = -k .. -1, i.e. a fraction m/p^k with 0 <= m < p^k.  Canonical form
-    has the leading digit d_{-k} nonzero, so k = 0 encodes the zero coset.
+    The value is ``numerator / p^degree`` with 0 <= numerator < p^degree.
+    Canonical form has p not dividing the numerator, so degree 0 (numerator
+    0) encodes the zero coset and the coset lies in p^-degree Z_p / Z_p.
     """
 
     p: int
-    digits: tuple[int, ...]
+    numerator: int
+    degree: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if any(not (0 <= d < self.p) for d in self.digits):
-            raise ValueError("digit out of range")
-        if self.digits and self.digits[0] == 0:
-            raise ValueError("not canonical: leading digit is zero")
-
-    @property
-    def degree(self) -> int:
-        """The support degree k: the coset lies in p^-k Z_p / Z_p."""
-        return len(self.digits)
+        if self.degree < 0:
+            raise ValueError("degree must be >= 0")
+        if not 0 <= self.numerator < self.p**self.degree:
+            raise ValueError(
+                f"numerator {self.numerator} out of range for degree {self.degree}"
+            )
+        if self.degree and self.numerator % self.p == 0:
+            raise ValueError(f"not canonical: {self.p} divides the numerator")
 
     @classmethod
     def zero(cls, p: int) -> "PadicFrac":
-        return cls(p, ())
+        return cls(p, 0, 0)
 
     @classmethod
     def from_fraction(cls, q: "Fraction | RatMod1", p: int) -> "PadicFrac":
@@ -350,21 +344,16 @@ class PadicFrac:
             raise ValueError(
                 f"{q.numerator}/{q.denominator} has a denominator not a power of {p}"
             )
-        # digits[j] is d_{-k+j}: the low base-p digit of the numerator is d_{-k}
-        return cls(p, _to_digits(q.numerator, p, k))
+        return cls(p, q.numerator, k)
 
     @property
     def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator_int, self.p**self.degree)
-
-    @property
-    def numerator_int(self) -> int:
-        return _from_digits(self.digits, self.p)
+        return Fraction(self.numerator, self.p**self.degree)
 
     @property
     def as_ratmod1(self) -> RatMod1:
-        # a nonzero leading digit makes numerator_int / p^degree reduced
-        return RatMod1(self.numerator_int, self.p**self.degree)
+        # p not dividing the numerator makes numerator / p^degree reduced
+        return RatMod1(self.numerator, self.p**self.degree)
 
     def __add__(self, other: "PadicFrac") -> "PadicFrac":
         if self.p != other.p:
@@ -375,9 +364,9 @@ class PadicFrac:
         return PadicFrac.from_fraction(-self.as_ratmod1, self.p)
 
     def __repr__(self) -> str:
-        if not self.digits:
+        if not self.degree:
             return f"PadicFrac(p={self.p}, 0)"
-        return f"PadicFrac(p={self.p}, {self.numerator_int}/{self.p}^{self.degree})"
+        return f"PadicFrac(p={self.p}, {self.numerator}/{self.p}^{self.degree})"
 
 
 def lift_tilde_xi(beta: int, k: int, p: int) -> PadicFrac:
@@ -433,7 +422,7 @@ class ProfiniteInt:
             raise PrecisionError(
                 f"component at p={p} has precision {a.precision} < {precision}"
             )
-        return PadicInt(p, a.digits[:precision])
+        return PadicInt.from_int(a.residue, p, precision)
 
     def residue(self, n: int) -> int:
         """The projection pi_n: Zhat -> Z(n) (per-prime truncations + CRT)."""
@@ -444,7 +433,7 @@ class ProfiniteInt:
 
     def is_even(self) -> bool:
         """True iff ord of the 2-adic component is >= 1."""
-        return self.component(2, 1).digits[0] == 0
+        return self.component(2, 1).residue == 0
 
     def is_odd(self) -> bool:
         return not self.is_even()

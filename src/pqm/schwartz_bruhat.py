@@ -29,14 +29,11 @@ from .numbers import (
     ProfiniteInt,
     RatMod1,
     ZERO_MOD1,
-    crt_idempotents,
-    crt_split_mu,
-    crt_split_nu_hat,
     is_prime,
     rat_decompose,
     valuation,
 )
-from .finiteqm import MOMENTUM, POSITION, FiniteState, _hat_values
+from .finiteqm import MOMENTUM, POSITION, FiniteState, _hat_values, tensor_join
 from .finiteqm import fourier as _finite_fourier
 
 
@@ -330,7 +327,9 @@ def canonicalize_global(f: GlobalSBFunction) -> FiniteState:
     """Collapse to the finite state on Z(l), l the product of max degrees.
 
     Position indices split by the mu map, momentum indices by the nu-hat
-    map; inner products and Fourier transforms commute with this map.
+    map; inner products and Fourier transforms commute with this map.  A
+    prime whose factors all have degree 0 contributes the scalars
+    ``values[0]`` to the coefficients.
     """
     degrees: dict[int, int] = {}
     for _, factors in f.terms:
@@ -342,20 +341,21 @@ def canonicalize_global(f: GlobalSBFunction) -> FiniteState:
     ell = 1
     for p, d in degrees.items():
         ell *= p**d
-    factors_of_ell = crt_idempotents(ell)
-    split = crt_split_mu if f.side == POSITION else crt_split_nu_hat
-    comps = split(ell, np.arange(ell))
-    amps = np.zeros(ell, dtype=complex)
+    terms = []
     for c, term_factors in f.terms:
-        term = np.full(ell, c, dtype=complex)
-        for fac, comp in zip(factors_of_ell, comps):
-            fp = refine(
-                term_factors.get(fac.p, trivial_local(fac.p, f.side)),
-                degrees[fac.p],
-            ).array()
-            term = term * fp[comp]
-        amps += term
-    return FiniteState(ell, f.side, amps)
+        for p, fp in term_factors.items():
+            if p not in degrees:
+                c *= fp.values[0]
+        parts = {
+            p: FiniteState(
+                p**d,
+                f.side,
+                refine(term_factors.get(p, trivial_local(p, f.side)), d).array(),
+            )
+            for p, d in degrees.items()
+        }
+        terms.append((c, parts))
+    return tensor_join(terms, ell, f.side)
 
 
 def _component_residue(b, p: int, precision: int) -> int:
@@ -366,7 +366,7 @@ def _component_residue(b, p: int, precision: int) -> int:
             raise PrecisionError(
                 f"insufficient precision in b at p={p} for the displacement support"
             ) from exc
-        return comp.residue()
+        return comp.residue
     return int(b)
 
 

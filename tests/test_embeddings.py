@@ -8,7 +8,6 @@ from pqm.finiteqm import (
     FiniteState,
     HWElement,
     displace,
-    hw_matrix,
     norm,
     random_state,
 )
@@ -58,7 +57,7 @@ class TestPhaseEmbed:
     def test_profinite_target(self):
         spec = EmbeddingSpec(9, Supernatural.prime_power(3, INF))
         a_p, b_p = phase_embed((4, 5), spec)
-        assert a_p.residue() == 4
+        assert a_p.residue == 4
         assert b_p.as_fraction == 5 / 9 or float(b_p.as_fraction) == 5 / 9
         for a in range(9):
             for b in range(9):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from pqm.numbers import (
-    CrtFactor,
     PadicFrac,
     PadicInt,
     PrecisionError,
@@ -52,7 +51,7 @@ class TestPadicInt:
         a = PadicInt.from_int(5, 3, 6)
         b = PadicInt.from_int(7, 3, 3)
         assert (a + b).precision == 3
-        assert (a * b).residue() == 35 % 27
+        assert (a * b).residue == 35 % 27
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError):
@@ -65,14 +64,35 @@ class TestPadicInt:
             n = rng.randrange(1, 6)
             x, y = rng.randrange(p**n), rng.randrange(p**n)
             a, b = PadicInt.from_int(x, p, n), PadicInt.from_int(y, p, n)
-            assert (a + b).residue() == (x + y) % p**n
-            assert (a - b).residue() == (x - y) % p**n
-            assert (a * b).residue() == (x * y) % p**n
+            assert (a + b).residue == (x + y) % p**n
+            assert (a - b).residue == (x - y) % p**n
+            assert (a * b).residue == (x * y) % p**n
 
     def test_from_rational(self):
         a = PadicInt.from_rational(Fraction(1, 3), 2, 5)
         three = PadicInt.from_int(3, 2, 5)
-        assert (a * three).residue() == 1
+        assert (a * three).residue == 1
+
+    @pytest.mark.parametrize(
+        "p, precision, residue, match",
+        [
+            (3, 2, 9, "out of range"),
+            (3, 2, -1, "out of range"),
+            (3, 0, 0, "precision must be >= 1"),
+            (3, -2, 0, "precision must be >= 1"),
+            (4, 2, 1, "not prime"),
+            (1, 2, 0, "not prime"),
+        ],
+    )
+    def test_constructor_validation(self, p, precision, residue, match):
+        with pytest.raises(ValueError, match=match):
+            PadicInt(p, precision, residue)
+
+    def test_constructor_stores_the_residue(self):
+        a = PadicInt(3, 4, 16)
+        assert a == PadicInt.from_int(16 - 81, 3, 4)
+        assert a.digits == (1, 2, 1, 0)
+        assert repr(a) == "PadicInt(p=3, digits=(1, 2, 1, 0))"
 
     @pytest.mark.parametrize("precision", [0, -1, -4])
     def test_from_rational_rejects_precision_below_one(self, precision):
@@ -147,7 +167,7 @@ class TestOstrowski:
 
 class TestProjectLift:
     def test_truncation(self):
-        a = PadicInt(3, (1, 2, 1, 0))
+        a = PadicInt(3, 4, 1 + 2 * 3 + 1 * 3**2)
         assert project_xi(a, 2) == 1 + 2 * 3
 
     def test_full_residue(self):
@@ -332,8 +352,8 @@ class TestRatDecompose:
 class TestProfiniteInt:
     def test_tail_components(self):
         a = ProfiniteInt(tail=7)
-        assert a.component(2, 3).residue() == 7 % 8
-        assert a.component(3, 2).residue() == 7 % 9
+        assert a.component(2, 3).residue == 7 % 8
+        assert a.component(3, 2).residue == 7 % 9
 
     def test_residue_projection(self):
         a = ProfiniteInt(tail=35)
@@ -367,8 +387,8 @@ class TestProfiniteInt:
         a = ProfiniteInt({2: PadicInt.from_int(3, 2, 4)}, tail=2)
         b = ProfiniteInt(tail=5)
         c = a * b + b
-        assert c.component(2, 4).residue() == (3 * 5 + 5) % 16
-        assert c.component(7, 2).residue() == (2 * 5 + 5) % 49
+        assert c.component(2, 4).residue == (3 * 5 + 5) % 16
+        assert c.component(7, 2).residue == (2 * 5 + 5) % 49
         assert c.tail == 15
 
 
@@ -386,6 +406,28 @@ def test_padic_frac_arithmetic():
     assert (-a).as_fraction == Fraction(3, 4)
     with pytest.raises(ValueError):
         a + PadicFrac.from_fraction(Fraction(1, 3), 3)
+
+
+@pytest.mark.parametrize(
+    "p, numerator, degree, match",
+    [
+        (3, 3, 2, "divides the numerator"),
+        (3, 0, 2, "divides the numerator"),
+        (3, 9, 2, "out of range"),
+        (3, -1, 2, "out of range"),
+        (3, 1, 0, "out of range"),
+        (3, 0, -1, "degree must be >= 0"),
+        (4, 1, 1, "not prime"),
+    ],
+)
+def test_padic_frac_constructor_validation(p, numerator, degree, match):
+    with pytest.raises(ValueError, match=match):
+        PadicFrac(p, numerator, degree)
+
+
+def test_padic_frac_stores_the_reduced_numerator():
+    assert PadicFrac.from_fraction(Fraction(15, 81), 3) == PadicFrac(3, 5, 3)
+    assert PadicFrac.from_fraction(Fraction(2), 3) == PadicFrac.zero(3) == PadicFrac(3, 0, 0)
 
 
 @pytest.mark.parametrize("p", [1, 0, -3])
@@ -409,6 +451,6 @@ def test_profinite_subtraction():
     b = ProfiniteInt({3: PadicInt.from_int(2, 3, 3)}, tail=4)
     c = a - b
     assert c.tail == 5
-    assert c.component(3, 3).residue() == (9 - 2) % 27
-    assert c.component(5, 2).residue() == 5
+    assert c.component(3, 3).residue == (9 - 2) % 27
+    assert c.component(5, 2).residue == 5
 

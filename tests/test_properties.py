@@ -311,6 +311,10 @@ def test_padic_frac_matches_fraction(p, data):
     z = data.draw(st.integers(-(10**12), 10**12))
     u = PadicInt.from_int(z, p, max(k2, 1) + data.draw(st.integers(0, 3)))
     assert frac_mul(u, b).as_fraction == (z * y) % 1
+    q = Fraction(z, p**k1)
+    c = PadicFrac.from_fraction(q, p)
+    assert c.as_fraction == q % 1
+    assert c.degree == 0 or c.numerator % p != 0
 
 
 @_settings
@@ -336,10 +340,11 @@ def test_rat_decompose_matches_fraction(num, den):
 def test_padic_int_matches_integer_residues(p, n1, n2, x, y, data):
     a, b = PadicInt.from_int(x, p, n1), PadicInt.from_int(y, p, n2)
     assert a.digits == tuple(x % p**n1 // p**v % p for v in range(n1))
-    assert a.residue() == x % p**n1
+    assert a.residue == x % p**n1
+    assert sum(d * p**v for v, d in enumerate(a.digits)) == a.residue
     n = min(n1, n2)
     for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y)):
-        assert got.precision == n and got.residue() == want % p**n
-    assert (-a).residue() == -x % p**n1
+        assert got.precision == n and got.residue == want % p**n
+    assert (-a).residue == -x % p**n1
     k = data.draw(st.integers(1, n1))
-    assert project_xi(a, k) == a.residue() % p**k
+    assert project_xi(a, k) == a.residue % p**k

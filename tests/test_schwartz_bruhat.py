@@ -13,7 +13,6 @@ from pqm.finiteqm import (
     fourier,
     fourier_good,
     inner,
-    random_state,
 )
 from pqm.finiteqm import _hat_values
 from pqm.schwartz_bruhat import (
@@ -319,6 +318,18 @@ class TestCanonicalize:
             assert abs(st.amplitudes[pt] - want) < 1e-12
 
 
+    def test_degree_zero_factor_is_a_scalar(self):
+        # a degree-0 factor is the constant values[0]: it scales its term
+        f2 = _random_local(2, 1)
+        f = GlobalSBFunction.product(
+            POSITION, {2: f2, 7: LocalSBFunction(7, POSITION, 0, (2.0,))}
+        )
+        st = canonicalize_global(f)
+        assert st.n == 2
+        assert np.allclose(st.amplitudes, 2.0 * f2.array(), rtol=0, atol=1e-12)
+        assert global_inner(f, f) == pytest.approx(inner(st, st))
+
+
 class TestGlobalDisplace:
     def test_identity_labels(self):
         f = GlobalSBFunction.product(POSITION, {3: _random_local(3, 1)})
@@ -357,6 +368,15 @@ class TestGlobalDisplace:
         lhs = canonicalize_global(global_displace(f, a, b, c)).amplitudes
         el = HWElement.from_phase_space(ell, a, b, c)
         rhs = displace(el, fs).amplitudes
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_phase_supported_off_the_function_survives_canonicalization(self):
+        # c = 1/7 lives at a prime where f is trivial: D(0, 0, 1/7) is e(1/7)
+        f = GlobalSBFunction.product(POSITION, {3: _random_local(3, 1)})
+        c = RatMod1(1, 7)
+        lhs = canonicalize_global(global_displace(f, ZERO_MOD1, 0, c)).amplitudes
+        el = HWElement.from_phase_space(3, ZERO_MOD1, 0, c)
+        rhs = displace(el, canonicalize_global(f)).amplitudes
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_a_half_acts_trivially_on_position(self):
