@@ -37,6 +37,7 @@ from .finiteqm import (
     HWElement,
     PhasePoint,
     displace,
+    extend,
     fourier,
     inner,
     norm,
@@ -155,19 +156,10 @@ def state_embed(f: FiniteState, spec: EmbeddingSpec):
     if f.n != spec.source:
         raise ValueError("state dimension does not match the source label")
     if spec.finite_target:
-        ell, r = spec.target, spec.ratio
-        if f.rep == POSITION:
-            idx = np.arange(ell) % f.n
-            return FiniteState(ell, POSITION, f.amplitudes[idx])
-        out = np.zeros(ell, dtype=complex)
-        out[np.arange(f.n) * r] = f.amplitudes
-        return FiniteState(ell, MOMENTUM, out)
+        return extend(f, spec.target)
     terms = []
     for coeff, parts in tensor_factor(f):
-        factors = {
-            p: LocalSBFunction(p, f.rep, factorize(st.n)[p], tuple(st.amplitudes))
-            for p, st in parts.items()
-        }
+        factors = {p: LocalSBFunction.from_state(p, st) for p, st in parts.items()}
         terms.append((coeff, factors))
     return GlobalSBFunction(f.rep, tuple(terms))
 

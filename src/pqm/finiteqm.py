@@ -18,7 +18,8 @@ scalar prefactor for even n involves 2n-th roots of unity (the half phases).
 Internally an element stores (alpha, beta, phase) with the phase the full
 exact scalar exponent; the canonical constructor from (alpha, beta, gamma)
 sets phase = (gamma - alpha beta)/n for odd n and gamma/n - alpha beta/(2n)
-for even n.  All group arithmetic is exact in Q/Z.
+for even n.  All group arithmetic is exact in Q/Z, and every phase is
+reduced mod 1 in integers before it becomes a float angle.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ def to_position(f: FiniteState) -> FiniteState:
     if f.rep == POSITION:
         return f
     return FiniteState(f.n, POSITION, f.n * np.fft.ifft(f.amplitudes))
+
+
+def extend(f: FiniteState, ell: int) -> FiniteState:
+    """The isometric embedding Z(n) -> Z(ell), n | ell: position values extend
+    periodically, momentum values move from P to (ell/n) P with zero padding."""
+    if ell % f.n:
+        raise ValueError(f"{f.n} does not divide {ell}")
+    if f.rep == POSITION:
+        return FiniteState(ell, POSITION, np.tile(f.amplitudes, ell // f.n))
+    out = np.zeros(ell, dtype=complex)
+    out[:: ell // f.n] = f.amplitudes
+    return FiniteState(ell, MOMENTUM, out)
 
 
 def fourier_matrix(n: int) -> np.ndarray:
@@ -251,35 +264,31 @@ def hw_z(n: int) -> HWElement:
     return HWElement.from_canonical(n, alpha, 0, 0)
 
 
+def _displacement_action(d: HWElement, rep: str) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, src) with (D f)(x) = phases[x] f(src[x]) on the rep's values;
+    the x-dependent exponents are reduced mod n in integers before the float."""
+    n, c = d.n, _chi_coeff(d.n)
+    x = np.arange(n)
+    if rep == POSITION:
+        src, turns = (x - d.beta) % n, (c * d.alpha % n) * x % n
+    else:
+        src = (x - c * d.alpha) % n
+        turns = -(d.beta * src % n)
+    s = d.phase.numerator / d.phase.denominator
+    return np.exp(1j * (_TWO_PI * (s + turns / n))), src
+
+
 def displace(d: HWElement, f: FiniteState) -> FiniteState:
     if d.n != f.n:
         raise ValueError("dimension mismatch")
-    n, c = d.n, _chi_coeff(d.n)
-    x = np.arange(n)
-    s = d.phase.numerator / d.phase.denominator
-    if f.rep == POSITION:
-        angles = _TWO_PI * (s + (c * d.alpha % n) * x / n)
-        out = np.exp(1j * angles) * f.amplitudes[(x - d.beta) % n]
-    else:
-        shift = (c * d.alpha) % n
-        q = (x - shift) % n
-        angles = _TWO_PI * (s - d.beta * q / n)
-        out = np.exp(1j * angles) * f.amplitudes[q]
-    return FiniteState(n, f.rep, out)
+    phases, src = _displacement_action(d, f.rep)
+    return FiniteState(d.n, f.rep, phases * f.amplitudes[src])
 
 
 def hw_matrix(d: HWElement, rep: str = POSITION) -> np.ndarray:
-    n, c = d.n, _chi_coeff(d.n)
-    x = np.arange(n)
-    m = np.zeros((n, n), dtype=complex)
-    s = d.phase.numerator / d.phase.denominator
-    if rep == POSITION:
-        m[x, (x - d.beta) % n] = np.exp(
-            2j * np.pi * (s + (c * d.alpha % n) * x / n)
-        )
-    else:
-        q = (x - c * d.alpha) % n
-        m[x, q] = np.exp(2j * np.pi * (s - d.beta * q / n))
+    phases, src = _displacement_action(d, rep)
+    m = np.zeros((d.n, d.n), dtype=complex)
+    m[np.arange(d.n), src] = phases
     return m
 
 

@@ -15,6 +15,7 @@ sigma_0(n) - 1 elements.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -179,27 +180,24 @@ def _int_divides(a, b) -> bool:
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A finite set with a divisibility-style order relation.
+    """A finite set ordered by divisibility.
 
     Elements are integers (ordinary divisibility) or Supernatural values
-    (supernatural divisibility); a custom reflexive/antisymmetric/transitive
-    predicate may be supplied.
+    (supernatural divisibility); the type of the first element picks the
+    order, and ``leq(a, b)`` is a plain function of the two elements.
     """
 
     elements: tuple
-    divides: Callable = field(default=_int_divides, compare=False)
+    leq: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements")
-        if self.elements and isinstance(self.elements[0], Supernatural):
-            object.__setattr__(self, "divides", sn_divides)
+        sn = bool(self.elements) and isinstance(self.elements[0], Supernatural)
+        object.__setattr__(self, "leq", sn_divides if sn else _int_divides)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def leq(self, a, b) -> bool:
-        return self.divides(a, b)
 
     def down_set(self, x) -> frozenset:
         """U(x): the basis open set of all elements dividing x."""
@@ -258,15 +256,27 @@ def poset_width_length(poset: FinitePoset, bound: int = 10**4) -> WidthLengthRes
     match_right = [-1] * n  # right vertex -> left vertex
     match_left = [-1] * n
 
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in succ[u]:
-            if seen[v]:
+    def augment(root: int, seen: list[bool]) -> bool:
+        # Kuhn's depth-first search on an explicit stack: each frame resumes
+        # its successor scan, and via[k] is the right vertex frame k takes
+        frames, via = [(root, iter(succ[root]))], []
+        while frames:
+            for v in frames[-1][1]:
+                if not seen[v]:
+                    break
+            else:
+                frames.pop()
+                if via:
+                    via.pop()
                 continue
             seen[v] = True
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                match_left[u] = v
+            via.append(v)
+            if match_right[v] == -1:
+                for (u, _), w in zip(frames, via):
+                    match_right[w] = u
+                    match_left[u] = w
                 return True
+            frames.append((match_right[v], iter(succ[match_right[v]])))
         return False
 
     matched = 0
@@ -304,8 +314,10 @@ def poset_width_length(poset: FinitePoset, bound: int = 10**4) -> WidthLengthRes
         els[i] for i in range(n) if z_left[i] and not z_right[i]
     )
 
-    # length: longest chain by dynamic programming over the strict order
-    order = sorted(range(n), key=lambda i: len(poset.down_set(els[i])))
+    # length: longest chain by dynamic programming over the strict order,
+    # visited by the number of strict predecessors (a linear extension)
+    below = Counter(j for targets in succ for j in targets)
+    order = sorted(range(n), key=lambda i: below[i])
     longest = [1] * n
     for i in order:
         for j in succ[i]:

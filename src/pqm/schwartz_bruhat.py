@@ -3,12 +3,14 @@
 A position-side function is locally constant of some degree d and lives on
 Z_p, so it is determined by p^d values, one per ball j + p^d Z_p.  A
 momentum-side function has compact support of degree d on Q_p/Z_p, so it is
-determined by its values at the points m / p^d.  Re-expressing either kind
-at a higher degree changes nothing measurable; the refinement maps below are
-used by every binary operation.
+determined by its values at the points m / p^d.  Either kind is a state on
+Z(p^d), and the local operations are the finite ones of ``finiteqm``:
+refinement to a higher degree (which changes nothing measurable) is the
+embedding ``extend``, and the inner product, Fourier transform and
+displacements are ``inner``, ``fourier`` and ``displace`` at that degree.
 
 Cosets carry their canonical zero-integer-part representatives, so every
-character phase is an exact rational exponent.
+character phase is an exact rational exponent, reduced in integers first.
 
 Global functions are finite sums of factorizable terms, trivial at all but
 finitely many primes (the restricted tensor product); the trivial factor is
@@ -33,7 +35,8 @@ from .numbers import (
     rat_decompose,
     valuation,
 )
-from .finiteqm import MOMENTUM, POSITION, FiniteState, _hat_values, tensor_join
+from .finiteqm import MOMENTUM, POSITION, FiniteState, HWElement, _hat_values
+from .finiteqm import displace, extend, inner, tensor_join
 from .finiteqm import fourier as _finite_fourier
 
 
@@ -68,8 +71,17 @@ class LocalSBFunction:
         values = tuple(values)
         return cls(p, MOMENTUM, _degree_of(p, len(values)), values)
 
+    @classmethod
+    def from_state(cls, p: int, st: FiniteState) -> "LocalSBFunction":
+        """The function tabulated by a state on Z(p^d); its rep is the side."""
+        return cls(p, st.rep, _degree_of(p, st.n), tuple(st.amplitudes))
+
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=complex)
+
+    def state(self) -> FiniteState:
+        """The values as a state on Z(p^degree), with the side as its rep."""
+        return FiniteState(len(self.values), self.side, self.array())
 
 
 def _degree_of(p: int, count: int) -> int:
@@ -96,16 +108,7 @@ def refine(f: LocalSBFunction, degree: int) -> LocalSBFunction:
         raise ValueError("refinement cannot lower the degree")
     if degree == f.degree:
         return f
-    q_old, q_new = f.p**f.degree, f.p**degree
-    if f.side == POSITION:
-        vals = tuple(f.values[j % q_old] for j in range(q_new))
-    else:
-        step = q_new // q_old
-        arr = [0j] * q_new
-        for m, v in enumerate(f.values):
-            arr[m * step] = v
-        vals = tuple(arr)
-    return LocalSBFunction(f.p, f.side, degree, vals)
+    return LocalSBFunction.from_state(f.p, extend(f.state(), f.p**degree))
 
 
 def integrate_local(f: LocalSBFunction) -> complex:
@@ -120,9 +123,7 @@ def local_inner(f: LocalSBFunction, g: LocalSBFunction) -> complex:
     if f.p != g.p or f.side != g.side:
         raise ValueError("functions must share prime and side")
     d = max(f.degree, g.degree)
-    fv, gv = refine(f, d).array(), refine(g, d).array()
-    w = 1.0 / f.p**d if f.side == POSITION else 1.0
-    return w * complex(np.vdot(fv, gv))
+    return inner(refine(f, d).state(), refine(g, d).state())
 
 
 def scale_variable(f: LocalSBFunction, lam: int) -> LocalSBFunction:
@@ -154,9 +155,7 @@ def local_fourier(f: LocalSBFunction) -> LocalSBFunction:
     Matches the finite transform on Z(p^d) under the standard
     identifications of ball indices and support points.
     """
-    st = _finite_fourier(FiniteState(len(f.values), f.side, f.array()))
-    other = MOMENTUM if f.side == POSITION else POSITION
-    return LocalSBFunction(f.p, other, f.degree, tuple(st.amplitudes))
+    return LocalSBFunction.from_state(f.p, _finite_fourier(f.state()))
 
 
 def local_fourier_inv(f: LocalSBFunction) -> LocalSBFunction:
@@ -194,7 +193,7 @@ def character_function(p: int, frak_p: Fraction) -> LocalSBFunction:
         raise ValueError("frak_p must have a p-power denominator")
     q = p**k
     vals = tuple(
-        np.exp(2j * np.pi * (frak_p.numerator * j / q)) for j in range(q)
+        np.exp(2j * np.pi * (frak_p.numerator * j % q / q)) for j in range(q)
     )
     return LocalSBFunction(p, POSITION, k, vals)
 
@@ -214,34 +213,24 @@ def hat_transform_2adic(f: LocalSBFunction) -> tuple[complex, ...]:
 def local_displace(
     f: LocalSBFunction, a: RatMod1, b: int, c: RatMod1 = ZERO_MOD1
 ) -> LocalSBFunction:
-    """Apply D(a, b, c) to a single-prime function; phases are exact.
+    """Apply D(a, b, c) to a single-prime function: the displacement of
+    Z(p^d) applied to its state at degree d.
 
     Position action chi(c - a b + 2 a x) f(x - b); momentum action
     chi(c + a b - b p) F(p - 2a).  Degrees grow only as far as the
-    denominator of 2a requires.
+    denominator of 2a requires.  At degree 0, where 2a is an integer and
+    c - a b = c + a b, the action is the scalar e(c - a b).
     """
     for q in (a, c):
         if q.denominator != f.p ** valuation(q.denominator, f.p):
             raise ValueError(f"label {q} is not supported at p={f.p}")
-    two_a = a.scaled(2)
-    m_exp = valuation(two_a.denominator, f.p)
-    d = max(f.degree, m_exp)
-    g = refine(f, d)
-    q = f.p**d
-    if f.side == POSITION:
-        scalar = c - a.scaled(b)
-        exps = [scalar + two_a.scaled(j) for j in range(q)]
-        src = [(j - b) % q for j in range(q)]
-    else:
-        shift = two_a.numerator * (q // two_a.denominator)  # exact by construction of d
-        scalar = c + a.scaled(b)
-        exps = [scalar - RatMod1.of(b * m, q) for m in range(q)]
-        src = [(m - shift) % q for m in range(q)]
-    vals = tuple(
-        np.exp(2j * np.pi * (e.numerator / e.denominator)) * g.values[i]
-        for e, i in zip(exps, src)
-    )
-    return LocalSBFunction(f.p, f.side, d, vals)
+    d = max(f.degree, valuation(a.scaled(2).denominator, f.p))
+    if d == 0:
+        e = c - a.scaled(b)
+        phase = np.exp(2j * np.pi * (e.numerator / e.denominator))
+        return LocalSBFunction(f.p, f.side, 0, (phase * f.values[0],))
+    el = HWElement.from_phase_space(f.p**d, a, b, c)
+    return LocalSBFunction.from_state(f.p, displace(el, refine(f, d).state()))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +336,7 @@ def canonicalize_global(f: GlobalSBFunction) -> FiniteState:
             if p not in degrees:
                 c *= fp.values[0]
         parts = {
-            p: FiniteState(
-                p**d,
-                f.side,
-                refine(term_factors.get(p, trivial_local(p, f.side)), d).array(),
-            )
+            p: refine(term_factors.get(p, trivial_local(p, f.side)), d).state()
             for p, d in degrees.items()
         }
         terms.append((c, parts))

@@ -14,6 +14,7 @@ from pqm.finiteqm import (
     PhasePoint,
     coherent_check,
     displace,
+    extend,
     fourier,
     fourier_good,
     fourier_matrix,
@@ -207,6 +208,45 @@ class TestDisplacement:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             displace(hw_x(3), random_state(4, RNG))
+
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    def test_phases_exact_to_1e12_at_a_million(self, rep):
+        # e(c alpha x / n) and e(-beta q / n) with the numerators reduced
+        # mod n in integers; an unreduced angle grows to 2 pi n and loses
+        # about log2(n) bits
+        n, alpha, beta = 10**6 + 1, 777_777, 654_321
+        d = HWElement(n, alpha, beta, RatMod1(3, 7))
+        x = np.arange(n)
+        if rep == POSITION:
+            src, num = (x - beta) % n, (2 * alpha * x) % n
+        else:
+            src = (x - 2 * alpha) % n
+            num = (-beta * src) % n
+        f = FiniteState(n, rep, RNG.standard_normal(n) + 1j * RNG.standard_normal(n))
+        want = np.exp(2j * np.pi * (3 / 7 + num / n)) * f.amplitudes[src]
+        got = displace(d, f).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestExtend:
+    @pytest.mark.parametrize("n, ell", [(2, 8), (3, 12), (6, 6), (5, 35)])
+    def test_periodic_and_zero_padded_isometry(self, n, ell):
+        for rep in (POSITION, MOMENTUM):
+            f = random_state(n, RNG, rep=rep)
+            g = extend(f, ell)
+            assert (g.n, g.rep) == (ell, rep)
+            if rep == POSITION:
+                want = [f.amplitudes[x % n] for x in range(ell)]
+            else:
+                want = [0j] * ell
+                for m in range(n):
+                    want[m * (ell // n)] = f.amplitudes[m]
+            assert list(g.amplitudes) == want
+            assert abs(inner(g, g) - inner(f, f)) < 1e-14
+
+    def test_rejects_non_multiple(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            extend(random_state(4, RNG), 6)
 
 
 class TestParity:

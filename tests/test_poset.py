@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -203,6 +204,20 @@ class TestWidthLength:
     def test_bound(self):
         with pytest.raises(ValueError):
             poset_width_length(divisor_poset(360), bound=3)
+
+    def test_matching_needs_no_deep_stack(self):
+        # the augmenting-path search runs on an explicit stack, so a poset
+        # inside the size bound cannot overflow the interpreter's
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            res = poset_width_length(divisor_poset(720720))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.width, res.length) == (46, 10)
 
     def test_supernatural_universe_width(self):
         # a three-element fence: 2^inf and 3 are incomparable, both below

@@ -1,7 +1,8 @@
 """Property tests for the CRT maps, the p-valuation, divisor posets, the
 composite-label point embedding, the FFT paths of the Fourier transform, the
-FFT paths of the phase-space tables and tomography sums, and the exact Q/Z
-and p-adic arithmetic (with ``Fraction`` and plain integers as oracles)."""
+FFT paths of the phase-space tables and tomography sums, the exact Q/Z
+and p-adic arithmetic (with ``Fraction`` and plain integers as oracles), and
+the local Schwartz-Bruhat operations (with per-point loops as oracles)."""
 
 import math
 from fractions import Fraction
@@ -51,6 +52,7 @@ from pqm.numbers import (
     valuation,
 )
 from pqm.poset import divisor_poset
+from pqm.schwartz_bruhat import LocalSBFunction, local_displace, local_inner, refine
 
 MAPS = [(crt_split_mu, crt_join_mu), (crt_split_nu_hat, crt_join_nu_hat)]
 _settings = settings(deadline=None)
@@ -348,3 +350,62 @@ def test_padic_int_matches_integer_residues(p, n1, n2, x, y, data):
     assert (-a).residue == -x % p**n1
     k = data.draw(st.integers(1, n1))
     assert project_xi(a, k) == a.residue % p**k
+
+
+def _refine_oracle(f: LocalSBFunction, degree: int) -> list[complex]:
+    """Periodic extension (position) or zero padding onto the finer grid."""
+    q_old, q_new = f.p**f.degree, f.p**degree
+    if f.side == POSITION:
+        return [f.values[j % q_old] for j in range(q_new)]
+    out = [0j] * q_new
+    for m, v in enumerate(f.values):
+        out[m * (q_new // q_old)] = v
+    return out
+
+
+def _displace_oracle(f: LocalSBFunction, a: RatMod1, b: int, c: RatMod1):
+    """(degree, values) of D(a, b, c) f with one exact Q/Z phase per point."""
+    two_a = a.scaled(2)
+    d = max(f.degree, valuation(two_a.denominator, f.p))
+    vals, q = _refine_oracle(f, d), f.p**d
+    if f.side == POSITION:
+        terms = [(c - a.scaled(b) + two_a.scaled(x), (x - b) % q) for x in range(q)]
+    else:
+        shift = two_a.numerator * (q // two_a.denominator)
+        terms = [
+            (c + a.scaled(b) - RatMod1.of(b * m, q), (m - shift) % q) for m in range(q)
+        ]
+    return d, [
+        np.exp(2j * np.pi * (e.numerator / e.denominator)) * vals[i] for e, i in terms
+    ]
+
+
+@_settings
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    side=st.sampled_from([POSITION, MOMENTUM]),
+    labels=st.tuples(*[st.integers(0, 4), st.integers(0, 10**6)] * 2),
+    b=st.integers(-50, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_sb_operations_match_per_point_oracles(p, degrees, side, labels, b, seed):
+    rng = np.random.default_rng(seed)
+    f, g = (
+        LocalSBFunction(
+            p, side, k, tuple(rng.standard_normal(p**k) + 1j * rng.standard_normal(p**k))
+        )
+        for k in degrees
+    )
+    for d in range(f.degree, 4):
+        assert list(refine(f, d).values) == _refine_oracle(f, d)
+    d = max(degrees)
+    weight = 1 / p**d if side == POSITION else 1.0
+    fv, gv = _refine_oracle(f, d), _refine_oracle(g, d)
+    want = weight * sum(x.conjugate() * y for x, y in zip(fv, gv))
+    assert abs(local_inner(f, g) - want) <= 1e-12 * max(1.0, abs(want))
+    a, c = RatMod1.of(labels[1], p ** labels[0]), RatMod1.of(labels[3], p ** labels[2])
+    got = local_displace(f, a, b, c)
+    degree, want = _displace_oracle(f, a, b, c)
+    assert (got.degree, got.side) == (degree, side)
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)

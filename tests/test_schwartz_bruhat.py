@@ -225,6 +225,24 @@ class TestConstructors:
         with pytest.raises(ValueError):
             character_function(p, Fraction(1, 4))
 
+    def test_character_function_phases_reduced_before_the_float(self):
+        # chi(x m / q) = e((m x mod q) / q); the unreduced angle reaches
+        # 2 pi q and loses about log2(q) bits
+        q, m = 2**17, 98_765
+        f = character_function(2, Fraction(m, q))
+        want = np.exp(2j * np.pi * ((m * np.arange(q)) % q) / q)
+        assert np.max(np.abs(np.array(f.values) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("side", [POSITION, MOMENTUM])
+    def test_state_round_trip(self, side):
+        f = _random_local(3, 2, side)
+        st = f.state()
+        assert (st.n, st.rep) == (9, side)
+        assert list(st.amplitudes) == list(f.values)
+        assert LocalSBFunction.from_state(3, st) == f
+        with pytest.raises(ValueError):
+            LocalSBFunction.from_state(2, st)
+
     def test_delta_unknown_kind(self):
         with pytest.raises(ValueError):
             delta_family(2, 1, "bump")
