@@ -142,11 +142,7 @@ def cmd_embed(args) -> int:
     f = load_state(args.infile)
     if f.n != args.src:
         raise UsageError(f"state has n={f.n}, expected n={args.src}")
-    try:
-        spec = EmbeddingSpec(args.src, args.dst)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    dump_state(state_embed(f, spec), args.out)
+    dump_state(state_embed(f, EmbeddingSpec(args.src, args.dst)), args.out)
     return 0
 
 
@@ -214,10 +210,7 @@ def cmd_padic(args) -> int:
         if args.p is None or args.value is None:
             raise UsageError("ord needs --p and --value")
         q = _parse_rational(args.value)
-        try:
-            ordv, absv = nm.padic_ord_abs(q, args.p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        ordv, absv = nm.padic_ord_abs(q, args.p)
         payload = {
             "p": args.p,
             "value": str(q),
@@ -228,10 +221,7 @@ def cmd_padic(args) -> int:
         if args.p is None or args.value is None:
             raise UsageError("expand needs --p and --value")
         q = _parse_rational(args.value)
-        try:
-            a = nm.PadicInt.from_rational(q, args.p, args.precision)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        a = nm.PadicInt.from_rational(q, args.p, args.precision)
         payload = {
             "p": args.p,
             "value": str(q),
@@ -242,10 +232,7 @@ def cmd_padic(args) -> int:
         if args.value is None:
             raise UsageError("ostrowski needs --value")
         q = _parse_rational(args.value)
-        try:
-            prod = nm.ostrowski_product(q)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        prod = nm.ostrowski_product(q)
         payload = {"value": str(q), "product": str(prod)}
     elif args.action == "decompose":
         if args.value is None:

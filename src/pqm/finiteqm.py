@@ -58,6 +58,8 @@ class FiniteState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n={self.n} must be >= 1")
         if self.rep not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown rep {self.rep!r}")
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -94,6 +96,11 @@ def fourier(f: FiniteState) -> FiniteState:
         MOMENTUM if f.rep == POSITION else POSITION,
         f.measure_weight * np.fft.fft(f.amplitudes),
     )
+
+
+def reflect(f: FiniteState) -> FiniteState:
+    """x |-> -x on the stored values, in either rep: ``fourier`` applied twice."""
+    return FiniteState(f.n, f.rep, f.amplitudes[(-np.arange(f.n)) % f.n])
 
 
 def to_momentum(f: FiniteState) -> FiniteState:
@@ -346,9 +353,7 @@ def parity_displacement(pt: PhasePoint) -> HWElement:
 def parity_apply(pt: PhasePoint, f: FiniteState) -> FiniteState:
     if pt.n != f.n:
         raise ValueError("dimension mismatch")
-    g = displace(parity_displacement(pt), f)
-    idx = (-np.arange(pt.n)) % pt.n
-    return FiniteState(pt.n, g.rep, g.amplitudes[idx])
+    return reflect(displace(parity_displacement(pt), f))
 
 
 def parity_matrix(pt: PhasePoint, rep: str = POSITION) -> np.ndarray:
@@ -624,22 +629,16 @@ def _hat_values(momentum_values: np.ndarray) -> np.ndarray:
 def marginal_a_matrix(n: int, a: int) -> np.ndarray:
     """A(a) = integral db D(a, b, 0), as a momentum-representation matrix.
 
-    For even n the b-integral runs over Z(2n) with weight 1/(2n) because the
-    half phases depend on b mod 2n.
+    The label a is a/n for odd n and a/(2n) for even n.  For even n the
+    b-integral runs over Z(2n) with weight 1/(2n) because the half phases
+    depend on b mod 2n; ``from_phase_space`` keeps b unreduced in the phase.
     """
-    x = np.arange(n)
-    m = np.zeros((n, n), dtype=complex)
-    if n % 2:
-        shift = (x - 2 * a) % n
-        for b in range(n):
-            m[x, shift] += np.exp(2j * np.pi * (a * b - b * x) / n) / n
-    else:
-        shift = (x - a) % n
-        for b in range(2 * n):
-            m[x, shift] += (
-                np.exp(2j * np.pi * (a * b / (2 * n) - b * x / n)) / (2 * n)
-            )
-    return m
+    b_range = n if n % 2 else 2 * n
+    frak_a = RatMod1.of(a, b_range)
+    return sum(
+        hw_matrix(HWElement.from_phase_space(n, frak_a, b), MOMENTUM)
+        for b in range(b_range)
+    ) / b_range
 
 
 def marginal_a_expected(gt: np.ndarray, ft: np.ndarray, a: int) -> complex:
@@ -657,19 +656,16 @@ def marginal_a_expected(gt: np.ndarray, ft: np.ndarray, a: int) -> complex:
 def marginal_b_matrix(n: int, b: int) -> np.ndarray:
     """B(b) = |2|-weighted integral da D(a, b, 0), momentum representation.
 
-    Odd n: the plain sum over the a-grid.  Even n: the a-integrand for odd b
-    depends on the coset section, so the operator is pinned by the canonical
-    zero-integer-part phases, giving the rank-one kernel
-    K[P, Q] = e(-b (P + Q) / 2n); for even b this equals the section sum.
-    The index b runs mod 2n for even n.
+    Odd n: the plain sum of D(a, b, 0) over the a-grid.  Even n: the
+    a-integrand for odd b depends on the coset section, so the operator is
+    pinned by the canonical zero-integer-part phases, giving the rank-one
+    kernel K[P, Q] = e(-b (P + Q) / 2n); for even b this equals the section
+    sum.  The index b runs mod 2n for even n.
     """
-    x = np.arange(n)
     if n % 2:
-        m = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            shift = (x - 2 * a) % n
-            m[x, shift] += np.exp(2j * np.pi * (a * b - b * x) / n)
-        return m
+        return sum(
+            hw_matrix(HWElement.from_canonical(n, a, b, 0), MOMENTUM) for a in range(n)
+        )
     p = np.arange(n)
     return np.exp(-2j * np.pi * b * (p[:, None] + p[None, :]) / (2 * n))
 

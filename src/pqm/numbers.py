@@ -1,8 +1,8 @@
 """Exact arithmetic for Z_p, Q_p/Z_p, Zhat, Q/Z and the CRT machinery.
 
-All values are immutable and all phases are exact: a character value is a
-rational exponent q with the meaning exp(2*pi*i*q), and complex doubles only
-appear when a phase is finally evaluated numerically.
+All values are immutable and all phases are exact: a character returns its
+exponent q in Q/Z as a ``RatMod1``, meaning exp(2*pi*i*q), and complex
+doubles only appear where a caller finally evaluates a phase numerically.
 
 Conventions:
 
@@ -142,28 +142,8 @@ class RatMod1:
     def __bool__(self) -> bool:
         return self.numerator != 0
 
-    def phase(self) -> "UnitPhase":
-        return UnitPhase(self)
-
 
 ZERO_MOD1 = RatMod1(0, 1)
-
-
-@dataclass(frozen=True)
-class UnitPhase:
-    """exp(2*pi*i*q) with an exact exponent q in Q/Z."""
-
-    exponent: RatMod1
-
-    def __mul__(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase(self.exponent + other.exponent)
-
-    def conjugate(self) -> "UnitPhase":
-        return UnitPhase(-self.exponent)
-
-    def __complex__(self) -> complex:
-        t = 2.0 * math.pi * self.exponent.numerator / self.exponent.denominator
-        return complex(math.cos(t), math.sin(t))
 
 
 # ---------------------------------------------------------------------------
@@ -560,24 +540,25 @@ def crt_join_nu_hat(n: int, comps: tuple) -> "int | np.ndarray":
 # ---------------------------------------------------------------------------
 
 
-def char_omega(n: int, alpha: int) -> UnitPhase:
-    """omega_n(alpha) = exp(2 pi i alpha / n)."""
-    return UnitPhase(RatMod1.of(alpha, n))
+def char_omega(n: int, alpha: int) -> RatMod1:
+    """The exponent alpha / n of omega_n(alpha) = exp(2 pi i alpha / n)."""
+    return RatMod1.of(alpha, n)
 
 
-def char_chi_p(a: PadicInt, b: PadicFrac) -> UnitPhase:
-    """chi_p(a*b) = exp(2 pi i a b) for a in Z_p, b in Q_p/Z_p."""
-    return UnitPhase(frac_mul(a, b).as_ratmod1)
+def char_chi_p(a: PadicInt, b: PadicFrac) -> RatMod1:
+    """The exponent a b of chi_p(a*b) for a in Z_p, b in Q_p/Z_p."""
+    return frac_mul(a, b).as_ratmod1
 
 
-def char_chi_global(a: ProfiniteInt, b: Mapping[int, PadicFrac]) -> UnitPhase:
-    """chi(a*b) = prod_p chi_p(a_p b_p), b given on its finite support."""
+def char_chi_global(a: ProfiniteInt, b: Mapping[int, PadicFrac]) -> RatMod1:
+    """The exponent sum_p a_p b_p of chi(a*b) = prod_p chi_p(a_p b_p), b given
+    on its finite support."""
     q = ZERO_MOD1
     for p, bp in b.items():
         if bp.degree == 0:
             continue
-        q = q + frac_mul(a.component(p, bp.degree), bp).as_ratmod1
-    return UnitPhase(q)
+        q = q + char_chi_p(a.component(p, bp.degree), bp)
+    return q
 
 
 # ---------------------------------------------------------------------------

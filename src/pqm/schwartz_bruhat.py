@@ -36,7 +36,7 @@ from .numbers import (
     valuation,
 )
 from .finiteqm import MOMENTUM, POSITION, FiniteState, HWElement, _hat_values
-from .finiteqm import displace, extend, inner, tensor_join
+from .finiteqm import displace, extend, inner, reflect, tensor_join
 from .finiteqm import fourier as _finite_fourier
 
 
@@ -165,9 +165,7 @@ def local_fourier_inv(f: LocalSBFunction) -> LocalSBFunction:
 
 def local_reflect(f: LocalSBFunction) -> LocalSBFunction:
     """x |-> f(-x); this is the square of the Fourier transform."""
-    q = len(f.values)
-    vals = tuple(f.values[(-j) % q] for j in range(q))
-    return LocalSBFunction(f.p, f.side, f.degree, vals)
+    return LocalSBFunction.from_state(f.p, reflect(f.state()))
 
 
 def delta_family(p: int, precision: int, kind: str) -> LocalSBFunction:

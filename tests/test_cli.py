@@ -127,6 +127,20 @@ class TestFourierCommand:
         assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "command", [["fourier"], ["wigner"], ["wigner", "--kind", "weyl"]]
+    )
+    def test_empty_state_exits_2(self, command, tmp_path, capsys):
+        # Z(0) is no system: the transforms would divide by n = 0
+        src = tmp_path / "f.json"
+        src.write_text('{"n": 0, "rep": "position", "amplitudes": []}')
+        out = tmp_path / "o.out"
+        assert main([*command, "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: malformed state file {src}: n=0 must be >= 1\n"
+        )
+        assert not out.exists()
+
 
 class TestWignerCommand:
     def test_table_matches_oracle(self, tmp_path):
@@ -226,6 +240,18 @@ class TestDisplaceEmbed:
             == 2
         )
 
+    @pytest.mark.parametrize("dst", ["0", "-4"])
+    def test_embed_rejects_target_below_source(self, dst, tmp_path, capsys):
+        # 0 and -4 are multiples of 2, but no system Z(2) embeds into
+        src = tmp_path / "f.json"
+        _write_state(src, n=2)
+        out = tmp_path / "g.json"
+        assert main(["embed", "--from", "2", "--to", dst, "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: target label {dst} is smaller than the source 2\n"
+        )
+        assert not out.exists()
+
 
 class TestPosetPadicCommands:
     def test_width_36(self, capsys):
@@ -303,6 +329,33 @@ class TestPosetPadicCommands:
     def test_missing_argument_exits_2(self, capsys):
         assert main(["padic", "crt", "--n", "12"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["padic", "ord", "--p", "4", "--value", "3"], "4 is not prime"),
+            (["padic", "expand", "--p", "3", "--value", "1/3"], "1/3 is not a 3-adic integer"),
+            (
+                ["padic", "expand", "--p", "3", "--value", "2", "--precision", "0"],
+                "precision must be >= 1",
+            ),
+            (["padic", "ostrowski", "--value", "0"], "q must be nonzero"),
+        ],
+    )
+    def test_library_errors_print_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pqm: error: {message}\n"
+
+    def test_embed_error_prints_one_line(self, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        _write_state(src, n=2)
+        argv = ["embed", "--from", "2", "--to", "9", "--in", str(src), "--out", str(tmp_path / "g.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pqm: error: 2 does not divide 9\n"
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, tmp_path, capsys):
@@ -340,6 +393,16 @@ class TestVerifyCommand:
         cfg.write_text("samples = 2\nseed = 3\nposet_limit = 100\n# comment\n")
         code = main(["verify", "--suite", "poset", "--config", str(cfg)])
         assert code == 0
+
+    def test_even_n_exploratory_flag_and_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "pqm.cfg"
+        cfg.write_text("even_n_exploratory = yes\n")
+        for i, extra in enumerate((["--even-n-exploratory"], ["--config", str(cfg)])):
+            report = tmp_path / f"r{i}.json"
+            assert main(["verify", "--suite", "parity", *extra, "--json", str(report)]) == 0
+            out = capsys.readouterr().out
+            assert out.count("[PASS]") == 5 and "[FAIL]" not in out
+            assert json.loads(report.read_text())["config"]["even_n_exploratory"] is True
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "pqm.cfg"

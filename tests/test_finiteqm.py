@@ -479,6 +479,33 @@ class TestParityIdentities:
         assert res.sandwich_residual < 1e-11  # doubled grid still averages to 1
 
 
+def _marginal_a_oracle(n: int, a: int) -> np.ndarray:
+    # A(a) entry by entry: e((ab - bx)/n) at [x, x - 2a] summed over b in Z(n)
+    # for odd n, e(ab/(2n) - bx/n) at [x, x - a] over b in Z(2n) for even n
+    x = np.arange(n)
+    m = np.zeros((n, n), dtype=complex)
+    if n % 2:
+        shift = (x - 2 * a) % n
+        for b in range(n):
+            m[x, shift] += np.exp(2j * np.pi * (a * b - b * x) / n) / n
+    else:
+        shift = (x - a) % n
+        for b in range(2 * n):
+            m[x, shift] += np.exp(2j * np.pi * (a * b / (2 * n) - b * x / n)) / (2 * n)
+    return m
+
+
+def _marginal_b_oracle(n: int, b: int) -> np.ndarray:
+    # B(b) entry by entry: the odd-n sum over a, the even-n rank-one kernel
+    x = np.arange(n)
+    if n % 2:
+        m = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            m[x, (x - 2 * a) % n] += np.exp(2j * np.pi * (a * b - b * x) / n)
+        return m
+    return np.exp(-2j * np.pi * b * (x[:, None] + x[None, :]) / (2 * n))
+
+
 class TestMarginals:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_a_pairing(self, n):
@@ -515,7 +542,17 @@ class TestMarginals:
                 alt = g_pos[(b // 2) % n].conjugate() * f_pos[(-(b // 2)) % n]
                 assert abs(want - alt) < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matrices_match_per_entry_formulas(self, n):
+        b_range = n if n % 2 else 2 * n
+        for a in range(n):
+            gap = np.max(np.abs(marginal_a_matrix(n, a) - _marginal_a_oracle(n, a)))
+            assert gap < 1e-13
+        for b in range(b_range):
+            gap = np.max(np.abs(marginal_b_matrix(n, b) - _marginal_b_oracle(n, b)))
+            assert gap < 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
     def test_b_even_b_matches_displacement_sum(self, n):
         # for even b the canonical kernel equals the plain section sum
         x = np.arange(n)

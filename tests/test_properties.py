@@ -30,6 +30,7 @@ from pqm.finiteqm import (
     parity_matrix,
     random_operator,
     random_state,
+    reflect,
     to_momentum,
     to_position,
     weyl_wigner,
@@ -52,7 +53,13 @@ from pqm.numbers import (
     valuation,
 )
 from pqm.poset import divisor_poset
-from pqm.schwartz_bruhat import LocalSBFunction, local_displace, local_inner, refine
+from pqm.schwartz_bruhat import (
+    LocalSBFunction,
+    local_displace,
+    local_inner,
+    local_reflect,
+    refine,
+)
 
 MAPS = [(crt_split_mu, crt_join_mu), (crt_split_nu_hat, crt_join_nu_hat)]
 _settings = settings(deadline=None)
@@ -409,3 +416,33 @@ def test_local_sb_operations_match_per_point_oracles(p, degrees, side, labels, b
     degree, want = _displace_oracle(f, a, b, c)
     assert (got.degree, got.side) == (degree, side)
     np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+
+@_settings
+@given(
+    n=st.integers(1, 64),
+    rep=st.sampled_from([POSITION, MOMENTUM]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reflect_is_an_involution_and_fourier_squared(n, rep, seed):
+    f = random_state(n, np.random.default_rng(seed), rep=rep)
+    g = reflect(f)
+    assert g.rep == rep
+    assert np.array_equal(reflect(g).amplitudes, f.amplitudes)
+    gap = np.max(np.abs(g.amplitudes - fourier(fourier(f)).amplitudes))
+    assert gap <= 1e-12 * np.max(np.abs(f.amplitudes))
+
+
+@_settings
+@given(
+    pd=st.sampled_from([(p, d) for p in (2, 3, 5, 7) for d in range(7) if p**d <= 64]),
+    side=st.sampled_from([POSITION, MOMENTUM]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_reflect_matches_per_index_loop(pd, side, seed):
+    p, d = pd
+    q = p**d
+    rng = np.random.default_rng(seed)
+    f = LocalSBFunction(p, side, d, tuple(rng.standard_normal(q) + 1j * rng.standard_normal(q)))
+    want = tuple(f.values[(-j) % q] for j in range(q))
+    assert local_reflect(f) == LocalSBFunction(p, side, d, want)
