@@ -39,15 +39,21 @@ def load_state(path: str) -> fq.FiniteState:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read state file {path}: {exc}") from exc
     try:
-        n = int(data["n"])
-        rep = data["rep"]
-        amps = np.array(
-            [complex(re, im) for re, im in data["amplitudes"]], dtype=complex
+        n, rep = data["n"], data["rep"]
+        if type(n) is not int:
+            raise TypeError(f"n={n!r} is not an integer")
+        pairs = np.array(data["amplitudes"])
+        numeric = pairs.dtype.kind in "biuf" or all(
+            isinstance(v, (int, float)) for v in pairs.flat
         )
+        if not numeric or (pairs.size and pairs.shape[1:] != (2,)):
+            raise TypeError("amplitudes must be [re, im] number pairs")
+        # one (n, 2) float array read as complex keeps every bit, -0.0 too
+        amps = np.asarray(pairs, dtype=float).view(complex).ravel()
         if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
         return fq.FiniteState(n, rep, amps)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
 
 
@@ -251,12 +257,10 @@ def cmd_padic(args) -> int:
 
 def cmd_verify(args) -> int:
     overrides = load_config(args.config) if args.config else {}
-    for key in ("tolerance", "max_n", "samples", "seed", "poset_limit"):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key)
         if flag is not None:
             overrides[key] = flag
-    if args.even_n_exploratory:
-        overrides["even_n_exploratory"] = True
     suites = tuple(args.suite) if args.suite else SUITES
     try:
         cfg = VerifyConfig(suites=suites, **overrides)
@@ -346,14 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--poset-limit", dest="poset_limit", type=int, default=None)
-    p.add_argument("--even-n-exploratory", action="store_true")
+    p.add_argument("--even-n-exploratory", action="store_true", default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Read ``--value -7/5`` as ``--value=-7/5``: argparse takes a token that
+    starts with "-" and is not a plain negative number for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--value" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--value={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:

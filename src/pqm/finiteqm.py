@@ -13,13 +13,15 @@ Displacement conventions.  A displacement is determined by continuum data
 
     f(x) |-> chi(c - a b + 2 a x) f(x - b).
 
-On Z(n) the label a is alpha/n for odd n and alpha/(2n) for even n, so the
-scalar prefactor for even n involves 2n-th roots of unity (the half phases).
-Internally an element stores (alpha, beta, phase) with the phase the full
-exact scalar exponent; the canonical constructor from (alpha, beta, gamma)
-sets phase = (gamma - alpha beta)/n for odd n and gamma/n - alpha beta/(2n)
-for even n.  All group arithmetic is exact in Q/Z, and every phase is
-reduced mod 1 in integers before it becomes a float angle.
+On Z(n) the label a is c alpha/(2n), with c = ``_chi_coeff(n)``: 2 for odd
+n, where 2 is a unit, and 1 for even n, where the scalar prefactor involves
+2n-th roots of unity (the half phases).  Every Z(n) phase is written over
+2n through c, so the rule has this one home.  Internally an element stores
+(alpha, beta, phase) with the phase the full exact scalar exponent; the
+canonical constructor from (alpha, beta, gamma) sets
+phase = (2 gamma - c alpha beta)/(2n).  All group arithmetic is exact in
+Q/Z, and every phase is reduced mod 1 in integers before it becomes a float
+angle.
 """
 
 from __future__ import annotations
@@ -81,11 +83,11 @@ def norm(f: FiniteState) -> float:
     return math.sqrt(max(inner(f, f).real, 0.0))
 
 
-def random_state(n: int, rng, rep: str = POSITION, normalized: bool = True) -> FiniteState:
+def random_state(n: int, rng, rep: str = POSITION) -> FiniteState:
+    """A normalized state with Gaussian amplitudes."""
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     f = FiniteState(n, rep, v)
-    if normalized:
-        f.amplitudes = f.amplitudes / norm(f)
+    f.amplitudes = f.amplitudes / norm(f)
     return f
 
 
@@ -98,9 +100,15 @@ def fourier(f: FiniteState) -> FiniteState:
     )
 
 
+def _dilation(n: int, lam: int, count: int | None = None) -> np.ndarray:
+    """The indices lam x mod n for x < count (default n): v[_dilation(n, lam)]
+    is x |-> v(lam x).  lam is reduced first, so any integer works."""
+    return (lam % n) * np.arange(n if count is None else count) % n
+
+
 def reflect(f: FiniteState) -> FiniteState:
     """x |-> -x on the stored values, in either rep: ``fourier`` applied twice."""
-    return FiniteState(f.n, f.rep, f.amplitudes[(-np.arange(f.n)) % f.n])
+    return FiniteState(f.n, f.rep, f.amplitudes[_dilation(f.n, -1)])
 
 
 def to_momentum(f: FiniteState) -> FiniteState:
@@ -200,10 +208,7 @@ class HWElement:
     @classmethod
     def from_canonical(cls, n: int, alpha: int, beta: int, gamma: int) -> "HWElement":
         alpha, beta, gamma = alpha % n, beta % n, gamma % n
-        if n % 2:
-            phase = RatMod1.of(gamma - alpha * beta, n)
-        else:
-            phase = RatMod1.of(2 * gamma - alpha * beta, 2 * n)
+        phase = RatMod1.of(2 * gamma - _chi_coeff(n) * alpha * beta, 2 * n)
         return cls(n, alpha, beta, phase)
 
     @classmethod
@@ -214,11 +219,7 @@ class HWElement:
         r, rem = divmod(2 * n * a.numerator, a.denominator)
         if rem:
             raise ValueError(f"a={a} does not displace the Z({n}) momentum grid")
-        r %= n
-        if n % 2:
-            alpha = (r * pow(2, -1, n)) % n
-        else:
-            alpha = r
+        alpha = r * pow(_chi_coeff(n), -1, n) % n
         return cls(n, alpha, b % n, c - a.scaled(b))
 
     @property
@@ -267,8 +268,7 @@ def hw_x(n: int) -> HWElement:
 
 
 def hw_z(n: int) -> HWElement:
-    alpha = 1 if n % 2 == 0 else pow(2, -1, n)
-    return HWElement.from_canonical(n, alpha, 0, 0)
+    return HWElement.from_canonical(n, pow(_chi_coeff(n), -1, n), 0, 0)
 
 
 def _displacement_action(d: HWElement, rep: str) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +277,7 @@ def _displacement_action(d: HWElement, rep: str) -> tuple[np.ndarray, np.ndarray
     n, c = d.n, _chi_coeff(d.n)
     x = np.arange(n)
     if rep == POSITION:
-        src, turns = (x - d.beta) % n, (c * d.alpha % n) * x % n
+        src, turns = (x - d.beta) % n, _dilation(n, c * d.alpha)
     else:
         src = (x - c * d.alpha) % n
         turns = -(d.beta * src % n)
@@ -326,9 +326,8 @@ class PhasePoint:
 
     @property
     def frak_a(self) -> RatMod1:
-        if self.n % 2:
-            return RatMod1.of(self.a, self.n)
-        return RatMod1.of(self.a, 4 * self.n if self.doubled else 2 * self.n)
+        """c a/(2n), over 4n on the doubled grid."""
+        return RatMod1.of(_chi_coeff(self.n) * self.a, (4 if self.doubled else 2) * self.n)
 
     def canonical(self) -> "PhasePoint":
         """Reduce the a-index by the exact quarter period when one exists."""
@@ -358,7 +357,7 @@ def parity_apply(pt: PhasePoint, f: FiniteState) -> FiniteState:
 
 def parity_matrix(pt: PhasePoint, rep: str = POSITION) -> np.ndarray:
     """The matrix of x |-> -x applied after D(2a, 2b, 0): its rows reversed mod n."""
-    return hw_matrix(parity_displacement(pt), rep)[(-np.arange(pt.n)) % pt.n]
+    return hw_matrix(parity_displacement(pt), rep)[_dilation(pt.n, -1)]
 
 
 def weyl_wigner(
@@ -389,20 +388,18 @@ def _reflect_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _displacement_phases(n: int) -> np.ndarray:
-    """e(s_ab) as an [a, b] array, with the scalar exponent s_ab of D(a, b, 0)
-    (-ab/n for odd n, -ab/(2n) for even n) reduced exactly before the float."""
-    den = n if n % 2 else 2 * n
+    """e(s_ab) as an [a, b] array, with the scalar exponent s_ab = -c ab/(2n)
+    of D(a, b, 0) reduced exactly before the float."""
     j = np.arange(n)
-    return np.exp(2j * np.pi * ((-j[:, None] * j) % den) / den)
+    return np.exp(2j * np.pi * ((-_chi_coeff(n) * j[:, None] * j) % (2 * n)) / (2 * n))
 
 
 def _parity_k(n: int, doubled: bool) -> int:
-    """k with P(a, b)[x, -x - 2b] = e(-k a (x + b) / n): 4 odd, 2 even, 1 doubled."""
-    if n % 2:
-        if doubled:
-            raise ValueError("doubled grid applies to even n only")
-        return 4
-    return 1 if doubled else 2
+    """k with P(a, b)[x, -x - 2b] = e(-k a (x + b) / n), so k a/n = 4 frak_a:
+    4 odd, 2 even, 1 doubled."""
+    if doubled and n % 2:
+        raise ValueError("doubled grid applies to even n only")
+    return (1 if doubled else 2) * _chi_coeff(n)
 
 
 def wigner_table(f: FiniteState, kind: str, doubled: bool = False) -> np.ndarray:
@@ -424,9 +421,8 @@ def wigner_table(f: FiniteState, kind: str, doubled: bool = False) -> np.ndarray
     if kind == "weyl":
         rows, cols = _shift_indices(n)
         diag = np.fft.ifft(v.conj()[rows] * v[cols], axis=1)  # [b, m]
-        ca = (_chi_coeff(n) * np.arange(n)) % n
-        return _displacement_phases(n) * diag[:, ca].T
-    ka = (_parity_k(n, doubled) * np.arange(2 * n if doubled else n)) % n
+        return _displacement_phases(n) * diag[:, _dilation(n, _chi_coeff(n))].T
+    ka = _dilation(n, _parity_k(n, doubled), 2 * n if doubled else n)
     rows, cols = _reflect_indices(n)
     diag = np.fft.fft(v[rows] * v.conj()[cols], axis=1, norm="forward")  # [b, m]
     return diag[:, ka].T
@@ -477,8 +473,7 @@ def _character_sum(n: int, k: int, length: int) -> np.ndarray:
 
     ``length`` is a multiple of n: n, or 2n on the doubled parity grid.
     """
-    d = np.arange(n)
-    return np.fft.fft(np.ones(length))[(-k * d * (length // n)) % length]
+    return np.fft.fft(np.ones(length))[_dilation(length, -k * (length // n), n)]
 
 
 def resolution_identity_check(theta) -> float:
@@ -514,7 +509,7 @@ def operator_expand(theta) -> tuple[np.ndarray, float]:
     n = theta.shape[0]
     rows, cols = _shift_indices(n)
     diag = theta[rows, cols]  # [b, x] = theta[x, x - b]
-    ca = (_chi_coeff(n) * np.arange(n)) % n
+    ca = _dilation(n, _chi_coeff(n))
     phases = _displacement_phases(n)
     coeffs = phases.conj() * np.fft.fft(diag, axis=1)[:, ca].T
     # recon[x, x - b] = (1/n) sum_a coeffs[a, b] e(s_ab + c a x/n)
@@ -600,13 +595,13 @@ def parity_expand_check(theta, exploratory: bool = False) -> ParityCheckResult:
     g = 2 if doubled else 1
     diag = theta[(-j[:, None]) % n, (-j[:, None] - j) % n]  # [z, d] = theta[-z, -z - d]
     per_class = g * diag.reshape(n // g, g, n).sum(axis=0)  # [x mod g, d]
-    sandwich = _character_sum(n, -k, a_range)[(-j) % n] * per_class / a_range
+    sandwich = _character_sum(n, -k, a_range)[_dilation(n, -1)] * per_class / a_range
     sandwich[:, 0] -= np.trace(theta)
 
     rows, cols = _reflect_indices(n)
-    traces = np.fft.fft(theta[rows, cols], axis=1)[:, (k * np.arange(a_range)) % n]
+    traces = np.fft.fft(theta[rows, cols], axis=1)[:, _dilation(n, k, a_range)]
     # sum_a e(-k a y/n) tr(theta P(a, b)), the entry at [y - b, -y - b]
-    weights = np.fft.fft(traces, axis=1)[:, (k * j * (a_range // n)) % a_range]
+    weights = np.fft.fft(traces, axis=1)[:, _dilation(a_range, k * (a_range // n), n)]
     tomo = -theta.copy()
     np.add.at(tomo, (cols, rows), weights / a_range)
     return ParityCheckResult(
@@ -713,7 +708,10 @@ def momentum_pairing(gt: np.ndarray, m: np.ndarray, ft: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _decompose_array(a: np.ndarray, tol: float) -> list[tuple[complex, list[np.ndarray]]]:
+_FACTOR_TOL = 1e-12  # relative rank-one residual accepted as a product
+
+
+def _decompose_array(a: np.ndarray) -> list[tuple[complex, list[np.ndarray]]]:
     if a.ndim == 1:
         return [(1.0 + 0j, [a.copy()])]
     m = a.reshape(a.shape[0], -1)
@@ -723,8 +721,8 @@ def _decompose_array(a: np.ndarray, tol: float) -> list[tuple[complex, list[np.n
     i0, j0 = np.unravel_index(np.argmax(np.abs(m)), m.shape)
     u = m[:, j0]
     v = m[i0, :] / m[i0, j0]
-    if np.max(np.abs(m - np.outer(u, v))) <= tol * scale:
-        rest = _decompose_array(v.reshape(a.shape[1:]), tol)
+    if np.max(np.abs(m - np.outer(u, v))) <= _FACTOR_TOL * scale:
+        rest = _decompose_array(v.reshape(a.shape[1:]))
         return [(c, [u] + vecs) for c, vecs in rest]
     out = []
     basis = np.eye(a.shape[0])
@@ -732,14 +730,12 @@ def _decompose_array(a: np.ndarray, tol: float) -> list[tuple[complex, list[np.n
         sub = a[i]
         if np.max(np.abs(sub)) == 0.0:
             continue
-        for c, vecs in _decompose_array(sub, tol):
+        for c, vecs in _decompose_array(sub):
             out.append((c, [basis[i].astype(complex)] + vecs))
     return out
 
 
-def tensor_factor(
-    f: FiniteState, tol: float = 1e-12
-) -> list[tuple[complex, dict[int, FiniteState]]]:
+def tensor_factor(f: FiniteState) -> list[tuple[complex, dict[int, FiniteState]]]:
     """Write f as a sum of product states over the prime-power components.
 
     Position indices split by the mu map, momentum indices by the nu-hat map.
@@ -751,7 +747,7 @@ def tensor_factor(
     a = np.zeros(dims, dtype=complex)
     a.flat[src] = f.amplitudes
     terms = []
-    for coeff, vecs in _decompose_array(a, tol):
+    for coeff, vecs in _decompose_array(a):
         terms.append(
             (
                 coeff,

@@ -90,17 +90,6 @@ class Supernatural:
     def mentioned_primes(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.finite_exp) | self.inf_primes
 
-    def is_finite_int(self) -> bool:
-        return not self.inf_primes and not self.tail_infinite
-
-    def as_int(self) -> int:
-        if not self.is_finite_int():
-            raise ValueError("not a finite integer")
-        out = 1
-        for p, e in self.finite_exp:
-            out *= p**e
-        return out
-
     def __repr__(self) -> str:
         parts = [f"{p}^{e}" for p, e in self.finite_exp]
         parts += [f"{p}^inf" for p in sorted(self.inf_primes)]
@@ -198,10 +187,6 @@ class FinitePoset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def down_set(self, x) -> frozenset:
-        """U(x): the basis open set of all elements dividing x."""
-        return frozenset(m for m in self.elements if self.leq(m, x))
 
     def check_axioms(self) -> bool:
         els = self.elements
@@ -335,7 +320,8 @@ def poset_width_length(poset: FinitePoset, bound: int = 10**4) -> WidthLengthRes
 
 
 def basis_open(poset: FinitePoset, x) -> frozenset:
-    return poset.down_set(x)
+    """U(x): the basis open set of all elements dividing x."""
+    return frozenset(m for m in poset.elements if poset.leq(m, x))
 
 
 def is_open(poset: FinitePoset, s: Iterable) -> bool:

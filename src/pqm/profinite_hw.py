@@ -45,19 +45,21 @@ class ProfiniteHWElement:
         )
 
 
+def _group_law(g: tuple, h: tuple) -> tuple:
+    """(a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab'-a'b) over any commutative ring."""
+    (a1, b1, c1), (a2, b2, c2) = g, h
+    return a1 + a2, b1 + b2, c1 + c2 + a1 * b2 - a2 * b1
+
+
 def phw_identity(p: int, precision: int) -> ProfiniteHWElement:
     return ProfiniteHWElement.from_ints(0, 0, 0, p, precision)
 
 
 def phw_mul(g: ProfiniteHWElement, h: ProfiniteHWElement) -> ProfiniteHWElement:
-    """(a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab'-a'b) in truncated Z_p."""
+    """The group law in truncated Z_p."""
     if g.p != h.p:
         raise ValueError("prime mismatch")
-    return ProfiniteHWElement(
-        g.a + h.a,
-        g.b + h.b,
-        g.c + h.c + g.a * h.b - h.a * g.b,
-    )
+    return ProfiniteHWElement(*_group_law((g.a, g.b, g.c), (h.a, h.b, h.c)))
 
 
 def phw_inv(g: ProfiniteHWElement) -> ProfiniteHWElement:
@@ -75,9 +77,7 @@ def phw_project(g: ProfiniteHWElement, k: int) -> tuple[int, int, int]:
 
 def hw_triple_mul(n: int, t1: tuple[int, int, int], t2: tuple[int, int, int]) -> tuple[int, int, int]:
     """The finite group law on Z(n)^3 (the projection target)."""
-    a1, b1, c1 = t1
-    a2, b2, c2 = t2
-    return ((a1 + a2) % n, (b1 + b2) % n, (c1 + c2 + a1 * b2 - a2 * b1) % n)
+    return tuple(v % n for v in _group_law(t1, t2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +102,7 @@ class GlobalProfiniteHW:
 
 def phw_global_mul(g: GlobalProfiniteHW, h: GlobalProfiniteHW) -> GlobalProfiniteHW:
     """Componentwise product over all primes (direct, not restricted)."""
-    return GlobalProfiniteHW(
-        g.a + h.a,
-        g.b + h.b,
-        g.c + h.c + g.a * h.b - h.a * g.b,
-    )
+    return GlobalProfiniteHW(*_group_law((g.a, g.b, g.c), (h.a, h.b, h.c)))
 
 
 def phw_global_inv(g: GlobalProfiniteHW) -> GlobalProfiniteHW:

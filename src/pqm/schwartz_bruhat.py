@@ -35,7 +35,7 @@ from .numbers import (
     rat_decompose,
     valuation,
 )
-from .finiteqm import MOMENTUM, POSITION, FiniteState, HWElement, _hat_values
+from .finiteqm import MOMENTUM, POSITION, FiniteState, HWElement, _dilation, _hat_values
 from .finiteqm import displace, extend, inner, reflect, tensor_join
 from .finiteqm import fourier as _finite_fourier
 
@@ -137,16 +137,12 @@ def scale_variable(f: LocalSBFunction, lam: int) -> LocalSBFunction:
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
     r = valuation(lam, f.p)
-    u = lam // f.p**r
     if f.side == POSITION:
-        d = max(f.degree - r, 0)
-        q_old = f.p**f.degree
-        vals = tuple(f.values[(lam * j) % q_old] for j in range(f.p**d))
-        return LocalSBFunction(f.p, POSITION, d, vals)
-    d = f.degree + r
-    q_old = f.p**f.degree
-    vals = tuple(f.values[(u * m) % q_old] for m in range(f.p**d))
-    return LocalSBFunction(f.p, MOMENTUM, d, vals)
+        d, mult = max(f.degree - r, 0), lam
+    else:
+        d, mult = f.degree + r, lam // f.p**r
+    idx = _dilation(f.p**f.degree, mult, f.p**d)
+    return LocalSBFunction(f.p, f.side, d, tuple(f.array()[idx]))
 
 
 def local_fourier(f: LocalSBFunction) -> LocalSBFunction:

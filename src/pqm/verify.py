@@ -8,7 +8,7 @@ check name within each suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -366,14 +366,17 @@ def _divisor_chains(limit: int):
                 yield k, ell, m
 
 
-def suite_embeddings(cfg: VerifyConfig, label_limit: int = 64) -> list[CheckResult]:
+_LABEL_LIMIT = 64  # the embeddings suite runs on systems Z(m), m <= this
+
+
+def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("embeddings", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 7)
     comp_res = 0.0
     four_res = 0.0
     hw_res = 0.0
     chars_ok = True
-    for k, ell, m in _divisor_chains(label_limit):
+    for k, ell, m in _divisor_chains(_LABEL_LIMIT):
         for r in compat_suite(k, ell, m, rng=rng, samples=2):
             if r.name == "composition":
                 comp_res = max(comp_res, r.residual)
@@ -391,7 +394,7 @@ def suite_embeddings(cfg: VerifyConfig, label_limit: int = 64) -> list[CheckResu
     norm_res = 0.0
     ww_res = 0.0
     ent_res = 0.0
-    pairs = [(k, r) for k in range(2, 17) for r in range(k, label_limit + 1, k) if r > k]
+    pairs = [(k, r) for k in range(2, 17) for r in range(k, _LABEL_LIMIT + 1, k) if r > k]
     rng2 = np.random.default_rng(cfg.seed + 8)
     for k, r in pairs[:: max(1, len(pairs) // 40)]:
         f = fq.random_state(k, rng2)
@@ -584,15 +587,7 @@ def run_suites(cfg: VerifyConfig) -> list[CheckResult]:
 
 def report_dict(results: list[CheckResult], cfg: VerifyConfig) -> dict:
     return {
-        "config": {
-            "suites": list(cfg.suites),
-            "max_n": cfg.max_n,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "tolerance": cfg.tolerance,
-            "even_n_exploratory": cfg.even_n_exploratory,
-            "poset_limit": cfg.poset_limit,
-        },
+        "config": asdict(cfg),
         "checks": [
             {
                 "suite": r.suite,

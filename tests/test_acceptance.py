@@ -72,7 +72,7 @@ def test_criterion_07_coherent_resolution(capsys):
 def test_criterion_08_embedding_suite(capsys):
     cfg = VerifyConfig(seed=108)
     _report(capsys, 8, "embedding composition/characters exact, intertwining, ubiquity, labels<=64",
-            vf.suite_embeddings(cfg, label_limit=64))
+            vf.suite_embeddings(cfg))
 
 
 def test_criterion_09_number_theory(capsys):

@@ -109,6 +109,44 @@ class TestFourierCommand:
         assert "non-finite" in _one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n, amplitudes",
+        [
+            ("2", "[[1" + "0" * 400 + ", 0.0], [0.0, 0.0]]"),  # beyond the float range
+            ("2.7", "[[1.0, 0.0], [0.0, 0.0]]"),
+            ("2.0", "[[1.0, 0.0], [0.0, 0.0]]"),
+            ("true", "[[1.0, 0.0]]"),
+            ('"2"', "[[1.0, 0.0], [0.0, 0.0]]"),
+            ("2", '[["1", 0.0], [0.0, 0.0]]'),
+            ("2", "[[1.0, null], [0.0, 0.0]]"),
+            ("2", "[[1.0], [0.0, 0.0]]"),
+            ("2", "[[1.0], [0.0]]"),
+            ("2", "[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]"),
+            ("2", "[[[1.0, 0.0]], [[0.0, 0.0]]]"),
+            ("2", "[1.0, 0.0]"),
+        ],
+        ids=[
+            "int_beyond_float", "fractional_n", "float_n", "bool_n", "string_n",
+            "string_amplitude", "null_amplitude", "short_pair", "short_pairs",
+            "long_pairs", "nested_pairs", "flat_list",
+        ],
+    )
+    def test_malformed_state_exits_2(self, n, amplitudes, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        src.write_text(f'{{"n": {n}, "rep": "position", "amplitudes": {amplitudes}}}')
+        out = tmp_path / "o.json"
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys).startswith(f"pqm: error: malformed state file {src}: ")
+        assert not out.exists()
+
+    def test_integer_and_signed_zero_amplitudes_load_exactly(self, tmp_path):
+        src = tmp_path / "f.json"
+        src.write_text(
+            '{"n": 3, "rep": "position", "amplitudes": [[1' + "0" * 30 + ", -0.0], [-0.0, 2], [0, -1]]}"
+        )
+        want = np.array([complex(10**30, -0.0), complex(-0.0, 2), complex(0, -1)])
+        assert load_state(str(src)).amplitudes.tobytes() == want.tobytes()
+
     def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # a dense path that cannot allocate reports one line, no traceback
         def out_of_memory(f):
@@ -307,6 +345,20 @@ class TestPosetPadicCommands:
         assert main(["padic", "expand", "--p", "3", "--value", "-1", "--precision", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["digits"] == [2, 2, 2, 2]
+
+    def test_negative_value_in_either_form(self, capsys):
+        # argparse alone reads "-7/5" after --value as an option
+        assert main(["padic", "ord", "--p", "2", "--value", "-7/5"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["padic", "ord", "--p", "2", "--value=-7/5"]) == 0
+        assert capsys.readouterr().out == spaced
+        assert json.loads(spaced) == {"abs": "1", "ord": 0, "p": 2, "value": "-7/5"}
+
+    def test_bare_trailing_value_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["padic", "ord", "--p", "2", "--value"])
+        assert exc.value.code == 2
+        assert "--value: expected one argument" in capsys.readouterr().err
 
     def test_ostrowski(self, capsys):
         assert main(["padic", "ostrowski", "--value", "3/4"]) == 0

@@ -228,6 +228,50 @@ class TestDisplacement:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestHalfPhaseRule:
+    """Every Z(n) phase is written over 2n through ``_chi_coeff``; the
+    per-parity formulas it replaced are the oracle here, for n < 300."""
+
+    def test_displacement_phases_bitwise(self):
+        for n in range(2, 300):
+            den = n if n % 2 else 2 * n
+            j = np.arange(n)
+            want = np.exp(2j * np.pi * ((-j[:, None] * j) % den) / den)
+            assert finiteqm._displacement_phases(n).tobytes() == want.tobytes()
+
+    def test_labels_match_per_parity_formulas(self):
+        rng = np.random.default_rng(310)
+        for n in range(2, 300):
+            for _ in range(3):
+                al, be, ga = (int(v) for v in rng.integers(-(10**9), 10**9, 3))
+                a, b, g = al % n, be % n, ga % n
+                want = (
+                    RatMod1.of(g - a * b, n) if n % 2 else RatMod1.of(2 * g - a * b, 2 * n)
+                )
+                assert HWElement.from_canonical(n, al, be, ga) == HWElement(n, a, b, want)
+                # 2 frak_a = r/n; alpha = r/2 mod n for odd n, r for even n
+                frak_a, c = RatMod1.of(al, 2 * n), RatMod1.of(ga, n + 1)
+                r = (2 * frak_a.numerator * n // frak_a.denominator) % n
+                alpha = r * pow(2, -1, n) % n if n % 2 else r
+                want = HWElement(n, alpha, b, c - frak_a.scaled(be))
+                assert HWElement.from_phase_space(n, frak_a, be, c) == want
+            z_alpha = pow(2, -1, n) if n % 2 else 1
+            assert hw_z(n) == HWElement.from_canonical(n, z_alpha, 0, 0)
+            for doubled in (False, True) if n % 2 == 0 else (False,):
+                for a in range(0, 2 * n if doubled else n, max(1, n // 16)):
+                    want = RatMod1.of(_frak_a(n, a, doubled))
+                    assert PhasePoint(n, a, 0, doubled).frak_a == want
+
+    def test_parity_k(self):
+        for n in range(2, 300):
+            if n % 2:
+                assert finiteqm._parity_k(n, False) == 4
+                with pytest.raises(ValueError):
+                    finiteqm._parity_k(n, True)
+            else:
+                assert (finiteqm._parity_k(n, False), finiteqm._parity_k(n, True)) == (2, 1)
+
+
 class TestExtend:
     @pytest.mark.parametrize("n, ell", [(2, 8), (3, 12), (6, 6), (5, 35)])
     def test_periodic_and_zero_padded_isometry(self, n, ell):

@@ -145,3 +145,50 @@ class TestGlobal:
                 lhs = phw_global_project(phw_global_mul(g, h), n)
                 rhs = hw_triple_mul(n, phw_global_project(g, n), phw_global_project(h, n))
                 assert lhs == rhs
+
+
+class TestGroupLawByHand:
+    """The three products against (a+a', b+b', c+c'+ab'-a'b) written out."""
+
+    def test_finite_triples(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randrange(2, 10**6)
+            t1, t2 = (tuple(rng.randrange(-(10**12), 10**12) for _ in range(3)) for _ in "gh")
+            (a1, b1, c1), (a2, b2, c2) = t1, t2
+            want = ((a1 + a2) % n, (b1 + b2) % n, (c1 + c2 + a1 * b2 - a2 * b1) % n)
+            assert hw_triple_mul(n, t1, t2) == want
+
+    def test_local_triples(self):
+        rng = random.Random(18)
+        for _ in range(100):
+            p = rng.choice([2, 3, 5, 7])
+            (a1, b1, c1), (a2, b2, c2) = (
+                tuple(rng.randrange(-(10**9), 10**9) for _ in range(3)) for _ in "gh"
+            )
+            g = ProfiniteHWElement.from_ints(a1, b1, c1, p, 6)
+            h = ProfiniteHWElement.from_ints(a2, b2, c2, p, 6)
+            want = ProfiniteHWElement.from_ints(
+                a1 + a2, b1 + b2, c1 + c2 + a1 * b2 - a2 * b1, p, 6
+            )
+            assert phw_mul(g, h) == want
+        with pytest.raises(ValueError, match="prime mismatch"):
+            phw_mul(phw_identity(2, 3), phw_identity(3, 3))
+
+    def test_global_triples(self):
+        rng = random.Random(19)
+
+        def draw():
+            # a 2-adic override over an integer tail
+            parts = [
+                ProfiniteInt({2: PadicInt.from_int(rng.randrange(64), 2, 6)}, rng.randrange(-99, 99))
+                for _ in range(3)
+            ]
+            return GlobalProfiniteHW(*parts)
+
+        for _ in range(50):
+            g, h = draw(), draw()
+            for n in (6, 12, 30, 64 * 45):
+                (a1, b1, c1), (a2, b2, c2) = phw_global_project(g, n), phw_global_project(h, n)
+                want = ((a1 + a2) % n, (b1 + b2) % n, (c1 + c2 + a1 * b2 - a2 * b1) % n)
+                assert phw_global_project(phw_global_mul(g, h), n) == want

@@ -2,14 +2,15 @@
 composite-label point embedding, the FFT paths of the Fourier transform, the
 FFT paths of the phase-space tables and tomography sums, the exact Q/Z
 and p-adic arithmetic (with ``Fraction`` and plain integers as oracles), and
-the local Schwartz-Bruhat operations (with per-point loops as oracles)."""
+the local Schwartz-Bruhat operations and x -> lam x (with per-point loops
+as oracles)."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqm.embeddings import def2_point_embed
@@ -59,6 +60,7 @@ from pqm.schwartz_bruhat import (
     local_inner,
     local_reflect,
     refine,
+    scale_variable,
 )
 
 MAPS = [(crt_split_mu, crt_join_mu), (crt_split_nu_hat, crt_join_nu_hat)]
@@ -446,3 +448,28 @@ def test_local_reflect_matches_per_index_loop(pd, side, seed):
     f = LocalSBFunction(p, side, d, tuple(rng.standard_normal(q) + 1j * rng.standard_normal(q)))
     want = tuple(f.values[(-j) % q] for j in range(q))
     assert local_reflect(f) == LocalSBFunction(p, side, d, want)
+
+
+@_settings
+@given(
+    pd=st.sampled_from([(p, d) for p in (2, 3, 5, 7) for d in range(4)]),
+    side=st.sampled_from([POSITION, MOMENTUM]),
+    unit=st.integers(1, 2**70),
+    r=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pd=(2, 3), side=POSITION, unit=10**30 + 1, r=0, seed=0)
+@example(pd=(3, 2), side=MOMENTUM, unit=2**64 + 1, r=1, seed=0)
+def test_scale_variable_matches_per_index_loop(pd, side, unit, r, seed):
+    p, d = pd
+    assume(unit % p)
+    lam, q = unit * p**r, p**d
+    rng = np.random.default_rng(seed)
+    f = LocalSBFunction(p, side, d, tuple(rng.standard_normal(q) + 1j * rng.standard_normal(q)))
+    if side == POSITION:
+        degree = max(d - r, 0)
+        want = tuple(f.values[(lam * j) % q] for j in range(p**degree))
+    else:
+        degree = d + r
+        want = tuple(f.values[(unit * m) % q] for m in range(p**degree))
+    assert scale_variable(f, lam) == LocalSBFunction(p, side, degree, want)
