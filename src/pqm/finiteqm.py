@@ -564,8 +564,8 @@ def _parity_expansion_residual(n: int) -> float:
         gap = np.exp(-2j * np.pi * ((2 * a * j) % n) / n) * terms
         # P(a, b) holds e(-4a(x + b)/n) at [x, -x - 2b], i.e. b' = 2(x + b)
         gap[b, x, (2 * (b + x)) % n] -= np.exp(-2j * np.pi * ((4 * a * (b + x)) % n) / n)
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(gap)))  # a NaN gap stays
+    return float(worst)
 
 
 def parity_expand_check(theta, exploratory: bool = False) -> ParityCheckResult:

@@ -8,6 +8,7 @@ check name within each suite).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -34,6 +35,8 @@ SUITES = (
     "schwartz",
 )
 
+_POSET_LIMIT_MAX = 10**5  # the poset suite builds every divisor list up to the limit
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -46,14 +49,15 @@ class VerifyConfig:
     poset_limit: int = 10**4
 
     def __post_init__(self) -> None:
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        tol = self.tolerance
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.max_n < 2:
             raise ValueError("max dimension must be >= 2")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.poset_limit < 2:
-            raise ValueError("poset limit must be >= 2")
+        if not 2 <= self.poset_limit <= _POSET_LIMIT_MAX:
+            raise ValueError(f"poset limit must be between 2 and {_POSET_LIMIT_MAX}")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -69,20 +73,36 @@ class CheckResult:
 
 
 class _Reporter:
+    """The worst residual of each check of one suite, case by case.
+
+    A NaN case is the worst of all: once a check holds NaN no later case
+    replaces it, so the check fails.  Ties keep the first value.
+    """
+
     def __init__(self, suite: str, override: float | None) -> None:
         self.suite = suite
         self.override = override
-        self.results: list[CheckResult] = []
+        self.worst: dict[str, tuple[float, float]] = {}  # name -> (residual, tolerance)
 
-    def add(self, name: str, residual: float, tolerance: float) -> None:
-        tol = self.override if self.override is not None else tolerance
+    def case(self, name: str, residual: float, tol: float) -> None:
         residual = float(residual)
-        self.results.append(
-            CheckResult(self.suite, name, residual, tol, residual <= tol)
-        )
+        worst = self.worst.get(name)
+        if worst is None or residual > worst[0] or residual != residual:
+            self.worst[name] = (residual, tol)
+
+    def gap(self, name: str, got: np.ndarray, want: np.ndarray, tol: float) -> None:
+        self.case(name, np.max(np.abs(got - want)), tol)
+
+    def exact(self, name: str, ok: bool) -> None:
+        self.case(name, float(not ok), 0.0)
 
     def done(self) -> list[CheckResult]:
-        return sorted(self.results, key=lambda r: r.name)
+        out = []
+        for name, (residual, tol) in sorted(self.worst.items()):
+            if self.override is not None:
+                tol = self.override
+            out.append(CheckResult(self.suite, name, residual, tol, residual <= tol))
+        return out
 
 
 # --- Fourier involution and Parseval ---------------------------------------
@@ -91,20 +111,14 @@ class _Reporter:
 def suite_fourier(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("fourier", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed)
-    inv_res = 0.0
-    par_res = 0.0
     for n in range(2, 31):
         for _ in range(cfg.samples):
             f = fq.random_state(n, rng)
             g = fq.random_state(n, rng)
             f4 = fq.fourier(fq.fourier(fq.fourier(fq.fourier(f))))
-            inv_res = max(inv_res, float(np.max(np.abs(f4.amplitudes - f.amplitudes))))
-            par_res = max(
-                par_res,
-                abs(fq.inner(f, g) - fq.inner(fq.fourier(f), fq.fourier(g))),
-            )
-    rep.add("fourier_fourth_power_is_identity", inv_res, 1e-10)
-    rep.add("parseval", par_res, 1e-12)
+            rep.gap("fourier_fourth_power_is_identity", f4.amplitudes, f.amplitudes, 1e-10)
+            parseval = abs(fq.inner(f, g) - fq.inner(fq.fourier(f), fq.fourier(g)))
+            rep.case("parseval", parseval, 1e-12)
     return rep.done()
 
 
@@ -114,7 +128,7 @@ def suite_fourier(cfg: VerifyConfig) -> list[CheckResult]:
 def suite_good(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("good", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 1)
-    res = 0.0
+    name = "good_factorization_matches_direct"
     # both FFT paths against the dense matrix oracle at small n
     for n in (6, 10, 12, 15, 30, 36):
         w = np.sqrt(n) * fq.fourier_matrix(n)
@@ -123,14 +137,13 @@ def suite_good(cfg: VerifyConfig) -> list[CheckResult]:
                 f = fq.random_state(n, rng, rep=r)
                 want = f.measure_weight * (w @ f.amplitudes)
                 for g in (fq.fourier_good(f), fq.fourier(f)):
-                    res = max(res, float(np.max(np.abs(g.amplitudes - want))))
+                    rep.gap(name, g.amplitudes, want, 1e-10)
     # Good against the single FFT at a large mixed radix, relative to the peak
     for r in (POSITION, MOMENTUM):
         f = fq.random_state(2 * 3 * 5 * 7 * 11 * 13, rng, rep=r)
         want = fq.fourier(f).amplitudes
         gap = np.max(np.abs(fq.fourier_good(f).amplitudes - want))
-        res = max(res, float(gap / np.max(np.abs(want))))
-    rep.add("good_factorization_matches_direct", res, 1e-10)
+        rep.case(name, gap / np.max(np.abs(want)), 1e-10)
     return rep.done()
 
 
@@ -140,7 +153,6 @@ def suite_good(cfg: VerifyConfig) -> list[CheckResult]:
 def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("hw", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 2)
-    res = 0.0
     pairs = max(cfg.samples * 10, 20)
     for n in range(2, 17):
         for _ in range(pairs):
@@ -149,15 +161,13 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
             d2 = fq.HWElement.from_canonical(n, a2, b2, g2)
             lhs = fq.hw_matrix(fq.hw_mul(d1, d2))
             rhs = fq.hw_matrix(d1) @ fq.hw_matrix(d2)
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-    rep.add("group_law_matches_matrices", res, 1e-12)
+            rep.gap("group_law_matches_matrices", lhs, rhs, 1e-12)
 
-    exact = True
-    mat_res = 0.0
     for n in range(2, 17):
         z, x = fq.hw_z(n), fq.hw_x(n)
         el = fq.hw_mul(fq.hw_mul(z, x), fq.hw_mul(fq.hw_adjoint(z), fq.hw_adjoint(x)))
-        exact = exact and el.alpha == 0 and el.beta == 0 and el.phase == nm.RatMod1(1, n)
+        exact = el.alpha == 0 and el.beta == 0 and el.phase == nm.RatMod1(1, n)
+        rep.exact("zx_commutator_exact_phase", exact)
         m = (
             fq.hw_matrix(z)
             @ fq.hw_matrix(x)
@@ -165,9 +175,7 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
             @ fq.hw_matrix(x).conj().T
         )
         w = np.exp(2j * np.pi / n)
-        mat_res = max(mat_res, float(np.max(np.abs(m - w * np.eye(n)))))
-    rep.add("zx_commutator_exact_phase", 0.0 if exact else 1.0, 0.0)
-    rep.add("zx_commutator_matrices", mat_res, 1e-12)
+        rep.gap("zx_commutator_matrices", m, w * np.eye(n), 1e-12)
     return rep.done()
 
 
@@ -183,43 +191,35 @@ def _displacements(n: int) -> list[np.ndarray]:
     ]
 
 
-def _table_gap(f: fq.FiniteState, kind: str, doubled: bool = False) -> float:
-    """Max gap of ``wigner_table`` against ``weyl_wigner`` at every point."""
+def _table_cases(rep: _Reporter, name: str, f, kind: str, doubled: bool = False) -> None:
+    """``wigner_table`` against ``weyl_wigner``, one case per point at 1e-9."""
     table = fq.wigner_table(f, kind, doubled)
-    return max(
-        abs(table[a, b] - fq.weyl_wigner(f, a, b, kind, doubled))
-        for a in range(table.shape[0])
-        for b in range(f.n)
-    )
+    for a in range(table.shape[0]):
+        for b in range(f.n):
+            rep.case(name, abs(table[a, b] - fq.weyl_wigner(f, a, b, kind, doubled)), 1e-9)
 
 
 def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("tomography", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 3)
-    res_resolution = 0.0
-    res_expand = 0.0
     for n in range(2, min(cfg.max_n, 12) + 1):
         for _ in range(cfg.samples):
             theta = fq.random_operator(n, rng)
-            res_resolution = max(res_resolution, fq.resolution_identity_check(theta))
+            rep.case("resolution_of_identity", fq.resolution_identity_check(theta), 1e-9)
             _, r = fq.operator_expand(theta)
-            res_expand = max(res_expand, r)
+            rep.case("displacement_expansion", r, 1e-9)
     # brute-force oracles, one sample per n: the sums over explicit matrices
     for n in range(2, min(cfg.max_n, 6) + 1):
         theta = fq.random_operator(n, rng)
         disp = _displacements(n)
         acc = sum(d @ theta @ d.conj().T for d in disp) / n
-        res_resolution = max(
-            res_resolution, float(np.max(np.abs(acc - np.trace(theta) * np.eye(n))))
-        )
+        rep.gap("resolution_of_identity", acc, np.trace(theta) * np.eye(n), 1e-9)
         coeffs, _ = fq.operator_expand(theta)
         want = np.array([np.trace(d.conj().T @ theta) for d in disp])
-        res_expand = max(res_expand, float(np.max(np.abs(coeffs.ravel() - want))))
+        rep.gap("displacement_expansion", coeffs.ravel(), want, 1e-9)
     for n in range(2, min(cfg.max_n, 8) + 1):
         for r in (POSITION, MOMENTUM):
-            res_expand = max(res_expand, _table_gap(fq.random_state(n, rng, rep=r), "weyl"))
-    rep.add("resolution_of_identity", res_resolution, 1e-9)
-    rep.add("displacement_expansion", res_expand, 1e-9)
+            _table_cases(rep, "displacement_expansion", fq.random_state(n, rng, rep=r), "weyl")
     return rep.done()
 
 
@@ -229,8 +229,6 @@ def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
 def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("parity", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 4)
-    invol = 0.0
-    herm = 0.0
     for n in range(2, min(cfg.max_n, 12) + 1):
         grids = [False] if n % 2 else ([False, True] if cfg.even_n_exploratory else [False])
         for doubled in grids:
@@ -238,42 +236,31 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
             for a in range(a_range):
                 for b in range(n):
                     p = fq.parity_matrix(fq.PhasePoint(n, a, b, doubled))
-                    invol = max(invol, float(np.max(np.abs(p @ p - np.eye(n)))))
-                    herm = max(herm, float(np.max(np.abs(p - p.conj().T))))
-    rep.add("parity_squares_to_identity", invol, 1e-12)
-    rep.add("parity_hermitian", herm, 1e-12)
+                    rep.gap("parity_squares_to_identity", p @ p, np.eye(n), 1e-12)
+                    rep.gap("parity_hermitian", p, p.conj().T, 1e-12)
 
-    exp_res = 0.0
-    sand_res = 0.0
-    tomo_res = 0.0
     for n in (3, 5, 7, 9, 11):
         for _ in range(max(cfg.samples // 4, 2)):
             theta = fq.random_operator(n, rng)
             out = fq.parity_expand_check(theta)
-            exp_res = max(exp_res, out.expansion_residual)
-            sand_res = max(sand_res, out.sandwich_residual)
-            tomo_res = max(tomo_res, out.tomography_residual)
+            rep.case("parity_displacement_expansion", out.expansion_residual, 1e-9)
+            rep.case("parity_sandwich_trace", out.sandwich_residual, 1e-9)
+            rep.case("parity_tomography", out.tomography_residual, 1e-9)
     # brute-force oracles: the Wigner table point by point, and the sandwich
     # and tomography sums over explicit parity matrices
     for n in range(2, min(cfg.max_n, 8) + 1):
         for r in (POSITION, MOMENTUM):
             f = fq.random_state(n, rng, rep=r)
-            tomo_res = max(tomo_res, _table_gap(f, "wigner"))
+            _table_cases(rep, "parity_tomography", f, "wigner")
             if n % 2 == 0:
-                tomo_res = max(tomo_res, _table_gap(f, "wigner", doubled=True))
+                _table_cases(rep, "parity_tomography", f, "wigner", doubled=True)
     for n in (3, 5):
         theta = fq.random_operator(n, rng)
         par = [fq.parity_matrix(fq.PhasePoint(n, a, b)) for a in range(n) for b in range(n)]
         sandwich = sum(p @ theta @ p for p in par) / n
         tomo = sum(p * np.trace(theta @ p) for p in par) / n
-        tomo_res = max(
-            tomo_res,
-            float(np.max(np.abs(sandwich - np.trace(theta) * np.eye(n)))),
-            float(np.max(np.abs(tomo - theta))),
-        )
-    rep.add("parity_displacement_expansion", exp_res, 1e-9)
-    rep.add("parity_sandwich_trace", sand_res, 1e-9)
-    rep.add("parity_tomography", tomo_res, 1e-9)
+        rep.gap("parity_tomography", sandwich, np.trace(theta) * np.eye(n), 1e-9)
+        rep.gap("parity_tomography", tomo, theta, 1e-9)
     return rep.done()
 
 
@@ -283,7 +270,6 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
 def suite_marginals(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("marginals", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 5)
-    a_res = 0.0
     for n in range(2, 17):
         gt = fq.random_state(n, rng, rep=MOMENTUM)
         ft = fq.random_state(n, rng, rep=MOMENTUM)
@@ -291,12 +277,9 @@ def suite_marginals(cfg: VerifyConfig) -> list[CheckResult]:
             got = fq.momentum_pairing(
                 gt.amplitudes, fq.marginal_a_matrix(n, a), ft.amplitudes
             )
-            a_res = max(
-                a_res, abs(got - fq.marginal_a_expected(gt.amplitudes, ft.amplitudes, a))
-            )
-    rep.add("marginal_a_pairing", a_res, 1e-12)
+            want = fq.marginal_a_expected(gt.amplitudes, ft.amplitudes, a)
+            rep.case("marginal_a_pairing", abs(got - want), 1e-12)
 
-    b_res = 0.0
     for n in (3, 5, 7, 9, 15, 2, 4, 8, 16):
         gt = fq.random_state(n, rng, rep=MOMENTUM)
         ft = fq.random_state(n, rng, rep=MOMENTUM)
@@ -310,10 +293,8 @@ def suite_marginals(cfg: VerifyConfig) -> list[CheckResult]:
             want = fq.marginal_b_expected(
                 g_pos, f_pos, gt.amplitudes, ft.amplitudes, b
             )
-            b_res = max(b_res, abs(got - want))
-    rep.add("marginal_b_pairing_with_hat", b_res, 1e-12)
+            rep.case("marginal_b_pairing_with_hat", abs(got - want), 1e-12)
 
-    cc_res = 0.0
     for n in (3, 5, 7, 9, 11, 15):
         gt = fq.random_state(n, rng, rep=MOMENTUM)
         ft = fq.random_state(n, rng, rep=MOMENTUM)
@@ -324,14 +305,13 @@ def suite_marginals(cfg: VerifyConfig) -> list[CheckResult]:
                 gt.amplitudes, fq.parity_marginal_a_matrix(n, a), ft.amplitudes
             )
             want = gt.amplitudes[(-2 * a) % n].conjugate() * ft.amplitudes[(-2 * a) % n]
-            cc_res = max(cc_res, abs(got - want))
+            rep.case("parity_marginal_pairings", abs(got - want), 1e-9)
         for b in range(n):
             got = fq.momentum_pairing(
                 gt.amplitudes, fq.parity_marginal_b_matrix(n, b), ft.amplitudes
             )
             want = g_pos[(-b) % n].conjugate() * f_pos[(-b) % n]
-            cc_res = max(cc_res, abs(got - want))
-    rep.add("parity_marginal_pairings", cc_res, 1e-9)
+            rep.case("parity_marginal_pairings", abs(got - want), 1e-9)
     return rep.done()
 
 
@@ -341,17 +321,16 @@ def suite_marginals(cfg: VerifyConfig) -> list[CheckResult]:
 def suite_coherent(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("coherent", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 6)
-    res = 0.0
+    name = "coherent_resolution_of_identity"
     for n in range(2, min(cfg.max_n, 12) + 1):
         for _ in range(max(cfg.samples // 2, 10)):
-            res = max(res, fq.coherent_check(fq.random_state(n, rng)))
+            rep.case(name, fq.coherent_check(fq.random_state(n, rng)), 1e-9)
     # brute-force oracle, one fiducial per n: the explicit outer-product sum
     for n in range(2, min(cfg.max_n, 6) + 1):
         g = fq.random_state(n, rng)
         vs = [d @ g.amplitudes for d in _displacements(n)]
         acc = sum(np.outer(v, v.conj()) for v in vs) * (g.measure_weight / n)
-        res = max(res, float(np.max(np.abs(acc - np.eye(n)))))
-    rep.add("coherent_resolution_of_identity", res, 1e-9)
+        rep.gap(name, acc, np.eye(n), 1e-9)
     return rep.done()
 
 
@@ -368,48 +347,39 @@ def _divisor_chains(limit: int):
 
 _LABEL_LIMIT = 64  # the embeddings suite runs on systems Z(m), m <= this
 
+# compat_suite law -> (check name, tolerance)
+_COMPAT_CHECKS = {
+    "composition": ("composition_exact", 0.0),
+    "fourier_intertwining": ("fourier_intertwining", 1e-10),
+    "hw_intertwining": ("hw_intertwining", 1e-10),
+    "character_preservation": ("character_preservation_exact", 0.0),
+}
+
+# ubiquity_check quantity -> (check name, tolerance), in call order
+_UBIQUITY_CHECKS = {
+    "norm": ("ubiquity_norm", 1e-15),
+    "weyl": ("ubiquity_weyl_wigner", 1e-12),
+    "wigner": ("ubiquity_weyl_wigner", 1e-12),
+    "position_entropy": ("ubiquity_entropy", 1e-12),
+}
+
 
 def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("embeddings", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 7)
-    comp_res = 0.0
-    four_res = 0.0
-    hw_res = 0.0
-    chars_ok = True
     for k, ell, m in _divisor_chains(_LABEL_LIMIT):
         for r in compat_suite(k, ell, m, rng=rng, samples=2):
-            if r.name == "composition":
-                comp_res = max(comp_res, r.residual)
-            elif r.name == "fourier_intertwining":
-                four_res = max(four_res, r.residual)
-            elif r.name == "hw_intertwining":
-                hw_res = max(hw_res, r.residual)
-            elif r.name == "character_preservation":
-                chars_ok = chars_ok and r.passed
-    rep.add("composition_exact", comp_res, 0.0)
-    rep.add("fourier_intertwining", four_res, 1e-10)
-    rep.add("hw_intertwining", hw_res, 1e-10)
-    rep.add("character_preservation_exact", 0.0 if chars_ok else 1.0, 0.0)
+            name, tol = _COMPAT_CHECKS[r.name]
+            rep.case(name, r.residual, tol)
 
-    norm_res = 0.0
-    ww_res = 0.0
-    ent_res = 0.0
     pairs = [(k, r) for k in range(2, 17) for r in range(k, _LABEL_LIMIT + 1, k) if r > k]
     rng2 = np.random.default_rng(cfg.seed + 8)
     for k, r in pairs[:: max(1, len(pairs) // 40)]:
         f = fq.random_state(k, rng2)
         spec = EmbeddingSpec(k, r)
-        _, dev = ubiquity_check("norm", f, spec)
-        norm_res = max(norm_res, dev)
-        _, dev = ubiquity_check("weyl", f, spec, rng=rng2)
-        ww_res = max(ww_res, dev)
-        _, dev = ubiquity_check("wigner", f, spec, rng=rng2)
-        ww_res = max(ww_res, dev)
-        _, dev = ubiquity_check("position_entropy", f, spec)
-        ent_res = max(ent_res, dev)
-    rep.add("ubiquity_norm", norm_res, 1e-15)
-    rep.add("ubiquity_weyl_wigner", ww_res, 1e-12)
-    rep.add("ubiquity_entropy", ent_res, 1e-12)
+        for quantity, (name, tol) in _UBIQUITY_CHECKS.items():
+            _, dev = ubiquity_check(quantity, f, spec, rng=rng2)
+            rep.case(name, dev, tol)
     return rep.done()
 
 
@@ -420,36 +390,32 @@ def suite_numbers(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("numbers", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 9)
 
-    ok = all(
-        nm.PadicInt.from_int(-1, p, 6).digits == (p - 1,) * 6 for p in (2, 3, 5, 7)
+    rep.exact(
+        "minus_one_digit_pattern",
+        all(nm.PadicInt.from_int(-1, p, 6).digits == (p - 1,) * 6 for p in (2, 3, 5, 7)),
     )
-    rep.add("minus_one_digit_pattern", 0.0 if ok else 1.0, 0.0)
 
-    ok = True
     for _ in range(1000):
         num = int(rng.integers(-(10**6), 10**6)) or 1
         den = int(rng.integers(1, 10**6))
-        ok = ok and nm.ostrowski_product(Fraction(num, den)) == 1
-    rep.add("ostrowski_product_is_one", 0.0 if ok else 1.0, 0.0)
+        rep.exact("ostrowski_product_is_one", nm.ostrowski_product(Fraction(num, den)) == 1)
 
-    ok = True
     for n in range(2, 1001):
         v = np.arange(n)
         dims = tuple(f.q for f in nm.crt_idempotents(n))
         mu = nm.crt_split_mu(n, v)
         nu = nm.crt_split_nu_hat(n, v)
-        ok = ok and (
+        rep.exact(
+            "crt_round_trips_bijective",
             np.array_equal(nm.crt_join_mu(n, mu), v)
             and np.array_equal(nm.crt_join_nu_hat(n, nu), v)
             # a bijection onto the component grid: each flat index hit once
             and all(
                 np.all(np.bincount(np.ravel_multi_index(c, dims), minlength=n) == 1)
                 for c in (mu, nu)
-            )
+            ),
         )
-    rep.add("crt_round_trips_bijective", 0.0 if ok else 1.0, 0.0)
 
-    ok = True
     for n in (6, 12, 15):
         factors = nm.crt_idempotents(n)
         for mu in range(n):
@@ -460,8 +426,7 @@ def suite_numbers(cfg: VerifyConfig) -> list[CheckResult]:
                 rhs = nm.ZERO_MOD1
                 for f, m_i, n_i in zip(factors, mus, nus):
                     rhs = rhs + nm.char_omega(f.q, n_i * m_i)
-                ok = ok and lhs == rhs
-    rep.add("character_factorization_exact", 0.0 if ok else 1.0, 0.0)
+                rep.exact("character_factorization_exact", lhs == rhs)
     return rep.done()
 
 
@@ -477,36 +442,34 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
         for mult in range(d, limit + 1, d):
             divisors[mult].append(d)
 
-    t0_ok = True
-    t1_ok = True
     for n in range(2, limit + 1):
         p = ps.FinitePoset(tuple(divisors[n]))
-        t0_ok = t0_ok and ps.check_t0(p)
+        rep.exact("t0_everywhere", ps.check_t0(p))
         is_t1, witness = ps.check_t1(p)
         if len(p) > 1:
             # any non-singleton divisor universe has a strict pair, so T1
             # must fail and the reported witness must be a strict pair
-            ok = not is_t1 and witness is not None
-            if ok:
-                m, x = witness
-                ok = m != x and x % m == 0
-            t1_ok = t1_ok and ok
+            strict = witness is not None and witness[0] != witness[1] and (
+                witness[1] % witness[0] == 0
+            )
+            rep.exact("t1_fails_with_witness_for_composite", not is_t1 and strict)
         else:
             # N(prime) is a single point: T1 holds vacuously
-            t1_ok = t1_ok and is_t1
-    rep.add("t0_everywhere", 0.0 if t0_ok else 1.0, 0.0)
-    rep.add("t1_fails_with_witness_for_composite", 0.0 if t1_ok else 1.0, 0.0)
+            rep.exact("t1_fails_with_witness_for_composite", is_t1)
 
     r12 = ps.poset_width_length(ps.divisor_poset(12))
     r36 = ps.poset_width_length(ps.divisor_poset(36))
     ok = r12.width == 2 and r36.width == 3 and r36.length == 4
-    rep.add("width_length_oracle_values", 0.0 if ok else 1.0, 0.0)
+    rep.exact("width_length_oracle_values", ok)
 
-    ok = all(
-        ps.sn_sup(ps.PrimePowerChain(p)) == ps.Supernatural.prime_power(p, ps.INF)
-        for p in (2, 3, 5)
-    ) and ps.sn_sup(ps.OmegaChain()) == ps.OMEGA
-    rep.add("symbolic_suprema", 0.0 if ok else 1.0, 0.0)
+    rep.exact(
+        "symbolic_suprema",
+        all(
+            ps.sn_sup(ps.PrimePowerChain(p)) == ps.Supernatural.prime_power(p, ps.INF)
+            for p in (2, 3, 5)
+        )
+        and ps.sn_sup(ps.OmegaChain()) == ps.OMEGA,
+    )
     return rep.done()
 
 
@@ -517,9 +480,6 @@ def suite_schwartz(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("schwartz", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 10)
 
-    refine_res = 0.0
-    refine_int_res = 0.0
-    swap_ok = True
     for _ in range(100):
         p = int(rng.choice([2, 3, 5]))
         d = int(rng.integers(0, 3))
@@ -532,20 +492,13 @@ def suite_schwartz(cfg: VerifyConfig) -> list[CheckResult]:
         fi = sb.LocalSBFunction(p, side, d, ivals)
         for d2 in (d + 1, d + 2):
             g = sb.refine(f, d2)
-            refine_res = max(
-                refine_res, abs(sb.integrate_local(g) - sb.integrate_local(f))
-            )
-            refine_int_res = max(
-                refine_int_res,
-                abs(sb.integrate_local(sb.refine(fi, d2)) - sb.integrate_local(fi)),
-            )
+            gap = abs(sb.integrate_local(g) - sb.integrate_local(f))
+            rep.case("degree_refinement_invariance", gap, 1e-12)
+            gap = abs(sb.integrate_local(sb.refine(fi, d2)) - sb.integrate_local(fi))
+            rep.case("degree_refinement_invariance_integer_exact", gap, 0.0)
         ft = sb.local_fourier(f)
-        swap_ok = swap_ok and ft.degree == d and ft.side != side
-    rep.add("degree_refinement_invariance", refine_res, 1e-12)
-    rep.add("degree_refinement_invariance_integer_exact", refine_int_res, 0.0)
-    rep.add("fourier_degree_swap", 0.0 if swap_ok else 1.0, 0.0)
+        rep.exact("fourier_degree_swap", ft.degree == d and ft.side != side)
 
-    iso_res = 0.0
     for _ in range(20):
         terms = []
         for _ in range(int(rng.integers(1, 4))):
@@ -558,8 +511,8 @@ def suite_schwartz(cfg: VerifyConfig) -> list[CheckResult]:
             terms.append((coeff, factors))
         f = sb.GlobalSBFunction(POSITION, tuple(terms))
         st = sb.canonicalize_global(f)
-        iso_res = max(iso_res, abs(sb.global_inner(f, f) - fq.inner(st, st)))
-    rep.add("canonicalization_isometry", iso_res, 1e-12)
+        gap = abs(sb.global_inner(f, f) - fq.inner(st, st))
+        rep.case("canonicalization_isometry", gap, 1e-12)
     return rep.done()
 
 
@@ -588,15 +541,6 @@ def run_suites(cfg: VerifyConfig) -> list[CheckResult]:
 def report_dict(results: list[CheckResult], cfg: VerifyConfig) -> dict:
     return {
         "config": asdict(cfg),
-        "checks": [
-            {
-                "suite": r.suite,
-                "name": r.name,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pqm import finiteqm as fq
+from pqm import verify
 from pqm.cli import dump_state, load_state, main
 from pqm.finiteqm import MOMENTUM, POSITION, random_state, weyl_wigner
 
@@ -468,10 +469,20 @@ class TestVerifyCommand:
             ("fourier", "samples", 0),
             ("poset", "poset_limit", 1),
             ("poset", "poset_limit", -3),
+            # a NaN tolerance fails every check, an infinite one passes any residual
+            ("good", "tolerance", "nan"),
+            ("good", "tolerance", "inf"),
+            # above the bound the poset suite would build 10^5+ divisor lists
+            ("poset", "poset_limit", 100001),
         ],
     )
-    def test_vacuous_config_exits_2(self, tmp_path, capsys, suite, key, value):
-        # a sweep over no cases would report PASS with residual 0
+    def test_vacuous_config_exits_2(self, tmp_path, capsys, monkeypatch, suite, key, value):
+        # a sweep over no cases would report PASS with residual 0; every bad
+        # value is rejected before the suite runs
+        def never(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(verify._SUITE_FUNCS, suite, never)
         flag = "--" + key.replace("_", "-")
         assert main(["verify", "--suite", suite, flag, str(value)]) == 2
         assert key.replace("_", " ") in _one_error_line(capsys)
@@ -495,3 +506,70 @@ class TestVerifyCommand:
                 == 0
             )
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_default_check_table(self):
+        # the report's (suite, name, tolerance) triples, in report order
+        got = [(r.suite, r.name, r.tolerance) for r in verify.run_suites(verify.VerifyConfig())]
+        assert got == [
+            ("fourier", "fourier_fourth_power_is_identity", 1e-10),
+            ("fourier", "parseval", 1e-12),
+            ("good", "good_factorization_matches_direct", 1e-10),
+            ("hw", "group_law_matches_matrices", 1e-12),
+            ("hw", "zx_commutator_exact_phase", 0.0),
+            ("hw", "zx_commutator_matrices", 1e-12),
+            ("tomography", "displacement_expansion", 1e-09),
+            ("tomography", "resolution_of_identity", 1e-09),
+            ("parity", "parity_displacement_expansion", 1e-09),
+            ("parity", "parity_hermitian", 1e-12),
+            ("parity", "parity_sandwich_trace", 1e-09),
+            ("parity", "parity_squares_to_identity", 1e-12),
+            ("parity", "parity_tomography", 1e-09),
+            ("marginals", "marginal_a_pairing", 1e-12),
+            ("marginals", "marginal_b_pairing_with_hat", 1e-12),
+            ("marginals", "parity_marginal_pairings", 1e-09),
+            ("coherent", "coherent_resolution_of_identity", 1e-09),
+            ("embeddings", "character_preservation_exact", 0.0),
+            ("embeddings", "composition_exact", 0.0),
+            ("embeddings", "fourier_intertwining", 1e-10),
+            ("embeddings", "hw_intertwining", 1e-10),
+            ("embeddings", "ubiquity_entropy", 1e-12),
+            ("embeddings", "ubiquity_norm", 1e-15),
+            ("embeddings", "ubiquity_weyl_wigner", 1e-12),
+            ("numbers", "character_factorization_exact", 0.0),
+            ("numbers", "crt_round_trips_bijective", 0.0),
+            ("numbers", "minus_one_digit_pattern", 0.0),
+            ("numbers", "ostrowski_product_is_one", 0.0),
+            ("poset", "symbolic_suprema", 0.0),
+            ("poset", "t0_everywhere", 0.0),
+            ("poset", "t1_fails_with_witness_for_composite", 0.0),
+            ("poset", "width_length_oracle_values", 0.0),
+            ("schwartz", "canonicalization_isometry", 1e-12),
+            ("schwartz", "degree_refinement_invariance", 1e-12),
+            ("schwartz", "degree_refinement_invariance_integer_exact", 0.0),
+            ("schwartz", "fourier_degree_swap", 0.0),
+        ]
+
+    @pytest.mark.parametrize("cases", [(1.0, np.nan, 2.0), (np.nan, 3.0), (0.5, 0.5, np.nan)])
+    def test_nan_case_is_the_worst(self, cases):
+        rep = verify._Reporter("s", None)
+        for residual in cases:
+            rep.case("c", residual, 1.0)
+        (result,) = rep.done()
+        assert np.isnan(result.residual) and not result.passed
+
+    def test_nan_fourier_fails_both_checks(self, monkeypatch, capsys):
+        # max(res, nan) is res, so a running max would report this as a PASS
+        fourier = fq.fourier
+
+        def nan_fourier(f):
+            g = fourier(f)
+            g.amplitudes[0] = np.nan
+            return g
+
+        monkeypatch.setattr(fq, "fourier", nan_fourier)
+        results = verify.suite_fourier(verify.VerifyConfig(samples=2))
+        assert [r.name for r in results] == ["fourier_fourth_power_is_identity", "parseval"]
+        assert all(np.isnan(r.residual) and not r.passed for r in results)
+        assert main(["verify", "--suite", "fourier", "--samples", "2"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("residual=nan") == 2 and "FAILED: 2 checks" in out

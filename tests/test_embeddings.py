@@ -236,3 +236,34 @@ class TestAnnihilator:
         a2, b2 = embed_weyl_point(3, 2, 1, 9)
         el = hw_embed(HWElement.from_canonical(3, 2, 1, 0), EmbeddingSpec(3, 9))
         assert (a2, b2) == (el.alpha, el.beta)
+
+
+class TestNaNGaps:
+    """A NaN gap makes its law fail; max(res, nan) would have dropped it."""
+
+    def test_compat_suite(self, monkeypatch):
+        import pqm.embeddings as emb
+
+        embed = emb.state_embed
+
+        def nan_embed(f, spec):
+            g = embed(f, spec)
+            g.amplitudes[0] = np.nan
+            return g
+
+        monkeypatch.setattr(emb, "state_embed", nan_embed)
+        reports = {r.name: r for r in compat_suite(2, 4, 8, rng=np.random.default_rng(5))}
+        for law in ("composition", "fourier_intertwining", "hw_intertwining"):
+            assert np.isnan(reports[law].residual) and not reports[law].passed, law
+
+    @pytest.mark.parametrize("quantity", ["weyl", "wigner"])
+    def test_ubiquity(self, monkeypatch, quantity):
+        import pqm.embeddings as emb
+
+        monkeypatch.setattr(emb, "weyl_wigner", lambda *args: complex(np.nan))
+        ok, dev = ubiquity_check(quantity, random_state(3, RNG), EmbeddingSpec(3, 9))
+        assert np.isnan(dev) and not ok
+
+    def test_compat_suite_needs_samples(self):
+        with pytest.raises(ValueError):
+            compat_suite(2, 4, 8, samples=0)

@@ -522,6 +522,23 @@ class TestParityIdentities:
         res = parity_expand_check(np.eye(4), exploratory=True)
         assert res.sandwich_residual < 1e-11  # doubled grid still averages to 1
 
+    def test_nan_expansion_gap_fails(self, monkeypatch):
+        # max(worst, nan) is worst, so a running max would report 0
+        from pqm import verify
+
+        phases = finiteqm._displacement_phases
+
+        def nan_phases(n):
+            out = phases(n)
+            out[1, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(finiteqm, "_displacement_phases", nan_phases)
+        assert math.isnan(parity_expand_check(random_operator(5, RNG)).expansion_residual)
+        results = verify.suite_parity(verify.VerifyConfig(max_n=3, samples=1))
+        (check,) = [r for r in results if r.name == "parity_displacement_expansion"]
+        assert math.isnan(check.residual) and not check.passed
+
 
 def _marginal_a_oracle(n: int, a: int) -> np.ndarray:
     # A(a) entry by entry: e((ab - bx)/n) at [x, x - 2a] summed over b in Z(n)
