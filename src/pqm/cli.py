@@ -153,9 +153,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    poset = ps.divisor_poset(args.n)
     if args.query in ("width", "length", "partition", "antichain"):
-        res = ps.poset_width_length(poset)
+        res = ps.divisor_width_length(args.n)
         payload = {
             "n": args.n,
             "width": res.width,
@@ -168,6 +167,7 @@ def cmd_poset(args) -> int:
         if args.query in ("width", "length"):
             payload = {"n": args.n, args.query: payload[args.query]}
     elif args.query == "topology":
+        poset = ps.divisor_poset(args.n, bound=ps.SIZE_BOUND)
         t1, witness = ps.check_t1(poset)
         payload = {
             "n": args.n,
@@ -176,6 +176,7 @@ def cmd_poset(args) -> int:
             "T1_witness": list(witness) if witness else None,
         }
     elif args.query == "basis":
+        poset = ps.divisor_poset(args.n)
         if args.element is None:
             raise UsageError("basis query needs --element")
         if args.element not in poset.elements:
@@ -276,7 +277,7 @@ def cmd_verify(args) -> int:
     report = report_dict(results, cfg)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
+            json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     passed = report["passed"]
     print(f"{'OK' if passed else 'FAILED'}: {len(results)} checks")

@@ -203,12 +203,32 @@ class FinitePoset:
         return True
 
 
-def divisor_poset(n: int) -> FinitePoset:
-    """N(n): all divisors of n except 1, ordered by divisibility."""
+# the most elements of N(n) a width, length, partition, antichain or topology
+# query takes: N(n) has prod (e_p + 1) - 1 elements, exponential in the number
+# of primes of n, and each of these queries lists them all (the closed form
+# once, in its chains; the matching and the T0/T1 checks in pairs)
+SIZE_BOUND = 10**4
+
+
+def _divisor_exponents(n: int, bound: int | None = None) -> dict[int, int]:
+    """factorize(n), refusing an N(n) of more than ``bound`` elements before
+    any divisor is listed (N(n) has prod (e_p + 1) - 1 elements)."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    fac = factorize(n)
+    size = math.prod(e + 1 for e in fac.values()) - 1
+    if bound is not None and size > bound:
+        raise ValueError(f"poset size {size} exceeds bound {bound}")
+    return fac
+
+
+def divisor_poset(n: int, bound: int | None = None) -> FinitePoset:
+    """N(n): all divisors of n except 1, ordered by divisibility.
+
+    With ``bound``, an N(n) of more elements is a ValueError.
+    """
     divs = [1]
-    for p, e in factorize(n).items():
+    for p, e in _divisor_exponents(n, bound).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return FinitePoset(tuple(sorted(divs)[1:]))
 
@@ -221,7 +241,7 @@ class WidthLengthResult:
     max_antichain: tuple
 
 
-def poset_width_length(poset: FinitePoset, bound: int = 10**4) -> WidthLengthResult:
+def poset_width_length(poset: FinitePoset, bound: int = SIZE_BOUND) -> WidthLengthResult:
     """Exact width, length, a minimum chain partition and a witness antichain.
 
     Width via Dilworth through Koenig: a maximum matching in the bipartite
@@ -312,6 +332,56 @@ def poset_width_length(poset: FinitePoset, bound: int = 10**4) -> WidthLengthRes
     assert len(antichain) == width
     assert sum(len(c) for c in chains) == n
     return WidthLengthResult(width, length, tuple(chains), antichain)
+
+
+def is_chain_partition(poset: FinitePoset, chains: Iterable[tuple]) -> bool:
+    """True iff the nonempty ``chains`` cover the elements exactly once and
+    each one rises strictly at every step."""
+    chains = list(chains)
+    flat = [x for c in chains for x in c]
+    return (
+        all(chains)
+        and len(flat) == len(poset)
+        and set(flat) == set(poset.elements)
+        and all(a != b and poset.leq(a, b) for c in chains for a, b in zip(c, c[1:]))
+    )
+
+
+def divisor_width_length(n: int) -> WidthLengthResult:
+    """``poset_width_length(divisor_poset(n))`` from the factorization of n.
+
+    With 1 put back, the divisors of n = prod p^e are the product of the
+    chains 1 | p | ... | p^e, ranked by Omega, with rank sizes the
+    coefficients of prod (1 + x + ... + x^e).  Such a product has a symmetric
+    chain decomposition (de Bruijn, Tengbergen and Kruyswijk, Nieuw Arch.
+    Wisk. 23 (1951) 191), so the width is the number of chains (the largest
+    rank size), the length is Omega(n) and every rank of largest size is a
+    maximum antichain.  A chain whose least element has rank r ends at rank
+    Omega(n) - r, so the ranks every chain meets are the largest ones, and the
+    highest of them, Omega(n) - max r >= 1, is the antichain returned.  The
+    chains, 1 dropped, are a minimum chain partition into saturated chains,
+    sorted by least element.  No order graph is built.  An N(n) of more than
+    SIZE_BOUND elements is a ValueError.
+    """
+    fac = _divisor_exponents(n, SIZE_BOUND)
+    # a chain is (rank of its least element, elements).  Times the chain
+    # 1 | p | ... | p^e, the chain c_0 < ... < c_k splits into min(k, e) + 1
+    # hooks: hook j is c_0 p^j, ..., c_{k-j} p^j, c_{k-j} p^{j+1}, ..., c_{k-j} p^e
+    chains = [(0, [1])]
+    for p, e in fac.items():
+        chains = [
+            (r + j, [x * p**j for x in c[: len(c) - j]]
+             + [c[-1 - j] * p**t for t in range(j + 1, e + 1)])
+            for r, c in chains
+            for j in range(min(len(c) - 1, e) + 1)
+        ]
+    length = sum(fac.values())
+    top = length - max(r for r, _ in chains)
+    antichain = tuple(sorted(c[top - r] for r, c in chains))
+    chains[0][1].pop(0)  # 1 is the bottom of the first, longest chain
+    return WidthLengthResult(
+        len(chains), length, tuple(sorted(tuple(c) for _, c in chains)), antichain
+    )
 
 
 # ---------------------------------------------------------------------------

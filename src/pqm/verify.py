@@ -461,6 +461,17 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     r36 = ps.poset_width_length(ps.divisor_poset(36))
     ok = r12.width == 2 and r36.width == 3 and r36.length == 4
     rep.exact("width_length_oracle_values", ok)
+    # the closed form against the matching: the same width, length and
+    # antichain, and chains that cover N(n) once each, as few as the width
+    for n in range(2, 121):
+        p = ps.divisor_poset(n)
+        want, got = ps.poset_width_length(p), ps.divisor_width_length(n)
+        chains = got.chain_partition
+        ok = (got.width, got.length, got.max_antichain) == (
+            want.width, want.length, want.max_antichain
+        )
+        ok = ok and len(chains) == want.width and ps.is_chain_partition(p, chains)
+        rep.exact("width_length_oracle_values", ok)
 
     rep.exact(
         "symbolic_suprema",
@@ -539,8 +550,14 @@ def run_suites(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 def report_dict(results: list[CheckResult], cfg: VerifyConfig) -> dict:
+    """The JSON report.  Strict JSON has no NaN or infinity, so a non-finite
+    residual is written as the string "nan", "inf" or "-inf"."""
+    checks = [asdict(r) for r in results]
+    for c in checks:
+        if not math.isfinite(c["residual"]):
+            c["residual"] = repr(c["residual"])
     return {
         "config": asdict(cfg),
-        "checks": [asdict(r) for r in results],
+        "checks": checks,
         "passed": all(r.passed for r in results),
     }

@@ -311,6 +311,24 @@ class TestPosetPadicCommands:
         covered = sorted(x for c in out["chain_partition"] for x in c)
         assert covered == [2, 3, 4, 6, 12]
 
+    def test_closed_form_at_large_n(self, capsys):
+        # 6719 divisors, answered from the factorization with no order graph
+        n = 963761198400
+        assert main(["poset", "--n", str(n), "width"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"n": n, "width": 882}
+        assert main(["poset", "--n", str(n), "length"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"n": n, "length": 18}
+
+    @pytest.mark.parametrize("query", ["width", "partition", "antichain", "topology"])
+    def test_size_bound_before_divisors(self, query, capsys):
+        # 2*3*5*...*59 has 2^17 - 1 = 131071 divisors above 1; the check
+        # on the factorization refuses it before any divisor list is built
+        n = 1
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+            n *= p
+        assert main(["poset", "--n", str(n), query]) == 2
+        assert "poset size 131071 exceeds bound 10000" in _one_error_line(capsys)
+
     def test_crt(self, capsys):
         assert main(["padic", "crt", "--n", "12", "--mu", "7"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -495,6 +513,28 @@ class TestVerifyCommand:
         report = tmp_path / "no" / "r.json"
         assert main(["verify", "--suite", "poset", "--json", str(report)]) == 2
         _one_error_line(capsys)
+
+    def test_nan_residual_report_is_strict_json(self, tmp_path, monkeypatch, capsys):
+        def nan_suite(cfg):
+            rep = verify._Reporter("fourier", cfg.tolerance)
+            rep.case("parseval", 0.0, 1e-12)
+            rep.case("parseval", float("nan"), 1e-12)
+            rep.case("overflow", float("inf"), 1e-12)
+            return rep.done()
+
+        def no_constants(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        monkeypatch.setitem(verify._SUITE_FUNCS, "fourier", nan_suite)
+        report = tmp_path / "r.json"
+        assert main(["verify", "--suite", "fourier", "--json", str(report)]) == 1
+        assert "[FAIL] fourier:parseval residual=nan" in capsys.readouterr().out
+        data = json.loads(report.read_text(), parse_constant=no_constants)
+        assert [(c["name"], c["residual"], c["passed"]) for c in data["checks"]] == [
+            ("overflow", "inf", False),
+            ("parseval", "nan", False),
+        ]
+        assert data["passed"] is False
 
     def test_report_deterministic(self, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+import pqm.poset as ps
+from pqm.numbers import is_prime
 from pqm.poset import (
     INF,
     OMEGA,
@@ -14,6 +16,8 @@ from pqm.poset import (
     check_t0,
     check_t1,
     divisor_poset,
+    divisor_width_length,
+    is_chain_partition,
     is_closed,
     is_open,
     poset_width_length,
@@ -201,9 +205,16 @@ class TestWidthLength:
             for b in ac[i + 1 :]:
                 assert not p.leq(a, b) and not p.leq(b, a)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
         with pytest.raises(ValueError):
             poset_width_length(divisor_poset(360), bound=3)
+        # a bounded divisor poset and the closed form refuse from the
+        # factorization, before any divisor is listed
+        with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
+            divisor_poset(360, bound=3)
+        monkeypatch.setattr(ps, "SIZE_BOUND", 3)
+        with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
+            divisor_width_length(360)
 
     def test_matching_needs_no_deep_stack(self):
         # the augmenting-path search runs on an explicit stack, so a poset
@@ -218,6 +229,33 @@ class TestWidthLength:
         finally:
             sys.setrecursionlimit(limit)
         assert (res.width, res.length) == (46, 10)
+
+    @pytest.mark.parametrize("n", [2, 12, 32, 360, 5040, 720720, 9699690, 2**10 * 3**5])
+    def test_closed_form_chains(self, n):
+        # saturated chains (each step multiplies by one prime) covering N(n)
+        # exactly once, as many as the width, listed by least element
+        p = divisor_poset(n)
+        res = divisor_width_length(n)
+        chains = res.chain_partition
+        assert is_chain_partition(p, chains)
+        assert len(chains) == res.width
+        assert all(is_prime(b // a) for c in chains for a, b in zip(c, c[1:]))
+        assert [c[0] for c in chains] == sorted(c[0] for c in chains)
+
+    @pytest.mark.parametrize("n", [5040, 720720, 9699690])
+    def test_closed_form_antichain_is_the_matchings(self, n):
+        got = divisor_width_length(n)
+        want = poset_width_length(divisor_poset(n))
+        assert got.max_antichain == want.max_antichain
+        assert (got.width, got.length) == (want.width, want.length)
+
+    def test_is_chain_partition_rejects(self):
+        p = divisor_poset(12)
+        assert is_chain_partition(p, [(2, 4, 12), (3, 6)])
+        assert not is_chain_partition(p, [(2, 4, 12), (3,)])  # 6 uncovered
+        assert not is_chain_partition(p, [(2, 4, 12), (3, 6), (6,)])  # 6 twice
+        assert not is_chain_partition(p, [(2, 3), (4, 6, 12)])  # 2 does not divide 3
+        assert not is_chain_partition(p, [(2, 4, 12), (3, 6), ()])
 
     def test_supernatural_universe_width(self):
         # a three-element fence: 2^inf and 3 are incomparable, both below

@@ -1,9 +1,10 @@
-"""Property tests for the CRT maps, the p-valuation, divisor posets, the
-composite-label point embedding, the FFT paths of the Fourier transform, the
-FFT paths of the phase-space tables and tomography sums, the exact Q/Z
-and p-adic arithmetic (with ``Fraction`` and plain integers as oracles), and
-the local Schwartz-Bruhat operations and x -> lam x (with per-point loops
-as oracles)."""
+"""Property tests for the CRT maps, the p-valuation, divisor posets (with
+the matching as the oracle of the closed form), the composite-label point
+embedding, the FFT paths of the Fourier transform, the FFT paths of the
+phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
+(with ``Fraction`` and plain integers as oracles), and the local
+Schwartz-Bruhat operations and x -> lam x (with per-point loops as
+oracles)."""
 
 import math
 from fractions import Fraction
@@ -53,7 +54,7 @@ from pqm.numbers import (
     rat_recombine,
     valuation,
 )
-from pqm.poset import divisor_poset
+from pqm.poset import divisor_poset, divisor_width_length, poset_width_length
 from pqm.schwartz_bruhat import (
     LocalSBFunction,
     local_displace,
@@ -147,6 +148,17 @@ def test_valuation_rejects_bad_input(m, p):
 def test_divisor_poset_matches_trial_division(n):
     assert divisor_poset(n).elements == tuple(
         d for d in range(2, n + 1) if n % d == 0
+    )
+
+
+@_settings
+@given(n=st.integers(2, 5000))
+def test_divisor_width_length_matches_matching(n):
+    got, want = divisor_width_length(n), poset_width_length(divisor_poset(n))
+    assert (got.width, got.length, got.max_antichain) == (
+        want.width,
+        want.length,
+        want.max_antichain,
     )
 
 
