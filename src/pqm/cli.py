@@ -176,15 +176,17 @@ def cmd_poset(args) -> int:
             "T1_witness": list(witness) if witness else None,
         }
     elif args.query == "basis":
-        poset = ps.divisor_poset(args.n)
+        # U(x) = N(x), so x's own factorization answers, never n's divisors
+        if args.n < 2:
+            raise UsageError("n must be >= 2")
         if args.element is None:
             raise UsageError("basis query needs --element")
-        if args.element not in poset.elements:
+        if args.element < 2 or args.n % args.element:
             raise UsageError(f"{args.element} is not a divisor (> 1) of {args.n}")
         payload = {
             "n": args.n,
             "element": args.element,
-            "open_set": sorted(ps.basis_open(poset, args.element)),
+            "open_set": list(ps.divisor_poset(args.element).elements),
         }
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown query {args.query}")

@@ -78,12 +78,6 @@ class EmbeddingSpec:
     def finite_target(self) -> bool:
         return not isinstance(self.target, Supernatural)
 
-    @property
-    def ratio(self) -> int:
-        if not self.finite_target:
-            raise ValueError("ratio undefined for a supernatural target")
-        return self.target // self.source
-
 
 # ---------------------------------------------------------------------------
 # Phase-space points
@@ -91,25 +85,21 @@ class EmbeddingSpec:
 
 
 def phase_embed(point: tuple[int, int], spec: EmbeddingSpec):
-    """Embed a prime-power phase-space point (position, momentum coordinate).
+    """Embed a phase-space point (position, momentum coordinate).
 
-    Finite target: (alpha, beta) -> (alpha, p^(l-k) beta).  Profinite
-    target: (alpha, beta) -> (a_p, b_p) in Z_p x Q_p/Z_p.  Characters are
-    preserved exactly either way.
+    Finite target: ``def2_point_embed`` for any k | l.  Profinite target,
+    from a prime-power source p^k: (alpha, beta) -> (a_p, b_p) in
+    Z_p x Q_p/Z_p.  Characters are preserved exactly either way.
     """
     alpha, beta = point
-    k_fact = factorize(spec.source)
-    if len(k_fact) != 1:
-        raise ValueError("phase_embed expects prime-power labels")
-    (p, k), = k_fact.items()
     if not (0 <= alpha < spec.source and 0 <= beta < spec.source):
         raise ValueError("point out of range")
     if spec.finite_target:
-        l_fact = factorize(spec.target)
-        if set(l_fact) != {p}:
-            raise ValueError("phase_embed expects a power of the same prime")
-        ell = l_fact[p]
-        return alpha, p ** (ell - k) * beta
+        return def2_point_embed(alpha, beta, spec.source, spec.target)
+    k_fact = factorize(spec.source)
+    if len(k_fact) != 1:
+        raise ValueError("profinite phase embedding expects a prime-power source")
+    (p, k), = k_fact.items()
     # supernatural target: the p-exponent must be infinite
     if spec.target.exponent(p) != math.inf:
         raise ValueError("profinite phase embedding needs an infinite target")
@@ -178,14 +168,6 @@ def hw_embed(d: HWElement, spec: EmbeddingSpec) -> HWElement:
     return HWElement.from_phase_space(spec.target, d.frak_a, d.beta, d.frak_c)
 
 
-def embed_weyl_point(n_src: int, a: int, b: int, ell: int) -> tuple[int, int]:
-    """The target indices at which Weyl/Wigner values match the source."""
-    el = hw_embed(
-        HWElement.from_canonical(n_src, a, b, 0), EmbeddingSpec(n_src, ell)
-    )
-    return el.alpha, el.beta
-
-
 # ---------------------------------------------------------------------------
 # Compatibility and ubiquity
 # ---------------------------------------------------------------------------
@@ -245,11 +227,12 @@ def compat_suite(k: int, ell: int, m: int, rng=None, samples: int = 5) -> list[C
     res = float(np.max(gaps))
     out.append(CompatReport("hw_intertwining", res <= 1e-10, res))
 
-    ok = True
-    for x in range(min(k, 8)):
-        for fp in range(min(k, 8)):
-            x2, fp2 = def2_point_embed(x, fp, k, ell)
-            ok = ok and char_omega(ell, x2 * fp2) == char_omega(k, x * fp)
+    spec = EmbeddingSpec(k, ell)
+    ok = all(
+        phase_embed_character((x, fp), spec)
+        for x in range(min(k, 8))
+        for fp in range(min(k, 8))
+    )
     out.append(CompatReport("character_preservation", ok, 0.0 if ok else 1.0))
     return out
 
@@ -283,9 +266,9 @@ def ubiquity_check(
     if quantity in ("weyl", "wigner"):
         # evaluate the target-side function with the intertwined operator at
         # the embedded phase-space point; when source and target parities
-        # agree this is the canonical-grid Weyl/Wigner value at
-        # embed_weyl_point, and for odd k inside even l it additionally
-        # carries the exact half-phase bookkeeping of the index map
+        # agree this is the canonical-grid Weyl/Wigner value at hw_embed's
+        # index pair, and for odd k inside even l it additionally carries
+        # the exact half-phase bookkeeping of the index map
         n = f.n
         rng = rng or np.random.default_rng(1)
         gaps = []

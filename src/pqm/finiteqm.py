@@ -433,20 +433,8 @@ def wigner_table(f: FiniteState, kind: str, doubled: bool = False) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(
-        np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol
-    )
-
-
 def random_operator(n: int, rng) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_hermitian(n: int, rng) -> np.ndarray:
-    a = random_operator(n, rng)
-    return (a + a.conj().T) / 2
 
 
 def _square_operator(theta) -> np.ndarray:
@@ -807,16 +795,4 @@ def hw_factor(d: HWElement) -> dict[int, HWElement]:
         p0 = factors[0].p
         out[p0] = hw_scalar_mul(out[p0], extra)
     return out
-
-
-def hw_factor_matrix_check(d: HWElement) -> float:
-    """Max-norm gap between matrix(D) and the remapped tensor of its factors."""
-    factors = crt_idempotents(d.n)
-    parts = hw_factor(d)
-    full = np.array([[1.0 + 0j]])
-    for fac in factors:
-        full = np.kron(full, hw_matrix(parts[fac.p]))
-    src, _ = _flat_indices(d.n, POSITION)
-    remapped = full[np.ix_(src, src)]
-    return float(np.max(np.abs(remapped - hw_matrix(d))))
 

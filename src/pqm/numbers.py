@@ -415,9 +415,6 @@ class ProfiniteInt:
         """True iff ord of the 2-adic component is >= 1."""
         return self.component(2, 1).residue == 0
 
-    def is_odd(self) -> bool:
-        return not self.is_even()
-
     def _merge(self, other: "ProfiniteInt", op) -> "ProfiniteInt":
         primes = set(self.overrides) | set(other.overrides)
         out: dict[int, PadicInt] = {}

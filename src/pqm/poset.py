@@ -188,20 +188,6 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def check_axioms(self) -> bool:
-        els = self.elements
-        for a in els:
-            if not self.leq(a, a):
-                return False
-        for a in els:
-            for b in els:
-                if a != b and self.leq(a, b) and self.leq(b, a):
-                    return False
-                for c in els:
-                    if self.leq(a, b) and self.leq(b, c) and not self.leq(a, c):
-                        return False
-        return True
-
 
 # the most elements of N(n) a width, length, partition, antichain or topology
 # query takes: N(n) has prod (e_p + 1) - 1 elements, exponential in the number
@@ -402,12 +388,6 @@ def is_open(poset: FinitePoset, s: Iterable) -> bool:
         for m in poset.elements
         if poset.leq(m, x)
     )
-
-
-def is_closed(poset: FinitePoset, s: Iterable) -> bool:
-    """Closed iff the complement is open, i.e. s is an up-set."""
-    s = frozenset(s)
-    return is_open(poset, frozenset(poset.elements) - s)
 
 
 def check_t0(poset: FinitePoset) -> bool:

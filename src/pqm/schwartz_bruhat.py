@@ -255,9 +255,6 @@ class GlobalSBFunction:
     ) -> "GlobalSBFunction":
         return cls(side, ((complex(coeff), dict(factors)),))
 
-    def factor(self, term: int, p: int) -> LocalSBFunction:
-        return self.terms[term][1].get(p, trivial_local(p, self.side))
-
     @property
     def support_primes(self) -> frozenset[int]:
         out = set()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pqm import finiteqm as fq
+from pqm import poset as ps
 from pqm import verify
 from pqm.cli import dump_state, load_state, main
 from pqm.finiteqm import MOMENTUM, POSITION, random_state, weyl_wigner
@@ -329,6 +330,52 @@ class TestPosetPadicCommands:
         assert main(["poset", "--n", str(n), query]) == 2
         assert "poset size 131071 exceeds bound 10000" in _one_error_line(capsys)
 
+    def test_basis_lists_only_the_element_divisors(self, monkeypatch, capsys):
+        # U(x) = N(x): n = 2*3*...*67 has 2^19 divisors, none of them needed
+        n = 7858321551080267055879090
+        seen = []
+        divisor_poset = ps.divisor_poset
+
+        def spy(m, *args, **kwargs):
+            seen.append(m)
+            return divisor_poset(m, *args, **kwargs)
+
+        monkeypatch.setattr(ps, "divisor_poset", spy)
+        assert main(["poset", "--n", str(n), "basis", "--element", "6"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"n": n, "element": 6, "open_set": [2, 3, 6]}
+        assert seen == [6]
+
+    def test_basis_matches_basis_open(self, capsys):
+        for n in (2, 12, 36, 60, 97, 360):
+            p = ps.divisor_poset(n)
+            for x in p.elements:
+                assert main(["poset", "--n", str(n), "basis", "--element", str(x)]) == 0
+                out = json.loads(capsys.readouterr().out)
+                assert out["open_set"] == sorted(ps.basis_open(p, x))
+
+    @pytest.mark.parametrize(
+        "n, element, message",
+        [
+            (1, None, "n must be >= 2"),
+            (-2, 0, "n must be >= 2"),
+            (12, None, "basis query needs --element"),
+            (12, 0, "0 is not a divisor (> 1) of 12"),
+            (12, 1, "1 is not a divisor (> 1) of 12"),
+            (12, -6, "-6 is not a divisor (> 1) of 12"),
+            (12, 5, "5 is not a divisor (> 1) of 12"),
+            (12, 24, "24 is not a divisor (> 1) of 12"),
+        ],
+    )
+    def test_basis_errors_in_order(self, n, element, message, capsys):
+        argv = ["poset", "--n", str(n), "basis"]
+        if element is not None:
+            argv += ["--element", str(element)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pqm: error: {message}\n"
+
     def test_crt(self, capsys):
         assert main(["padic", "crt", "--n", "12", "--mu", "7"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -596,6 +643,17 @@ class TestVerifyCommand:
             rep.case("c", residual, 1.0)
         (result,) = rep.done()
         assert np.isnan(result.residual) and not result.passed
+
+    def test_parity_sandwich_oracle_files_under_its_check(self, monkeypatch):
+        # the fast residuals are zero, so only the brute-force sum over
+        # (wrongly doubled) parity matrices can fail the sandwich check
+        zero = fq.ParityCheckResult(0.0, 0.0, 0.0)
+        monkeypatch.setattr(fq, "parity_expand_check", lambda theta: zero)
+        parity_matrix = fq.parity_matrix
+        monkeypatch.setattr(fq, "parity_matrix", lambda *args: 2 * parity_matrix(*args))
+        results = {r.name: r for r in verify.suite_parity(verify.VerifyConfig())}
+        assert not results["parity_sandwich_trace"].passed
+        assert results["parity_sandwich_trace"].residual > 1e-3
 
     def test_nan_fourier_fails_both_checks(self, monkeypatch, capsys):
         # max(res, nan) is res, so a running max would report this as a PASS

@@ -16,7 +16,6 @@ from pqm.embeddings import (
     compat_suite,
     def2_point_embed,
     annihilator,
-    embed_weyl_point,
     hw_embed,
     phase_embed,
     phase_embed_character,
@@ -70,12 +69,12 @@ class TestPhaseEmbed:
     def test_supernatural_divisibility_enforced(self):
         with pytest.raises(ValueError):
             EmbeddingSpec(4, Supernatural.of({2: 1}))
-        with pytest.raises(ValueError):
-            EmbeddingSpec(4, Supernatural.prime_power(2, INF)).ratio  # no ratio
 
     def test_rejects_mixed_prime_labels(self):
+        # a finite target takes any k | l through the composite-label map
+        assert phase_embed((1, 1), EmbeddingSpec(6, 12)) == def2_point_embed(1, 1, 6, 12)
         with pytest.raises(ValueError):
-            phase_embed((1, 1), EmbeddingSpec(6, 12))  # not a prime power
+            phase_embed((1, 1), EmbeddingSpec(6, Supernatural.of(inf_primes=(2, 3))))
         with pytest.raises(ValueError):
             phase_embed((1, 1), EmbeddingSpec(3, Supernatural.of({3: 5})))
 
@@ -230,12 +229,6 @@ class TestAnnihilator:
         # Ann(Ann(E)) recovers E
         gen2, ann2 = annihilator(n, n // m)
         assert len(ann2) == m
-
-    def test_weyl_point_map_consistent(self):
-        # the embedded Weyl point reproduces hw_embed's index pair
-        a2, b2 = embed_weyl_point(3, 2, 1, 9)
-        el = hw_embed(HWElement.from_canonical(3, 2, 1, 0), EmbeddingSpec(3, 9))
-        assert (a2, b2) == (el.alpha, el.beta)
 
 
 class TestNaNGaps:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import hw_factor_matrix_check, is_unitary
 from pqm.numbers import RatMod1
 from pqm.finiteqm import (
     MOMENTUM,
@@ -20,14 +21,12 @@ from pqm.finiteqm import (
     fourier_matrix,
     hw_adjoint,
     hw_factor,
-    hw_factor_matrix_check,
     hw_identity,
     hw_matrix,
     hw_mul,
     hw_x,
     hw_z,
     inner,
-    is_unitary,
     marginal_a_expected,
     marginal_a_matrix,
     marginal_b_expected,
@@ -40,7 +39,6 @@ from pqm.finiteqm import (
     parity_marginal_b_matrix,
     parity_matrix,
     parity_quarter_period,
-    random_hermitian,
     random_operator,
     random_state,
     resolution_identity_check,
@@ -485,7 +483,8 @@ class TestTomography:
         assert np.max(np.abs(coeffs - want)) < 1e-11
 
     def test_expand_random_hermitian(self):
-        theta = random_hermitian(5, RNG)
+        a = random_operator(5, RNG)
+        theta = (a + a.conj().T) / 2
         _, res = operator_expand(theta)
         assert res < 1e-12
 

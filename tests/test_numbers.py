@@ -378,9 +378,9 @@ class TestProfiniteInt:
 
     def test_even_odd_partition(self):
         assert ProfiniteInt(tail=4).is_even()
-        assert ProfiniteInt(tail=3).is_odd()
+        assert not ProfiniteInt(tail=3).is_even()
         a = ProfiniteInt({2: PadicInt.from_int(1, 2, 3)}, tail=2)
-        assert a.is_odd()
+        assert not a.is_even()
 
     def test_component_precision_error(self):
         a = ProfiniteInt({2: PadicInt.from_int(1, 2, 2)}, tail=0)

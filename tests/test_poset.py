@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import pqm.poset as ps
+from helpers import poset_axioms_hold
 from pqm.numbers import is_prime
 from pqm.poset import (
     INF,
@@ -18,7 +19,6 @@ from pqm.poset import (
     divisor_poset,
     divisor_width_length,
     is_chain_partition,
-    is_closed,
     is_open,
     poset_width_length,
     sn_divides,
@@ -131,7 +131,7 @@ class TestDivisorPoset:
 
     def test_axioms(self):
         for n in (12, 30, 36, 97):
-            assert divisor_poset(n).check_axioms()
+            assert poset_axioms_hold(divisor_poset(n))
 
 
 class TestWidthLength:
@@ -278,8 +278,9 @@ class TestTopology:
         p = divisor_poset(12)
         assert is_open(p, {2, 4})
         assert not is_open(p, {4})
-        assert is_closed(p, {4, 12})  # up-set of 4
-        assert not is_closed(p, {4})
+        # closed iff the complement is open: {4, 12} is the up-set of 4
+        assert is_open(p, set(p.elements) - {4, 12})
+        assert not is_open(p, set(p.elements) - {4})
         assert check_t0(p) is True
 
     def test_unions_and_intersections_of_basis_open(self):

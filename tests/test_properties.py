@@ -1,6 +1,7 @@
 """Property tests for the CRT maps, the p-valuation, divisor posets (with
 the matching as the oracle of the closed form), the composite-label point
-embedding, the FFT paths of the Fourier transform, the FFT paths of the
+embedding (with the prime-power formula as its oracle), the inverse of the
+profinite Heisenberg-Weyl group over Zhat, the FFT paths of the Fourier transform, the FFT paths of the
 phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
 (with ``Fraction`` and plain integers as oracles), and the local
 Schwartz-Bruhat operations and x -> lam x (with per-point loops as
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pqm.embeddings import def2_point_embed
+from pqm.embeddings import EmbeddingSpec, def2_point_embed, phase_embed
 from pqm.finiteqm import (
     MOMENTUM,
     POSITION,
@@ -41,6 +42,7 @@ from pqm.finiteqm import (
 from pqm.numbers import (
     PadicFrac,
     PadicInt,
+    ProfiniteInt,
     RatMod1,
     crt_idempotents,
     crt_join_mu,
@@ -55,6 +57,12 @@ from pqm.numbers import (
     valuation,
 )
 from pqm.poset import divisor_poset, divisor_width_length, poset_width_length
+from pqm.profinite_hw import (
+    GlobalProfiniteHW,
+    phw_global_inv,
+    phw_global_mul,
+    phw_global_project,
+)
 from pqm.schwartz_bruhat import (
     LocalSBFunction,
     local_displace,
@@ -180,6 +188,48 @@ def test_def2_point_embed_components(k, r, x, frak_p):
             assert (x2 - x) % p ** k_exp[p] == 0
         else:
             assert x2 % p**e == 0
+
+
+@_settings
+@given(p=st.sampled_from([2, 3, 5, 7]), i=st.integers(1, 3), data=st.data())
+def test_phase_embed_prime_power_formula(p, i, data):
+    # on prime powers the composite-label map is (alpha, beta) -> (alpha, p^(j-i) beta)
+    j = data.draw(st.integers(i, 6))
+    a, b = data.draw(st.integers(0, p**i - 1)), data.draw(st.integers(0, p**i - 1))
+    assert phase_embed((a, b), EmbeddingSpec(p**i, p**j)) == (a, p ** (j - i) * b)
+
+
+_PHW_PRECISION = 6  # of the 2- and 3-adic overrides; n keeps v_2, v_3 below it
+
+
+@st.composite
+def _profinite_ints(draw):
+    overrides = {}
+    for p in (2, 3):
+        value = draw(st.none() | st.integers(0, p**_PHW_PRECISION - 1))
+        if value is not None:
+            overrides[p] = PadicInt.from_int(value, p, _PHW_PRECISION)
+    return ProfiniteInt(overrides, tail=draw(st.integers(-(10**6), 10**6)))
+
+
+@_settings
+@given(
+    a=_profinite_ints(),
+    b=_profinite_ints(),
+    c=_profinite_ints(),
+    e2=st.integers(0, _PHW_PRECISION),
+    e3=st.integers(0, _PHW_PRECISION),
+    m=st.integers(0, 300).map(lambda t: 6 * t + 1) | st.integers(0, 300).map(lambda t: 6 * t + 5),
+)
+def test_phw_global_inv_is_the_group_inverse(a, b, c, e2, e3, m):
+    n = 2**e2 * 3**e3 * m
+    assume(n >= 2)
+    g = GlobalProfiniteHW(a, b, c)
+    inv = phw_global_inv(g)
+    assert phw_global_project(phw_global_mul(g, inv), n) == (0, 0, 0)
+    assert phw_global_project(phw_global_mul(inv, g), n) == (0, 0, 0)
+    want = tuple(-v % n for v in phw_global_project(g, n))
+    assert phw_global_project(inv, n) == want
 
 
 def _dense_sum(values, sign, modulus, rows):

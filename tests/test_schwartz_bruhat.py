@@ -252,7 +252,8 @@ class TestConstructors:
             POSITION, {3: _random_local(3, 1), 5: trivial_local(5, POSITION)}
         )
         assert f.support_primes == {3}
-        assert f.factor(0, 7).degree == 0  # implicit trivial filler
+        # an unlisted prime reads as the implicit trivial filler
+        assert f.terms[0][1].get(7, trivial_local(7, f.side)).degree == 0
 
 
 class TestGlobalInner:
