@@ -4,6 +4,9 @@ State files are JSON ({"n", "rep", "amplitudes": [[re, im], ...]}, optional
 "metadata"), phase-space tables are CSV with header ``a,b,re,im``.  Exit
 codes: 0 success, 1 verification failure, 2 usage, parse or I/O errors and
 running out of memory.
+
+Only the modules a subcommand needs are imported, inside it: ``padic`` and
+``poset`` are integer arithmetic and never load numpy.
 """
 
 from __future__ import annotations
@@ -12,19 +15,23 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__
-from . import finiteqm as fq
+from . import SUITES, __version__
 from . import numbers as nm
 from . import poset as ps
-from .embeddings import EmbeddingSpec, state_embed
-from .verify import SUITES, VerifyConfig, report_dict, run_suites
+
+if TYPE_CHECKING:
+    from .finiteqm import FiniteState
 
 
 class UsageError(Exception):
     pass
+
+
+# the most base-p digits ``pqm padic expand`` lists: listing N digits costs
+# about N^2 (for p = 3, 15 ms at N = 10^4 and 1.3 s at 10^5)
+PRECISION_BOUND = 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +39,11 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def load_state(path: str) -> fq.FiniteState:
+def load_state(path: str) -> FiniteState:
+    import numpy as np
+
+    from .finiteqm import FiniteState
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -52,12 +63,14 @@ def load_state(path: str) -> fq.FiniteState:
         amps = np.asarray(pairs, dtype=float).view(complex).ravel()
         if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
-        return fq.FiniteState(n, rep, amps)
+        return FiniteState(n, rep, amps)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
 
 
-def dump_state(f: fq.FiniteState, path: str, metadata: dict | None = None) -> None:
+def dump_state(f: FiniteState, path: str, metadata: dict | None = None) -> None:
+    import numpy as np
+
     a = f.amplitudes
     data = {
         "n": f.n,
@@ -114,6 +127,8 @@ def load_config(path: str) -> dict:
 
 
 def cmd_fourier(args) -> int:
+    from . import finiteqm as fq
+
     f = load_state(args.infile)
     if args.n is not None and args.n != f.n:
         raise UsageError(f"state has n={f.n}, expected n={args.n}")
@@ -123,6 +138,8 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_displace(args) -> int:
+    from . import finiteqm as fq
+
     f = load_state(args.infile)
     el = fq.HWElement.from_canonical(f.n, args.alpha, args.beta, args.gamma)
     dump_state(fq.displace(el, f), args.out)
@@ -130,9 +147,11 @@ def cmd_displace(args) -> int:
 
 
 def cmd_wigner(args) -> int:
+    from .finiteqm import wigner_table
+
     f = load_state(args.infile)
     doubled = args.doubled and args.kind == "wigner" and f.n % 2 == 0
-    table = fq.wigner_table(f, args.kind, doubled)
+    table = wigner_table(f, args.kind, doubled)
     # a-major rows of Python floats, so the values print as repr(float)
     text = "".join(
         f"{a},{b},{re!r},{im!r}\n"
@@ -145,6 +164,8 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .embeddings import EmbeddingSpec, state_embed
+
     f = load_state(args.infile)
     if f.n != args.src:
         raise UsageError(f"state has n={f.n}, expected n={args.src}")
@@ -186,7 +207,7 @@ def cmd_poset(args) -> int:
         payload = {
             "n": args.n,
             "element": args.element,
-            "open_set": list(ps.divisor_poset(args.element).elements),
+            "open_set": list(ps.divisor_poset(args.element, bound=ps.SIZE_BOUND).elements),
         }
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown query {args.query}")
@@ -230,6 +251,8 @@ def cmd_padic(args) -> int:
         if args.p is None or args.value is None:
             raise UsageError("expand needs --p and --value")
         q = _parse_rational(args.value)
+        if args.precision > PRECISION_BOUND:
+            raise UsageError(f"precision {args.precision} exceeds bound {PRECISION_BOUND}")
         a = nm.PadicInt.from_rational(q, args.p, args.precision)
         payload = {
             "p": args.p,
@@ -259,6 +282,8 @@ def cmd_padic(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import VerifyConfig, report_dict, run_suites
+
     overrides = load_config(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key)

@@ -18,18 +18,21 @@ Conventions:
 * Base-p digits are derived from the stored residue on demand, so negative
   integers come out in (p-1)-complement form.
 * The four CRT index maps take an int or an integer ndarray; on an array
-  they act element-wise.
+  they act element-wise.  This module never imports numpy: a value is an
+  array only if numpy is already loaded and the value is an ndarray.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PrecisionError(ValueError):
@@ -484,9 +487,17 @@ def _check_array_modulus(n: int) -> None:
         raise ValueError(f"array CRT maps need n <= 2^31, got n={n}")
 
 
+def _is_array(x) -> bool:
+    """True for an ndarray, 0-d included; a numpy integer scalar is not one."""
+    if type(x) is int:  # the common case skips the module lookup
+        return False
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def _check_index(n: int, x, name: str) -> None:
     """Raise unless x, an int or an integer ndarray, lies in [0, n)."""
-    if isinstance(x, np.ndarray):
+    if _is_array(x):
         if x.dtype.kind not in "iu":
             raise ValueError(f"{name} must be an integer array, got {x.dtype}")
         _check_array_modulus(n)
@@ -507,7 +518,7 @@ def crt_join_mu(n: int, comps: tuple) -> "int | np.ndarray":
     factors = crt_idempotents(n)
     if len(comps) != len(factors):
         raise ValueError("component count mismatch")
-    if isinstance(comps[0], np.ndarray):
+    if _is_array(comps[0]):
         _check_array_modulus(n)
     return sum(c * f.w for c, f in zip(comps, factors)) % n
 
@@ -527,7 +538,7 @@ def crt_join_nu_hat(n: int, comps: tuple) -> "int | np.ndarray":
     factors = crt_idempotents(n)
     if len(comps) != len(factors):
         raise ValueError("component count mismatch")
-    if isinstance(comps[0], np.ndarray):
+    if _is_array(comps[0]):
         _check_array_modulus(n)
     return sum(c * f.u for c, f in zip(comps, factors)) % n
 

@@ -126,13 +126,16 @@ def local_inner(f: LocalSBFunction, g: LocalSBFunction) -> complex:
     return inner(refine(f, d).state(), refine(g, d).state())
 
 
+_SCALE_VALUES_BOUND = 2**20
+
+
 def scale_variable(f: LocalSBFunction, lam: int) -> LocalSBFunction:
     """The function x |-> f(lam x); degrees shift by r = ord_p(lam).
 
     Position side: the constancy degree drops by r (clamped at 0; the
     argument stays inside Z_p).  Momentum side: the support degree grows by
     r and the counting integral satisfies |lam|_p * integral(f(lam .)) =
-    integral(f).
+    integral(f); a result of more than 2^20 values is a ValueError.
     """
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
@@ -141,6 +144,8 @@ def scale_variable(f: LocalSBFunction, lam: int) -> LocalSBFunction:
         d, mult = max(f.degree - r, 0), lam
     else:
         d, mult = f.degree + r, lam // f.p**r
+        if f.p**d > _SCALE_VALUES_BOUND:
+            raise ValueError(f"result size {f.p}^{d} exceeds bound {_SCALE_VALUES_BOUND}")
     idx = _dilation(f.p**f.degree, mult, f.p**d)
     return LocalSBFunction(f.p, f.side, d, tuple(f.array()[idx]))
 

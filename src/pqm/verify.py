@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import SUITES
 from . import finiteqm as fq
 from . import numbers as nm
 from . import poset as ps
@@ -21,20 +22,6 @@ from . import schwartz_bruhat as sb
 from .embeddings import EmbeddingSpec, compat_suite, ubiquity_check
 # by name: perfbench's tracer swaps fq._displacement_grid for a counter that would raise
 from .finiteqm import MOMENTUM, POSITION, _displacement_grid
-
-SUITES = (
-    "fourier",
-    "good",
-    "hw",
-    "tomography",
-    "parity",
-    "marginals",
-    "coherent",
-    "embeddings",
-    "numbers",
-    "poset",
-    "schwartz",
-)
 
 _POSET_LIMIT_MAX = 10**5  # the poset suite builds every divisor list up to the limit
 

@@ -13,15 +13,17 @@ from pathlib import Path
 
 import pytest
 
+import pqm
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pqm"
 
 SURFACE = {
-    "__init__": {"__version__"},
+    "__init__": {"SUITES", "__getattr__", "__version__"},
     "cli": {
-        "UsageError", "build_parser", "cmd_displace", "cmd_embed", "cmd_fourier",
-        "cmd_padic", "cmd_poset", "cmd_verify", "cmd_wigner", "dump_state",
-        "load_config", "load_state", "main",
+        "PRECISION_BOUND", "UsageError", "build_parser", "cmd_displace", "cmd_embed",
+        "cmd_fourier", "cmd_padic", "cmd_poset", "cmd_verify", "cmd_wigner",
+        "dump_state", "load_config", "load_state", "main",
     },
     "embeddings": {
         "CompatReport", "EmbeddingSpec", "annihilator", "compat_suite",
@@ -71,7 +73,7 @@ SURFACE = {
         "scale_variable", "trivial_local",
     },
     "verify": {
-        "CheckResult", "SUITES", "VerifyConfig", "report_dict", "run_suites",
+        "CheckResult", "VerifyConfig", "report_dict", "run_suites",
         "suite_coherent", "suite_embeddings", "suite_fourier", "suite_good",
         "suite_hw", "suite_marginals", "suite_numbers", "suite_parity",
         "suite_poset", "suite_schwartz", "suite_tomography",
@@ -116,3 +118,13 @@ def test_names_the_benchmark_reads_exist():
     assert callable(importlib.import_module("pqm.finiteqm")._displacement_grid)
     verify = importlib.import_module("pqm.verify")
     assert tuple(verify._SUITE_FUNCS) == verify.SUITES
+
+
+def test_submodules_load_on_first_access():
+    # PEP 562: `import pqm` binds no submodule, and the benchmark reads
+    # pqm.verify after importing only pqm.cli
+    for stem in set(SURFACE) - {"__init__"}:
+        assert pqm.__getattr__(stem) is importlib.import_module(f"pqm.{stem}")
+    assert pqm.verify.SUITES is pqm.SUITES
+    with pytest.raises(AttributeError, match="module 'pqm' has no attribute 'nonexistent'"):
+        pqm.nonexistent

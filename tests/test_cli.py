@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqm
 from pqm import finiteqm as fq
 from pqm import poset as ps
 from pqm import verify
@@ -16,6 +21,9 @@ def _write_state(path, n=6, rep=POSITION, seed=1):
     f = random_state(n, np.random.default_rng(seed), rep=rep)
     dump_state(f, str(path))
     return f
+
+
+_PRIMORIAL_67 = 7858321551080267055879090  # 2*3*5*...*67
 
 
 def _one_error_line(capsys) -> str:
@@ -332,7 +340,7 @@ class TestPosetPadicCommands:
 
     def test_basis_lists_only_the_element_divisors(self, monkeypatch, capsys):
         # U(x) = N(x): n = 2*3*...*67 has 2^19 divisors, none of them needed
-        n = 7858321551080267055879090
+        n = _PRIMORIAL_67
         seen = []
         divisor_poset = ps.divisor_poset
 
@@ -365,6 +373,9 @@ class TestPosetPadicCommands:
             (12, -6, "-6 is not a divisor (> 1) of 12"),
             (12, 5, "5 is not a divisor (> 1) of 12"),
             (12, 24, "24 is not a divisor (> 1) of 12"),
+            # the element 2*3*...*67 has 2^19 - 1 divisors above 1
+            (_PRIMORIAL_67, _PRIMORIAL_67, "poset size 524287 exceeds bound 10000"),
+            (12, _PRIMORIAL_67, f"{_PRIMORIAL_67} is not a divisor (> 1) of 12"),
         ],
     )
     def test_basis_errors_in_order(self, n, element, message, capsys):
@@ -406,6 +417,16 @@ class TestPosetPadicCommands:
             ["padic", "expand", "--p", "3", "--value", "1/2", "--precision", precision]
         ) == 2
         assert capsys.readouterr().err == "pqm: error: precision must be >= 1\n"
+
+    def test_expand_precision_bound(self, capsys):
+        # the residue mod 3^(10^7) alone would take minutes
+        argv = ["padic", "expand", "--p", "3", "--value", "1/2", "--precision"]
+        assert main(argv + ["10000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pqm: error: precision 10000000 exceeds bound 10000\n"
+        assert main(argv + ["10000"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["digits"]) == 10000
 
     def test_expand_minus_one(self, capsys):
         assert main(["padic", "expand", "--p", "3", "--value", "-1", "--precision", "4"]) == 0
@@ -671,3 +692,45 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "fourier", "--samples", "2"]) == 1
         out = capsys.readouterr().out
         assert out.count("residual=nan") == 2 and "FAILED: 2 checks" in out
+
+
+# every padic action and poset query, --version and argparse's --suite check
+_EXACT_ARGVS = [
+    ["--version"],
+    ["padic", "crt", "--n", "720720", "--mu", "7"],
+    ["padic", "ord", "--p", "2", "--value", "12"],
+    ["padic", "expand", "--p", "3", "--value", "-7/5"],
+    ["padic", "ostrowski", "--value", "3/4"],
+    ["padic", "decompose", "--value", "5/6"],
+    *(["poset", "--n", "720720", q] for q in ("width", "length", "partition", "antichain")),
+    ["poset", "--n", "5040", "topology"],
+    ["poset", "--n", "720720", "basis", "--element", "360"],
+    ["verify", "--suite", "nope"],
+]
+
+
+def test_exact_commands_never_load_numpy():
+    # one fresh interpreter: this test process has numpy loaded already
+    code = f"""
+import contextlib, io, sys
+import pqm.cli
+codes = []
+for argv in {_EXACT_ARGVS!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(pqm.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes, "numpy" in sys.modules)
+print(pqm.verify.__name__, "numpy" in sys.modules)
+"""
+    src = str(Path(pqm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = [0] * (len(_EXACT_ARGVS) - 1) + [2]
+    # pqm.verify, which the benchmark worker reads, loads on first access
+    assert proc.stdout == f"{codes} False\npqm.verify True\n"

@@ -134,6 +134,25 @@ def test_array_maps_refuse_int64_overflow(split, join):
         join(n, tuple(np.array([c]) for c in comps))
 
 
+@pytest.mark.parametrize("split, join", MAPS)
+def test_only_an_ndarray_takes_the_array_path(split, join):
+    # numpy is found through sys.modules: an int or a numpy integer scalar
+    # takes the scalar path, with no 2^31 limit; any ndarray, 0-d included,
+    # takes the array path
+    n = 2 * (2**31 + 11)
+    assert split(n, np.int64(7)) == split(n, 7)
+    assert join(n, (np.int64(1), np.int64(3))) == join(n, (1, 3))
+    limit = r"array CRT maps need n <= 2\^31, got n=4294967318"
+    for arr in (np.array(7), np.array([7])):
+        with pytest.raises(ValueError, match=limit):
+            split(n, arr)
+    with pytest.raises(ValueError, match=limit):
+        join(n, (np.array(1), np.array(3)))
+    assert all(isinstance(c, np.ndarray) for c in split(12, np.array([7])))
+    with pytest.raises(ValueError, match=r"^(mu|nu) must be an integer array, got float64$"):
+        split(12, np.array([1.0, 2.0]))
+
+
 @_settings
 @given(
     m=st.integers(-(10**12), 10**12).filter(bool),

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestScaleVariable:
         g = scale_variable(f, 2)
         assert g.degree == 3
         assert 0.5 * integrate_local(g) == pytest.approx(integrate_local(f))
+
+    @pytest.mark.parametrize("lam, size", [(2**70, "2^72"), (3 * 2**19, "2^21")])
+    def test_momentum_result_size_bound(self, lam, size):
+        # checked before the index map: 2^72 values could never be built
+        f = _random_local(2, 2, MOMENTUM)
+        message = f"result size {size} exceeds bound 1048576"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scale_variable(f, lam)
+
+    def test_position_side_has_no_size_bound(self):
+        # the position degree only falls, so a large 2-power keeps 1 value
+        f = _random_local(2, 2)
+        assert scale_variable(f, 2**70) == LocalSBFunction(2, POSITION, 0, f.values[:1])
 
     def test_momentum_factor_general(self):
         for p, lam, absval in [(3, 3, Fraction(1, 3)), (2, 4, Fraction(1, 4)), (5, 10, Fraction(1, 5))]:
