@@ -6,7 +6,8 @@ codes: 0 success, 1 verification failure, 2 usage, parse or I/O errors and
 running out of memory.
 
 Only the modules a subcommand needs are imported, inside it: ``padic`` and
-``poset`` are integer arithmetic and never load numpy.
+``poset`` are integer arithmetic and never load numpy.  Likewise ``main``
+declares only the arguments of the subcommand that argv names.
 """
 
 from __future__ import annotations
@@ -314,22 +315,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pqm",
-        description="Exact finite phase-space machinery on Z(n) and its p-adic limits",
-    )
-    parser.add_argument("--version", action="version", version=f"pqm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fourier", help="Fourier-transform a state file")
+def _fourier_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=("direct", "good"), default="direct")
     p.add_argument("--n", type=int, default=None, help="validate the dimension")
     p.set_defaults(func=cmd_fourier)
 
-    p = sub.add_parser("displace", help="apply a displacement operator")
+
+def _displace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=int, required=True)
@@ -337,21 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=int, default=0)
     p.set_defaults(func=cmd_displace)
 
-    p = sub.add_parser("wigner", help="tabulate the Wigner or Weyl function")
+
+def _wigner_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--kind", choices=("wigner", "weyl"), default="wigner")
     p.add_argument("--doubled", action="store_true", help="even-n doubled a-grid")
     p.set_defaults(func=cmd_wigner)
 
-    p = sub.add_parser("embed", help="embed a state into a larger system")
+
+def _embed_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="src", type=int, required=True)
     p.add_argument("--to", dest="dst", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("poset", help="divisor poset and topology queries")
+
+def _poset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "query",
@@ -360,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", type=int, default=None)
     p.set_defaults(func=cmd_poset)
 
-    p = sub.add_parser("padic", help="p-adic and CRT evaluations")
+
+def _padic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=("crt", "ord", "expand", "ostrowski", "decompose"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--mu", type=int, default=None)
@@ -369,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=8)
     p.set_defaults(func=cmd_padic)
 
-    p = sub.add_parser("verify", help="run the verification suites")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--suite", action="append", choices=SUITES, default=None)
     p.add_argument("--json", default=None, help="write the JSON report here")
@@ -380,6 +379,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset-limit", dest="poset_limit", type=int, default=None)
     p.add_argument("--even-n-exploratory", action="store_true", default=None)
     p.set_defaults(func=cmd_verify)
+
+
+# each subcommand, in `pqm -h` order: its help and the function declaring its
+# arguments (which binds cmd_* when called, so a wrapped cmd_* is the one run)
+_COMMANDS = {
+    "fourier": ("Fourier-transform a state file", _fourier_args),
+    "displace": ("apply a displacement operator", _displace_args),
+    "wigner": ("tabulate the Wigner or Weyl function", _wigner_args),
+    "embed": ("embed a state into a larger system", _embed_args),
+    "poset": ("divisor poset and topology queries", _poset_args),
+    "padic": ("p-adic and CRT evaluations", _padic_args),
+    "verify": ("run the verification suites", _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``pqm`` parser with every subcommand, or with ``command`` alone.
+
+    The one-subcommand tree parses that subcommand's argv exactly as the full
+    tree does; its subcommand metavar keeps the top-level usage line, which an
+    unrecognized argument prints, byte-identical.
+    """
+    parser = argparse.ArgumentParser(
+        prog="pqm",
+        description="Exact finite phase-space machinery on Z(n) and its p-adic limits",
+    )
+    parser.add_argument("--version", action="version", version=f"pqm {__version__}")
+    # on the full tree a metavar would rename "argument command" in its errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, declare = _COMMANDS[name]
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -396,8 +428,11 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    # a leading subcommand name needs only that subcommand's parser; help,
+    # --version and every error before the name need the full tree
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:

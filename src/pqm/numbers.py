@@ -39,18 +39,69 @@ class PrecisionError(ValueError):
     """A p-adic operation needed more digits than the operand carries."""
 
 
+# Miller-Rabin with the first k prime bases decides every n below these
+# bounds (Jaeschke 1993; Sorenson and Webster, Math. Comp. 86 (2017) 985)
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+_PRIMALITY_BOUND = _MR_BOUNDS[-1][0]
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality for every p below about 3.3e24 (``_PRIMALITY_BOUND``).
+
+    Above it a composite still returns False; a p that passes all 13
+    Miller-Rabin bases raises ValueError, since no proof is at hand.
+    """
     if p < 2:
         return False
     if p < 4:
         return True
     if p % 2 == 0:
         return False
+    if p >= 43 * 43:
+        return _miller_rabin(p)
+    # below 43^2 trial division is the cheaper proof
     f = 3
     while f * f <= p:
         if p % f == 0:
             return False
         f += 2
+    return True
+
+
+def _miller_rabin(p: int) -> bool:
+    """Primality of an odd p >= 43^2: trial division by the bases, then
+    Miller-Rabin with as many of them as p's size needs."""
+    for q in _MR_PRIMES:
+        if p % q == 0:
+            return False
+    d = p - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    k = next((k for bound, k in _MR_BOUNDS if p < bound), len(_MR_PRIMES))
+    for a in _MR_PRIMES[:k]:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    if p >= _PRIMALITY_BOUND:
+        raise ValueError(f"cannot prove {p} prime: above the bound {_PRIMALITY_BOUND}")
     return True
 
 
@@ -496,7 +547,9 @@ def _is_array(x) -> bool:
 
 
 def _check_index(n: int, x, name: str) -> None:
-    """Raise unless x, an int or an integer ndarray, lies in [0, n)."""
+    """Raise unless n >= 2 and x, an int or an integer ndarray, lies in [0, n)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if _is_array(x):
         if x.dtype.kind not in "iu":
             raise ValueError(f"{name} must be an integer array, got {x.dtype}")

@@ -397,6 +397,24 @@ class TestPosetPadicCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["ord"] == 2 and out["abs"] == "1/4"
 
+    @pytest.mark.parametrize("n, mu", [("-5", "0"), ("0", "5"), ("0", "0"), ("1", "0")])
+    def test_crt_checks_n_first(self, n, mu, capsys):
+        assert main(["padic", "crt", "--n", n, "--mu", mu]) == 2
+        assert capsys.readouterr() == ("", "pqm: error: n must be >= 2\n")
+
+    def test_ord_and_expand_at_an_18_digit_prime(self, capsys):
+        # trial division up to sqrt(p) used to run for hours here
+        p = "1000000000000000003"
+        assert main(["padic", "ord", "--p", p, "--value", "3/7"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "abs": "1", "ord": 0, "p": int(p), "value": "3/7"
+        }
+        assert main(["padic", "expand", "--p", p, "--value=-7/5", "--precision", "12"]) == 0
+        digits = json.loads(capsys.readouterr().out)["digits"]
+        assert sum(d * int(p) ** i for i, d in enumerate(digits)) * 5 % int(p) ** 12 == (
+            -7 % int(p) ** 12
+        )
+
     @pytest.mark.parametrize("p", ["1", "0", "4", "-3"])
     def test_ord_rejects_non_prime(self, p, capsys):
         assert main(["padic", "ord", "--p", p, "--value", "8"]) == 2

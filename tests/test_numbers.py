@@ -21,6 +21,7 @@ from pqm.numbers import (
     crt_split_nu_hat,
     factorize,
     frac_mul,
+    is_prime,
     lift_tilde_xi,
     ostrowski_product,
     padic_ord_abs,
@@ -448,3 +449,39 @@ def test_profinite_subtraction():
     assert c.component(3, 3).residue == (9 - 2) % 27
     assert c.component(5, 2).residue == 5
 
+
+# the least strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases
+# (each one fools exactly the bases that the size table gives numbers below
+# it), and 8321 = 53 * 157, the least to base 2 with no factor <= 41
+_STRONG_PSEUDOPRIMES = [
+    2047, 8321, 1373653, 25326001, 3215031751, 3825123056546413051,
+    318665857834031151167461,
+]
+# Carmichael numbers, some with a factor <= 41 and some, of the form
+# (6k + 1)(12k + 1)(18k + 1) for k = 35, 45, 51, without
+_CARMICHAEL = [561, 1105, 1729, 294409, 56052361, 118901521, 172947529, 5394826801]
+
+
+@pytest.mark.parametrize("n", _STRONG_PSEUDOPRIMES + _CARMICHAEL)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [65537, 2**31 - 1, 2**61 - 1, 10**18 + 3, 2**64 - 59, 10**20 + 39, 10**23 + 117],
+)
+def test_is_prime_proves_large_primes(p):
+    assert is_prime(p)
+    assert not is_prime(p * 65537)
+
+
+def test_is_prime_refuses_what_it_cannot_prove():
+    # the least strong pseudoprime to the first 13 prime bases, where the
+    # deterministic range ends: a composite above it with a small factor
+    # still reads False
+    psi13 = 3317044064679887385961981
+    with pytest.raises(ValueError, match=f"cannot prove {psi13} prime"):
+        is_prime(psi13)
+    assert not is_prime(43 * psi13)
+    assert not is_prime(2**127 + 1)

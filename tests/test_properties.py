@@ -51,6 +51,7 @@ from pqm.numbers import (
     crt_split_nu_hat,
     factorize,
     frac_mul,
+    is_prime,
     project_xi,
     rat_decompose,
     rat_recombine,
@@ -162,6 +163,29 @@ def test_valuation_splits_off_the_unit(m, p):
     v = valuation(m, p)
     u, r = divmod(m, p**v)
     assert r == 0 and u % p != 0
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+@_settings
+@given(n=st.integers(-10, 10**6))
+@example(n=2047)  # the least strong pseudoprime to base 2
+@example(n=8321)  # the least one with no factor <= 41
+@example(n=1681)  # 41^2, the last square that trial division sees
+@example(n=1849)  # 43^2, the first n that Miller-Rabin sees
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == _trial_division_is_prime(n)
+
+
+@pytest.mark.parametrize("split, _", MAPS)
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_split_checks_n_before_the_index(split, _, n):
+    # every x, in range of Z(|n|) or not, reads the same error
+    for x in (0, 5, np.array([0, 5])):
+        with pytest.raises(ValueError, match=r"^n must be >= 2$"):
+            split(n, x)
 
 
 @pytest.mark.parametrize("m, p", [(0, 2), (8, 1), (8, 0), (8, -3)])
