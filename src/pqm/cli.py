@@ -34,6 +34,14 @@ class UsageError(Exception):
 # about N^2 (for p = 3, 15 ms at N = 10^4 and 1.3 s at 10^5)
 PRECISION_BOUND = 10**4
 
+# str() prints an int of at most 4300 digits (Python's default limit), so a
+# ``--value`` must stay below this in numerator and denominator
+_VALUE_BOUND = 10**4300
+# Fraction builds 10^|exponent| before any other check.  Its integer part,
+# its fraction and a printable value each have at most 4300 digits, so only
+# a value of 0 can have a longer exponent than this
+_EXPONENT_BOUND = 3 * 4300
+
 
 # ---------------------------------------------------------------------------
 # State files
@@ -216,11 +224,24 @@ def cmd_poset(args) -> int:
     return 0
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str, mod1: bool = False) -> Fraction:
+    """``text`` as a Fraction, reduced mod 1 if ``mod1``, that str() can print."""
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        too_long = bool(e) and abs(int(exponent)) > _EXPONENT_BOUND
+    except ValueError:
+        too_long = False  # no exponent to bound: Fraction rejects the text
+    if too_long:
+        raise UsageError(f"exponent of {text!r} exceeds bound {_EXPONENT_BOUND}")
+    try:
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}") from exc
+    if mod1:
+        q %= 1
+    if max(abs(q.numerator), q.denominator) >= _VALUE_BOUND:
+        raise UsageError(f"value {text!r} has more than 4300 digits")
+    return q
 
 
 def cmd_padic(args) -> int:
@@ -270,7 +291,7 @@ def cmd_padic(args) -> int:
     elif args.action == "decompose":
         if args.value is None:
             raise UsageError("decompose needs --value")
-        q = nm.RatMod1.of(_parse_rational(args.value))
+        q = nm.RatMod1.of(_parse_rational(args.value, mod1=True))
         parts = nm.rat_decompose(q)
         payload = {
             "value": f"{q.numerator}/{q.denominator}",

@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -106,8 +107,11 @@ def _miller_rabin(p: int) -> bool:
 
 
 @lru_cache(maxsize=65536)
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization ``{p: e}`` with primes in increasing order."""
+def factorize(n: int) -> Mapping[int, int]:
+    """Prime factorization ``{p: e}`` with primes in increasing order.
+
+    The mapping is read-only: every caller of a given n shares it.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
@@ -120,7 +124,7 @@ def factorize(n: int) -> dict[int, int]:
         f += 1 if f == 2 else 2
     if m > 1:
         out[m] = out.get(m, 0) + 1
-    return out
+    return MappingProxyType(out)
 
 
 def valuation(m: int, p: int) -> int:
@@ -253,7 +257,10 @@ class PadicInt:
             raise ValueError(f"{p} is not prime")
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        if q.denominator % p == 0:
+        if math.gcd(q.denominator, p) != 1:
+            # the pow below would fail here; otherwise from_int checks p
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
             raise ValueError(f"{q} is not a {p}-adic integer")
         inv = pow(q.denominator, -1, p**precision)
         return cls.from_int(q.numerator * inv, p, precision)

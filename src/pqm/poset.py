@@ -1,11 +1,13 @@
 """Supernatural numbers, divisor posets and the divisor (Alexandrov) topology.
 
 A supernatural number is a formal product prod p^{e_p} with exponents in
-Z>=0 union {inf}.  We restrict to finitely-described elements: finitely many
-finite exponents, finitely many explicitly-infinite primes, and a tail that
-is either all-zero or all-infinite.  That covers every element named in the
+Z>=0 union {inf}.  We restrict to finitely-described elements: a tail
+exponent, 0 or inf, carried by all but finitely many primes, and the
+exponents of those finitely many.  That covers every element named in the
 theory (N, p^inf, Omega(Pi_1) for finite or cofinite Pi_1, Omega) while
-staying decidable.
+staying decidable.  Each element has exactly one description, listing just
+the primes whose exponent differs from the tail, so two elements are equal
+iff each divides the other.
 
 1 is excluded throughout: with divisibility as the order, {2, 3, 4, ...} is
 a directed partial order but not a lattice, and the divisor poset of n has
@@ -17,42 +19,46 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
-from .numbers import factorize
+from .numbers import factorize, is_prime
 
 INF = math.inf
 
 
 @dataclass(frozen=True)
 class Supernatural:
-    """prod p^{e_p} with finitely many finite exponents and an inf set.
+    """prod p^{e_p}, in its one canonical form.
 
-    ``finite_exp`` holds primes with 0 < e_p < inf; ``inf_primes`` holds
-    primes with e_p = inf.  Primes in neither carry the tail exponent
-    (0, or inf when ``tail_infinite``).
+    ``exponents`` lists (p, e_p) by increasing prime for exactly the primes
+    whose exponent differs from the tail's: every other prime carries 0, or
+    inf when ``tail_infinite``.  So e_p is an int >= 1 or INF under a zero
+    tail, and an int >= 0 under an infinite one.
     """
 
-    finite_exp: tuple[tuple[int, int], ...] = ()
-    inf_primes: frozenset[int] = frozenset()
+    exponents: tuple[tuple[int, "int | float"], ...] = ()
     tail_infinite: bool = False
 
     def __post_init__(self) -> None:
-        primes = [p for p, _ in self.finite_exp]
-        if sorted(primes) != primes or len(set(primes)) != len(primes):
-            raise ValueError("finite_exp must be sorted with distinct primes")
-        if any(e < 1 for _, e in self.finite_exp):
-            raise ValueError("finite exponents must be >= 1")
-        if set(primes) & self.inf_primes:
-            raise ValueError("finite_exp and inf_primes must be disjoint")
-        if not self.finite_exp and not self.inf_primes and not self.tail_infinite:
+        primes = [p for p, _ in self.exponents]
+        if primes != sorted(set(primes)):
+            raise ValueError("exponents must be sorted by distinct primes")
+        tail = INF if self.tail_infinite else 0
+        for p, e in self.exponents:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if e != INF and not (isinstance(e, int) and e >= 0):
+                raise ValueError(f"exponent {e!r} of {p} is neither an int >= 0 nor INF")
+            if e == tail:
+                raise ValueError(f"exponent {e!r} of {p} equals the tail's, so is not listed")
+        if not self.exponents and not self.tail_infinite:
             raise ValueError("1 is excluded from the supernatural numbers")
 
     @classmethod
     def from_int(cls, n: int) -> "Supernatural":
         if n < 2:
             raise ValueError("n must be >= 2")
-        return cls(tuple(sorted(factorize(n).items())))
+        return cls(tuple(factorize(n).items()))
 
     @classmethod
     def of(
@@ -61,38 +67,31 @@ class Supernatural:
         inf_primes: Iterable[int] = (),
         tail_infinite: bool = False,
     ) -> "Supernatural":
-        return cls(
-            tuple(sorted((finite or {}).items())),
-            frozenset(inf_primes),
-            tail_infinite,
-        )
+        """The canonical form of prod_{finite} p^e * prod_{inf_primes} p^inf
+        times the tail: exponents equal to the tail's are dropped."""
+        exps = dict(finite or {})
+        inf_primes = set(inf_primes)
+        if inf_primes & exps.keys():
+            raise ValueError("finite and inf_primes must be disjoint")
+        exps.update(dict.fromkeys(inf_primes, INF))
+        tail = INF if tail_infinite else 0
+        return cls(tuple(sorted((p, e) for p, e in exps.items() if e != tail)), tail_infinite)
 
     @classmethod
     def prime_power(cls, p: int, e: "int | float") -> "Supernatural":
-        if e == INF:
-            return cls((), frozenset([p]))
-        return cls(((p, int(e)),))
+        return cls(((p, e if e == INF else int(e)),))
 
     @classmethod
     def omega(cls) -> "Supernatural":
         """The maximum element: every exponent is infinite."""
-        return cls((), frozenset(), True)
+        return cls((), True)
 
     def exponent(self, p: int) -> "int | float":
-        for q, e in self.finite_exp:
-            if q == p:
-                return e
-        if p in self.inf_primes:
-            return INF
-        return INF if self.tail_infinite else 0
-
-    @property
-    def mentioned_primes(self) -> frozenset[int]:
-        return frozenset(p for p, _ in self.finite_exp) | self.inf_primes
+        return dict(self.exponents).get(p, INF if self.tail_infinite else 0)
 
     def __repr__(self) -> str:
-        parts = [f"{p}^{e}" for p, e in self.finite_exp]
-        parts += [f"{p}^inf" for p in sorted(self.inf_primes)]
+        parts = [f"{p}^{e}" for p, e in self.exponents if e != INF]
+        parts += [f"{p}^inf" for p, e in self.exponents if e == INF]
         if self.tail_infinite:
             parts.append("(all remaining)^inf")
         return "Supernatural(" + " * ".join(parts) + ")"
@@ -102,13 +101,12 @@ OMEGA = Supernatural.omega()
 
 
 def sn_divides(m: Supernatural, n: Supernatural) -> bool:
-    """m | n iff e_p(m) <= e_p(n) for every prime (inf dominates)."""
+    """m | n iff e_p(m) <= e_p(n) for every prime (inf dominates).
+
+    Off the listed primes of both, each side carries its tail."""
     if m.tail_infinite and not n.tail_infinite:
         return False
-    for p in m.mentioned_primes | n.mentioned_primes:
-        if m.exponent(p) > n.exponent(p):
-            return False
-    return True
+    return all(m.exponent(p) <= n.exponent(p) for p, _ in m.exponents + n.exponents)
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,8 @@ class OmegaChain:
 def sn_sup(
     chain: "Iterable[Supernatural] | PrimePowerChain | OmegaChain",
 ) -> Supernatural:
-    """Supremum of a finite set or of a symbolically-described chain."""
+    """Supremum of a finite set (the pointwise max of the exponents) or of a
+    symbolically-described chain."""
     if isinstance(chain, PrimePowerChain):
         return Supernatural.prime_power(chain.p, INF)
     if isinstance(chain, OmegaChain):
@@ -143,19 +142,10 @@ def sn_sup(
     if not items:
         raise ValueError("empty set has no supremum here (1 is excluded)")
     tail_inf = any(x.tail_infinite for x in items)
-    finite: dict[int, int] = {}
-    infs: set[int] = set()
-    mentioned: frozenset[int] = frozenset()
-    for x in items:
-        mentioned |= x.mentioned_primes
-    for p in mentioned:
-        e = max(x.exponent(p) for x in items)
-        if e == INF:
-            if not tail_inf:  # an infinite tail already covers p
-                infs.add(p)
-        elif e >= 1:
-            finite[p] = int(e)
-    return Supernatural.of(finite, infs, tail_inf)
+    tail = INF if tail_inf else 0
+    primes = sorted({p for x in items for p, _ in x.exponents})
+    exps = [(p, max(x.exponent(p) for x in items)) for p in primes]
+    return Supernatural(tuple((p, e) for p, e in exps if e != tail), tail_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +162,8 @@ class FinitePoset:
     """A finite set ordered by divisibility.
 
     Elements are integers (ordinary divisibility) or Supernatural values
-    (supernatural divisibility); the type of the first element picks the
-    order, and ``leq(a, b)`` is a plain function of the two elements.
+    (supernatural divisibility), never both; their type picks the order,
+    and ``leq(a, b)`` is a plain function of the two elements.
     """
 
     elements: tuple
@@ -182,7 +172,10 @@ class FinitePoset:
     def __post_init__(self) -> None:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements")
-        sn = bool(self.elements) and isinstance(self.elements[0], Supernatural)
+        types = set(map(type, self.elements))
+        sn = Supernatural in types
+        if sn and len(types) > 1:
+            raise ValueError("elements mix integers and Supernatural values")
         object.__setattr__(self, "leq", sn_divides if sn else _int_divides)
 
     def __len__(self) -> int:
@@ -196,7 +189,7 @@ class FinitePoset:
 SIZE_BOUND = 10**4
 
 
-def _divisor_exponents(n: int, bound: int | None = None) -> dict[int, int]:
+def _divisor_exponents(n: int, bound: int | None = None) -> Mapping[int, int]:
     """factorize(n), refusing an N(n) of more than ``bound`` elements before
     any divisor is listed (N(n) has prod (e_p + 1) - 1 elements)."""
     if n < 2:

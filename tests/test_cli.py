@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,39 @@ class TestPosetPadicCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"pqm: error: {p} is not prime\n"
+
+    @pytest.mark.parametrize("value", ["1/2", "1/4", "12.5", "1/3", "3"])
+    def test_expand_names_a_composite_p_whatever_the_value(self, value, capsys):
+        # 1/2 and 12.5 once printed "base is not invertible for the given modulus"
+        assert main(["padic", "expand", "--p", "4", "--value", value]) == 2
+        assert capsys.readouterr() == ("", "pqm: error: 4 is not prime\n")
+
+    @pytest.mark.parametrize("action", ["ord", "expand", "ostrowski", "decompose"])
+    @pytest.mark.parametrize("value", ["1e999999999", "-2.5E-12901", "0e12901"])
+    def test_exponent_bound_before_fraction(self, action, value, capsys):
+        # Fraction would build 10^999999999 first: a hang and a 415 MB integer
+        assert main(["padic", action, "--p", "3", "--value", value]) == 2
+        assert capsys.readouterr() == (
+            "", f"pqm: error: exponent of {value!r} exceeds bound 12900\n"
+        )
+
+    @pytest.mark.parametrize("action", ["ord", "expand", "ostrowski"])
+    @pytest.mark.parametrize(
+        "value", ["1e4300", "1e-4300", "1e12900", "1" * 3000 + "." + "1" * 3000]
+    )
+    def test_value_digit_bound(self, action, value, capsys):
+        # str() of the value once printed Python's "Exceeds the limit (4300 digits)" line
+        assert main(["padic", action, "--p", "3", "--value", value]) == 2
+        assert capsys.readouterr() == (
+            "", f"pqm: error: value {value!r} has more than 4300 digits\n"
+        )
+
+    @pytest.mark.parametrize("value", ["1e4299", "1e-4299", "0.5e4300", "1e12900"])
+    def test_values_within_the_bounds_still_print(self, value, capsys):
+        action = "decompose" if value == "1e12900" else "ord"  # q mod 1 is printed
+        assert main(["padic", action, "--p", "3", "--value", value]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert Fraction(out["value"]) % 1 == Fraction(value) % 1
 
     @pytest.mark.parametrize("precision", ["-1", "-5"])
     def test_expand_rejects_negative_precision(self, precision, capsys):

@@ -1,9 +1,11 @@
 """Fuzz `cli.main` over the exact subcommands, `pqm padic` and `pqm poset`.
 
 Any argv exits 0 with one JSON line on stdout, or exits 2 with stderr ending
-in exactly one `pqm…: error: …` line; no other exception escapes.  Integers
-that reach `factorize` stay at or below 10^6, so no case can hang on it;
-a prime p for `ord` and `expand` may be any size.
+in exactly one `pqm…: error: …` line; no other exception escapes, and no
+error line is a message of Python's own.  Integers that reach `factorize`
+are at most 10^6 times a power of ten, so no case can hang on it; a prime p
+for `ord` and `expand` may be any size, and a `--value` in exponent
+notation may lie past either bound of `cli._parse_rational`.
 """
 
 import contextlib
@@ -32,7 +34,12 @@ _WORDS = st.sampled_from(
 
 def _rationals(ints):
     # zero and negative denominators included
-    return ints.map(str) | st.builds("{}/{}".format, ints, ints) | _WORDS
+    return (
+        ints.map(str)
+        | st.builds("{}/{}".format, ints, ints)
+        | st.builds("{}e{}".format, ints, st.integers(-13000, 13000))
+        | _WORDS
+    )
 
 
 def _options(draw, flags: dict) -> list[str]:
@@ -73,6 +80,9 @@ def _poset_argv(draw):
 @example(argv=["padic", "expand", "--p", "3317044064679887385961981", "--value", "1"])
 @example(argv=["padic", "ord", "--p", "2", "--value", "-inf"])
 @example(argv=["poset", "--n", "-1", "basis", "--element", "0"])
+@example(argv=["padic", "expand", "--p", "4", "--value", "1/2"])
+@example(argv=["padic", "ord", "--p", "3", "--value", "1e5000"])
+@example(argv=["padic", "ostrowski", "--value", "1e999999999"])
 def test_exact_subcommands_exit_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -91,3 +101,5 @@ def test_exact_subcommands_exit_0_or_2(argv):
         lines = err.splitlines()
         assert _ERROR_LINE.fullmatch(lines[-1])
         assert sum(bool(_ERROR_LINE.match(line)) for line in lines) == 1
+        # the two messages of Python's own that once reached this line
+        assert "int_max_str_digits" not in err and "not invertible" not in err

@@ -101,6 +101,30 @@ class TestPadicInt:
         with pytest.raises(ValueError, match="precision must be >= 1"):
             PadicInt.from_rational(Fraction(1, 2), 3, precision)
 
+    @pytest.mark.parametrize(
+        "q, p",
+        [(Fraction(1, 2), 4), (Fraction(1, 4), 4), (Fraction(5, 6), 9), (Fraction(1, 3), 4)],
+    )
+    def test_from_rational_names_a_composite_p(self, q, p):
+        # a denominator sharing a factor with p once reached pow() unchecked
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            PadicInt.from_rational(q, p, 4)
+
+    @pytest.mark.parametrize(
+        "q, raises", [(Fraction(1, 2), False), (Fraction(1, 3), True), (Fraction(4, 9), True)]
+    )
+    def test_from_rational_checks_primality_once(self, q, raises, monkeypatch):
+        import pqm.numbers as nm
+
+        calls = []
+        monkeypatch.setattr(nm, "is_prime", lambda p: calls.append(p) or is_prime(p))
+        if raises:
+            with pytest.raises(ValueError, match="is not a 3-adic integer"):
+                PadicInt.from_rational(q, 3, 4)
+        else:
+            PadicInt.from_rational(q, 3, 4)
+        assert calls == [3]
+
 
 class TestOrdAbs:
     def test_twelve_at_two(self):
@@ -401,6 +425,15 @@ def test_factorize_small():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(97) == {97: 1}
     assert factorize(1) == {}
+
+
+def test_factorize_cannot_be_changed_through_its_cache():
+    from pqm.poset import divisor_width_length
+
+    with pytest.raises(TypeError):
+        factorize(12)[5] = 1
+    assert factorize(12) == {2: 2, 3: 1}
+    assert divisor_width_length(12).width == 2
 
 
 def test_padic_frac_arithmetic():

@@ -60,6 +60,59 @@ class TestSupernatural:
     def test_excludes_one(self):
         with pytest.raises(ValueError):
             Supernatural.of({})
+        with pytest.raises(ValueError):
+            Supernatural.of({2: 0, 3: 0})
+
+    def test_one_form_per_element(self):
+        # an infinite tail already says p^inf: listing p again changes nothing
+        assert Supernatural.of(inf_primes=[2], tail_infinite=True) == OMEGA
+        assert hash(Supernatural.of(inf_primes=[2, 3], tail_infinite=True)) == hash(OMEGA)
+        assert Supernatural.of({2: 3, 5: 0}) == Supernatural.prime_power(2, 3)
+        assert Supernatural.of({2: INF}) == Supernatural.prime_power(2, INF)
+        assert Supernatural.of({3: 2}, [5], True).exponents == ((3, 2),)
+
+    def test_zero_under_an_infinite_tail(self):
+        # Omega(Pi_1) for cofinite Pi_1: every prime but 2 and 3 to the inf
+        x = Supernatural.of({2: 0, 3: 0}, tail_infinite=True)
+        assert x.exponents == ((2, 0), (3, 0))
+        assert [x.exponent(p) for p in (2, 3, 5)] == [0, 0, INF]
+        assert not sn_divides(Supernatural.from_int(2), x)
+        assert sn_divides(Supernatural.from_int(5**9), x)
+        assert sn_sup([x, Supernatural.from_int(2)]) == Supernatural.of({2: 1, 3: 0}, tail_infinite=True)
+        assert sn_sup([x, Supernatural.of({2: 0}, [3])]) == Supernatural.of({2: 0}, tail_infinite=True)
+
+    @pytest.mark.parametrize(
+        "exponents, tail",
+        [
+            (((3, 1), (2, 1)), False),  # unsorted
+            (((2, 1), (2, 2)), False),  # repeated prime
+            (((2, 0),), False),  # the zero tail's own exponent
+            (((2, INF),), True),  # the infinite tail's own exponent
+            (((2, -1),), False),
+            (((2, 1.5),), False),
+            (((4, 1),), False),  # 2^2 written over a composite
+            (((1, 1),), True),
+            ((), False),  # 1
+        ],
+    )
+    def test_constructor_rejects_non_canonical_input(self, exponents, tail):
+        with pytest.raises(ValueError):
+            Supernatural(exponents, tail)
+
+    def test_of_rejects_a_prime_both_finite_and_infinite(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            Supernatural.of({2: 1}, inf_primes=[2])
+
+    def test_repr(self):
+        assert repr(Supernatural.from_int(360)) == "Supernatural(2^3 * 3^2 * 5^1)"
+        assert repr(Supernatural.of({7: 1, 3: 2}, [5, 2])) == "Supernatural(3^2 * 7^1 * 2^inf * 5^inf)"
+        assert repr(Supernatural.of({2: 3}, tail_infinite=True)) == (
+            "Supernatural(2^3 * (all remaining)^inf)"
+        )
+        assert repr(OMEGA) == "Supernatural((all remaining)^inf)"
+        assert repr(Supernatural.of({5: 0}, tail_infinite=True)) == (
+            "Supernatural(5^0 * (all remaining)^inf)"
+        )
 
     def test_partial_order_axioms(self):
         rng = random.Random(8)
@@ -303,6 +356,16 @@ class TestTopology:
         # N(p) is a single point; there is no strict pair to violate T1
         ok, witness = check_t1(divisor_poset(13))
         assert ok and witness is None
+
+    def test_mixed_element_types_rejected(self):
+        # integer and supernatural divisibility are different orders
+        for els in ((2, Supernatural.from_int(4)), (Supernatural.from_int(2), 4)):
+            with pytest.raises(ValueError, match="mix"):
+                FinitePoset(els)
+
+    def test_one_element_in_two_forms_is_a_duplicate(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            FinitePoset((Supernatural.of(inf_primes=[2], tail_infinite=True), OMEGA))
 
     def test_supernatural_universe(self):
         els = (

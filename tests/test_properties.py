@@ -1,5 +1,6 @@
 """Property tests for the CRT maps, the p-valuation, divisor posets (with
-the matching as the oracle of the closed form), the composite-label point
+the matching as the oracle of the closed form), the order, suprema and
+Alexandrov topology of supernatural numbers, the composite-label point
 embedding (with the prime-power formula as its oracle), the inverse of the
 profinite Heisenberg-Weyl group over Zhat, the FFT paths of the Fourier transform, the FFT paths of the
 phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
@@ -7,6 +8,7 @@ phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
 Schwartz-Bruhat operations and x -> lam x (with per-point loops as
 oracles)."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -57,7 +59,21 @@ from pqm.numbers import (
     rat_recombine,
     valuation,
 )
-from pqm.poset import divisor_poset, divisor_width_length, poset_width_length
+from pqm.poset import (
+    INF,
+    OMEGA,
+    FinitePoset,
+    Supernatural,
+    basis_open,
+    check_t0,
+    check_t1,
+    divisor_poset,
+    divisor_width_length,
+    is_open,
+    poset_width_length,
+    sn_divides,
+    sn_sup,
+)
 from pqm.profinite_hw import (
     GlobalProfiniteHW,
     phw_global_inv,
@@ -211,6 +227,74 @@ def test_divisor_width_length_matches_matching(n):
         want.length,
         want.max_antichain,
     )
+
+
+# Supernatural numbers over a few primes: each listed exponent may be 0, a
+# small int or inf, under either tail, before Supernatural.of canonicalizes
+_SN_PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def _supernaturals(draw):
+    exps = draw(st.dictionaries(st.sampled_from(_SN_PRIMES), st.sampled_from([0, 1, 2, INF])))
+    tail = draw(st.booleans())
+    assume(tail or any(exps.values()))
+    finite = {p: e for p, e in exps.items() if e != INF}
+    return Supernatural.of(finite, [p for p, e in exps.items() if e == INF], tail)
+
+
+# half the default draws: four primes and two tails leave few distinct
+# cases, and each @example pins an element once written in two forms
+_sn_settings = settings(deadline=None, max_examples=50)
+
+
+def _exponent_map(x):
+    # the primes drawn, and one prime that is never listed (the tail)
+    return [x.exponent(p) for p in _SN_PRIMES + (11,)]
+
+
+@_sn_settings
+@given(a=_supernaturals(), b=_supernaturals(), c=_supernaturals())
+@example(a=Supernatural.of(inf_primes=[2], tail_infinite=True), b=OMEGA, c=OMEGA)
+def test_sn_divides_is_a_partial_order(a, b, c):
+    assert sn_divides(a, a)
+    if sn_divides(a, b) and sn_divides(b, a):
+        assert a == b and hash(a) == hash(b)
+    if sn_divides(a, b) and sn_divides(b, c):
+        assert sn_divides(a, c)
+    assert (a == b) == (_exponent_map(a) == _exponent_map(b))
+
+
+@_sn_settings
+@given(xs=st.lists(_supernaturals(), min_size=1, max_size=4), y=_supernaturals())
+@example(xs=[Supernatural.of(inf_primes=[3], tail_infinite=True)], y=OMEGA)
+def test_sn_sup_is_the_least_upper_bound(xs, y):
+    s = sn_sup(xs)
+    if len(xs) == 1:
+        assert s == xs[0]
+    assert _exponent_map(s) == [max(e) for e in zip(*map(_exponent_map, xs))]
+    assert all(sn_divides(x, s) for x in xs)
+    for u in (y, sn_sup(xs + [y])):
+        if all(sn_divides(x, u) for x in xs):
+            assert sn_divides(s, u)
+
+
+@_sn_settings
+@given(els=st.lists(_supernaturals(), min_size=1, max_size=5, unique=True), data=st.data())
+def test_supernatural_alexandrov_topology(els, data):
+    poset = FinitePoset(tuple(els))
+    assert check_t0(poset)
+    ok, witness = check_t1(poset)
+    strict = [(m, x) for m in els for x in els if m != x and sn_divides(m, x)]
+    assert ok == (not strict)
+    assert witness is None if ok else witness in strict
+    x = data.draw(st.sampled_from(els))
+    u = basis_open(poset, x)
+    assert x in u and is_open(poset, u)
+    for r in range(len(els) + 1):
+        for s in map(frozenset, itertools.combinations(els, r)):
+            if x in s and is_open(poset, s):
+                assert u <= s
 
 
 @_settings
