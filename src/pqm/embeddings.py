@@ -118,21 +118,28 @@ def phase_embed_character(point: tuple[int, int], spec: EmbeddingSpec) -> bool:
     return char_chi_p(a_p, b_p) == src
 
 
-def def2_point_embed(
-    x: int, frak_p: int, k: int, ell: int
-) -> tuple[int, int]:
+def _characters_preserved(k: int, ell: int) -> bool:
+    """``phase_embed_character`` on the points x, p < min(k, 8) of Z(k) into
+    Z(l), all at once: omega_l(x' p') = omega_k(x p) iff x' p' = (l/k) x p
+    mod l, an integer congruence on index arrays."""
+    x, fp = np.divmod(np.arange(min(k, 8) ** 2), min(k, 8))
+    x2, fp2 = def2_point_embed(x, fp, k, ell)
+    return bool(np.all((x2 * fp2 - (ell // k) * x * fp) % ell == 0))
+
+
+def def2_point_embed(x, frak_p, k: int, ell: int):
     """The composite-label point embedding: new-prime components vanish.
 
     x' is congruent to x at the primes of k and to 0 at the new primes;
-    p' = (l/k) p.  Characters are preserved exactly.
+    p' = (l/k) p.  Characters are preserved exactly.  x and frak_p are ints,
+    or integer arrays of one shape, mapped entry by entry.
     """
     if ell % k != 0:
         raise ValueError("labels must divide")
     k_exp = factorize(k)
-    # the residue mod p^{e_k(p)} lifts unchanged into Z(p^{e_l(p)})
-    comps = tuple(
-        x % f.p ** k_exp[f.p] if f.p in k_exp else 0 for f in crt_idempotents(ell)
-    )
+    # the residue mod p^{e_k(p)} lifts unchanged into Z(p^{e_l(p)}); a new
+    # prime has e_k(p) = 0, so its component is x mod 1 = 0
+    comps = tuple(x % f.p ** k_exp.get(f.p, 0) for f in crt_idempotents(ell))
     return crt_join_mu(ell, comps), (ell // k) * frak_p
 
 
@@ -227,12 +234,7 @@ def compat_suite(k: int, ell: int, m: int, rng=None, samples: int = 5) -> list[C
     res = float(np.max(gaps))
     out.append(CompatReport("hw_intertwining", res <= 1e-10, res))
 
-    spec = EmbeddingSpec(k, ell)
-    ok = all(
-        phase_embed_character((x, fp), spec)
-        for x in range(min(k, 8))
-        for fp in range(min(k, 8))
-    )
+    ok = _characters_preserved(k, ell)
     out.append(CompatReport("character_preservation", ok, 0.0 if ok else 1.0))
     return out
 

@@ -271,31 +271,53 @@ def hw_z(n: int) -> HWElement:
     return HWElement.from_canonical(n, pow(_chi_coeff(n), -1, n), 0, 0)
 
 
-def _displacement_action(d: HWElement, rep: str) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, src) with (D f)(x) = phases[x] f(src[x]) on the rep's values;
-    the x-dependent exponents are reduced mod n in integers before the float."""
-    n, c = d.n, _chi_coeff(d.n)
+def _displacement_action(
+    n: int, alpha, beta, phase, rep: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, src) with (D f)(x) = phases[..., x] f(src[..., x]) on the rep's
+    values, for D = e(phase) D(alpha, beta): alpha, beta are ints and phase
+    is in turns, each a scalar or a (k, 1) column for k elements at once.
+    The x-dependent exponents are reduced mod n in integers before the float."""
+    c = _chi_coeff(n)
     x = np.arange(n)
     if rep == POSITION:
-        src, turns = (x - d.beta) % n, _dilation(n, c * d.alpha)
+        src, turns = (x - beta) % n, c * alpha % n * x % n
     else:
-        src = (x - c * d.alpha) % n
-        turns = -(d.beta * src % n)
-    s = d.phase.numerator / d.phase.denominator
-    return np.exp(1j * (_TWO_PI * (s + turns / n))), src
+        src = (x - c * alpha) % n
+        turns = -(beta * src % n)
+    return np.exp(1j * (_TWO_PI * (phase + turns / n))), src
+
+
+def _turns(q: RatMod1) -> float:
+    return q.numerator / q.denominator
 
 
 def displace(d: HWElement, f: FiniteState) -> FiniteState:
     if d.n != f.n:
         raise ValueError("dimension mismatch")
-    phases, src = _displacement_action(d, f.rep)
+    phases, src = _displacement_action(d.n, d.alpha, d.beta, _turns(d.phase), f.rep)
     return FiniteState(d.n, f.rep, phases * f.amplitudes[src])
 
 
 def hw_matrix(d: HWElement, rep: str = POSITION) -> np.ndarray:
-    phases, src = _displacement_action(d, rep)
+    phases, src = _displacement_action(d.n, d.alpha, d.beta, _turns(d.phase), rep)
     m = np.zeros((d.n, d.n), dtype=complex)
     m[np.arange(d.n), src] = phases
+    return m
+
+
+def _hw_matrices(elements, rep: str = POSITION) -> np.ndarray:
+    """``hw_matrix`` of each element, all of one n, as one (k, n, n) stack."""
+    n = elements[0].n
+    if any(d.n != n for d in elements):
+        raise ValueError("dimension mismatch")
+    alpha, beta, phase = (
+        np.array(col)[:, None]
+        for col in zip(*((d.alpha, d.beta, _turns(d.phase)) for d in elements))
+    )
+    phases, src = _displacement_action(n, alpha, beta, phase, rep)
+    m = np.zeros((len(elements), n, n), dtype=complex)
+    m[np.arange(len(elements))[:, None], np.arange(n), src] = phases
     return m
 
 

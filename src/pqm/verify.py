@@ -19,7 +19,7 @@ from . import finiteqm as fq
 from . import numbers as nm
 from . import poset as ps
 from . import schwartz_bruhat as sb
-from .embeddings import EmbeddingSpec, compat_suite, ubiquity_check
+from .embeddings import EmbeddingSpec, compat_suite, phase_embed_character, ubiquity_check
 # by name: perfbench's tracer swaps fq._displacement_grid for a counter that would raise
 from .finiteqm import MOMENTUM, POSITION, _displacement_grid
 
@@ -143,13 +143,18 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 2)
     pairs = max(cfg.samples * 10, 20)
     for n in range(2, 17):
+        # the exact products pair by pair, then the matrices of all pairs
+        # of this n in one stack, so one stacked product checks them
+        left, right, prod = [], [], []
         for _ in range(pairs):
             a1, b1, g1, a2, b2, g2 = (int(v) for v in rng.integers(0, n, 6))
             d1 = fq.HWElement.from_canonical(n, a1, b1, g1)
             d2 = fq.HWElement.from_canonical(n, a2, b2, g2)
-            lhs = fq.hw_matrix(fq.hw_mul(d1, d2))
-            rhs = fq.hw_matrix(d1) @ fq.hw_matrix(d2)
-            rep.gap("group_law_matches_matrices", lhs, rhs, 1e-12)
+            left.append(d1)
+            right.append(d2)
+            prod.append(fq.hw_mul(d1, d2))
+        rhs = fq._hw_matrices(left) @ fq._hw_matrices(right)
+        rep.gap("group_law_matches_matrices", fq._hw_matrices(prod), rhs, 1e-12)
 
     for n in range(2, 17):
         z, x = fq.hw_z(n), fq.hw_x(n)
@@ -325,6 +330,7 @@ def _divisor_chains(limit: int):
 
 
 _LABEL_LIMIT = 64  # the embeddings suite runs on systems Z(m), m <= this
+_CHARACTER_ORACLE_MAX = 16  # and checks characters point by point for m <= this
 
 # compat_suite law -> (check name, tolerance)
 _COMPAT_CHECKS = {
@@ -350,6 +356,11 @@ def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
         for r in compat_suite(k, ell, m, rng=rng, samples=2):
             name, tol = _COMPAT_CHECKS[r.name]
             rep.case(name, r.residual, tol)
+        if m <= _CHARACTER_ORACLE_MAX:
+            # the character law point by point, as exact Q/Z values
+            spec, grid = EmbeddingSpec(k, ell), range(min(k, 8))
+            ok = all(phase_embed_character((x, fp), spec) for x in grid for fp in grid)
+            rep.exact("character_preservation_exact", ok)
 
     pairs = [(k, r) for k in range(2, 17) for r in range(k, _LABEL_LIMIT + 1, k) if r > k]
     rng2 = np.random.default_rng(cfg.seed + 8)
@@ -441,9 +452,11 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     ok = r12.width == 2 and r36.width == 3 and r36.length == 4
     rep.exact("width_length_oracle_values", ok)
     # the closed form against the matching: the same width, length and
-    # antichain, and chains that cover N(n) once each, as few as the width
+    # antichain, and chains that cover N(n) once each, as few as the width;
+    # and T0 by the scan over all pairs, the oracle of the antisymmetry pass
     for n in range(2, 121):
         p = ps.divisor_poset(n)
+        rep.exact("t0_everywhere", ps._check_t0_pairwise(p))
         want, got = ps.poset_width_length(p), ps.divisor_width_length(n)
         chains = got.chain_partition
         ok = (got.width, got.length, got.max_antichain) == (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pqm.embeddings as emb
 from pqm.numbers import char_omega
 from pqm.finiteqm import (
     MOMENTUM,
@@ -24,6 +25,7 @@ from pqm.embeddings import (
     ubiquity_check,
 )
 from pqm.poset import INF, Supernatural
+from pqm.verify import _divisor_chains
 from pqm.schwartz_bruhat import GlobalSBFunction, canonicalize_global
 
 RNG = np.random.default_rng(424242)
@@ -41,6 +43,27 @@ class TestPhaseEmbed:
             for a in range(k):
                 for b in range(k):
                     assert phase_embed_character((a, b), spec)
+
+    def test_array_character_law_is_the_per_point_law(self, monkeypatch):
+        # every (k, l) of a chain k | l | m <= 64, as in the embeddings suite
+        pairs = sorted({(k, ell) for k, ell, _ in _divisor_chains(64)})
+
+        def per_point(k, ell):
+            spec, grid = EmbeddingSpec(k, ell), range(min(k, 8))
+            return all(phase_embed_character((x, fp), spec) for x in grid for fp in grid)
+
+        for k, ell in pairs:
+            assert emb._characters_preserved(k, ell) is per_point(k, ell) is True
+        # x' + 1 breaks the law wherever some p' is nonzero mod l: everywhere
+        embed = emb.def2_point_embed
+        monkeypatch.setattr(
+            emb, "def2_point_embed",
+            lambda x, fp, k, ell: (embed(x, fp, k, ell)[0] + 1, embed(x, fp, k, ell)[1]),
+        )
+        for k, ell in pairs:
+            assert emb._characters_preserved(k, ell) is per_point(k, ell) is False
+        law = {r.name: r for r in compat_suite(2, 4, 8, samples=1)}["character_preservation"]
+        assert not law.passed and law.residual == 1.0
 
     def test_composition(self):
         s12, s23, s13 = EmbeddingSpec(3, 9), EmbeddingSpec(9, 27), EmbeddingSpec(3, 27)

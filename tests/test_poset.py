@@ -363,6 +363,19 @@ class TestTopology:
             with pytest.raises(ValueError, match="mix"):
                 FinitePoset(els)
 
+    def test_zero_rejected(self):
+        # 0 divides only itself: every check on it ended in ZeroDivisionError
+        for els in ((0, 2), (0,), (2, 0, -3)):
+            with pytest.raises(ValueError, match="0 is not"):
+                FinitePoset(els)
+
+    def test_negatives_break_t0(self):
+        # -2 and 2 divide each other, so no open set separates them
+        p = FinitePoset((-2, 2))
+        assert check_t0(p) is False and ps._check_t0_pairwise(p) is False
+        p = FinitePoset((-2, 3, 4))
+        assert check_t0(p) is True and ps._check_t0_pairwise(p) is True
+
     def test_one_element_in_two_forms_is_a_duplicate(self):
         with pytest.raises(ValueError, match="duplicate"):
             FinitePoset((Supernatural.of(inf_primes=[2], tail_infinite=True), OMEGA))

@@ -25,6 +25,7 @@ from pqm.finiteqm import (
     PhasePoint,
     _displacement_grid,
     _hat_values,
+    _hw_matrices,
     fourier,
     fourier_good,
     hw_adjoint,
@@ -64,6 +65,7 @@ from pqm.poset import (
     OMEGA,
     FinitePoset,
     Supernatural,
+    _check_t0_pairwise,
     basis_open,
     check_t0,
     check_t1,
@@ -283,7 +285,7 @@ def test_sn_sup_is_the_least_upper_bound(xs, y):
 @given(els=st.lists(_supernaturals(), min_size=1, max_size=5, unique=True), data=st.data())
 def test_supernatural_alexandrov_topology(els, data):
     poset = FinitePoset(tuple(els))
-    assert check_t0(poset)
+    assert check_t0(poset) is _check_t0_pairwise(poset) is True
     ok, witness = check_t1(poset)
     strict = [(m, x) for m in els for x in els if m != x and sn_divides(m, x)]
     assert ok == (not strict)
@@ -295,6 +297,15 @@ def test_supernatural_alexandrov_topology(els, data):
         for s in map(frozenset, itertools.combinations(els, r)):
             if x in s and is_open(poset, s):
                 assert u <= s
+
+
+@_settings
+@given(els=st.lists(st.integers(-40, 40).filter(bool), max_size=12, unique=True))
+@example(els=[-2, 2])
+def test_check_t0_is_the_pairwise_scan_on_integers(els):
+    # antisymmetry fails exactly on a pair x, -x
+    poset = FinitePoset(tuple(els))
+    assert check_t0(poset) is _check_t0_pairwise(poset)
 
 
 @_settings
@@ -496,6 +507,16 @@ def test_hw_mul_matches_matrix_product(data, n, rep):
     np.testing.assert_allclose(hw_matrix(hw_mul(d1, d2), rep), want, rtol=0, atol=1e-12)
     want = hw_matrix(d1, rep).conj().T
     np.testing.assert_allclose(hw_matrix(hw_adjoint(d1), rep), want, rtol=0, atol=1e-12)
+
+
+@_settings
+@given(data=st.data(), n=st.integers(2, 16), rep=st.sampled_from([POSITION, MOMENTUM]))
+def test_stacked_hw_matrices_are_hw_matrix_bit_for_bit(data, n, rep):
+    els = [_hw_element(data, n) for _ in range(data.draw(st.integers(1, 8)))]
+    stack = _hw_matrices(els, rep)
+    assert stack.shape == (len(els), n, n)
+    for m, d in zip(stack, els):
+        assert np.array_equal(m, hw_matrix(d, rep))
 
 
 @_settings
