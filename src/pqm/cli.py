@@ -100,10 +100,8 @@ def dump_state(f: FiniteState, path: str, metadata: dict | None = None) -> None:
 
 _CONFIG_KEYS = {
     "tolerance": float,
-    "max_n": int,
     "samples": int,
     "seed": int,
-    "even_n_exploratory": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "poset_limit": int,
 }
 
@@ -394,11 +392,9 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", action="append", choices=SUITES, default=None)
     p.add_argument("--json", default=None, help="write the JSON report here")
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--poset-limit", dest="poset_limit", type=int, default=None)
-    p.add_argument("--even-n-exploratory", action="store_true", default=None)
     p.set_defaults(func=cmd_verify)
 
 

@@ -145,7 +145,7 @@ def fourier_matrix(n: int) -> np.ndarray:
     This dense n x n matrix is the oracle the FFT paths are checked against.
     """
     j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    return np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +672,7 @@ def marginal_b_matrix(n: int, b: int) -> np.ndarray:
             hw_matrix(HWElement.from_canonical(n, a, b, 0), MOMENTUM) for a in range(n)
         )
     p = np.arange(n)
-    return np.exp(-2j * np.pi * b * (p[:, None] + p[None, :]) / (2 * n))
+    return np.exp(-2j * np.pi * ((b * (p[:, None] + p[None, :])) % (2 * n)) / (2 * n))
 
 
 def marginal_b_expected(

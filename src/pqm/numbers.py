@@ -56,37 +56,23 @@ _MR_BOUNDS = (
     (3317044064679887385961981, 13),
 )
 _PRIMALITY_BOUND = _MR_BOUNDS[-1][0]
+_MR_PRODUCT = math.prod(_MR_PRIMES)
 
 
 def is_prime(p: int) -> bool:
     """Deterministic primality for every p below about 3.3e24 (``_PRIMALITY_BOUND``).
 
-    Above it a composite still returns False; a p that passes all 13
-    Miller-Rabin bases raises ValueError, since no proof is at hand.
+    Division by the 13 Miller-Rabin bases, as one gcd with their product,
+    decides every p below 43^2; above it, Miller-Rabin with as many bases as
+    p's size needs.  Above the bound a composite still returns False; a p
+    that passes all 13 bases raises ValueError, since no proof is at hand.
     """
-    if p < 2:
+    if p < 43:
+        return p in _MR_PRIMES
+    if math.gcd(p, _MR_PRODUCT) != 1:  # a base divides p
         return False
-    if p < 4:
+    if p < 43 * 43:  # no prime factor below 43, so none at all
         return True
-    if p % 2 == 0:
-        return False
-    if p >= 43 * 43:
-        return _miller_rabin(p)
-    # below 43^2 trial division is the cheaper proof
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _miller_rabin(p: int) -> bool:
-    """Primality of an odd p >= 43^2: trial division by the bases, then
-    Miller-Rabin with as many of them as p's size needs."""
-    for q in _MR_PRIMES:
-        if p % q == 0:
-            return False
     d = p - 1
     s = (d & -d).bit_length() - 1
     d >>= s

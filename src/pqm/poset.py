@@ -161,9 +161,9 @@ def _int_divides(a, b) -> bool:
 class FinitePoset:
     """A finite set ordered by divisibility.
 
-    Elements are nonzero integers (ordinary divisibility) or Supernatural
-    values (supernatural divisibility), never both; their type picks the
-    order, and ``leq(a, b)`` is a plain function of the two elements.
+    Elements are nonzero ``int``s (ordinary divisibility; not ``bool``) or
+    Supernatural values (supernatural divisibility), never both; their type
+    picks the order, and ``leq(a, b)`` is a plain function of the two elements.
     """
 
     elements: tuple
@@ -173,6 +173,10 @@ class FinitePoset:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements")
         types = set(map(type, self.elements))
+        other = types - {int, Supernatural}
+        if other:
+            names = ", ".join(sorted(t.__name__ for t in other))
+            raise ValueError(f"elements must be int or Supernatural, not {names}")
         sn = Supernatural in types
         if sn and len(types) > 1:
             raise ValueError("elements mix integers and Supernatural values")

@@ -29,19 +29,15 @@ _POSET_LIMIT_MAX = 10**5  # the poset suite builds every divisor list up to the 
 @dataclass(frozen=True)
 class VerifyConfig:
     suites: tuple[str, ...] = SUITES
-    max_n: int = 12
     samples: int = 20
     seed: int = 0
     tolerance: float | None = None  # overrides every per-check tolerance
-    even_n_exploratory: bool = False
     poset_limit: int = 10**4
 
     def __post_init__(self) -> None:
         tol = self.tolerance
         if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise ValueError("tolerance must be finite and positive")
-        if self.max_n < 2:
-            raise ValueError("max dimension must be >= 2")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 2 <= self.poset_limit <= _POSET_LIMIT_MAX:
@@ -186,14 +182,14 @@ def _table_cases(rep: _Reporter, name: str, f, kind: str, doubled: bool = False)
 def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("tomography", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 3)
-    for n in range(2, min(cfg.max_n, 12) + 1):
+    for n in range(2, 13):
         for _ in range(cfg.samples):
             theta = fq.random_operator(n, rng)
             rep.case("resolution_of_identity", fq.resolution_identity_check(theta), 1e-9)
             _, r = fq.operator_expand(theta)
             rep.case("displacement_expansion", r, 1e-9)
     # brute-force oracles, one sample per n: the sums over explicit matrices
-    for n in range(2, min(cfg.max_n, 6) + 1):
+    for n in range(2, 7):
         theta = fq.random_operator(n, rng)
         disp = [d for row in _displacement_grid(n) for d in row]
         acc = sum(d @ theta @ d.conj().T for d in disp) / n
@@ -201,7 +197,7 @@ def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
         coeffs, _ = fq.operator_expand(theta)
         want = np.array([np.trace(d.conj().T @ theta) for d in disp])
         rep.gap("displacement_expansion", coeffs.ravel(), want, 1e-9)
-    for n in range(2, min(cfg.max_n, 8) + 1):
+    for n in range(2, 9):
         for r in (POSITION, MOMENTUM):
             _table_cases(rep, "displacement_expansion", fq.random_state(n, rng, rep=r), "weyl")
     return rep.done()
@@ -213,15 +209,12 @@ def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
 def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("parity", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 4)
-    for n in range(2, min(cfg.max_n, 12) + 1):
-        grids = [False] if n % 2 else ([False, True] if cfg.even_n_exploratory else [False])
-        for doubled in grids:
-            a_range = 2 * n if doubled else n
-            for a in range(a_range):
-                for b in range(n):
-                    p = fq.parity_matrix(fq.PhasePoint(n, a, b, doubled))
-                    rep.gap("parity_squares_to_identity", p @ p, np.eye(n), 1e-12)
-                    rep.gap("parity_hermitian", p, p.conj().T, 1e-12)
+    for n in range(2, 13):
+        for a in range(n):
+            for b in range(n):
+                p = fq.parity_matrix(fq.PhasePoint(n, a, b))
+                rep.gap("parity_squares_to_identity", p @ p, np.eye(n), 1e-12)
+                rep.gap("parity_hermitian", p, p.conj().T, 1e-12)
 
     for n in (3, 5, 7, 9, 11):
         for _ in range(max(cfg.samples // 4, 2)):
@@ -232,7 +225,7 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
             rep.case("parity_tomography", out.tomography_residual, 1e-9)
     # brute-force oracles: the Wigner table point by point, and the sandwich
     # and tomography sums over explicit parity matrices
-    for n in range(2, min(cfg.max_n, 8) + 1):
+    for n in range(2, 9):
         for r in (POSITION, MOMENTUM):
             f = fq.random_state(n, rng, rep=r)
             _table_cases(rep, "parity_tomography", f, "wigner")
@@ -306,11 +299,11 @@ def suite_coherent(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("coherent", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 6)
     name = "coherent_resolution_of_identity"
-    for n in range(2, min(cfg.max_n, 12) + 1):
+    for n in range(2, 13):
         for _ in range(max(cfg.samples // 2, 10)):
             rep.case(name, fq.coherent_check(fq.random_state(n, rng)), 1e-9)
     # brute-force oracle, one fiducial per n: the explicit outer-product sum
-    for n in range(2, min(cfg.max_n, 6) + 1):
+    for n in range(2, 7):
         g = fq.random_state(n, rng)
         vs = [d @ g.amplitudes for row in _displacement_grid(n) for d in row]
         acc = sum(np.outer(v, v.conj()) for v in vs) * (g.measure_weight / n)
@@ -353,9 +346,9 @@ def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("embeddings", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 7)
     for k, ell, m in _divisor_chains(_LABEL_LIMIT):
-        for r in compat_suite(k, ell, m, rng=rng, samples=2):
-            name, tol = _COMPAT_CHECKS[r.name]
-            rep.case(name, r.residual, tol)
+        for law, residual in compat_suite(k, ell, m, rng=rng, samples=2).items():
+            name, tol = _COMPAT_CHECKS[law]
+            rep.case(name, residual, tol)
         if m <= _CHARACTER_ORACLE_MAX:
             # the character law point by point, as exact Q/Z values
             spec, grid = EmbeddingSpec(k, ell), range(min(k, 8))
@@ -368,8 +361,7 @@ def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
         f = fq.random_state(k, rng2)
         spec = EmbeddingSpec(k, r)
         for quantity, (name, tol) in _UBIQUITY_CHECKS.items():
-            _, dev = ubiquity_check(quantity, f, spec, rng=rng2)
-            rep.case(name, dev, tol)
+            rep.case(name, ubiquity_check(quantity, f, spec, rng=rng2), tol)
     return rep.done()
 
 

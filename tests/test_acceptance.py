@@ -46,13 +46,13 @@ def test_criterion_03_hw_group_law(capsys):
 
 
 def test_criterion_04_resolution_and_expansion(capsys):
-    cfg = VerifyConfig(samples=20, max_n=12, seed=104)
+    cfg = VerifyConfig(samples=20, seed=104)
     _report(capsys, 4, "resolution of identity + displacement expansion, 20 theta, n<=12",
             vf.suite_tomography(cfg))
 
 
 def test_criterion_05_parity_suite(capsys):
-    cfg = VerifyConfig(samples=20, max_n=12, seed=105)
+    cfg = VerifyConfig(samples=20, seed=105)
     _report(capsys, 5, "parity involution/Hermiticity n<=12 + odd-n parity identities",
             vf.suite_parity(cfg))
 
@@ -64,7 +64,7 @@ def test_criterion_06_marginal_identities(capsys):
 
 
 def test_criterion_07_coherent_resolution(capsys):
-    cfg = VerifyConfig(samples=20, max_n=12, seed=107)  # 10 fiducials per n
+    cfg = VerifyConfig(samples=20, seed=107)  # 10 fiducials per n
     _report(capsys, 7, "coherent-state resolution of identity, n<=12",
             vf.suite_coherent(cfg))
 

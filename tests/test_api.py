@@ -26,7 +26,7 @@ SURFACE = {
         "dump_state", "load_config", "load_state", "main",
     },
     "embeddings": {
-        "CompatReport", "EmbeddingSpec", "annihilator", "compat_suite",
+        "EmbeddingSpec", "annihilator", "compat_suite",
         "def2_point_embed", "hw_embed", "phase_embed", "phase_embed_character",
         "position_entropy", "state_embed", "ubiquity_check",
     },

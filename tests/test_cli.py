@@ -585,15 +585,23 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "poset", "--config", str(cfg)])
         assert code == 0
 
-    def test_even_n_exploratory_flag_and_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--max-n", "5"], "max_n = 5"), (["--even-n-exploratory"], "even_n_exploratory = yes")],
+        ids=["max_n", "even_n_exploratory"],
+    )
+    def test_removed_knobs_exit_2(self, tmp_path, capsys, monkeypatch, flags, key):
+        # these changed no case of any suite, so neither flag nor key exists
+        monkeypatch.setitem(verify._SUITE_FUNCS, "parity", None)  # a run would fail
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "parity", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err and "Traceback" not in err
         cfg = tmp_path / "pqm.cfg"
-        cfg.write_text("even_n_exploratory = yes\n")
-        for i, extra in enumerate((["--even-n-exploratory"], ["--config", str(cfg)])):
-            report = tmp_path / f"r{i}.json"
-            assert main(["verify", "--suite", "parity", *extra, "--json", str(report)]) == 0
-            out = capsys.readouterr().out
-            assert out.count("[PASS]") == 5 and "[FAIL]" not in out
-            assert json.loads(report.read_text())["config"]["even_n_exploratory"] is True
+        cfg.write_text(key + "\n")
+        assert main(["verify", "--suite", "parity", "--config", str(cfg)]) == 2
+        assert "unknown key" in _one_error_line(capsys)
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "pqm.cfg"

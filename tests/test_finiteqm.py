@@ -102,6 +102,14 @@ class TestFourier:
             np.abs(u @ f.amplitudes - math.sqrt(n) * fourier(f).amplitudes)
         ) < 1e-12
 
+    def test_dense_phases_reduced_in_integers(self):
+        # jk is reduced mod n before the float, so equal residues give
+        # bit-identical entries
+        n = 1000
+        u = fourier_matrix(n)
+        j, k = np.divmod(np.arange(n * n), n)
+        assert np.array_equal(u[j, k], u[j * k % n, 1])
+
     def test_coordinate_change_roundtrip(self):
         f = random_state(7, RNG)
         assert np.max(np.abs(to_position(to_momentum(f)).amplitudes - f.amplitudes)) < 1e-12
@@ -306,10 +314,13 @@ class TestParity:
             p = parity_matrix(PhasePoint(n, a, b))
             assert np.max(np.abs(p @ p - np.eye(n))) < 1e-12
             assert np.max(np.abs(p - p.conj().T)) < 1e-12
-            if n % 2 == 0:
-                pd = parity_matrix(PhasePoint(n, int(RNG.integers(0, 2 * n)), b, True))
-                assert np.max(np.abs(pd @ pd - np.eye(n))) < 1e-12
-                assert np.max(np.abs(pd - pd.conj().T)) < 1e-12
+        if n % 2 == 0:
+            # every point of the doubled grid, a < 2n
+            for a in range(2 * n):
+                for b in range(n):
+                    pd = parity_matrix(PhasePoint(n, a, b, True))
+                    assert np.max(np.abs(pd @ pd - np.eye(n))) < 1e-12
+                    assert np.max(np.abs(pd - pd.conj().T)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
     def test_matches_phase_space_formula(self, n):
@@ -534,7 +545,7 @@ class TestParityIdentities:
 
         monkeypatch.setattr(finiteqm, "_displacement_phases", nan_phases)
         assert math.isnan(parity_expand_check(random_operator(5, RNG)).expansion_residual)
-        results = verify.suite_parity(verify.VerifyConfig(max_n=3, samples=1))
+        results = verify.suite_parity(verify.VerifyConfig(samples=1))
         (check,) = [r for r in results if r.name == "parity_displacement_expansion"]
         assert math.isnan(check.residual) and not check.passed
 
@@ -611,6 +622,16 @@ class TestMarginals:
         for b in range(b_range):
             gap = np.max(np.abs(marginal_b_matrix(n, b) - _marginal_b_oracle(n, b)))
             assert gap < 1e-13
+
+    def test_even_b_kernel_phases_reduced_in_integers(self):
+        # b(P + Q) is reduced mod 2n before the float, so entries of equal
+        # residue are bit-identical; gcd(b, 2n) = 250 gives each residue
+        # about 250 entries
+        n, b = 1000, 1250
+        m = marginal_b_matrix(n, b).ravel()
+        p, q = np.divmod(np.arange(n * n), n)
+        _, first, residue = np.unique(b * (p + q) % (2 * n), return_index=True, return_inverse=True)
+        assert np.array_equal(m, m[first][residue])
 
     @pytest.mark.parametrize("n", range(2, 17, 2))
     def test_b_even_b_matches_displacement_sum(self, n):

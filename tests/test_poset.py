@@ -363,6 +363,12 @@ class TestTopology:
             with pytest.raises(ValueError, match="mix"):
                 FinitePoset(els)
 
+    @pytest.mark.parametrize("els", [(1.5, 3), ("2", "4"), (True, 3), (2, 3.0)])
+    def test_non_int_elements_rejected(self, els):
+        # % would order a float, and T0 on strings ended in a TypeError
+        with pytest.raises(ValueError, match="must be int or Supernatural"):
+            FinitePoset(els)
+
     def test_zero_rejected(self):
         # 0 divides only itself: every check on it ended in ZeroDivisionError
         for els in ((0, 2), (0,), (2, 0, -3)):

@@ -197,6 +197,14 @@ def test_is_prime_matches_trial_division(n):
     assert is_prime(n) == _trial_division_is_prime(n)
 
 
+def test_is_prime_matches_trial_division_below_2000():
+    # every n that division by the Miller-Rabin bases decides alone (n < 43^2),
+    # and the first ones above it
+    assert [n for n in range(-2, 2000) if is_prime(n)] == [
+        n for n in range(-2, 2000) if _trial_division_is_prime(n)
+    ]
+
+
 @pytest.mark.parametrize("split, _", MAPS)
 @pytest.mark.parametrize("n", [-5, 0, 1])
 def test_split_checks_n_before_the_index(split, _, n):
