@@ -195,7 +195,7 @@ def cmd_poset(args) -> int:
         if args.query in ("width", "length"):
             payload = {"n": args.n, args.query: payload[args.query]}
     elif args.query == "topology":
-        poset = ps.divisor_poset(args.n, bound=ps.SIZE_BOUND)
+        poset = ps.divisor_poset(args.n)
         t1, witness = ps.check_t1(poset)
         payload = {
             "n": args.n,
@@ -214,7 +214,7 @@ def cmd_poset(args) -> int:
         payload = {
             "n": args.n,
             "element": args.element,
-            "open_set": list(ps.divisor_poset(args.element, bound=ps.SIZE_BOUND).elements),
+            "open_set": list(ps.divisor_poset(args.element).elements),
         }
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown query {args.query}")
@@ -391,10 +391,8 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--suite", action="append", choices=SUITES, default=None)
     p.add_argument("--json", default=None, help="write the JSON report here")
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--poset-limit", dest="poset_limit", type=int, default=None)
+    for key, kind in _CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
     p.set_defaults(func=cmd_verify)
 
 

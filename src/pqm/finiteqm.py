@@ -478,12 +478,9 @@ def _displacement_grid(n: int) -> list[list[np.ndarray]]:
     ]
 
 
-def _character_sum(n: int, k: int, length: int) -> np.ndarray:
-    """sum_{a < length} e(k a d / n) for each d in Z(n), by one FFT over a.
-
-    ``length`` is a multiple of n: n, or 2n on the doubled parity grid.
-    """
-    return np.fft.fft(np.ones(length))[_dilation(length, -k * (length // n), n)]
+def _character_sum(n: int, k: int) -> np.ndarray:
+    """sum_{a < n} e(k a d / n) for each d in Z(n), by one FFT over a."""
+    return np.fft.fft(np.ones(n))[_dilation(n, -k)]
 
 
 def resolution_identity_check(theta) -> float:
@@ -498,7 +495,7 @@ def resolution_identity_check(theta) -> float:
     n = theta.shape[0]
     rows, cols = _shift_indices(n)
     s = theta[rows, cols].sum(axis=1)  # S(d), d = b
-    acc = _character_sum(n, _chi_coeff(n), n) * s / n
+    acc = _character_sum(n, _chi_coeff(n)) * s / n
     acc[0] -= np.trace(theta)
     return float(np.max(np.abs(acc)))
 
@@ -545,7 +542,7 @@ def coherent_check(g: FiniteState) -> float:
     k = _chi_coeff(n) if g.rep == POSITION else -1
     spectrum = np.fft.fft(g.amplitudes)
     r = np.fft.ifft(spectrum * spectrum.conj())  # r(d) = sum_z g(z + d) g*(z)
-    acc = _character_sum(n, k, n) * r * (g.measure_weight / n)
+    acc = _character_sum(n, k) * r * (g.measure_weight / n)
     acc[0] -= 1.0
     return float(np.max(np.abs(acc)))
 
@@ -578,11 +575,8 @@ def _parity_expansion_residual(n: int) -> float:
     return float(worst)
 
 
-def parity_expand_check(theta, exploratory: bool = False) -> ParityCheckResult:
-    """Finite analogs of the parity identities; guaranteed for odd n.
-
-    For even n the doubled-grid variants are exploratory and only run when
-    ``exploratory`` is set; residuals are then reported without any claim.
+def parity_expand_check(theta) -> ParityCheckResult:
+    """Finite analogs of the parity identities, for odd n; even n is a ValueError.
 
     P(a, b) holds e(-k a (x + b)/n) at [x, -x - 2b], so entry [x, y] of
     sum P theta P is A(x - y) sum_b theta[-x - 2b, -y - 2b] with
@@ -592,28 +586,22 @@ def parity_expand_check(theta, exploratory: bool = False) -> ParityCheckResult:
     """
     theta = _square_operator(theta)
     n = theta.shape[0]
-    if n % 2 == 0 and not exploratory:
-        raise ValueError("unsupported regime: even n needs exploratory=True")
-    doubled = n % 2 == 0
-    a_range = 2 * n if doubled else n
-    k = _parity_k(n, doubled)
-    expansion = 0.0 if doubled else _parity_expansion_residual(n)
+    if n % 2 == 0:
+        raise ValueError("unsupported regime: the parity identities hold for odd n only")
+    k = _parity_k(n, False)
+    expansion = _parity_expansion_residual(n)
     j = np.arange(n)
 
-    # 2b runs g = gcd(2, n) times over the residues = 0 mod g, so entry
-    # [x, x + d] of the sum over b depends on x mod g and d only
-    g = 2 if doubled else 1
     diag = theta[(-j[:, None]) % n, (-j[:, None] - j) % n]  # [z, d] = theta[-z, -z - d]
-    per_class = g * diag.reshape(n // g, g, n).sum(axis=0)  # [x mod g, d]
-    sandwich = _character_sum(n, -k, a_range)[_dilation(n, -1)] * per_class / a_range
-    sandwich[:, 0] -= np.trace(theta)
+    sandwich = _character_sum(n, -k)[_dilation(n, -1)] * diag.sum(axis=0) / n
+    sandwich[0] -= np.trace(theta)
 
     rows, cols = _reflect_indices(n)
-    traces = np.fft.fft(theta[rows, cols], axis=1)[:, _dilation(n, k, a_range)]
+    traces = np.fft.fft(theta[rows, cols], axis=1)[:, _dilation(n, k)]
     # sum_a e(-k a y/n) tr(theta P(a, b)), the entry at [y - b, -y - b]
-    weights = np.fft.fft(traces, axis=1)[:, _dilation(a_range, k * (a_range // n), n)]
+    weights = np.fft.fft(traces, axis=1)[:, _dilation(n, k)]
     tomo = -theta.copy()
-    np.add.at(tomo, (cols, rows), weights / a_range)
+    np.add.at(tomo, (cols, rows), weights / n)
     return ParityCheckResult(
         expansion, float(np.max(np.abs(sandwich))), float(np.max(np.abs(tomo)))
     )

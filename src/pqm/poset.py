@@ -188,32 +188,34 @@ class FinitePoset:
         return len(self.elements)
 
 
-# the most elements of N(n) a width, length, partition, antichain or topology
-# query takes: N(n) has prod (e_p + 1) - 1 elements, exponential in the number
-# of primes of n, and each of these queries lists them all (the closed form
-# once, in its chains; the matching and the T0/T1 checks in pairs)
+# the most elements that ``divisor_poset``, ``divisor_width_length`` and
+# ``poset_width_length`` take, read when they are called: N(n) has
+# prod (e_p + 1) - 1 elements, exponential in the number of primes of n, and
+# each query lists them all (the closed form once, in its chains; the
+# matching and the T0/T1 checks in pairs)
 SIZE_BOUND = 10**4
 
 
-def _divisor_exponents(n: int, bound: int | None = None) -> Mapping[int, int]:
-    """factorize(n), refusing an N(n) of more than ``bound`` elements before
+def _divisor_exponents(n: int) -> Mapping[int, int]:
+    """factorize(n), refusing an N(n) of more than SIZE_BOUND elements before
     any divisor is listed (N(n) has prod (e_p + 1) - 1 elements)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     fac = factorize(n)
     size = math.prod(e + 1 for e in fac.values()) - 1
-    if bound is not None and size > bound:
-        raise ValueError(f"poset size {size} exceeds bound {bound}")
+    if size > SIZE_BOUND:
+        raise ValueError(f"poset size {size} exceeds bound {SIZE_BOUND}")
     return fac
 
 
-def divisor_poset(n: int, bound: int | None = None) -> FinitePoset:
+def divisor_poset(n: int) -> FinitePoset:
     """N(n): all divisors of n except 1, ordered by divisibility.
 
-    With ``bound``, an N(n) of more elements is a ValueError.
+    An N(n) of more than SIZE_BOUND elements is a ValueError, raised from the
+    factorization before any divisor is listed.
     """
     divs = [1]
-    for p, e in _divisor_exponents(n, bound).items():
+    for p, e in _divisor_exponents(n).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return FinitePoset(tuple(sorted(divs)[1:]))
 
@@ -226,17 +228,18 @@ class WidthLengthResult:
     max_antichain: tuple
 
 
-def poset_width_length(poset: FinitePoset, bound: int = SIZE_BOUND) -> WidthLengthResult:
+def poset_width_length(poset: FinitePoset) -> WidthLengthResult:
     """Exact width, length, a minimum chain partition and a witness antichain.
 
     Width via Dilworth through Koenig: a maximum matching in the bipartite
     strict-order graph gives a minimum chain cover of size |P| - |M|, and the
     vertex-cover construction recovers a maximum antichain of the same size.
+    A poset of more than SIZE_BOUND elements is a ValueError.
     """
     els = list(poset.elements)
     n = len(els)
-    if n > bound:
-        raise ValueError(f"poset size {n} exceeds bound {bound}")
+    if n > SIZE_BOUND:
+        raise ValueError(f"poset size {n} exceeds bound {SIZE_BOUND}")
     idx = {x: i for i, x in enumerate(els)}
     succ = [
         [j for j, y in enumerate(els) if i != j and poset.leq(x, y)]
@@ -348,7 +351,7 @@ def divisor_width_length(n: int) -> WidthLengthResult:
     sorted by least element.  No order graph is built.  An N(n) of more than
     SIZE_BOUND elements is a ValueError.
     """
-    fac = _divisor_exponents(n, SIZE_BOUND)
+    fac = _divisor_exponents(n)
     # a chain is (rank of its least element, elements).  Times the chain
     # 1 | p | ... | p^e, the chain c_0 < ... < c_k splits into min(k, e) + 1
     # hooks: hook j is c_0 p^j, ..., c_{k-j} p^j, c_{k-j} p^{j+1}, ..., c_{k-j} p^e
@@ -375,12 +378,17 @@ def divisor_width_length(n: int) -> WidthLengthResult:
 
 
 def basis_open(poset: FinitePoset, x) -> frozenset:
-    """U(x): the basis open set of all elements dividing x."""
+    """U(x): the basis open set of all elements dividing x, an element."""
+    if x not in poset.elements:
+        raise ValueError(f"{x!r} is not an element of the poset")
     return frozenset(m for m in poset.elements if poset.leq(m, x))
 
 
 def is_open(poset: FinitePoset, s: Iterable) -> bool:
+    """True iff the subset s of the poset is a down-set."""
     s = frozenset(s)
+    if not s <= set(poset.elements):
+        raise ValueError("not a subset of the poset")
     return all(
         m in s
         for x in s

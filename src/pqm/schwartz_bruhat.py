@@ -169,19 +169,15 @@ def local_reflect(f: LocalSBFunction) -> LocalSBFunction:
     return LocalSBFunction.from_state(f.p, reflect(f.state()))
 
 
-def delta_family(p: int, precision: int, kind: str) -> LocalSBFunction:
-    """Delta functions: the exact momentum point mass, or the position
-    approximant p^N * indicator(p^N Z_p) which integrates degree<=N
-    functions to their value at 0."""
-    if kind == "Delta_exact":
-        return trivial_local(p, MOMENTUM)
-    if kind == "delta_Zp_approx":
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        vals = [0j] * p**precision
-        vals[0] = complex(p**precision)
-        return LocalSBFunction(p, POSITION, precision, tuple(vals))
-    raise ValueError(f"unknown kind {kind!r}")
+def delta_family(p: int, precision: int) -> LocalSBFunction:
+    """The delta approximant p^N * indicator(p^N Z_p) at precision N >= 1,
+    which integrates degree<=N functions to their value at 0.  The exact
+    delta is the momentum point mass ``trivial_local(p, MOMENTUM)``."""
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    vals = [0j] * p**precision
+    vals[0] = complex(p**precision)
+    return LocalSBFunction(p, POSITION, precision, tuple(vals))
 
 
 def character_function(p: int, frak_p: Fraction) -> LocalSBFunction:

@@ -526,11 +526,10 @@ class TestParityIdentities:
         res = parity_expand_check(np.eye(5))
         assert res.sandwich_residual < 1e-12
 
-    def test_even_requires_flag(self):
-        with pytest.raises(ValueError):
-            parity_expand_check(np.eye(4))
-        res = parity_expand_check(np.eye(4), exploratory=True)
-        assert res.sandwich_residual < 1e-11  # doubled grid still averages to 1
+    def test_even_n_raises(self):
+        for n in (2, 4, 6, 8, 10):
+            with pytest.raises(ValueError, match="odd n only"):
+                parity_expand_check(random_operator(n, RNG))
 
     def test_nan_expansion_gap_fails(self, monkeypatch):
         # max(worst, nan) is worst, so a running max would report 0

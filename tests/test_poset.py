@@ -259,13 +259,15 @@ class TestWidthLength:
                 assert not p.leq(a, b) and not p.leq(b, a)
 
     def test_bound(self, monkeypatch):
-        with pytest.raises(ValueError):
-            poset_width_length(divisor_poset(360), bound=3)
-        # a bounded divisor poset and the closed form refuse from the
+        p = divisor_poset(360)
+        # the bound is read when each function is called
+        monkeypatch.setattr(ps, "SIZE_BOUND", 3)
+        with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
+            poset_width_length(p)
+        # the divisor poset and the closed form refuse from the
         # factorization, before any divisor is listed
         with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
-            divisor_poset(360, bound=3)
-        monkeypatch.setattr(ps, "SIZE_BOUND", 3)
+            divisor_poset(360)
         with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
             divisor_width_length(360)
 
@@ -341,6 +343,24 @@ class TestTopology:
         u, v = basis_open(p, 12), basis_open(p, 18)
         assert is_open(p, u | v)
         assert is_open(p, u & v)  # Alexandrov: intersections stay open
+
+    @pytest.mark.parametrize("x", [5, 8, 1, 24, Supernatural.from_int(2)])
+    def test_basis_open_rejects_a_point_outside(self, x):
+        with pytest.raises(ValueError, match="not an element"):
+            basis_open(divisor_poset(12), x)
+
+    @pytest.mark.parametrize("s", [{5}, {2, 4, 8}, {1, 2}, {Supernatural.from_int(2)}])
+    def test_is_open_rejects_a_set_outside(self, s):
+        with pytest.raises(ValueError, match="not a subset"):
+            is_open(divisor_poset(12), s)
+
+    def test_outside_points_on_a_supernatural_poset(self):
+        p = FinitePoset((Supernatural.from_int(2), Supernatural.from_int(4)))
+        with pytest.raises(ValueError, match="not an element"):
+            basis_open(p, Supernatural.from_int(8))
+        with pytest.raises(ValueError, match="not a subset"):
+            is_open(p, {Supernatural.from_int(2), OMEGA})
+        assert is_open(p, set())
 
     def test_t0_sweep(self):
         for n in range(2, 300):

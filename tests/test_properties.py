@@ -307,6 +307,88 @@ def test_supernatural_alexandrov_topology(els, data):
                 assert u <= s
 
 
+def _assert_basis_opens_are_a_topology(poset, xs):
+    # any union and any nonempty intersection of basis open sets is open
+    us = [basis_open(poset, x) for x in xs]
+    assert is_open(poset, frozenset().union(*us))
+    assert is_open(poset, frozenset.intersection(*us))
+
+
+@_settings
+@given(n=st.integers(2, 5000), data=st.data())
+@example(n=720, data=None)
+def test_open_sets_closed_under_union_and_intersection_on_integers(n, data):
+    poset = divisor_poset(n)
+    if data is None:  # the example takes every element
+        xs = poset.elements
+    else:
+        xs = data.draw(st.lists(st.sampled_from(poset.elements), min_size=1, max_size=4))
+    _assert_basis_opens_are_a_topology(poset, xs)
+
+
+@_sn_settings
+@given(els=st.lists(_supernaturals(), min_size=1, max_size=5, unique=True), data=st.data())
+def test_open_sets_closed_under_union_and_intersection_on_supernaturals(els, data):
+    poset = FinitePoset(tuple(els))
+    xs = data.draw(st.lists(st.sampled_from(els), min_size=1, max_size=4))
+    _assert_basis_opens_are_a_topology(poset, xs)
+
+
+def _is_continuous(f, source, target):
+    # the basis open sets generate the topology, so f is continuous iff the
+    # preimage of each of them is open
+    return all(
+        is_open(source, [x for x in source.elements if f(x) in basis_open(target, y)])
+        for y in target.elements
+    )
+
+
+def test_continuity_check_rejects_an_order_reversing_map():
+    # x |-> 36/x on the divisors of 36: the preimage of U(2) = {1, 2} is
+    # {36, 18}, which lacks 2 | 36
+    target = FinitePoset(tuple(d for d in range(1, 37) if 36 % d == 0))
+    assert not _is_continuous(lambda x: 36 // x, divisor_poset(36), target)
+
+
+@_sn_settings
+@given(n=st.integers(2, 5000), extra=st.lists(_supernaturals(), max_size=3))
+@example(n=720, extra=[OMEGA])
+def test_from_int_is_continuous(n, extra):
+    source = divisor_poset(n)
+    images = {Supernatural.from_int(x) for x in source.elements}
+    target = FinitePoset(tuple(images | set(extra)))
+    assert _is_continuous(Supernatural.from_int, source, target)
+
+
+@_sn_settings
+@given(
+    els=st.lists(_supernaturals(), min_size=1, max_size=5, unique=True),
+    k=_supernaturals(),
+    extra=st.lists(_supernaturals(), max_size=2),
+)
+def test_sup_with_a_fixed_element_is_continuous(els, k, extra):
+    source = FinitePoset(tuple(els))
+
+    def f(x):
+        return sn_sup([x, k])
+
+    target = FinitePoset(tuple({f(x) for x in els} | set(extra)))
+    assert _is_continuous(f, source, target)
+
+
+@_sn_settings
+@given(n=st.integers(2, 5000), k=_supernaturals())
+@example(n=720, k=Supernatural.from_int(7))
+def test_sup_with_a_fixed_element_is_continuous_on_integers(n, k):
+    source = divisor_poset(n)
+
+    def f(x):
+        return sn_sup([Supernatural.from_int(x), k])
+
+    target = FinitePoset(tuple({f(x) for x in source.elements}))
+    assert _is_continuous(f, source, target)
+
+
 @_settings
 @given(els=st.lists(st.integers(-40, 40).filter(bool), max_size=12, unique=True))
 @example(els=[-2, 2])
@@ -439,28 +521,23 @@ def test_tomography_sums_match_dense_sums(n, seed):
     want = [[np.trace(d.conj().T @ theta) for d in row] for row in grid]
     np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-12)
 
-    # odd n, and the exploratory doubled grid for even n
-    a_range = n if n % 2 else 2 * n
-    par = {
-        (a, b): parity_matrix(PhasePoint(n, a, b, doubled=n % 2 == 0))
-        for a in range(a_range)
-        for b in range(n)
-    }
-    sandwich = sum(p @ theta @ p for p in par.values()) / a_range
-    tomo = sum(p * np.trace(theta @ p) for p in par.values()) / a_range
-    expansion = 0.0
-    if n % 2:
-        # P(a, b) = (1/n) sum_{a', b'} e(2(a'b - ab')/n) D(a', b', 0)
-        j = np.arange(n)
-        w = np.exp(4j * np.pi * np.outer(j, j) / n)  # w[p, q] = e(2pq/n)
-        acc = np.einsum("pb,aq,pqxy->abxy", w, w.conj(), np.array(grid), optimize=True)
-        expansion = max(np.max(np.abs(acc[a, b] / n - p)) for (a, b), p in par.items())
+    if n % 2 == 0:
+        with pytest.raises(ValueError, match="odd n only"):
+            parity_expand_check(theta)
+        return
+    par = {(a, b): parity_matrix(PhasePoint(n, a, b)) for a in range(n) for b in range(n)}
+    sandwich = sum(p @ theta @ p for p in par.values()) / n
+    tomo = sum(p * np.trace(theta @ p) for p in par.values()) / n
+    # P(a, b) = (1/n) sum_{a', b'} e(2(a'b - ab')/n) D(a', b', 0)
+    j = np.arange(n)
+    w = np.exp(4j * np.pi * np.outer(j, j) / n)  # w[p, q] = e(2pq/n)
+    acc = np.einsum("pb,aq,pqxy->abxy", w, w.conj(), np.array(grid), optimize=True)
     want = (
-        expansion,
+        max(np.max(np.abs(acc[a, b] / n - p)) for (a, b), p in par.items()),
         np.max(np.abs(sandwich - np.trace(theta) * np.eye(n))),
         np.max(np.abs(tomo - theta)),
     )
-    got = parity_expand_check(theta, exploratory=True)
+    got = parity_expand_check(theta)
     got = (got.expansion_residual, got.sandwich_residual, got.tomography_residual)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

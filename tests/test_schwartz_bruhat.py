@@ -57,7 +57,7 @@ class TestIntegrate:
         assert integrate_local(trivial_local(5, POSITION)) == 1
 
     def test_momentum_point_mass(self):
-        assert integrate_local(delta_family(7, 1, "Delta_exact")) == 1
+        assert integrate_local(trivial_local(7, MOMENTUM)) == 1
 
     @pytest.mark.parametrize("p,degree", [(2, 2), (3, 1), (5, 1)])
     def test_refinement_invariance(self, p, degree):
@@ -137,7 +137,7 @@ class TestLocalFourier:
 
     def test_delta_approximant_to_constant(self):
         for p, n in ((2, 3), (3, 2)):
-            ft = local_fourier(delta_family(p, n, "delta_Zp_approx"))
+            ft = local_fourier(delta_family(p, n))
             assert ft.side == MOMENTUM and ft.degree == n
             assert np.allclose(ft.values, 1.0)
 
@@ -165,7 +165,7 @@ class TestLocalFourier:
 class TestDelta:
     def test_sifting(self):
         for p, n in ((2, 2), (3, 1)):
-            delta = delta_family(p, n, "delta_Zp_approx")
+            delta = delta_family(p, n)
             f = _random_local(p, n)
             d = max(delta.degree, f.degree)
             prod = LocalSBFunction(
@@ -180,8 +180,8 @@ class TestDelta:
         # delta(lam x) = delta(x) / |lam|_p at the matching precision
         p, n, r = 3, 3, 1
         lam = p**r * 2
-        lhs = scale_variable(delta_family(p, n, "delta_Zp_approx"), lam)
-        rhs = delta_family(p, n - r, "delta_Zp_approx")
+        lhs = scale_variable(delta_family(p, n), lam)
+        rhs = delta_family(p, n - r)
         assert np.allclose(lhs.values, p**r * np.array(rhs.values))
 
     def test_character_integral_is_point_mass(self):
@@ -196,7 +196,7 @@ class TestDelta:
 
 class TestHatTransform:
     def test_point_mass_goes_to_one(self):
-        h = hat_transform_2adic(delta_family(2, 1, "Delta_exact"))
+        h = hat_transform_2adic(trivial_local(2, MOMENTUM))
         assert np.allclose(h, 1.0)
 
     def test_even_arguments_give_position_values(self):
@@ -257,9 +257,9 @@ class TestConstructors:
         with pytest.raises(ValueError):
             LocalSBFunction.from_state(2, st)
 
-    def test_delta_unknown_kind(self):
-        with pytest.raises(ValueError):
-            delta_family(2, 1, "bump")
+    def test_delta_needs_positive_precision(self):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            delta_family(2, 0)
 
     def test_support_primes_and_factor_accessor(self):
         f = GlobalSBFunction.product(
