@@ -134,7 +134,7 @@ def def2_point_embed(x, frak_p, k: int, ell: int):
     p' = (l/k) p.  Characters are preserved exactly.  x and frak_p are ints,
     or integer arrays of one shape, mapped entry by entry.
     """
-    if ell % k != 0:
+    if k < 1 or ell % k != 0:
         raise ValueError("labels must divide")
     k_exp = factorize(k)
     # the residue mod p^{e_k(p)} lifts unchanged into Z(p^{e_l(p)}); a new
@@ -180,7 +180,10 @@ def hw_embed(d: HWElement, spec: EmbeddingSpec) -> HWElement:
 # ---------------------------------------------------------------------------
 
 
-def compat_suite(k: int, ell: int, m: int, rng=None, samples: int = 5) -> dict[str, float]:
+_COMPAT_SAMPLES = 2  # random states per law and representation
+
+
+def compat_suite(k: int, ell: int, m: int, rng) -> dict[str, float]:
     """The embedding laws along the chain k | ell | m, as ``{law: residual}``.
 
     (i) ``composition``, (ii) ``fourier_intertwining``, (iii)
@@ -188,40 +191,34 @@ def compat_suite(k: int, ell: int, m: int, rng=None, samples: int = 5) -> dict[s
     NaN; (iv) ``character_preservation``: 0.0 when the exact law holds, else
     1.0.  Failures are measured, not raised; the caller holds the tolerances.
     """
-    if ell % k or m % ell:
-        raise ValueError("labels must form a divisor chain")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = rng or np.random.default_rng(0)
+    k_ell, ell_m, k_m = EmbeddingSpec(k, ell), EmbeddingSpec(ell, m), EmbeddingSpec(k, m)
     out = {}
 
     # np.max over each law's gaps, so a NaN gap is the law's residual
     gaps = []
     for rep in (POSITION, MOMENTUM):
-        for _ in range(samples):
+        for _ in range(_COMPAT_SAMPLES):
             f = FiniteState(k, rep, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-            two_step = state_embed(
-                state_embed(f, EmbeddingSpec(k, ell)), EmbeddingSpec(ell, m)
-            )
-            one_step = state_embed(f, EmbeddingSpec(k, m))
+            two_step = state_embed(state_embed(f, k_ell), ell_m)
+            one_step = state_embed(f, k_m)
             gaps.append(np.max(np.abs(two_step.amplitudes - one_step.amplitudes)))
     out["composition"] = float(np.max(gaps))
 
     gaps = []
-    for _ in range(samples):
+    for _ in range(_COMPAT_SAMPLES):
         f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        lhs = state_embed(fourier(f), EmbeddingSpec(k, ell))
-        rhs = fourier(state_embed(f, EmbeddingSpec(k, ell)))
+        lhs = state_embed(fourier(f), k_ell)
+        rhs = fourier(state_embed(f, k_ell))
         gaps.append(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
     out["fourier_intertwining"] = float(np.max(gaps))
 
     gaps = []
-    for _ in range(samples):
+    for _ in range(_COMPAT_SAMPLES):
         f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
         a, b, g = (int(v) for v in rng.integers(0, k, 3))
         el = HWElement.from_canonical(k, a, b, g)
-        lhs = state_embed(displace(el, f), EmbeddingSpec(k, ell))
-        rhs = displace(hw_embed(el, EmbeddingSpec(k, ell)), state_embed(f, EmbeddingSpec(k, ell)))
+        lhs = state_embed(displace(el, f), k_ell)
+        rhs = displace(hw_embed(el, k_ell), state_embed(f, k_ell))
         gaps.append(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
     out["hw_intertwining"] = float(np.max(gaps))
 
@@ -241,25 +238,22 @@ def position_entropy(f: FiniteState) -> float:
     return float(-np.sum(q[mask] * np.log(pos.n * q[mask])))
 
 
-def ubiquity_check(quantity: str, f: FiniteState, spec: EmbeddingSpec, rng=None) -> float:
-    """The deviation |L_r(E f) - L_k(f)| of a ubiquitous quantity under the
-    embedding: ``norm``, ``position_entropy``, or the largest over eight
-    random points of ``weyl`` or ``wigner``.  The caller holds the tolerance."""
+def ubiquity_check(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]:
+    """The deviations |L_r(E f) - L_k(f)| of the ubiquitous quantities under
+    one embedding E f, as ``{quantity: deviation}``: ``norm``, the largest
+    over eight random points of ``weyl`` and of ``wigner``, and
+    ``position_entropy``.  The caller holds the tolerances."""
     if not spec.finite_target:
         raise ValueError("ubiquity checks use finite targets")
     g = state_embed(f, spec)
-    if quantity == "norm":
-        return abs(norm(g) - norm(f))
-    if quantity == "position_entropy":
-        return abs(position_entropy(g) - position_entropy(f))
-    if quantity in ("weyl", "wigner"):
-        # evaluate the target-side function with the intertwined operator at
-        # the embedded phase-space point; when source and target parities
-        # agree this is the canonical-grid Weyl/Wigner value at hw_embed's
-        # index pair, and for odd k inside even l it additionally carries
-        # the exact half-phase bookkeeping of the index map
-        n = f.n
-        rng = rng or np.random.default_rng(1)
+    n = f.n
+    out = {"norm": abs(norm(g) - norm(f))}
+    # evaluate the target-side function with the intertwined operator at the
+    # embedded phase-space point; when source and target parities agree this
+    # is the canonical-grid Weyl/Wigner value at hw_embed's index pair, and
+    # for odd k inside even l it additionally carries the exact half-phase
+    # bookkeeping of the index map
+    for quantity in ("weyl", "wigner"):
         gaps = []
         for _ in range(8):
             a, b = (int(v) for v in rng.integers(0, n, 2))
@@ -270,8 +264,9 @@ def ubiquity_check(quantity: str, f: FiniteState, spec: EmbeddingSpec, rng=None)
                 el = parity_displacement(PhasePoint(n, a, b))
                 h = reflect(displace(hw_embed(el, spec), g))
             gaps.append(abs(inner(g, h) - weyl_wigner(f, a, b, quantity)))
-        return float(np.max(gaps))  # np.max keeps a NaN gap, max() would drop it
-    raise ValueError(f"unsupported quantity {quantity!r}")
+        out[quantity] = float(np.max(gaps))  # np.max keeps a NaN gap, max() would drop it
+    out["position_entropy"] = abs(position_entropy(g) - position_entropy(f))
+    return out
 
 
 def annihilator(n: int, m: int) -> tuple[int, frozenset[int]]:
@@ -280,8 +275,8 @@ def annihilator(n: int, m: int) -> tuple[int, frozenset[int]]:
     Returns (generator, elements); the sizes realize the finite annihilator
     dualities |Ann| = n/m and Ann(Ann) = the original subgroup.
     """
-    if n % m != 0:
-        raise ValueError("m must divide n")
+    if n < 1 or m < 1 or n % m != 0:
+        raise ValueError("m must be a positive divisor of n")
     gen = n // m
     subgroup = {(gen * t) % n for t in range(m)}
     ann = {

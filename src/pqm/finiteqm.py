@@ -382,6 +382,12 @@ def parity_matrix(pt: PhasePoint, rep: str = POSITION) -> np.ndarray:
     return hw_matrix(parity_displacement(pt), rep)[_dilation(pt.n, -1)]
 
 
+def _parity_matrices(points, rep: str = POSITION) -> np.ndarray:
+    """``parity_matrix`` of each point, all of one n, as one (k, n, n) stack."""
+    stack = _hw_matrices([parity_displacement(pt) for pt in points], rep)
+    return stack[:, _dilation(points[0].n, -1)]
+
+
 def weyl_wigner(
     f: FiniteState, a: int, b: int, kind: str, doubled: bool = False
 ) -> complex:
@@ -626,12 +632,12 @@ def marginal_a_matrix(n: int, a: int) -> np.ndarray:
     b-integral runs over Z(2n) with weight 1/(2n) because the half phases
     depend on b mod 2n; ``from_phase_space`` keeps b unreduced in the phase.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     b_range = n if n % 2 else 2 * n
     frak_a = RatMod1.of(a, b_range)
-    return sum(
-        hw_matrix(HWElement.from_phase_space(n, frak_a, b), MOMENTUM)
-        for b in range(b_range)
-    ) / b_range
+    els = [HWElement.from_phase_space(n, frak_a, b) for b in range(b_range)]
+    return _hw_matrices(els, MOMENTUM).sum(axis=0) / b_range
 
 
 def marginal_a_expected(gt: np.ndarray, ft: np.ndarray, a: int) -> complex:
@@ -655,10 +661,11 @@ def marginal_b_matrix(n: int, b: int) -> np.ndarray:
     kernel K[P, Q] = e(-b (P + Q) / 2n); for even b this equals the section
     sum.  The index b runs mod 2n for even n.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if n % 2:
-        return sum(
-            hw_matrix(HWElement.from_canonical(n, a, b, 0), MOMENTUM) for a in range(n)
-        )
+        els = [HWElement.from_canonical(n, a, b, 0) for a in range(n)]
+        return _hw_matrices(els, MOMENTUM).sum(axis=0)
     p = np.arange(n)
     return np.exp(-2j * np.pi * ((b * (p[:, None] + p[None, :])) % (2 * n)) / (2 * n))
 
@@ -668,6 +675,8 @@ def marginal_b_expected(
 ) -> complex:
     """[g(b/2)]* f(-b/2), through the hat transform when n is even."""
     n = len(ft)
+    if not len(g_pos) == len(f_pos) == len(gt) == n:
+        raise ValueError("dimension mismatch")
     if n % 2:
         inv2 = pow(2, -1, n)
         return g_pos[(inv2 * b) % n].conjugate() * f_pos[(-inv2 * b) % n]
@@ -678,22 +687,18 @@ def marginal_b_expected(
 
 def parity_marginal_a_matrix(n: int, a: int) -> np.ndarray:
     """cal-A(a) = (1/n) sum_b P(a, b), momentum representation (odd n)."""
-    if n % 2 == 0:
-        raise ValueError("unsupported regime: parity marginals need odd n")
-    acc = np.zeros((n, n), dtype=complex)
-    for b in range(n):
-        acc += parity_matrix(PhasePoint(n, a, b), MOMENTUM)
-    return acc / n
+    if n < 2 or n % 2 == 0:
+        raise ValueError("unsupported regime: parity marginals need odd n >= 3")
+    points = [PhasePoint(n, a, b) for b in range(n)]
+    return _parity_matrices(points, MOMENTUM).sum(axis=0) / n
 
 
 def parity_marginal_b_matrix(n: int, b: int) -> np.ndarray:
     """cal-B(b) = sum_a P(a, b), momentum representation (odd n)."""
-    if n % 2 == 0:
-        raise ValueError("unsupported regime: parity marginals need odd n")
-    acc = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        acc += parity_matrix(PhasePoint(n, a, b), MOMENTUM)
-    return acc
+    if n < 2 or n % 2 == 0:
+        raise ValueError("unsupported regime: parity marginals need odd n >= 3")
+    points = [PhasePoint(n, a, b) for a in range(n)]
+    return _parity_matrices(points, MOMENTUM).sum(axis=0)
 
 
 def momentum_pairing(gt: np.ndarray, m: np.ndarray, ft: np.ndarray) -> complex:

@@ -62,7 +62,7 @@ class TestPhaseEmbed:
         )
         for k, ell in pairs:
             assert emb._characters_preserved(k, ell) is per_point(k, ell) is False
-        assert compat_suite(2, 4, 8, samples=1)["character_preservation"] == 1.0
+        assert compat_suite(2, 4, 8, np.random.default_rng(5))["character_preservation"] == 1.0
 
     def test_composition(self):
         s12, s23, s13 = EmbeddingSpec(3, 9), EmbeddingSpec(9, 27), EmbeddingSpec(3, 27)
@@ -196,8 +196,11 @@ class TestCompatSuite:
             assert residual <= _COMPAT_CHECKS[law][1], (chain, law, residual)
 
     def test_rejects_non_chain(self):
-        with pytest.raises(ValueError):
-            compat_suite(2, 4, 6)
+        with pytest.raises(ValueError, match="4 does not divide 6"):
+            compat_suite(2, 4, 6, np.random.default_rng(5))
+        # the labels enter through EmbeddingSpec, so 0 is a bad label, not a modulus
+        with pytest.raises(ValueError, match="source label must be >= 2"):
+            compat_suite(0, 4, 8, np.random.default_rng(5))
 
 
 class TestDef2Points:
@@ -205,6 +208,11 @@ class TestDef2Points:
         x2, p2 = def2_point_embed(1, 1, 2, 6)
         assert x2 % 2 == 1 and x2 % 3 == 0  # 3
         assert p2 == 3
+
+    @pytest.mark.parametrize("k,l", [(0, 6), (-2, 6), (4, 6)])
+    def test_bad_source_label_raises(self, k, l):
+        with pytest.raises(ValueError, match="labels must divide"):
+            def2_point_embed(1, 1, k, l)
 
     def test_characters_exact(self):
         for (k, l) in [(2, 6), (6, 12), (4, 12), (6, 30)]:
@@ -218,29 +226,31 @@ class TestUbiquity:
     @pytest.mark.parametrize("k,l", [(3, 9), (4, 8), (6, 12), (5, 30)])
     def test_norm(self, k, l):
         f = random_state(k, RNG)
-        assert ubiquity_check("norm", f, EmbeddingSpec(k, l)) <= _UBIQUITY_CHECKS["norm"][1]
+        dev = ubiquity_check(f, EmbeddingSpec(k, l), np.random.default_rng(3))["norm"]
+        assert dev <= _UBIQUITY_CHECKS["norm"][1]
 
     @pytest.mark.parametrize("k,l", [(3, 9), (3, 12), (4, 8)])
     def test_weyl_and_wigner(self, k, l):
         f = random_state(k, RNG)
+        devs = ubiquity_check(f, EmbeddingSpec(k, l), np.random.default_rng(3))
         for q in ("weyl", "wigner"):
-            dev = ubiquity_check(q, f, EmbeddingSpec(k, l), rng=np.random.default_rng(3))
-            assert dev <= _UBIQUITY_CHECKS[q][1], (q, dev)
+            assert devs[q] <= _UBIQUITY_CHECKS[q][1], (q, devs[q])
 
     def test_entropy_uniform_state(self):
         f = FiniteState(4, POSITION, np.ones(4))
         assert position_entropy(f) == pytest.approx(0.0, abs=1e-14)
-        dev = ubiquity_check("position_entropy", f, EmbeddingSpec(4, 16))
-        assert dev <= _UBIQUITY_CHECKS["position_entropy"][1]
+        dev = ubiquity_check(f, EmbeddingSpec(4, 16), np.random.default_rng(3))
+        assert dev["position_entropy"] <= _UBIQUITY_CHECKS["position_entropy"][1]
 
     def test_entropy_random_state(self):
         f = random_state(6, RNG)
-        dev = ubiquity_check("position_entropy", f, EmbeddingSpec(6, 18))
-        assert dev <= _UBIQUITY_CHECKS["position_entropy"][1], dev
+        dev = ubiquity_check(f, EmbeddingSpec(6, 18), np.random.default_rng(3))
+        assert dev["position_entropy"] <= _UBIQUITY_CHECKS["position_entropy"][1], dev
 
-    def test_unknown_quantity(self):
-        with pytest.raises(ValueError):
-            ubiquity_check("volume", random_state(3, RNG), EmbeddingSpec(3, 9))
+    def test_returns_every_quantity_in_check_order(self):
+        # verify reads the checks in the returned order; the rng draws follow it
+        devs = ubiquity_check(random_state(3, RNG), EmbeddingSpec(3, 9), np.random.default_rng(3))
+        assert list(devs) == list(_UBIQUITY_CHECKS)
 
 
 class TestAnnihilator:
@@ -252,6 +262,12 @@ class TestAnnihilator:
         # Ann(Ann(E)) recovers E
         gen2, ann2 = annihilator(n, n // m)
         assert len(ann2) == m
+
+    @pytest.mark.parametrize("n,m", [(12, 0), (12, -3), (-12, 3), (0, 3), (12, 5)])
+    def test_bad_labels_raise(self, n, m):
+        # these used to end in a zero division, an assert or an empty annihilator
+        with pytest.raises(ValueError, match="positive divisor"):
+            annihilator(n, m)
 
 
 class TestNaNGaps:
@@ -277,8 +293,5 @@ class TestNaNGaps:
         import pqm.embeddings as emb
 
         monkeypatch.setattr(emb, "weyl_wigner", lambda *args: complex(np.nan))
-        assert np.isnan(ubiquity_check(quantity, random_state(3, RNG), EmbeddingSpec(3, 9)))
-
-    def test_compat_suite_needs_samples(self):
-        with pytest.raises(ValueError):
-            compat_suite(2, 4, 8, samples=0)
+        devs = ubiquity_check(random_state(3, RNG), EmbeddingSpec(3, 9), np.random.default_rng(3))
+        assert np.isnan(devs[quantity])

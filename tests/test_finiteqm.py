@@ -664,6 +664,52 @@ class TestMarginals:
             want = g_pos[(-b) % n].conjugate() * f_pos[(-b) % n]
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_stacked_sums_are_the_per_point_sums(self, n):
+        # the per-point loops the stacked builds replaced are the oracle; an
+        # axis-0 sum adds the slices in order, so they agree bit for bit
+        b_range = n if n % 2 else 2 * n
+        for a in range(n):
+            frak_a = RatMod1.of(a, b_range)
+            want = sum(
+                hw_matrix(HWElement.from_phase_space(n, frak_a, b), MOMENTUM)
+                for b in range(b_range)
+            ) / b_range
+            assert np.array_equal(marginal_a_matrix(n, a), want)
+        if n % 2 == 0:
+            return
+        for j in range(n):
+            want = sum(
+                hw_matrix(HWElement.from_canonical(n, a, j, 0), MOMENTUM) for a in range(n)
+            )
+            assert np.array_equal(marginal_b_matrix(n, j), want)
+            acc_a = np.zeros((n, n), dtype=complex)
+            acc_b = np.zeros((n, n), dtype=complex)
+            for i in range(n):
+                acc_a += parity_matrix(PhasePoint(n, j, i), MOMENTUM)
+                acc_b += parity_matrix(PhasePoint(n, i, j), MOMENTUM)
+            assert np.array_equal(parity_marginal_a_matrix(n, j), acc_a / n)
+            assert np.array_equal(parity_marginal_b_matrix(n, j), acc_b)
+
+    @pytest.mark.parametrize("n,index", [(0, 0), (-2, 1), (-3, 0), (1, 0)])
+    def test_dimension_below_two_raises(self, n, index):
+        # n = 0 and negative even n used to give empty arrays or a zero division
+        for build in (marginal_a_matrix, marginal_b_matrix):
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                build(n, index)
+        for build in (parity_marginal_a_matrix, parity_marginal_b_matrix):
+            with pytest.raises(ValueError, match="odd n >= 3"):
+                build(n, index)
+
+    @pytest.mark.parametrize("ng,nf", [(3, 5), (5, 3), (4, 6)])
+    def test_b_expected_dimension_mismatch(self, ng, nf):
+        # an odd pair used to index past the shorter array, an even pair to
+        # answer from the hat values of two different systems
+        g, f = np.ones(ng, dtype=complex), np.ones(nf, dtype=complex)
+        for b in range(3):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                marginal_b_expected(g, f, g, f, b)
+
     def test_a_zero_point(self):
         n = 6
         gt = random_state(n, RNG, rep=MOMENTUM)

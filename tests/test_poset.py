@@ -162,6 +162,24 @@ class TestSup:
             other = sn_sup(xs + [_random_supernatural(rng)])
             assert sn_divides(s, other)
 
+    def test_verify_suprema_check_catches_an_order_bug(self, monkeypatch):
+        # symbolic_suprema reaches the symbolic suprema through sn_divides and
+        # the finite sn_sup, so an order that reads inf as 0 must fail it
+        from pqm import verify
+
+        def check():
+            cfg = verify.VerifyConfig(suites=("poset",), poset_limit=2)
+            (res,) = [r for r in verify.suite_poset(cfg) if r.name == "symbolic_suprema"]
+            return res.passed
+
+        def inf_as_zero(m, n):
+            e = lambda x, p: 0 if x.exponent(p) == INF else x.exponent(p)
+            return all(e(m, p) <= e(n, p) for p, _ in m.exponents + n.exponents)
+
+        assert check()
+        monkeypatch.setattr(ps, "sn_divides", inf_as_zero)
+        assert not check()
+
     def test_mixed_tail(self):
         # sup of 2^3 * (rest)^inf with 2^inf is Omega
         a = Supernatural.of({2: 3}, tail_infinite=True)

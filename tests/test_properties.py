@@ -26,6 +26,7 @@ from pqm.finiteqm import (
     _displacement_grid,
     _hat_values,
     _hw_matrices,
+    _parity_matrices,
     fourier,
     fourier_good,
     hw_adjoint,
@@ -602,6 +603,21 @@ def test_stacked_hw_matrices_are_hw_matrix_bit_for_bit(data, n, rep):
     assert stack.shape == (len(els), n, n)
     for m, d in zip(stack, els):
         assert np.array_equal(m, hw_matrix(d, rep))
+
+
+@_settings
+@given(data=st.data(), n=st.integers(2, 32), rep=st.sampled_from([POSITION, MOMENTUM]))
+def test_stacked_parity_matrices_are_parity_matrix_bit_for_bit(data, n, rep):
+    def point():
+        doubled = n % 2 == 0 and data.draw(st.booleans())
+        a = data.draw(st.integers(0, (2 if doubled else 1) * n - 1))
+        return PhasePoint(n, a, data.draw(st.integers(0, n - 1)), doubled)
+
+    points = [point() for _ in range(data.draw(st.integers(1, 8)))]
+    stack = _parity_matrices(points, rep)
+    assert stack.shape == (len(points), n, n)
+    for m, pt in zip(stack, points):
+        assert np.array_equal(m, parity_matrix(pt, rep))
 
 
 @_settings
