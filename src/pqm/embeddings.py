@@ -89,7 +89,8 @@ def phase_embed(point: tuple[int, int], spec: EmbeddingSpec):
 
     Finite target: ``def2_point_embed`` for any k | l.  Profinite target,
     from a prime-power source p^k: (alpha, beta) -> (a_p, b_p) in
-    Z_p x Q_p/Z_p.  Characters are preserved exactly either way.
+    Z_p x Q_p/Z_p, a ``PadicInt`` and a ``RatMod1`` with denominator
+    dividing p^k.  Characters are preserved exactly either way.
     """
     alpha, beta = point
     if not (0 <= alpha < spec.source and 0 <= beta < spec.source):

@@ -794,15 +794,10 @@ def hw_factor(d: HWElement) -> dict[int, HWElement]:
     out = {}
     covered = ZERO_MOD1
     for fac in factors:
-        ap = a_parts.get(fac.p)
-        cp = c_parts.get(fac.p)
-        c_local = cp.as_ratmod1 if cp is not None else ZERO_MOD1
+        c_local = c_parts.get(fac.p, ZERO_MOD1)
         covered = covered + c_local
         out[fac.p] = HWElement.from_phase_space(
-            fac.q,
-            ap.as_ratmod1 if ap is not None else ZERO_MOD1,
-            d.beta,
-            c_local,
+            fac.q, a_parts.get(fac.p, ZERO_MOD1), d.beta, c_local
         )
     # scalar phase supported away from the primes of n rides on one factor
     extra = d.frak_c - covered

@@ -13,8 +13,9 @@ Conventions:
   precision N and its residue in [0, p^N), and every operation is integer
   arithmetic mod p^N.  Binary operations return the minimum precision of
   their operands and raise instead of silently extending.
-* A coset in Q_p/Z_p is represented by the unique element with zero integer
-  part, stored as a fraction m / p^k with 0 <= m < p^k and p not dividing m.
+* A coset in Q_p/Z_p is a ``RatMod1`` whose denominator is a power of p:
+  Q_p/Z_p = Z[1/p]/Z is the p-part of Q/Z, and Q/Z is the direct sum of
+  these parts over all primes p (``rat_decompose``).
 * Base-p digits are derived from the stored residue on demand, so negative
   integers come out in (p-1)-complement form.
 * The four CRT index maps take an int or an integer ndarray; on an array
@@ -326,98 +327,15 @@ def project_xi(a: PadicInt, k: int) -> int:
     return a.residue % a.p**k
 
 
-# ---------------------------------------------------------------------------
-# Q_p/Z_p: fractional cosets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PadicFrac:
-    """A coset in Q_p/Z_p represented with zero integer part.
-
-    The value is ``numerator / p^degree`` with 0 <= numerator < p^degree.
-    Canonical form has p not dividing the numerator, so degree 0 (numerator
-    0) encodes the zero coset and the coset lies in p^-degree Z_p / Z_p.
-    """
-
-    p: int
-    numerator: int
-    degree: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        if not 0 <= self.numerator < self.p**self.degree:
-            raise ValueError(
-                f"numerator {self.numerator} out of range for degree {self.degree}"
-            )
-        if self.degree and self.numerator % self.p == 0:
-            raise ValueError(f"not canonical: {self.p} divides the numerator")
-
-    @classmethod
-    def zero(cls, p: int) -> "PadicFrac":
-        return cls(p, 0, 0)
-
-    @classmethod
-    def from_fraction(cls, q: "Fraction | RatMod1", p: int) -> "PadicFrac":
-        if not isinstance(q, RatMod1):
-            q = RatMod1.of(q)
-        if not q:
-            return cls.zero(p)
-        k = valuation(q.denominator, p)
-        if q.denominator != p**k:
-            raise ValueError(
-                f"{q.numerator}/{q.denominator} has a denominator not a power of {p}"
-            )
-        return cls(p, q.numerator, k)
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.p**self.degree)
-
-    @property
-    def as_ratmod1(self) -> RatMod1:
-        # p not dividing the numerator makes numerator / p^degree reduced
-        return RatMod1(self.numerator, self.p**self.degree)
-
-    def __add__(self, other: "PadicFrac") -> "PadicFrac":
-        if self.p != other.p:
-            raise ValueError("prime mismatch")
-        return PadicFrac.from_fraction(self.as_ratmod1 + other.as_ratmod1, self.p)
-
-    def __neg__(self) -> "PadicFrac":
-        return PadicFrac.from_fraction(-self.as_ratmod1, self.p)
-
-    def __repr__(self) -> str:
-        if not self.degree:
-            return f"PadicFrac(p={self.p}, 0)"
-        return f"PadicFrac(p={self.p}, {self.numerator}/{self.p}^{self.degree})"
-
-
-def lift_tilde_xi(beta: int, k: int, p: int) -> PadicFrac:
-    """The lift xi~_k: Z(p^k) -> Q_p/Z_p, beta |-> p^-k beta (canonical)."""
+def lift_tilde_xi(beta: int, k: int, p: int) -> RatMod1:
+    """The lift xi~_k: Z(p^k) -> Q_p/Z_p, beta |-> p^-k beta (reduced)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if not (0 <= beta < p**k or (k == 0 and beta == 0)):
+    if not 0 <= beta < p**k:
         raise ValueError(f"beta={beta} out of range for Z({p}^{k})")
-    return PadicFrac.from_fraction(RatMod1.of(beta, p**k), p)
-
-
-def frac_mul(a: PadicInt, b: PadicFrac) -> PadicFrac:
-    """The coset product a*b in Q_p/Z_p; needs a known mod p^deg(b)."""
-    if a.p != b.p:
-        raise ValueError("prime mismatch")
-    k = b.degree
-    if k == 0:
-        return b
-    if a.precision < k:
-        raise PrecisionError(
-            f"need {k} digits of a to multiply by a degree-{k} coset, "
-            f"have {a.precision}"
-        )
-    return PadicFrac.from_fraction(b.as_ratmod1.scaled(project_xi(a, k)), a.p)
+    return RatMod1.of(beta, p**k)
 
 
 # ---------------------------------------------------------------------------
@@ -599,19 +517,27 @@ def char_omega(n: int, alpha: int) -> RatMod1:
     return RatMod1.of(alpha, n)
 
 
-def char_chi_p(a: PadicInt, b: PadicFrac) -> RatMod1:
-    """The exponent a b of chi_p(a*b) for a in Z_p, b in Q_p/Z_p."""
-    return frac_mul(a, b).as_ratmod1
+def char_chi_p(a: PadicInt, b: RatMod1) -> RatMod1:
+    """The exponent a b of chi_p(a*b) for a in Z_p and b in Q_p/Z_p, which is
+    the coset a*b itself; needs a known mod p^k when b has denominator p^k."""
+    k = valuation(b.denominator, a.p)
+    if b.denominator != a.p**k:
+        raise ValueError(
+            f"{b.numerator}/{b.denominator} is not in Q_{a.p}/Z_{a.p}: "
+            f"its denominator is not a power of {a.p}"
+        )
+    return b.scaled(project_xi(a, k)) if k else b
 
 
-def char_chi_global(a: ProfiniteInt, b: Mapping[int, PadicFrac]) -> RatMod1:
+def char_chi_global(a: ProfiniteInt, b: Mapping[int, RatMod1]) -> RatMod1:
     """The exponent sum_p a_p b_p of chi(a*b) = prod_p chi_p(a_p b_p), b given
-    on its finite support."""
+    on its finite support as ``{p: b_p}`` with b_p in Q_p/Z_p."""
     q = ZERO_MOD1
     for p, bp in b.items():
-        if bp.degree == 0:
-            continue
-        q = q + char_chi_p(a.component(p, bp.degree), bp)
+        if bp:
+            # a part outside Q_p/Z_p can have k = 0; char_chi_p rejects it
+            k = valuation(bp.denominator, p)
+            q = q + char_chi_p(a.component(p, max(k, 1)), bp)
     return q
 
 
@@ -620,20 +546,20 @@ def char_chi_global(a: ProfiniteInt, b: Mapping[int, PadicFrac]) -> RatMod1:
 # ---------------------------------------------------------------------------
 
 
-def rat_decompose(q: RatMod1) -> dict[int, PadicFrac]:
-    """Split q in Q/Z into p-power components, q = sum_p a_p mod 1.
+def rat_decompose(q: RatMod1) -> dict[int, RatMod1]:
+    """Split q in Q/Z into its p-parts, q = sum_p q_p mod 1, with q_p in Q_p/Z_p.
 
-    The component at p is supported exactly when p divides the denominator.
+    The part at p has denominator p^e, p^e exactly dividing the denominator
+    of q, so it is supported exactly when p divides that denominator.
     """
     if q.numerator == 0:
         return {}
     n = q.denominator
-    out: dict[int, PadicFrac] = {}
-    for f, kp in zip(crt_idempotents(n), crt_split_nu_hat(n, q.numerator)):
-        if kp:
-            out[f.p] = PadicFrac.from_fraction(RatMod1.of(kp, f.q), f.p)
-    return out
+    return {
+        f.p: RatMod1.of(kp, f.q)
+        for f, kp in zip(crt_idempotents(n), crt_split_nu_hat(n, q.numerator))
+    }
 
 
-def rat_recombine(parts: Mapping[int, PadicFrac]) -> RatMod1:
-    return sum((frac.as_ratmod1 for frac in parts.values()), ZERO_MOD1)
+def rat_recombine(parts: Mapping[int, RatMod1]) -> RatMod1:
+    return sum(parts.values(), ZERO_MOD1)

@@ -181,12 +181,15 @@ def delta_family(p: int, precision: int) -> LocalSBFunction:
 
 
 def character_function(p: int, frak_p: Fraction) -> LocalSBFunction:
-    """The position-side function x |-> chi_p(x * frak_p)."""
+    """The position-side function x |-> chi_p(x * frak_p); a table of more
+    than 2^20 values is a ValueError."""
     frak_p = RatMod1.of(frak_p)
     k = valuation(frak_p.denominator, p)
     if frak_p.denominator != p**k:
         raise ValueError("frak_p must have a p-power denominator")
     q = p**k
+    if q > _SCALE_VALUES_BOUND:
+        raise ValueError(f"table size {p}^{k} exceeds bound {_SCALE_VALUES_BOUND}")
     vals = tuple(
         np.exp(2j * np.pi * (frak_p.numerator * j % q / q)) for j in range(q)
     )
@@ -359,8 +362,8 @@ def global_displace(
     stays a restricted product.  D(a+1, b, c) = D(a, b, c) holds exactly
     because the labels live in Q/Z.
     """
-    a_parts = {p: fr.as_ratmod1 for p, fr in rat_decompose(a).items()}
-    c_parts = {p: fr.as_ratmod1 for p, fr in rat_decompose(c).items()}
+    a_parts = rat_decompose(a)
+    c_parts = rat_decompose(c)
     out_terms = []
     for coeff, factors in f.terms:
         new_factors = dict(factors)

@@ -44,10 +44,10 @@ SURFACE = {
         "to_position", "weyl_wigner", "wigner_table",
     },
     "numbers": {
-        "CrtFactor", "PadicFrac", "PadicInt", "PrecisionError", "ProfiniteInt",
+        "CrtFactor", "PadicInt", "PrecisionError", "ProfiniteInt",
         "RatMod1", "ZERO_MOD1", "char_chi_global", "char_chi_p", "char_omega",
         "crt_idempotents", "crt_join_mu", "crt_join_nu_hat", "crt_split_mu",
-        "crt_split_nu_hat", "factorize", "frac_mul", "is_prime", "lift_tilde_xi",
+        "crt_split_nu_hat", "factorize", "is_prime", "lift_tilde_xi",
         "ostrowski_product", "padic_ord_abs", "project_xi", "rat_decompose",
         "rat_recombine", "valuation",
     },

@@ -150,6 +150,17 @@ class TestFourierCommand:
         assert _one_error_line(capsys).startswith(f"pqm: error: malformed state file {src}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"'], ids=["list", "string"])
+    def test_state_that_is_not_an_object_exits_2(self, text, tmp_path, capsys):
+        src = tmp_path / "f.json"
+        src.write_text(text)
+        out = tmp_path / "o.json"
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: malformed state file {src}: not a JSON object\n"
+        )
+        assert not out.exists()
+
     def test_integer_and_signed_zero_amplitudes_load_exactly(self, tmp_path):
         src = tmp_path / "f.json"
         src.write_text(
@@ -299,6 +310,17 @@ class TestDisplaceEmbed:
         assert _one_error_line(capsys) == (
             f"pqm: error: target label {dst} is smaller than the source 2\n"
         )
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("dst", [2**20 + 2, 2**70])
+    def test_embed_target_over_the_bound_exits_2(self, dst, tmp_path, capsys):
+        # checked before the state file is read: this one does not exist
+        out = tmp_path / "g.json"
+        argv = ["embed", "--from", "2", "--to", str(dst), "--in", str(tmp_path / "f.json"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert _one_error_line(capsys) == f"pqm: error: target {dst} exceeds bound 1048576\n"
         assert not out.exists()
 
 

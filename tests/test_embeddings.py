@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pqm.embeddings as emb
-from pqm.numbers import char_omega
+from pqm.numbers import RatMod1, char_omega
 from pqm.finiteqm import (
     MOMENTUM,
     POSITION,
@@ -79,7 +79,7 @@ class TestPhaseEmbed:
         spec = EmbeddingSpec(9, Supernatural.prime_power(3, INF))
         a_p, b_p = phase_embed((4, 5), spec)
         assert a_p.residue == 4
-        assert b_p.as_fraction == 5 / 9 or float(b_p.as_fraction) == 5 / 9
+        assert b_p == RatMod1(5, 9)
         for a in range(9):
             for b in range(9):
                 assert phase_embed_character((a, b), spec)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pqm.numbers import (
-    PadicFrac,
+    ZERO_MOD1,
     PadicInt,
     PrecisionError,
     ProfiniteInt,
@@ -20,7 +20,6 @@ from pqm.numbers import (
     crt_split_mu,
     crt_split_nu_hat,
     factorize,
-    frac_mul,
     is_prime,
     lift_tilde_xi,
     ostrowski_product,
@@ -28,6 +27,7 @@ from pqm.numbers import (
     project_xi,
     rat_decompose,
     rat_recombine,
+    valuation,
 )
 
 
@@ -219,10 +219,10 @@ class TestProjectLift:
     def test_lift_canonicalizes(self):
         b = lift_tilde_xi(3, 2, 3)  # 3/9 -> 1/3
         assert b.as_fraction == Fraction(1, 3)
-        assert b.degree == 1
+        assert valuation(b.denominator, 3) == 1
 
     def test_lift_zero(self):
-        assert lift_tilde_xi(0, 3, 5).degree == 0
+        assert lift_tilde_xi(0, 3, 5) == ZERO_MOD1
 
     def test_lift_compatibility(self):
         # xi~_l o phi~_kl = xi~_k (the hom2 embedding beta -> p^(l-k) beta)
@@ -235,15 +235,17 @@ class TestProjectLift:
 
 
 class TestFracMul:
+    """The coset product a*b in Q_p/Z_p, which ``char_chi_p`` returns."""
+
     def test_mod_one_reduction(self):
         a = PadicInt.from_int(3, 2, 4)
-        b = PadicFrac.from_fraction(Fraction(1, 2), 2)
-        assert frac_mul(a, b).as_fraction == Fraction(1, 2)  # 3/2 mod 1
+        b = RatMod1.of(Fraction(1, 2))
+        assert char_chi_p(a, b).as_fraction == Fraction(1, 2)  # 3/2 mod 1
 
     def test_annihilation(self):
         a = PadicInt.from_int(8, 2, 5)
-        b = lift_tilde_xi(5, 3, 2)  # degree 3
-        assert frac_mul(a, b).degree == 0
+        b = lift_tilde_xi(5, 3, 2)  # 5/8
+        assert char_chi_p(a, b) == ZERO_MOD1
 
     def test_rational_oracle(self):
         rng = random.Random(6)
@@ -254,7 +256,7 @@ class TestFracMul:
             b = lift_tilde_xi(beta, k, p)
             x = rng.randrange(p**6)
             a = PadicInt.from_int(x, p, 6)
-            got = frac_mul(a, b).as_fraction
+            got = char_chi_p(a, b).as_fraction
             want = Fraction(x * beta, p**k) % 1 if k else Fraction(0)
             assert got == want
 
@@ -262,7 +264,13 @@ class TestFracMul:
         a = PadicInt.from_int(1, 2, 2)
         b = lift_tilde_xi(1, 3, 2)
         with pytest.raises(PrecisionError):
-            frac_mul(a, b)
+            char_chi_p(a, b)
+
+    @pytest.mark.parametrize("b", [RatMod1(1, 3), RatMod1(1, 6), RatMod1(5, 12)])
+    def test_denominator_not_a_power_of_p(self, b):
+        # 1/3 lies in Q_3/Z_3, not Q_2/Z_2; 1/6 and 5/12 in neither
+        with pytest.raises(ValueError, match="not a power of 2"):
+            char_chi_p(PadicInt.from_int(1, 2, 4), b)
 
 
 class TestCrt:
@@ -335,7 +343,7 @@ class TestCharacters:
 
     def test_chi_p(self):
         a = PadicInt.from_int(3, 2, 4)
-        b = PadicFrac.from_fraction(Fraction(1, 2), 2)
+        b = RatMod1(1, 2)
         assert char_chi_p(a, b) == RatMod1(1, 2)
 
     def test_orthogonality(self):
@@ -350,6 +358,11 @@ class TestCharacters:
         b = rat_decompose(RatMod1(5, 6))
         # chi(a*b) = exp(2 pi i * 5 * 5/6) since the tail is the integer 5
         assert char_chi_global(a, b) == RatMod1.of(25, 6)
+
+    @pytest.mark.parametrize("b", [RatMod1(1, 3), RatMod1(1, 6)])
+    def test_chi_global_rejects_a_part_outside_its_prime(self, b):
+        with pytest.raises(ValueError, match="not a power of 2"):
+            char_chi_global(ProfiniteInt(tail=1), {2: b})
 
 
 class TestRatDecompose:
@@ -375,7 +388,7 @@ class TestRatDecompose:
                 parts = rat_decompose(q)
                 assert rat_recombine(parts) == q
                 for p, part in parts.items():
-                    assert lam % p == 0 and part.degree > 0
+                    assert lam % p == 0 and valuation(part.denominator, p) > 0
 
 
 class TestProfiniteInt:
@@ -437,41 +450,24 @@ def test_factorize_cannot_be_changed_through_its_cache():
 
 
 def test_padic_frac_arithmetic():
-    a = PadicFrac.from_fraction(Fraction(1, 4), 2)
-    b = PadicFrac.from_fraction(Fraction(3, 4), 2)
-    assert (a + b).degree == 0  # 1/4 + 3/4 = 0 mod 1
+    # Q_2/Z_2 is the subgroup of Q/Z with 2-power denominators
+    a, b = RatMod1(1, 4), RatMod1(3, 4)
+    assert a + b == ZERO_MOD1  # 1/4 + 3/4 = 0 mod 1
     assert (a + a).as_fraction == Fraction(1, 2)
     assert (-a).as_fraction == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        a + PadicFrac.from_fraction(Fraction(1, 3), 3)
-
-
-@pytest.mark.parametrize(
-    "p, numerator, degree, match",
-    [
-        (3, 3, 2, "divides the numerator"),
-        (3, 0, 2, "divides the numerator"),
-        (3, 9, 2, "out of range"),
-        (3, -1, 2, "out of range"),
-        (3, 1, 0, "out of range"),
-        (3, 0, -1, "degree must be >= 0"),
-        (4, 1, 1, "not prime"),
-    ],
-)
-def test_padic_frac_constructor_validation(p, numerator, degree, match):
-    with pytest.raises(ValueError, match=match):
-        PadicFrac(p, numerator, degree)
 
 
 def test_padic_frac_stores_the_reduced_numerator():
-    assert PadicFrac.from_fraction(Fraction(15, 81), 3) == PadicFrac(3, 5, 3)
-    assert PadicFrac.from_fraction(Fraction(2), 3) == PadicFrac.zero(3) == PadicFrac(3, 0, 0)
+    assert RatMod1.of(Fraction(15, 81)) == RatMod1(5, 27)
+    assert lift_tilde_xi(15, 4, 3) == RatMod1(5, 27)
+    assert RatMod1.of(Fraction(2)) == lift_tilde_xi(0, 0, 3) == ZERO_MOD1
 
 
-@pytest.mark.parametrize("p", [1, 0, -3])
+@pytest.mark.parametrize("p", [1, 0, -3, 4])
 def test_padic_frac_rejects_small_p(p):
-    with pytest.raises(ValueError):
-        PadicFrac.from_fraction(Fraction(1, 4), p)
+    # the lift into Q_p/Z_p needs a prime p, even where beta is in range
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        lift_tilde_xi(1, 2, p)
 
 
 def test_profinite_subtraction():

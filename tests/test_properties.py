@@ -4,7 +4,8 @@ Alexandrov topology of supernatural numbers, the composite-label point
 embedding (with the prime-power formula as its oracle), the inverse of the
 profinite Heisenberg-Weyl group over Zhat, the FFT paths of the Fourier transform, the FFT paths of the
 phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
-(with ``Fraction`` and plain integers as oracles), and the local
+(with ``Fraction`` and plain integers as oracles), the characters chi_p and
+chi over Zhat, and the local
 Schwartz-Bruhat operations and x -> lam x (with per-point loops as
 oracles)."""
 
@@ -44,18 +45,20 @@ from pqm.finiteqm import (
     wigner_table,
 )
 from pqm.numbers import (
-    PadicFrac,
+    ZERO_MOD1,
     PadicInt,
     ProfiniteInt,
     RatMod1,
+    char_chi_global,
+    char_chi_p,
     crt_idempotents,
     crt_join_mu,
     crt_join_nu_hat,
     crt_split_mu,
     crt_split_nu_hat,
     factorize,
-    frac_mul,
     is_prime,
+    lift_tilde_xi,
     project_xi,
     rat_decompose,
     rat_recombine,
@@ -623,20 +626,78 @@ def test_stacked_parity_matrices_are_parity_matrix_bit_for_bit(data, n, rep):
 @_settings
 @given(p=_primes, data=st.data())
 def test_padic_frac_matches_fraction(p, data):
+    # Q_p/Z_p is the set of RatMod1 values with a p-power denominator
     k1, k2 = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
-    x = Fraction(data.draw(st.integers(0, p**k1 - 1)), p**k1)
-    y = Fraction(data.draw(st.integers(0, p**k2 - 1)), p**k2)
-    a, b = PadicFrac.from_fraction(x, p), PadicFrac.from_fraction(y, p)
+    m1, m2 = data.draw(st.integers(0, p**k1 - 1)), data.draw(st.integers(0, p**k2 - 1))
+    x, y = Fraction(m1, p**k1), Fraction(m2, p**k2)
+    a, b = lift_tilde_xi(m1, k1, p), lift_tilde_xi(m2, k2, p)
     assert a.as_fraction == x and b.as_fraction == y
+    for c in (a + b, -a):
+        assert c.denominator == p ** valuation(c.denominator, p)
     assert (a + b).as_fraction == (x + y) % 1
     assert (-a).as_fraction == (-x) % 1
     z = data.draw(st.integers(-(10**12), 10**12))
     u = PadicInt.from_int(z, p, max(k2, 1) + data.draw(st.integers(0, 3)))
-    assert frac_mul(u, b).as_fraction == (z * y) % 1
+    assert char_chi_p(u, b).as_fraction == (z * y) % 1
     q = Fraction(z, p**k1)
-    c = PadicFrac.from_fraction(q, p)
+    c = RatMod1.of(q)
     assert c.as_fraction == q % 1
-    assert c.degree == 0 or c.numerator % p != 0
+    assert not c or c.numerator % p != 0
+
+
+_chi_primes = st.sampled_from([2, 3, 5])
+
+
+@_settings
+@given(p=_chi_primes, data=st.data())
+def test_char_chi_p_is_additive_in_each_argument(p, data):
+    k = data.draw(st.integers(0, 8))
+    n = max(k, 1) + data.draw(st.integers(0, 3))
+    a1, a2 = (PadicInt.from_int(data.draw(st.integers(-(10**12), 10**12)), p, n)
+              for _ in range(2))
+    b1, b2 = (lift_tilde_xi(data.draw(st.integers(0, p**k - 1)), k, p) for _ in range(2))
+    assert char_chi_p(a1 + a2, b1) == char_chi_p(a1, b1) + char_chi_p(a2, b1)
+    assert char_chi_p(a1, b1 + b2) == char_chi_p(a1, b1) + char_chi_p(a1, b2)
+
+
+@_settings
+@given(p=_chi_primes, k=st.integers(0, 6), extra=st.integers(0, 4), data=st.data())
+def test_lift_tilde_xi_commutes_with_the_subsystem_embedding(p, k, extra, data):
+    # beta |-> p^(l-k) beta embeds Z(p^k) into Z(p^l) under the lifts
+    beta = data.draw(st.integers(0, p**k - 1))
+    ell = k + extra
+    assert lift_tilde_xi(p ** (ell - k) * beta, ell, p) == lift_tilde_xi(beta, k, p)
+
+
+def _smooth_rational(data) -> RatMod1:
+    """A Q/Z value whose denominator has no prime factor beyond 5."""
+    den = math.prod(p ** data.draw(st.integers(0, 5)) for p in (2, 3, 5))
+    return RatMod1.of(data.draw(_ints), den)
+
+
+@_settings
+@given(t=st.integers(-(10**12), 10**12), data=st.data())
+def test_char_chi_global_of_an_integer_tail_is_the_q_z_product(t, data):
+    q = _smooth_rational(data)
+    assert char_chi_global(ProfiniteInt(tail=t), rat_decompose(q)) == q.scaled(t)
+
+
+@_settings
+@given(t=st.integers(-(10**12), 10**12), data=st.data())
+def test_char_chi_global_is_the_sum_of_the_local_characters(t, data):
+    overrides = {}
+    for p in (2, 3, 5):
+        if data.draw(st.booleans()):
+            residue = data.draw(st.integers(0, 10**12))
+            overrides[p] = PadicInt.from_int(residue, p, data.draw(st.integers(5, 8)))
+    a = ProfiniteInt(overrides, tail=t)
+    parts = rat_decompose(_smooth_rational(data))
+    precision = {p: o.precision for p, o in overrides.items()}
+    want = sum(
+        (char_chi_p(a.component(p, precision.get(p, 8)), bp) for p, bp in parts.items()),
+        ZERO_MOD1,
+    )
+    assert char_chi_global(a, parts) == want
 
 
 @_settings
@@ -645,7 +706,7 @@ def test_rat_decompose_matches_fraction(num, den):
     q = RatMod1.of(num, den)
     parts = rat_decompose(q)
     for p, part in parts.items():
-        assert part.p == p and set(factorize(part.as_fraction.denominator)) == {p}
+        assert set(factorize(part.denominator)) == {p}
     assert sum(part.as_fraction for part in parts.values()) % 1 == q.as_fraction
     assert rat_recombine(parts) == q
 

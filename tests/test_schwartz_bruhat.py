@@ -247,6 +247,11 @@ class TestConstructors:
         want = np.exp(2j * np.pi * ((m * np.arange(q)) % q) / q)
         assert np.max(np.abs(np.array(f.values) - want)) <= 1e-12
 
+    @pytest.mark.parametrize("q", [2**21, 2**40])
+    def test_character_function_has_a_size_bound(self, q):
+        with pytest.raises(ValueError, match="exceeds bound 1048576"):
+            character_function(2, Fraction(1, q))
+
     @pytest.mark.parametrize("side", [POSITION, MOMENTUM])
     def test_state_round_trip(self, side):
         f = _random_local(3, 2, side)
