@@ -36,16 +36,16 @@ from .finiteqm import (
     FiniteState,
     HWElement,
     PhasePoint,
-    displace,
+    _dilation,
+    _displace_values,
+    _element_columns,
+    _extend_values,
+    _fourier_values,
     extend,
-    fourier,
-    inner,
     norm,
     parity_displacement,
-    reflect,
     tensor_factor,
     to_position,
-    weyl_wigner,
 )
 from .poset import Supernatural, sn_divides
 from .schwartz_bruhat import GlobalSBFunction, LocalSBFunction
@@ -191,37 +191,41 @@ def compat_suite(k: int, ell: int, m: int, rng) -> dict[str, float]:
     ``hw_intertwining``: the largest gap over the samples, NaN if any gap is
     NaN; (iv) ``character_preservation``: 0.0 when the exact law holds, else
     1.0.  Failures are measured, not raised; the caller holds the tolerances.
+
+    On a finite target ``state_embed`` is ``extend``, so each law acts on its
+    samples as one (samples, k) stack of values; the random draws keep the
+    order of one state at a time.
     """
     k_ell, ell_m, k_m = EmbeddingSpec(k, ell), EmbeddingSpec(ell, m), EmbeddingSpec(k, m)
     out = {}
 
     # np.max over each law's gaps, so a NaN gap is the law's residual
+    # [rep, sample, real/imaginary, x]: one state after the other
+    draws = rng.standard_normal((2, _COMPAT_SAMPLES, 2, k))
     gaps = []
-    for rep in (POSITION, MOMENTUM):
-        for _ in range(_COMPAT_SAMPLES):
-            f = FiniteState(k, rep, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-            two_step = state_embed(state_embed(f, k_ell), ell_m)
-            one_step = state_embed(f, k_m)
-            gaps.append(np.max(np.abs(two_step.amplitudes - one_step.amplitudes)))
+    for rep, d in zip((POSITION, MOMENTUM), draws):
+        v = d[:, 0] + 1j * d[:, 1]
+        two_step = _extend_values(_extend_values(v, rep, ell), rep, m)
+        gaps.append(np.max(np.abs(two_step - _extend_values(v, rep, m))))
     out["composition"] = float(np.max(gaps))
 
-    gaps = []
-    for _ in range(_COMPAT_SAMPLES):
-        f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        lhs = state_embed(fourier(f), k_ell)
-        rhs = fourier(state_embed(f, k_ell))
-        gaps.append(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
-    out["fourier_intertwining"] = float(np.max(gaps))
+    d = rng.standard_normal((_COMPAT_SAMPLES, 2, k))
+    v = d[:, 0] + 1j * d[:, 1]
+    lhs = _extend_values(_fourier_values(v, POSITION), MOMENTUM, ell)
+    rhs = _fourier_values(_extend_values(v, POSITION, ell), POSITION)
+    out["fourier_intertwining"] = float(np.max(np.abs(lhs - rhs)))
 
-    gaps = []
+    # each sample draws its state, then its exact element
+    rows, els = [], []
     for _ in range(_COMPAT_SAMPLES):
-        f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        a, b, g = (int(v) for v in rng.integers(0, k, 3))
-        el = HWElement.from_canonical(k, a, b, g)
-        lhs = state_embed(displace(el, f), k_ell)
-        rhs = displace(hw_embed(el, k_ell), state_embed(f, k_ell))
-        gaps.append(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
-    out["hw_intertwining"] = float(np.max(gaps))
+        rows.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        a, b, g = (int(t) for t in rng.integers(0, k, 3))
+        els.append(HWElement.from_canonical(k, a, b, g))
+    v = np.array(rows)
+    lhs = _extend_values(_displace_values(v, POSITION, *_element_columns(els)), POSITION, ell)
+    embedded = _element_columns([hw_embed(el, k_ell) for el in els])
+    rhs = _displace_values(_extend_values(v, POSITION, ell), POSITION, *embedded)
+    out["hw_intertwining"] = float(np.max(np.abs(lhs - rhs)))
 
     out["character_preservation"] = float(not _characters_preserved(k, ell))
     return out
@@ -239,6 +243,18 @@ def position_entropy(f: FiniteState) -> float:
     return float(-np.sum(q[mask] * np.log(pos.n * q[mask])))
 
 
+def _weyl_wigner_values(f: FiniteState, displacements, parities) -> list[complex]:
+    """(f, D f) for each displacement D, then (f, P f) for each parity P, the
+    reflection x -> -x after the displacement ``parity_displacement`` gives:
+    one stacked action on f, reduced row by row as ``inner`` does."""
+    h = _displace_values(f.amplitudes[None], f.rep, *_element_columns(displacements + parities))
+    # assigned in place, so every row stays contiguous: np.vdot sums a
+    # strided row in another order
+    reflected = slice(len(displacements), None)
+    h[reflected] = h[reflected][:, _dilation(f.n, -1)]
+    return [f.measure_weight * complex(np.vdot(f.amplitudes, row)) for row in h]
+
+
 def ubiquity_check(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]:
     """The deviations |L_r(E f) - L_k(f)| of the ubiquitous quantities under
     one embedding E f, as ``{quantity: deviation}``: ``norm``, the largest
@@ -253,19 +269,18 @@ def ubiquity_check(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]
     # embedded phase-space point; when source and target parities agree this
     # is the canonical-grid Weyl/Wigner value at hw_embed's index pair, and
     # for odd k inside even l it additionally carries the exact half-phase
-    # bookkeeping of the index map
-    for quantity in ("weyl", "wigner"):
-        gaps = []
-        for _ in range(8):
-            a, b = (int(v) for v in rng.integers(0, n, 2))
-            if quantity == "weyl":
-                el = HWElement.from_canonical(n, a, b, 0)
-                h = displace(hw_embed(el, spec), g)
-            else:
-                el = parity_displacement(PhasePoint(n, a, b))
-                h = reflect(displace(hw_embed(el, spec), g))
-            gaps.append(abs(inner(g, h) - weyl_wigner(f, a, b, quantity)))
-        out[quantity] = float(np.max(gaps))  # np.max keeps a NaN gap, max() would drop it
+    # bookkeeping of the index map.  The eight Weyl points are drawn first,
+    # then the eight Wigner points; each source value is ``weyl_wigner``'s.
+    points = [[int(v) for v in rng.integers(0, n, 2)] for _ in range(16)]
+    weyl = [HWElement.from_canonical(n, a, b, 0) for a, b in points[:8]]
+    wigner = [parity_displacement(PhasePoint(n, a, b)) for a, b in points[8:]]
+    source = _weyl_wigner_values(f, weyl, wigner)
+    target = _weyl_wigner_values(
+        g, [hw_embed(el, spec) for el in weyl], [hw_embed(el, spec) for el in wigner]
+    )
+    gaps = [abs(t - s) for t, s in zip(target, source)]
+    # np.max keeps a NaN gap, max() would drop it
+    out["weyl"], out["wigner"] = float(np.max(gaps[:8])), float(np.max(gaps[8:]))
     out["position_entropy"] = abs(position_entropy(g) - position_entropy(f))
     return out
 

@@ -70,7 +70,13 @@ class FiniteState:
 
     @property
     def measure_weight(self) -> float:
-        return 1.0 / self.n if self.rep == POSITION else 1.0
+        return _measure_weight(self.n, self.rep)
+
+
+def _measure_weight(n: int, rep: str) -> float:
+    """The Haar weight 1/n on the position side, the counting weight 1 on the
+    momentum side."""
+    return 1.0 / n if rep == POSITION else 1.0
 
 
 def inner(f: FiniteState, g: FiniteState) -> complex:
@@ -91,13 +97,20 @@ def random_state(n: int, rng, rep: str = POSITION) -> FiniteState:
     return f
 
 
+# The state maps ``fourier``, ``extend`` and ``displace`` each have one kernel
+# on raw values: a (..., n) stack of one representation's values, transformed
+# on the last axis.  The public functions apply it to one state's values.
+
+
+def _fourier_values(v: np.ndarray, rep: str) -> np.ndarray:
+    """``fourier`` on the last axis of a stack of ``rep`` values."""
+    return _measure_weight(v.shape[-1], rep) * np.fft.fft(v)
+
+
 def fourier(f: FiniteState) -> FiniteState:
     """Apply the Fourier operator: forward kernel, source measure, tag flip."""
-    return FiniteState(
-        f.n,
-        MOMENTUM if f.rep == POSITION else POSITION,
-        f.measure_weight * np.fft.fft(f.amplitudes),
-    )
+    other = MOMENTUM if f.rep == POSITION else POSITION
+    return FiniteState(f.n, other, _fourier_values(f.amplitudes, f.rep))
 
 
 def _dilation(n: int, lam: int, count: int | None = None) -> np.ndarray:
@@ -130,11 +143,17 @@ def extend(f: FiniteState, ell: int) -> FiniteState:
     periodically, momentum values move from P to (ell/n) P with zero padding."""
     if ell % f.n:
         raise ValueError(f"{f.n} does not divide {ell}")
-    if f.rep == POSITION:
-        return FiniteState(ell, POSITION, np.tile(f.amplitudes, ell // f.n))
-    out = np.zeros(ell, dtype=complex)
-    out[:: ell // f.n] = f.amplitudes
-    return FiniteState(ell, MOMENTUM, out)
+    return FiniteState(ell, f.rep, _extend_values(f.amplitudes, f.rep, ell))
+
+
+def _extend_values(v: np.ndarray, rep: str, ell: int) -> np.ndarray:
+    """``extend`` on the last axis of a stack of ``rep`` values, n | ell."""
+    n = v.shape[-1]
+    if rep == POSITION:  # np.tile's own repeat, without its overhead
+        return v[..., None, :].repeat(ell // n, -2).reshape(v.shape[:-1] + (ell,))
+    out = np.zeros(v.shape[:-1] + (ell,), dtype=complex)
+    out[..., :: ell // n] = v
+    return out
 
 
 def fourier_matrix(n: int) -> np.ndarray:
@@ -292,11 +311,31 @@ def _turns(q: RatMod1) -> float:
     return q.numerator / q.denominator
 
 
+def _element_columns(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta, phase) of elements of one n as (k, 1) columns, the
+    stacked arguments of ``_displacement_action``."""
+    n = elements[0].n
+    if any(d.n != n for d in elements):
+        raise ValueError("dimension mismatch")
+    return tuple(
+        np.array(col)[:, None]
+        for col in zip(*((d.alpha, d.beta, _turns(d.phase)) for d in elements))
+    )
+
+
+def _displace_values(v: np.ndarray, rep: str, alpha, beta, phase) -> np.ndarray:
+    """``displace`` on the last axis of a stack of ``rep`` values, for the
+    element(s) given as in ``_displacement_action``: one element, or (k, 1)
+    columns acting row by row on a (k, n) stack (or all on one (1, n) row)."""
+    phases, src = _displacement_action(v.shape[-1], alpha, beta, phase, rep)
+    return phases * np.take_along_axis(v, src, axis=-1)
+
+
 def displace(d: HWElement, f: FiniteState) -> FiniteState:
     if d.n != f.n:
         raise ValueError("dimension mismatch")
-    phases, src = _displacement_action(d.n, d.alpha, d.beta, _turns(d.phase), f.rep)
-    return FiniteState(d.n, f.rep, phases * f.amplitudes[src])
+    values = _displace_values(f.amplitudes, f.rep, d.alpha, d.beta, _turns(d.phase))
+    return FiniteState(d.n, f.rep, values)
 
 
 def hw_matrix(d: HWElement, rep: str = POSITION) -> np.ndarray:
@@ -309,13 +348,7 @@ def hw_matrix(d: HWElement, rep: str = POSITION) -> np.ndarray:
 def _hw_matrices(elements, rep: str = POSITION) -> np.ndarray:
     """``hw_matrix`` of each element, all of one n, as one (k, n, n) stack."""
     n = elements[0].n
-    if any(d.n != n for d in elements):
-        raise ValueError("dimension mismatch")
-    alpha, beta, phase = (
-        np.array(col)[:, None]
-        for col in zip(*((d.alpha, d.beta, _turns(d.phase)) for d in elements))
-    )
-    phases, src = _displacement_action(n, alpha, beta, phase, rep)
+    phases, src = _displacement_action(n, *_element_columns(elements), rep)
     m = np.zeros((len(elements), n, n), dtype=complex)
     m[np.arange(len(elements))[:, None], np.arange(n), src] = phases
     return m

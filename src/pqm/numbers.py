@@ -132,7 +132,7 @@ def valuation(m: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatMod1:
     """An exact element kappa/lambda of Q/Z, always reduced and in [0, 1)."""
 
@@ -151,15 +151,24 @@ class RatMod1:
 
     @classmethod
     def of(cls, numerator: int | Fraction, denominator: int = 1) -> "RatMod1":
-        """numerator / denominator mod 1; a Fraction numerator is accepted."""
-        if isinstance(numerator, Fraction):
+        """numerator / denominator mod 1; a Fraction numerator is accepted.
+
+        Every value the arithmetic makes comes from here.  The pair is
+        reduced here, so the value is built without ``__post_init__``, whose
+        checks would only repeat this gcd; ``RatMod1(num, den)`` checks.
+        """
+        # an int skips the slower abstract-base check of isinstance(_, Fraction)
+        if not isinstance(numerator, int) and isinstance(numerator, Fraction):
             denominator *= numerator.denominator
             numerator = numerator.numerator
         if denominator < 0:
             numerator, denominator = -numerator, -denominator
         numerator %= denominator
         g = math.gcd(numerator, denominator)
-        return cls(numerator // g, denominator // g)
+        q = object.__new__(cls)
+        object.__setattr__(q, "numerator", numerator // g)
+        object.__setattr__(q, "denominator", denominator // g)
+        return q
 
     @property
     def as_fraction(self) -> Fraction:

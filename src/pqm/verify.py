@@ -40,6 +40,8 @@ class VerifyConfig:
             raise ValueError("tolerance must be finite and positive")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:  # each suite seeds numpy with seed + its offset
+            raise ValueError("seed must be >= 0")
         if not 2 <= self.poset_limit <= _POSET_LIMIT_MAX:
             raise ValueError(f"poset limit must be between 2 and {_POSET_LIMIT_MAX}")
         unknown = set(self.suites) - set(SUITES)
@@ -343,6 +345,13 @@ _UBIQUITY_CHECKS = {
 }
 
 
+def _ubiquity_pairs() -> list[tuple[int, int]]:
+    """The embeddings Z(k) -> Z(r) the ubiquity checks run on: an even spread
+    over the pairs 2 <= k <= 16, k < r <= the label limit, k | r."""
+    pairs = [(k, r) for k in range(2, 17) for r in range(k, _LABEL_LIMIT + 1, k) if r > k]
+    return pairs[:: max(1, len(pairs) // 40)]
+
+
 def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("embeddings", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 7)
@@ -356,9 +365,8 @@ def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
             ok = all(phase_embed_character((x, fp), spec) for x in grid for fp in grid)
             rep.exact("character_preservation_exact", ok)
 
-    pairs = [(k, r) for k in range(2, 17) for r in range(k, _LABEL_LIMIT + 1, k) if r > k]
     rng2 = np.random.default_rng(cfg.seed + 8)
-    for k, r in pairs[:: max(1, len(pairs) // 40)]:
+    for k, r in _ubiquity_pairs():
         f = fq.random_state(k, rng2)
         for quantity, residual in ubiquity_check(f, EmbeddingSpec(k, r), rng2).items():
             name, tol = _UBIQUITY_CHECKS[quantity]

@@ -1,9 +1,34 @@
 """Checks that only the tests call: unitarity, the exact CRT factorization
-of a displacement matrix, and the partial-order axioms of a finite poset."""
+of a displacement matrix, the partial-order axioms of a finite poset, and
+the one-state-at-a-time embedding laws that the stacked ones replace."""
 
 import numpy as np
 
-from pqm.finiteqm import POSITION, HWElement, _flat_indices, hw_factor, hw_matrix
+from pqm.embeddings import (
+    _COMPAT_SAMPLES,
+    EmbeddingSpec,
+    _characters_preserved,
+    hw_embed,
+    position_entropy,
+    state_embed,
+)
+from pqm.finiteqm import (
+    MOMENTUM,
+    POSITION,
+    FiniteState,
+    HWElement,
+    PhasePoint,
+    _flat_indices,
+    displace,
+    fourier,
+    hw_factor,
+    hw_matrix,
+    inner,
+    norm,
+    parity_displacement,
+    reflect,
+    weyl_wigner,
+)
 from pqm.numbers import crt_idempotents
 from pqm.poset import FinitePoset
 
@@ -39,3 +64,59 @@ def poset_axioms_hold(poset: FinitePoset) -> bool:
                 if leq(a, b) and leq(b, c) and not leq(a, c):
                     return False
     return True
+
+
+def compat_suite_oracle(k: int, ell: int, m: int, rng) -> dict[str, float]:
+    """``compat_suite`` one sample at a time, through the public state maps."""
+    k_ell, ell_m, k_m = EmbeddingSpec(k, ell), EmbeddingSpec(ell, m), EmbeddingSpec(k, m)
+    out = {}
+    gaps = []
+    for rep in (POSITION, MOMENTUM):
+        for _ in range(_COMPAT_SAMPLES):
+            f = FiniteState(k, rep, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            two_step = state_embed(state_embed(f, k_ell), ell_m)
+            one_step = state_embed(f, k_m)
+            gaps.append(np.max(np.abs(two_step.amplitudes - one_step.amplitudes)))
+    out["composition"] = float(np.max(gaps))
+
+    gaps = []
+    for _ in range(_COMPAT_SAMPLES):
+        f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        lhs = state_embed(fourier(f), k_ell)
+        rhs = fourier(state_embed(f, k_ell))
+        gaps.append(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
+    out["fourier_intertwining"] = float(np.max(gaps))
+
+    gaps = []
+    for _ in range(_COMPAT_SAMPLES):
+        f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        a, b, g = (int(v) for v in rng.integers(0, k, 3))
+        el = HWElement.from_canonical(k, a, b, g)
+        lhs = state_embed(displace(el, f), k_ell)
+        rhs = displace(hw_embed(el, k_ell), state_embed(f, k_ell))
+        gaps.append(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
+    out["hw_intertwining"] = float(np.max(gaps))
+
+    out["character_preservation"] = float(not _characters_preserved(k, ell))
+    return out
+
+
+def ubiquity_check_oracle(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]:
+    """``ubiquity_check`` one operator at a time, through ``weyl_wigner``."""
+    g = state_embed(f, spec)
+    n = f.n
+    out = {"norm": abs(norm(g) - norm(f))}
+    for quantity in ("weyl", "wigner"):
+        gaps = []
+        for _ in range(8):
+            a, b = (int(v) for v in rng.integers(0, n, 2))
+            if quantity == "weyl":
+                el = HWElement.from_canonical(n, a, b, 0)
+                h = displace(hw_embed(el, spec), g)
+            else:
+                el = parity_displacement(PhasePoint(n, a, b))
+                h = reflect(displace(hw_embed(el, spec), g))
+            gaps.append(abs(inner(g, h) - weyl_wigner(f, a, b, quantity)))
+        out[quantity] = float(np.max(gaps))
+    out["position_entropy"] = abs(position_entropy(g) - position_entropy(f))
+    return out

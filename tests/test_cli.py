@@ -642,6 +642,8 @@ class TestVerifyCommand:
             ("good", "tolerance", "inf"),
             # above the bound the poset suite would build 10^5+ divisor lists
             ("poset", "poset_limit", 100001),
+            # coherent seeds numpy with seed + 6, so it ran and passed
+            ("coherent", "seed", -1),
         ],
     )
     def test_vacuous_config_exits_2(self, tmp_path, capsys, monkeypatch, suite, key, value):
@@ -658,6 +660,14 @@ class TestVerifyCommand:
         cfg.write_text(f"{key} = {value}\n")
         assert main(["verify", "--suite", suite, "--config", str(cfg)]) == 2
         assert key.replace("_", " ") in _one_error_line(capsys)
+
+    def test_negative_seed_exits_2(self, capsys):
+        # a suite seeds numpy with seed + its offset, so seed -1 used to pass
+        # some suites and end another in numpy's "expected non-negative integer"
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert _one_error_line(capsys) == "pqm: error: seed must be >= 0\n"
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            verify.VerifyConfig(seed=-1)
 
     def test_unwritable_json_exits_2(self, tmp_path, capsys):
         report = tmp_path / "no" / "r.json"

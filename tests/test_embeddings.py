@@ -25,8 +25,17 @@ from pqm.embeddings import (
     ubiquity_check,
 )
 from pqm.poset import INF, Supernatural
-from pqm.verify import _COMPAT_CHECKS, _UBIQUITY_CHECKS, _divisor_chains
+from pqm.verify import (
+    _COMPAT_CHECKS,
+    _LABEL_LIMIT,
+    _UBIQUITY_CHECKS,
+    VerifyConfig,
+    _divisor_chains,
+    _ubiquity_pairs,
+)
 from pqm.schwartz_bruhat import GlobalSBFunction, canonicalize_global
+
+from helpers import compat_suite_oracle, ubiquity_check_oracle
 
 RNG = np.random.default_rng(424242)
 
@@ -270,28 +279,61 @@ class TestAnnihilator:
             annihilator(n, m)
 
 
+class TestStackedLawsMatchOracle:
+    """The stacked laws return the one-state-at-a-time values bit for bit and
+    leave the rng where the oracle leaves it, on every case of the default
+    verify (suite_embeddings seeds with seed + 7 and seed + 8)."""
+
+    def test_compat_suite_on_every_verify_chain(self):
+        rng, oracle_rng = (np.random.default_rng(VerifyConfig().seed + 7) for _ in range(2))
+        for chain in _divisor_chains(_LABEL_LIMIT):
+            got, want = compat_suite(*chain, rng), compat_suite_oracle(*chain, oracle_rng)
+            assert list(got.items()) == list(want.items()), chain
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_ubiquity_on_every_verify_pair(self):
+        rng, oracle_rng = (np.random.default_rng(VerifyConfig().seed + 8) for _ in range(2))
+        pairs = _ubiquity_pairs()
+        assert len(pairs) == 44
+        for k, r in pairs:
+            spec = EmbeddingSpec(k, r)
+            got = ubiquity_check(random_state(k, rng), spec, rng)
+            want = ubiquity_check_oracle(random_state(k, oracle_rng), spec, oracle_rng)
+            assert list(got.items()) == list(want.items()), (k, r)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestNaNGaps:
     """A NaN gap is its law's residual; max(res, nan) would have dropped it."""
 
     def test_compat_suite(self, monkeypatch):
-        import pqm.embeddings as emb
+        # every law embeds through the stacked extend kernel
+        extend_values = emb._extend_values
 
-        embed = emb.state_embed
+        def nan_extend(v, rep, ell):
+            out = extend_values(v, rep, ell)
+            out[..., 0] = np.nan
+            return out
 
-        def nan_embed(f, spec):
-            g = embed(f, spec)
-            g.amplitudes[0] = np.nan
-            return g
-
-        monkeypatch.setattr(emb, "state_embed", nan_embed)
+        monkeypatch.setattr(emb, "_extend_values", nan_extend)
         residuals = compat_suite(2, 4, 8, rng=np.random.default_rng(5))
         for law in ("composition", "fourier_intertwining", "hw_intertwining"):
             assert np.isnan(residuals[law]), law
 
     @pytest.mark.parametrize("quantity", ["weyl", "wigner"])
     def test_ubiquity(self, monkeypatch, quantity):
-        import pqm.embeddings as emb
+        # rows 0-7 of the stacked action are the Weyl points, rows 8-15 the
+        # Wigner points; a NaN in one row is that quantity's deviation only
+        displace_values = emb._displace_values
+        row = {"weyl": 0, "wigner": 8}[quantity]
 
-        monkeypatch.setattr(emb, "weyl_wigner", lambda *args: complex(np.nan))
+        def nan_row(v, rep, *columns):
+            out = displace_values(v, rep, *columns)
+            out[row] = np.nan
+            return out
+
+        monkeypatch.setattr(emb, "_displace_values", nan_row)
         devs = ubiquity_check(random_state(3, RNG), EmbeddingSpec(3, 9), np.random.default_rng(3))
         assert np.isnan(devs[quantity])
+        other = {"weyl": "wigner", "wigner": "weyl"}[quantity]
+        assert devs[other] <= _UBIQUITY_CHECKS[other][1]

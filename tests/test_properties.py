@@ -2,8 +2,9 @@
 the matching as the oracle of the closed form), the order, suprema and
 Alexandrov topology of supernatural numbers, the composite-label point
 embedding (with the prime-power formula as its oracle), the inverse of the
-profinite Heisenberg-Weyl group over Zhat, the FFT paths of the Fourier transform, the FFT paths of the
-phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
+profinite Heisenberg-Weyl group over Zhat, the FFT paths of the Fourier
+transform, the stacked state-map kernels (with the public maps, row by row,
+as oracles), the FFT paths of the phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
 (with ``Fraction`` and plain integers as oracles), the characters chi_p and
 chi over Zhat, and the local
 Schwartz-Bruhat operations and x -> lam x (with per-point loops as
@@ -22,12 +23,19 @@ from pqm.embeddings import EmbeddingSpec, def2_point_embed, phase_embed
 from pqm.finiteqm import (
     MOMENTUM,
     POSITION,
+    FiniteState,
     HWElement,
     PhasePoint,
+    _displace_values,
     _displacement_grid,
+    _element_columns,
+    _extend_values,
+    _fourier_values,
     _hat_values,
     _hw_matrices,
     _parity_matrices,
+    displace,
+    extend,
     fourier,
     fourier_good,
     hw_adjoint,
@@ -576,6 +584,20 @@ def test_ratmod1_matches_fraction_mod_1(a, b, c, d, k):
     assert rx.as_fraction == Fraction(*_mod1(x))
 
 
+@_settings
+@given(num=_ints, den=_dens, scale=_dens, fraction=st.booleans())
+def test_of_is_the_checked_value_of_the_reduced_pair(num, den, scale, fraction):
+    # of builds its value without __post_init__; the checked constructor
+    # accepts the same reduced pair, and the two values are one value
+    if fraction:
+        got, want = RatMod1.of(Fraction(num, den), scale), Fraction(num, den) / scale
+    else:
+        got, want = RatMod1.of(num, den), Fraction(num, den)
+    checked = RatMod1(*_mod1(want))
+    assert got == checked and hash(got) == hash(checked)
+    assert _pair(got) == _pair(checked)
+
+
 def _hw_element(data, n: int) -> HWElement:
     alpha, beta = (data.draw(st.integers(0, n - 1)) for _ in range(2))
     return HWElement(n, alpha, beta, RatMod1.of(data.draw(_ints), data.draw(_dens)))
@@ -606,6 +628,31 @@ def test_stacked_hw_matrices_are_hw_matrix_bit_for_bit(data, n, rep):
     assert stack.shape == (len(els), n, n)
     for m, d in zip(stack, els):
         assert np.array_equal(m, hw_matrix(d, rep))
+
+
+@_settings
+@given(
+    data=st.data(),
+    n=st.integers(2, 64),
+    rows=st.integers(1, 4),
+    rep=st.sampled_from([POSITION, MOMENTUM]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_state_maps_are_the_public_maps_bit_for_bit(data, n, rows, rep, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    states = [FiniteState(n, rep, row) for row in v]
+    ell = n * data.draw(st.integers(1, 8))
+    for row, f in zip(_extend_values(v, rep, ell), states):
+        assert np.array_equal(row, extend(f, ell).amplitudes)
+    for row, f in zip(_fourier_values(v, rep), states):
+        assert np.array_equal(row, fourier(f).amplitudes)
+    els = [_hw_element(data, n) for _ in range(rows)]
+    for row, d, f in zip(_displace_values(v, rep, *_element_columns(els)), els, states):
+        assert np.array_equal(row, displace(d, f).amplitudes)
+    # every element on one state: a (1, n) row against (k, 1) columns
+    for row, d in zip(_displace_values(v[:1], rep, *_element_columns(els)), els):
+        assert np.array_equal(row, displace(d, states[0]).amplitudes)
 
 
 @_settings
