@@ -173,7 +173,8 @@ def hw_embed(d: HWElement, spec: EmbeddingSpec) -> HWElement:
         raise ValueError("element dimension does not match the source label")
     if not spec.finite_target:
         raise ValueError("operator embedding targets are finite labels")
-    return HWElement.from_phase_space(spec.target, d.frak_a, d.beta, d.frak_c)
+    a = d.frak_a  # once: frak_c = phase + a b would rebuild it
+    return HWElement.from_phase_space(spec.target, a, d.beta, d.phase + a.scaled(d.beta))
 
 
 # ---------------------------------------------------------------------------

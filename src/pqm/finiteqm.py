@@ -34,6 +34,7 @@ import numpy as np
 from .numbers import (
     RatMod1,
     ZERO_MOD1,
+    _index,
     crt_idempotents,
     crt_split_mu,
     crt_split_nu_hat,
@@ -219,10 +220,27 @@ class HWElement:
     phase: RatMod1 = ZERO_MOD1
 
     def __post_init__(self) -> None:
+        if not type(self.n) is type(self.alpha) is type(self.beta) is int:
+            # an int subclass or an integer-like value is stored as the plain int
+            for name in ("n", "alpha", "beta"):
+                object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if not (0 <= self.alpha < self.n and 0 <= self.beta < self.n):
             raise ValueError("alpha, beta must be canonical residues in [0, n)")
+        if not isinstance(self.phase, RatMod1):
+            raise ValueError(f"phase must be a RatMod1, got {self.phase!r}")
+
+    @classmethod
+    def _of(cls, n: int, alpha: int, beta: int, phase: RatMod1) -> "HWElement":
+        """The element for an n, alpha and beta that valid elements already
+        carry, alpha and beta reduced mod n: built without ``__post_init__``."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "alpha", alpha)
+        object.__setattr__(d, "beta", beta)
+        object.__setattr__(d, "phase", phase)
+        return d
 
     @classmethod
     def from_canonical(cls, n: int, alpha: int, beta: int, gamma: int) -> "HWElement":
@@ -257,29 +275,38 @@ def hw_identity(n: int) -> HWElement:
 
 
 def hw_mul(d1: HWElement, d2: HWElement) -> HWElement:
-    """Group law (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab'-a'b), exactly."""
+    """Group law (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab'-a'b), exactly.
+
+    The phase p1 + p2 - c alpha2 beta1 / n is one fraction over den1 den2 n.
+    """
     if d1.n != d2.n:
         raise ValueError("dimension mismatch")
-    n, c = d1.n, _chi_coeff(d1.n)
-    cross = RatMod1.of(c * d2.alpha * d1.beta, n)
-    return HWElement(
-        n,
-        (d1.alpha + d2.alpha) % n,
-        (d1.beta + d2.beta) % n,
-        d1.phase + d2.phase - cross,
+    n, p1, p2 = d1.n, d1.phase, d2.phase
+    den = p1.denominator * p2.denominator
+    phase = RatMod1.of(
+        (p1.numerator * p2.denominator + p2.numerator * p1.denominator) * n
+        - _chi_coeff(n) * d2.alpha * d1.beta * den,
+        den * n,
     )
+    return HWElement._of(n, (d1.alpha + d2.alpha) % n, (d1.beta + d2.beta) % n, phase)
 
 
 def hw_adjoint(d: HWElement) -> HWElement:
-    """The adjoint D(-a, -b, -c); also the group inverse."""
-    n, c = d.n, _chi_coeff(d.n)
-    t = RatMod1.of(c * d.alpha * d.beta, n)
-    return HWElement(n, (-d.alpha) % n, (-d.beta) % n, -d.phase - t)
+    """The adjoint D(-a, -b, -c); also the group inverse.
+
+    The phase -p - c alpha beta / n is one fraction over den n.
+    """
+    n, p = d.n, d.phase
+    phase = RatMod1.of(
+        -p.numerator * n - _chi_coeff(n) * d.alpha * d.beta * p.denominator,
+        p.denominator * n,
+    )
+    return HWElement._of(n, -d.alpha % n, -d.beta % n, phase)
 
 
 def hw_scalar_mul(d: HWElement, q: RatMod1) -> HWElement:
     """Multiply the operator by the scalar e(q)."""
-    return HWElement(d.n, d.alpha, d.beta, d.phase + q)
+    return HWElement._of(d.n, d.alpha, d.beta, d.phase + q)
 
 
 def hw_x(n: int) -> HWElement:

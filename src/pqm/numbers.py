@@ -16,6 +16,9 @@ Conventions:
 * A coset in Q_p/Z_p is a ``RatMod1`` whose denominator is a power of p:
   Q_p/Z_p = Z[1/p]/Z is the p-part of Q/Z, and Q/Z is the direct sum of
   these parts over all primes p (``rat_decompose``).
+* A ``PadicInt`` is checked once, at ``PadicInt(p, N, r)``, ``from_int``
+  or ``from_rational``; arithmetic on valid operands builds its results
+  with the unchecked ``PadicInt._of``.
 * Base-p digits are derived from the stored residue on demand, so negative
   integers come out in (p-1)-complement form.
 * The four CRT index maps take an int or an integer ndarray; on an array
@@ -26,6 +29,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -205,14 +209,54 @@ ZERO_MOD1 = RatMod1(0, 1)
 # ---------------------------------------------------------------------------
 
 
+_DIGIT_LEAF = 64  # below this many digits, one divmod per digit
+
+
 def _to_digits(value: int, p: int, count: int) -> tuple[int, ...]:
-    """The base-p digits of value mod p^count, least significant first."""
-    r = value % p**count
-    digits = []
-    for _ in range(count):
-        r, d = divmod(r, p)
-        digits.append(d)
+    """The base-p digits of value mod p^count, least significant first.
+
+    Divide and conquer: a residue of n > 64 digits splits as hi p^h + lo at
+    h = 2^k, the largest power of two below n, and both halves recurse, so
+    the big divisions are few and balanced (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, 1.7).  The powers p^(2^k) live only in this call.
+    """
+    powers = [p]  # powers[k] = p^(2^k)
+    while 2 ** len(powers) < count:
+        powers.append(powers[-1] * powers[-1])
+    digits: list[int] = []
+
+    def split(r: int, n: int) -> None:
+        if n <= _DIGIT_LEAF:
+            for _ in range(n):
+                r, d = divmod(r, p)
+                digits.append(d)
+            return
+        k = (n - 1).bit_length() - 1  # 2^k < n <= 2^(k+1)
+        hi, lo = divmod(r, powers[k])
+        split(lo, 1 << k)
+        split(hi, n - (1 << k))
+
+    split(value % p**count, count)
     return tuple(digits)
+
+
+def _index(value, name: str) -> int:
+    """value as a plain int, or a ValueError naming the field it came from."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_modulus(p, precision) -> tuple[int, int]:
+    """(p, precision) as plain ints, p prime and precision >= 1, else ValueError."""
+    if not type(p) is type(precision) is int:
+        p, precision = _index(p, "p"), _index(precision, "precision")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    return p, precision
 
 
 @dataclass(frozen=True)
@@ -228,14 +272,25 @@ class PadicInt:
     residue: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
+        if not type(self.p) is type(self.precision) is type(self.residue) is int:
+            # an int subclass or an integer-like value is stored as the plain int
+            for name in ("p", "precision", "residue"):
+                object.__setattr__(self, name, _index(getattr(self, name), name))
+        _check_modulus(self.p, self.precision)
         if not 0 <= self.residue < self.p**self.precision:
             raise ValueError(
                 f"residue {self.residue} out of range for Z({self.p}^{self.precision})"
             )
+
+    @classmethod
+    def _of(cls, value: int, p: int, precision: int) -> "PadicInt":
+        """value mod p^precision, for an int value and a p and precision that
+        a valid ``PadicInt`` already carries: built without ``__post_init__``."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "p", p)
+        object.__setattr__(a, "precision", precision)
+        object.__setattr__(a, "residue", value % p**precision)
+        return a
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -244,22 +299,17 @@ class PadicInt:
 
     @classmethod
     def from_int(cls, value: int, p: int, precision: int) -> "PadicInt":
-        return cls(p, precision, value % p**precision)
+        p, precision = _check_modulus(p, precision)
+        return cls._of(_index(value, "value"), p, precision)
 
     @classmethod
     def from_rational(cls, q: Fraction, p: int, precision: int) -> "PadicInt":
         """The canonical image of a rational with denominator coprime to p."""
-        if p < 2:
-            raise ValueError(f"{p} is not prime")
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
+        p, precision = _check_modulus(p, precision)
         if math.gcd(q.denominator, p) != 1:
-            # the pow below would fail here; otherwise from_int checks p
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
             raise ValueError(f"{q} is not a {p}-adic integer")
         inv = pow(q.denominator, -1, p**precision)
-        return cls.from_int(q.numerator * inv, p, precision)
+        return cls._of(q.numerator * inv, p, precision)
 
     def _shared_precision(self, other: "PadicInt") -> int:
         if self.p != other.p:
@@ -270,22 +320,22 @@ class PadicInt:
         if not isinstance(other, PadicInt):
             return NotImplemented
         n = self._shared_precision(other)
-        return PadicInt.from_int(self.residue + other.residue, self.p, n)
+        return PadicInt._of(self.residue + other.residue, self.p, n)
 
     def __sub__(self, other: "PadicInt") -> "PadicInt":
         if not isinstance(other, PadicInt):
             return NotImplemented
         n = self._shared_precision(other)
-        return PadicInt.from_int(self.residue - other.residue, self.p, n)
+        return PadicInt._of(self.residue - other.residue, self.p, n)
 
     def __mul__(self, other: "PadicInt") -> "PadicInt":
         if not isinstance(other, PadicInt):
             return NotImplemented
         n = self._shared_precision(other)
-        return PadicInt.from_int(self.residue * other.residue, self.p, n)
+        return PadicInt._of(self.residue * other.residue, self.p, n)
 
     def __neg__(self) -> "PadicInt":
-        return PadicInt.from_int(-self.residue, self.p, self.precision)
+        return PadicInt._of(-self.residue, self.p, self.precision)
 
     def __repr__(self) -> str:
         return f"PadicInt(p={self.p}, digits={self.digits})"

@@ -55,11 +55,26 @@ def phw_identity(p: int, precision: int) -> ProfiniteHWElement:
     return ProfiniteHWElement.from_ints(0, 0, 0, p, precision)
 
 
-def phw_mul(g: ProfiniteHWElement, h: ProfiniteHWElement) -> ProfiniteHWElement:
-    """The group law in truncated Z_p."""
+def _residues(g: ProfiniteHWElement) -> tuple[int, int, int]:
+    return g.a.residue, g.b.residue, g.c.residue
+
+
+def _reduced(t: tuple, p: int, precision: int) -> ProfiniteHWElement:
+    """The integer triple t mod p^precision, for a p and precision taken from
+    valid elements: each component is reduced once, unchecked."""
+    return ProfiniteHWElement(*(PadicInt._of(v, p, precision) for v in t))
+
+
+def _shared(g: ProfiniteHWElement, h: ProfiniteHWElement) -> tuple[int, int]:
+    """(p, min precision) of two elements of one group."""
     if g.p != h.p:
         raise ValueError("prime mismatch")
-    return ProfiniteHWElement(*_group_law((g.a, g.b, g.c), (h.a, h.b, h.c)))
+    return g.p, min(g.precision, h.precision)
+
+
+def phw_mul(g: ProfiniteHWElement, h: ProfiniteHWElement) -> ProfiniteHWElement:
+    """The group law in truncated Z_p, on the residues as integers."""
+    return _reduced(_group_law(_residues(g), _residues(h)), *_shared(g, h))
 
 
 def phw_inv(g: ProfiniteHWElement) -> ProfiniteHWElement:
@@ -67,7 +82,10 @@ def phw_inv(g: ProfiniteHWElement) -> ProfiniteHWElement:
 
 
 def phw_commutator(g: ProfiniteHWElement, h: ProfiniteHWElement) -> ProfiniteHWElement:
-    return phw_mul(phw_mul(g, h), phw_inv(phw_mul(h, g)))
+    """g h (h g)^-1, composed in Z and reduced once."""
+    x, y = _residues(g), _residues(h)
+    hg_inv = tuple(-v for v in _group_law(y, x))
+    return _reduced(_group_law(_group_law(x, y), hg_inv), *_shared(g, h))
 
 
 def phw_project(g: ProfiniteHWElement, k: int) -> tuple[int, int, int]:

@@ -1,6 +1,8 @@
 """Checks that only the tests call: unitarity, the exact CRT factorization
-of a displacement matrix, the partial-order axioms of a finite poset, and
-the one-state-at-a-time embedding laws that the stacked ones replace."""
+of a displacement matrix, the partial-order axioms of a finite poset, the
+one-state-at-a-time embedding laws that the stacked ones replace, the
+checked operation-by-operation group laws that the integer ones replace,
+and the one-digit-at-a-time base-p expansion."""
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from pqm.finiteqm import (
     displace,
     fourier,
     hw_factor,
+    _chi_coeff,
     hw_matrix,
     inner,
     norm,
@@ -29,8 +32,9 @@ from pqm.finiteqm import (
     reflect,
     weyl_wigner,
 )
-from pqm.numbers import crt_idempotents
+from pqm.numbers import PadicInt, RatMod1, crt_idempotents
 from pqm.poset import FinitePoset
+from pqm.profinite_hw import ProfiniteHWElement
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -120,3 +124,54 @@ def ubiquity_check_oracle(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str,
         out[quantity] = float(np.max(gaps))
     out["position_entropy"] = abs(position_entropy(g) - position_entropy(f))
     return out
+
+
+def _checked(x: PadicInt) -> PadicInt:
+    return PadicInt(x.p, x.precision, x.residue)
+
+
+def phw_mul_oracle(g: ProfiniteHWElement, h: ProfiniteHWElement) -> ProfiniteHWElement:
+    """``phw_mul`` operator by operator: each of the seven ``PadicInt``s it
+    makes goes through the checked constructor."""
+    if g.p != h.p:
+        raise ValueError("prime mismatch")
+    a, b = _checked(g.a + h.a), _checked(g.b + h.b)
+    ab, ba = _checked(g.a * h.b), _checked(h.a * g.b)
+    c = _checked(_checked(_checked(g.c + h.c) + ab) - ba)
+    return ProfiniteHWElement(a, b, c)
+
+
+def phw_inv_oracle(g: ProfiniteHWElement) -> ProfiniteHWElement:
+    return ProfiniteHWElement(_checked(-g.a), _checked(-g.b), _checked(-g.c))
+
+
+def phw_commutator_oracle(g: ProfiniteHWElement, h: ProfiniteHWElement) -> ProfiniteHWElement:
+    return phw_mul_oracle(phw_mul_oracle(g, h), phw_inv_oracle(phw_mul_oracle(h, g)))
+
+
+def hw_mul_oracle(d1: HWElement, d2: HWElement) -> HWElement:
+    """``hw_mul`` with its phase from three ``RatMod1`` operations and its
+    result through the checked constructor."""
+    if d1.n != d2.n:
+        raise ValueError("dimension mismatch")
+    n, c = d1.n, _chi_coeff(d1.n)
+    cross = RatMod1.of(c * d2.alpha * d1.beta, n)
+    return HWElement(
+        n, (d1.alpha + d2.alpha) % n, (d1.beta + d2.beta) % n, d1.phase + d2.phase - cross
+    )
+
+
+def hw_adjoint_oracle(d: HWElement) -> HWElement:
+    n, c = d.n, _chi_coeff(d.n)
+    t = RatMod1.of(c * d.alpha * d.beta, n)
+    return HWElement(n, (-d.alpha) % n, (-d.beta) % n, -d.phase - t)
+
+
+def digits_oracle(value: int, p: int, count: int) -> tuple[int, ...]:
+    """The base-p digits of value mod p^count, one divmod per digit."""
+    r = value % p**count
+    digits = []
+    for _ in range(count):
+        r, d = divmod(r, p)
+        digits.append(d)
+    return tuple(digits)

@@ -211,6 +211,31 @@ class TestDisplacement:
             d = HWElement.from_canonical(n, a, b, g)
             assert np.max(np.abs(hw_matrix(d, MOMENTUM) - w @ hw_matrix(d) @ winv)) < 1e-11
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((4, 1.5, 0), "alpha"),
+            ((4, 1, 2.0), "beta"),
+            ((4.0, 1, 2), "n"),
+            ((4, Fraction(1), 0), "alpha"),
+        ],
+    )
+    def test_element_rejects_non_integers(self, args, field):
+        # HWElement(4, 1.5, 0) once built, and hw_mul composed it to alpha 2.5
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            HWElement(*args)
+
+    @pytest.mark.parametrize("phase", [0.5, Fraction(1, 2), 0])
+    def test_element_rejects_a_phase_outside_q_z(self, phase):
+        # HWElement(4, 1, 0, 0.5) once built, and hw_mul ended in an AttributeError
+        with pytest.raises(ValueError, match="^phase must be a RatMod1"):
+            HWElement(4, 1, 0, phase)
+
+    def test_element_stores_plain_ints(self):
+        d = HWElement(np.int64(5), np.int64(2), True)
+        assert (d.n, d.alpha, d.beta) == (5, 2, 1)
+        assert all(type(v) is int for v in (d.n, d.alpha, d.beta))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             displace(hw_x(3), random_state(4, RNG))

@@ -90,6 +90,42 @@ class TestPadicInt:
         with pytest.raises(ValueError, match=match):
             PadicInt(p, precision, residue)
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((3, 2, 4.5), "residue"),
+            ((3, 2, 4.0), "residue"),
+            ((3, 2, Fraction(4)), "residue"),
+            ((3.0, 2, 4), "p"),
+            ((3, 2.0, 4), "precision"),
+            (("3", 2, 4), "p"),
+        ],
+    )
+    def test_constructor_rejects_non_integers(self, args, field):
+        # once accepted: PadicInt(3, 2, 4.5) had digits (1.5, 1.0), and 3.0
+        # passed is_prime; arithmetic trusts this one check
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            PadicInt(*args)
+
+    @pytest.mark.parametrize(
+        "value, p, precision, field",
+        [(4.5, 3, 2, "value"), (4, 3.0, 2, "p"), (4, 3, 2.0, "precision")],
+    )
+    def test_from_int_rejects_non_integers(self, value, p, precision, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            PadicInt.from_int(value, p, precision)
+
+    @pytest.mark.parametrize("p, precision, field", [(3.0, 2, "p"), (3, 2.0, "precision")])
+    def test_from_rational_rejects_non_integers(self, p, precision, field):
+        # once a TypeError from math.gcd or pow
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            PadicInt.from_rational(Fraction(1, 2), p, precision)
+
+    def test_constructor_stores_plain_ints(self):
+        a = PadicInt(3, True, True)
+        assert (a.p, a.precision, a.residue) == (3, 1, 1)
+        assert all(type(v) is int for v in (a.p, a.precision, a.residue))
+
     def test_constructor_stores_the_residue(self):
         a = PadicInt(3, 4, 16)
         assert a == PadicInt.from_int(16 - 81, 3, 4)

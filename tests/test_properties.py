@@ -1,17 +1,22 @@
 """Property tests for the CRT maps, the p-valuation, divisor posets (with
 the matching as the oracle of the closed form), the order, suprema and
 Alexandrov topology of supernatural numbers, the composite-label point
-embedding (with the prime-power formula as its oracle), the inverse of the
-profinite Heisenberg-Weyl group over Zhat, the FFT paths of the Fourier
+embedding (with the prime-power formula as its oracle), the profinite
+Heisenberg-Weyl groups over Z_p and Zhat (their integer group laws against
+the checked operation-by-operation ones, unit, inverse and the projections
+to Z(n)), the FFT paths of the Fourier
 transform, the stacked state-map kernels (with the public maps, row by row,
 as oracles), the FFT paths of the phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
-(with ``Fraction`` and plain integers as oracles), the characters chi_p and
+(with ``Fraction`` and plain integers as oracles, every result equal to
+its checked rebuild, and the base-p digits against one divmod per digit),
+the characters chi_p and
 chi over Zhat, and the local
 Schwartz-Bruhat operations and x -> lam x (with per-point loops as
 oracles)."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +24,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    digits_oracle,
+    hw_adjoint_oracle,
+    hw_mul_oracle,
+    phw_commutator_oracle,
+    phw_inv_oracle,
+    phw_mul_oracle,
+)
 from pqm.embeddings import EmbeddingSpec, def2_point_embed, phase_embed
 from pqm.finiteqm import (
     MOMENTUM,
@@ -41,6 +54,7 @@ from pqm.finiteqm import (
     hw_adjoint,
     hw_matrix,
     hw_mul,
+    hw_scalar_mul,
     operator_expand,
     parity_expand_check,
     parity_matrix,
@@ -57,6 +71,7 @@ from pqm.numbers import (
     PadicInt,
     ProfiniteInt,
     RatMod1,
+    _to_digits,
     char_chi_global,
     char_chi_p,
     crt_idempotents,
@@ -90,9 +105,17 @@ from pqm.poset import (
 )
 from pqm.profinite_hw import (
     GlobalProfiniteHW,
+    ProfiniteHWElement,
+    hw_triple_mul,
+    phw_commutator,
     phw_global_inv,
     phw_global_mul,
     phw_global_project,
+    phw_global_project_factors,
+    phw_identity,
+    phw_inv,
+    phw_mul,
+    phw_project,
 )
 from pqm.schwartz_bruhat import (
     LocalSBFunction,
@@ -440,6 +463,10 @@ def test_phase_embed_prime_power_formula(p, i, data):
 
 
 _PHW_PRECISION = 6  # of the 2- and 3-adic overrides; n keeps v_2, v_3 below it
+# n = 2^e2 3^e3 m with m coprime to 6
+_PHW_COFACTORS = st.integers(0, 300).map(lambda t: 6 * t + 1) | st.integers(0, 300).map(
+    lambda t: 6 * t + 5
+)
 
 
 @st.composite
@@ -459,7 +486,7 @@ def _profinite_ints(draw):
     c=_profinite_ints(),
     e2=st.integers(0, _PHW_PRECISION),
     e3=st.integers(0, _PHW_PRECISION),
-    m=st.integers(0, 300).map(lambda t: 6 * t + 1) | st.integers(0, 300).map(lambda t: 6 * t + 5),
+    m=_PHW_COFACTORS,
 )
 def test_phw_global_inv_is_the_group_inverse(a, b, c, e2, e3, m):
     n = 2**e2 * 3**e3 * m
@@ -470,6 +497,71 @@ def test_phw_global_inv_is_the_group_inverse(a, b, c, e2, e3, m):
     assert phw_global_project(phw_global_mul(inv, g), n) == (0, 0, 0)
     want = tuple(-v % n for v in phw_global_project(g, n))
     assert phw_global_project(inv, n) == want
+
+
+_group_settings = settings(deadline=None, max_examples=40)
+
+
+@_group_settings
+@given(
+    a=_profinite_ints(),
+    b=_profinite_ints(),
+    c=_profinite_ints(),
+    e2=st.integers(0, _PHW_PRECISION),
+    e3=st.integers(0, _PHW_PRECISION),
+    m=_PHW_COFACTORS,
+)
+def test_phw_global_project_is_the_crt_join_of_its_factors(a, b, c, e2, e3, m):
+    n = 2**e2 * 3**e3 * m
+    assume(n >= 2)
+    g = GlobalProfiniteHW(a, b, c)
+    parts = phw_global_project_factors(g, n)
+    joined = tuple(
+        crt_join_mu(n, tuple(parts[f.p][i] for f in crt_idempotents(n))) for i in range(3)
+    )
+    assert joined == phw_global_project(g, n)
+
+
+_phw_primes = st.sampled_from([2, 3, 5, 101, 65537, 10**9 + 7])
+
+
+def _phw_element(data, p: int, precision: int) -> ProfiniteHWElement:
+    a, b, c = (data.draw(st.integers(0, p**precision - 1)) for _ in "abc")
+    return ProfiniteHWElement.from_ints(a, b, c, p, precision)
+
+
+def _assert_padic_checked(x: PadicInt) -> None:
+    # an unchecked result equals its rebuild through the checked constructor
+    assert all(type(v) is int for v in (x.p, x.precision, x.residue))
+    assert x == PadicInt(x.p, x.precision, x.residue)
+
+
+@_group_settings
+@given(p=_phw_primes, n1=st.integers(1, 8), n2=st.integers(1, 8), data=st.data())
+def test_phw_laws_match_the_checked_oracles(p, n1, n2, data):
+    g, h = _phw_element(data, p, n1), _phw_element(data, p, n2)
+    for got, want in (
+        (phw_mul(g, h), phw_mul_oracle(g, h)),
+        (phw_inv(g), phw_inv_oracle(g)),
+        (phw_commutator(g, h), phw_commutator_oracle(g, h)),
+    ):
+        assert got == want
+        for x in (got.a, got.b, got.c):
+            _assert_padic_checked(x)
+
+
+@_group_settings
+@given(p=_phw_primes, n1=st.integers(1, 8), n2=st.integers(1, 8), data=st.data())
+def test_phw_identity_inverse_and_projection(p, n1, n2, data):
+    g, h = _phw_element(data, p, n1), _phw_element(data, p, n2)
+    # a unit at any precision >= g's, on both sides; the inverse on both sides
+    e = phw_identity(p, n1 + n2)
+    assert phw_mul(e, g) == g == phw_mul(g, e)
+    assert phw_mul(g, phw_inv(g)) == phw_identity(p, n1) == phw_mul(phw_inv(g), g)
+    # the level-k reduction is a homomorphism onto the group law of Z(p^k)^3
+    k = data.draw(st.integers(1, min(n1, n2)))
+    want = hw_triple_mul(p**k, phw_project(g, k), phw_project(h, k))
+    assert phw_project(phw_mul(g, h), k) == want
 
 
 def _dense_sum(values, sign, modulus, rows):
@@ -608,6 +700,25 @@ def _hw_element(data, n: int) -> HWElement:
 def test_hw_phase_space_labels_round_trip(data, n):
     d = _hw_element(data, n)
     assert HWElement.from_phase_space(n, d.frak_a, d.beta, d.frak_c) == d
+
+
+
+
+@_group_settings
+@given(data=st.data(), n=st.integers(2, 10**6))
+def test_hw_products_match_the_three_term_oracle(data, n):
+    # the phases have any denominator, not only divisors of 2n, as a phase
+    # from hw_scalar_mul can
+    d1, d2 = _hw_element(data, n), _hw_element(data, n)
+    q = RatMod1.of(data.draw(_ints), data.draw(_dens))
+    for got, want in (
+        (hw_mul(d1, d2), hw_mul_oracle(d1, d2)),
+        (hw_adjoint(d1), hw_adjoint_oracle(d1)),
+        (hw_scalar_mul(d1, q), HWElement(n, d1.alpha, d1.beta, d1.phase + q)),
+    ):
+        # equal to the checked oracle, and to its own checked rebuild
+        assert got == want == HWElement(got.n, got.alpha, got.beta, got.phase)
+        assert all(type(v) is int for v in (got.n, got.alpha, got.beta))
 
 
 @_settings
@@ -776,8 +887,25 @@ def test_padic_int_matches_integer_residues(p, n1, n2, x, y, data):
     for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y)):
         assert got.precision == n and got.residue == want % p**n
     assert (-a).residue == -x % p**n1
+    for got in (a, b, a + b, a - b, a * b, -a):
+        _assert_padic_checked(got)
     k = data.draw(st.integers(1, n1))
     assert project_xi(a, k) == a.residue % p**k
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    p=st.sampled_from([2, 3, 7, 65537, 10**18 + 3]) | st.integers(2, 10**6),
+    count=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=10**18 + 3, count=1100, seed=0)  # splits 1024 + 76, each side recursing
+@example(p=3, count=65, seed=0)
+def test_to_digits_matches_one_divmod_per_digit(p, count, seed):
+    # a value in [-p^count, 2 p^count), so every digit position is exercised
+    bound = p**count
+    value = random.Random(seed).randrange(-bound, 2 * bound)
+    assert _to_digits(value, p, count) == digits_oracle(value, p, count)
 
 
 def _refine_oracle(f: LocalSBFunction, degree: int) -> list[complex]:
