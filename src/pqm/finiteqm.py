@@ -20,8 +20,9 @@ n, where 2 is a unit, and 1 for even n, where the scalar prefactor involves
 (alpha, beta, phase) with the phase the full exact scalar exponent; the
 canonical constructor from (alpha, beta, gamma) sets
 phase = (2 gamma - c alpha beta)/(2n).  All group arithmetic is exact in
-Q/Z, and every phase is reduced mod 1 in integers before it becomes a float
-angle.
+Q/Z, and ``_unit(num, den)`` = e(num/den) alone turns exponents into complex
+numbers: num mod den in integers, then one correctly rounded quotient, so
+equal fractions give equal bits.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .numbers import (
     rat_decompose,
 )
 
-_TWO_PI = 2.0 * math.pi
+
+def _unit(num, den):
+    """e(num/den) for integers num, den >= 1: Python ints of any size (object
+    arrays too) or int64 arrays below 2^53.  num is reduced mod den in integers
+    and the one correctly rounded quotient is taken before the 2 pi i, so equal
+    fractions give equal bits: _unit(m num + j m den, m den) == _unit(num, den)."""
+    return np.exp(2j * np.pi * np.asarray((num % den) / den, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +172,7 @@ def fourier_matrix(n: int) -> np.ndarray:
     This dense n x n matrix is the oracle the FFT paths are checked against.
     """
     j = np.arange(n)
-    return np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / math.sqrt(n)
+    return _unit(-np.outer(j, j), n) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -317,59 +324,54 @@ def hw_z(n: int) -> HWElement:
     return HWElement.from_canonical(n, pow(_chi_coeff(n), -1, n), 0, 0)
 
 
-def _displacement_action(
-    n: int, alpha, beta, phase, rep: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, src) with (D f)(x) = phases[..., x] f(src[..., x]) on the rep's
-    values, for D = e(phase) D(alpha, beta): alpha, beta are ints and phase
-    is in turns, each a scalar or a (k, 1) column for k elements at once.
-    The x-dependent exponents are reduced mod n in integers before the float."""
+def _displacement_action(n: int, alpha, beta, unit, rep: str) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, src) with (D f)(x) = phases[i, x] f(src[i, x]) on the rep's
+    values, for the k elements D_i = e(phase_i) D(alpha_i, beta_i) given as
+    the (k, 1) columns of ``_element_columns``: unit holds e(phase_i), and
+    the integer x-term t gives the factor e(t/n)."""
     c = _chi_coeff(n)
     x = np.arange(n)
     if rep == POSITION:
-        src, turns = (x - beta) % n, c * alpha % n * x % n
+        src, t = (x - beta) % n, c * alpha % n * x
     else:
         src = (x - c * alpha) % n
-        turns = -(beta * src % n)
-    return np.exp(1j * (_TWO_PI * (phase + turns / n))), src
-
-
-def _turns(q: RatMod1) -> float:
-    return q.numerator / q.denominator
+        t = -beta * src
+    phases = _unit(t, n)
+    phases *= unit
+    return phases, src
 
 
 def _element_columns(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alpha, beta, phase) of elements of one n as (k, 1) columns, the
-    stacked arguments of ``_displacement_action``."""
+    """(alpha, beta, e(phase)) of elements of one n as (k, 1) columns, the
+    stacked arguments of ``_displacement_action``; a phase denominator may
+    exceed int64 (``hw_scalar_mul``), so phases reach ``_unit`` as Python ints."""
     n = elements[0].n
     if any(d.n != n for d in elements):
         raise ValueError("dimension mismatch")
-    return tuple(
-        np.array(col)[:, None]
-        for col in zip(*((d.alpha, d.beta, _turns(d.phase)) for d in elements))
-    )
+    cols = [(d.alpha, d.beta, d.phase.numerator, d.phase.denominator) for d in elements]
+    cols = np.array(cols, dtype=object)
+    return cols[:, :1].astype(int), cols[:, 1:2].astype(int), _unit(cols[:, 2:3], cols[:, 3:])
 
 
-def _displace_values(v: np.ndarray, rep: str, alpha, beta, phase) -> np.ndarray:
-    """``displace`` on the last axis of a stack of ``rep`` values, for the
-    element(s) given as in ``_displacement_action``: one element, or (k, 1)
-    columns acting row by row on a (k, n) stack (or all on one (1, n) row)."""
-    phases, src = _displacement_action(v.shape[-1], alpha, beta, phase, rep)
-    return phases * np.take_along_axis(v, src, axis=-1)
+def _displace_values(v: np.ndarray, rep: str, alpha, beta, unit) -> np.ndarray:
+    """``displace`` on the last axis of a (k, n) stack of ``rep`` values, for
+    the elements given as (k, 1) columns as in ``_displacement_action``,
+    acting row by row (or all on one (1, n) row)."""
+    phases, src = _displacement_action(v.shape[-1], alpha, beta, unit, rep)
+    # one row is a 1-D gather, twice as fast as the row-wise one at large n
+    phases *= v[0][src] if len(v) == 1 else np.take_along_axis(v, src, axis=-1)
+    return phases
 
 
 def displace(d: HWElement, f: FiniteState) -> FiniteState:
     if d.n != f.n:
         raise ValueError("dimension mismatch")
-    values = _displace_values(f.amplitudes, f.rep, d.alpha, d.beta, _turns(d.phase))
+    values = _displace_values(f.amplitudes[None], f.rep, *_element_columns([d]))[0]
     return FiniteState(d.n, f.rep, values)
 
 
 def hw_matrix(d: HWElement, rep: str = POSITION) -> np.ndarray:
-    phases, src = _displacement_action(d.n, d.alpha, d.beta, _turns(d.phase), rep)
-    m = np.zeros((d.n, d.n), dtype=complex)
-    m[np.arange(d.n), src] = phases
-    return m
+    return _hw_matrices([d], rep)[0]
 
 
 def _hw_matrices(elements, rep: str = POSITION) -> np.ndarray:
@@ -439,7 +441,7 @@ def parity_apply(pt: PhasePoint, f: FiniteState) -> FiniteState:
 
 def parity_matrix(pt: PhasePoint, rep: str = POSITION) -> np.ndarray:
     """The matrix of x |-> -x applied after D(2a, 2b, 0): its rows reversed mod n."""
-    return hw_matrix(parity_displacement(pt), rep)[_dilation(pt.n, -1)]
+    return _parity_matrices([pt], rep)[0]
 
 
 def _parity_matrices(points, rep: str = POSITION) -> np.ndarray:
@@ -479,7 +481,7 @@ def _displacement_phases(n: int) -> np.ndarray:
     """e(s_ab) as an [a, b] array, with the scalar exponent s_ab = -c ab/(2n)
     of D(a, b, 0) reduced exactly before the float."""
     j = np.arange(n)
-    return np.exp(2j * np.pi * ((-_chi_coeff(n) * j[:, None] * j) % (2 * n)) / (2 * n))
+    return _unit(-_chi_coeff(n) * j[:, None] * j, 2 * n)
 
 
 def _parity_k(n: int, doubled: bool) -> int:
@@ -634,9 +636,9 @@ def _parity_expansion_residual(n: int) -> float:
     terms = spectrum[(2 * (b + x)) % n]  # [b, x, b'] up to e(-2ab'/n)
     worst = 0.0
     for a in range(n):
-        gap = np.exp(-2j * np.pi * ((2 * a * j) % n) / n) * terms
+        gap = _unit(-2 * a * j, n) * terms
         # P(a, b) holds e(-4a(x + b)/n) at [x, -x - 2b], i.e. b' = 2(x + b)
-        gap[b, x, (2 * (b + x)) % n] -= np.exp(-2j * np.pi * ((4 * a * (b + x)) % n) / n)
+        gap[b, x, (2 * (b + x)) % n] -= _unit(-4 * a * (b + x), n)
         worst = np.maximum(worst, np.max(np.abs(gap)))  # a NaN gap stays
     return float(worst)
 
@@ -727,7 +729,7 @@ def marginal_b_matrix(n: int, b: int) -> np.ndarray:
         els = [HWElement.from_canonical(n, a, b, 0) for a in range(n)]
         return _hw_matrices(els, MOMENTUM).sum(axis=0)
     p = np.arange(n)
-    return np.exp(-2j * np.pi * ((b * (p[:, None] + p[None, :])) % (2 * n)) / (2 * n))
+    return _unit(-b * (p[:, None] + p[None, :]), 2 * n)
 
 
 def marginal_b_expected(

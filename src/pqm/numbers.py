@@ -576,15 +576,22 @@ def char_omega(n: int, alpha: int) -> RatMod1:
     return RatMod1.of(alpha, n)
 
 
+def _qp_level(q: RatMod1, p: int) -> int:
+    """k with q = m/p^k, the level of q in Q_p/Z_p; a ValueError naming q and
+    p when q's denominator is not a power of p."""
+    k = valuation(q.denominator, p)
+    if q.denominator != p**k:
+        raise ValueError(
+            f"{q.numerator}/{q.denominator} is not in Q_{p}/Z_{p}: "
+            f"its denominator is not a power of {p}"
+        )
+    return k
+
+
 def char_chi_p(a: PadicInt, b: RatMod1) -> RatMod1:
     """The exponent a b of chi_p(a*b) for a in Z_p and b in Q_p/Z_p, which is
     the coset a*b itself; needs a known mod p^k when b has denominator p^k."""
-    k = valuation(b.denominator, a.p)
-    if b.denominator != a.p**k:
-        raise ValueError(
-            f"{b.numerator}/{b.denominator} is not in Q_{a.p}/Z_{a.p}: "
-            f"its denominator is not a power of {a.p}"
-        )
+    k = _qp_level(b, a.p)
     return b.scaled(project_xi(a, k)) if k else b
 
 
@@ -594,9 +601,7 @@ def char_chi_global(a: ProfiniteInt, b: Mapping[int, RatMod1]) -> RatMod1:
     q = ZERO_MOD1
     for p, bp in b.items():
         if bp:
-            # a part outside Q_p/Z_p can have k = 0; char_chi_p rejects it
-            k = valuation(bp.denominator, p)
-            q = q + char_chi_p(a.component(p, max(k, 1)), bp)
+            q = q + char_chi_p(a.component(p, _qp_level(bp, p)), bp)
     return q
 
 

@@ -10,7 +10,7 @@ embedding ``extend``, and the inner product, Fourier transform and
 displacements are ``inner``, ``fourier`` and ``displace`` at that degree.
 
 Cosets carry their canonical zero-integer-part representatives, so every
-character phase is an exact rational exponent, reduced in integers first.
+character phase is an exact rational exponent, evaluated by ``_unit``.
 
 Global functions are finite sums of factorizable terms, trivial at all but
 finitely many primes (the restricted tensor product); the trivial factor is
@@ -31,11 +31,12 @@ from .numbers import (
     ProfiniteInt,
     RatMod1,
     ZERO_MOD1,
+    _qp_level,
     is_prime,
     rat_decompose,
     valuation,
 )
-from .finiteqm import MOMENTUM, POSITION, FiniteState, HWElement, _dilation, _hat_values
+from .finiteqm import MOMENTUM, POSITION, FiniteState, HWElement, _dilation, _hat_values, _unit
 from .finiteqm import displace, extend, inner, reflect, tensor_join
 from .finiteqm import fourier as _finite_fourier
 
@@ -184,16 +185,11 @@ def character_function(p: int, frak_p: Fraction) -> LocalSBFunction:
     """The position-side function x |-> chi_p(x * frak_p); a table of more
     than 2^20 values is a ValueError."""
     frak_p = RatMod1.of(frak_p)
-    k = valuation(frak_p.denominator, p)
-    if frak_p.denominator != p**k:
-        raise ValueError("frak_p must have a p-power denominator")
+    k = _qp_level(frak_p, p)
     q = p**k
     if q > _SCALE_VALUES_BOUND:
         raise ValueError(f"table size {p}^{k} exceeds bound {_SCALE_VALUES_BOUND}")
-    vals = tuple(
-        np.exp(2j * np.pi * (frak_p.numerator * j % q / q)) for j in range(q)
-    )
-    return LocalSBFunction(p, POSITION, k, vals)
+    return LocalSBFunction(p, POSITION, k, tuple(_unit(frak_p.numerator * np.arange(q), q)))
 
 
 def hat_transform_2adic(f: LocalSBFunction) -> tuple[complex, ...]:
@@ -220,13 +216,11 @@ def local_displace(
     c - a b = c + a b, the action is the scalar e(c - a b).
     """
     for q in (a, c):
-        if q.denominator != f.p ** valuation(q.denominator, f.p):
-            raise ValueError(f"label {q} is not supported at p={f.p}")
+        _qp_level(q, f.p)
     d = max(f.degree, valuation(a.scaled(2).denominator, f.p))
     if d == 0:
         e = c - a.scaled(b)
-        phase = np.exp(2j * np.pi * (e.numerator / e.denominator))
-        return LocalSBFunction(f.p, f.side, 0, (phase * f.values[0],))
+        return LocalSBFunction(f.p, f.side, 0, (_unit(e.numerator, e.denominator) * f.values[0],))
     el = HWElement.from_phase_space(f.p**d, a, b, c)
     return LocalSBFunction.from_state(f.p, displace(el, refine(f, d).state()))
 

@@ -165,8 +165,7 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
             @ fq.hw_matrix(z).conj().T
             @ fq.hw_matrix(x).conj().T
         )
-        w = np.exp(2j * np.pi / n)
-        rep.gap("zx_commutator_matrices", m, w * np.eye(n), 1e-12)
+        rep.gap("zx_commutator_matrices", m, fq._unit(1, n) * np.eye(n), 1e-12)
     return rep.done()
 
 

@@ -24,6 +24,7 @@ from pqm.finiteqm import (
     hw_identity,
     hw_matrix,
     hw_mul,
+    hw_scalar_mul,
     hw_x,
     hw_z,
     inner,
@@ -264,10 +265,12 @@ class TestHalfPhaseRule:
     per-parity formulas it replaced are the oracle here, for n < 300."""
 
     def test_displacement_phases_bitwise(self):
+        # the exponent over 2n and the per-parity one are equal fractions, so
+        # ``_unit`` gives them equal bits
         for n in range(2, 300):
             den = n if n % 2 else 2 * n
             j = np.arange(n)
-            want = np.exp(2j * np.pi * ((-j[:, None] * j) % den) / den)
+            want = finiteqm._unit(-j[:, None] * j, den)
             assert finiteqm._displacement_phases(n).tobytes() == want.tobytes()
 
     def test_labels_match_per_parity_formulas(self):
@@ -301,6 +304,111 @@ class TestHalfPhaseRule:
                     finiteqm._parity_k(n, True)
             else:
                 assert (finiteqm._parity_k(n, False), finiteqm._parity_k(n, True)) == (2, 1)
+
+
+# Each path to e(q) is within 2 pi 2^-52 of the true angle when q < 1 (a
+# product 2 pi k rounded, then a quotient, or the other way round), and exp
+# adds 2^-52: so two paths differ by at most _TWO_PATHS.  The old
+# displacement path rounded a sum of turns up to 2 before the product.
+_ANGLE_ULP = 2 * math.pi * 2**-52
+_TWO_PATHS = 2 * _ANGLE_ULP + 2**-52
+
+
+def _old_displacement_action(n, alpha, beta, phase, rep):
+    """The float-turn displacement phases and sources, phase in turns."""
+    c = finiteqm._chi_coeff(n)
+    x = np.arange(n)
+    if rep == POSITION:
+        src, turns = (x - beta) % n, c * alpha % n * x % n
+    else:
+        src = (x - c * alpha) % n
+        turns = -(beta * src % n)
+    return np.exp(1j * (2 * math.pi * (phase + turns / n))), src
+
+
+def _old_parity_expansion_residual(n):
+    j = np.arange(n)
+    b, x = j[:, None], j[None, :]
+    spectrum = np.fft.ifft(finiteqm._displacement_phases(n), axis=0)
+    terms = spectrum[(2 * (b + x)) % n]
+    worst = 0.0
+    for a in range(n):
+        gap = np.exp(-2j * np.pi * ((2 * a * j) % n) / n) * terms
+        gap[b, x, (2 * (b + x)) % n] -= np.exp(-2j * np.pi * ((4 * a * (b + x)) % n) / n)
+        worst = np.maximum(worst, np.max(np.abs(gap)))
+    return float(worst)
+
+
+class TestPhaseKernel:
+    """Every site that turns an exact exponent into a complex number goes
+    through ``_unit``; the expression each site had before is its oracle."""
+
+    def test_fourier_matrix(self):
+        for n in range(1, 300):
+            j = np.arange(n)
+            old = np.exp(-2j * np.pi * (np.outer(j, j) % n) / n) / math.sqrt(n)
+            assert np.max(np.abs(fourier_matrix(n) - old)) <= 1e-15
+
+    def test_displacement_phases(self):
+        for n in range(2, 300):
+            j, c = np.arange(n), finiteqm._chi_coeff(n)
+            old = np.exp(2j * np.pi * ((-c * j[:, None] * j) % (2 * n)) / (2 * n))
+            assert np.max(np.abs(finiteqm._displacement_phases(n) - old)) <= _TWO_PATHS
+
+    def test_even_marginal_b_kernel(self):
+        for n in range(2, 120, 2):
+            p = np.arange(n)
+            for b in (0, 1, 3, n - 1, n + 1, 2 * n - 1):
+                k = (b * (p[:, None] + p[None, :])) % (2 * n)
+                old = np.exp(-2j * np.pi * k / (2 * n))
+                assert np.max(np.abs(marginal_b_matrix(n, b) - old)) <= _TWO_PATHS
+
+    def test_parity_expansion_residual(self):
+        for n in range(3, 32, 2):
+            got = finiteqm._parity_expansion_residual(n)
+            assert abs(got - _old_parity_expansion_residual(n)) <= 1e-15
+
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    def test_displacement_action(self, rep):
+        # any phase denominator, as hw_scalar_mul allows; the old sum of
+        # turns rounds at up to 2 turns, a third ulp-scale error
+        rng = np.random.default_rng(24)
+        for n in [*range(2, 80), 4096, 10**6 + 1]:
+            alpha, beta = (int(v) for v in rng.integers(0, n, 2))
+            phase = RatMod1.of(int(rng.integers(0, 10**9)), int(rng.integers(1, 10**9)))
+            d = HWElement(n, alpha, beta, phase)
+            turns = phase.numerator / phase.denominator
+            old, src = _old_displacement_action(n, alpha, beta, turns, rep)
+            got = displace(d, FiniteState(n, rep, np.ones(n))).amplitudes
+            assert np.max(np.abs(got - old)) <= _TWO_PATHS + _ANGLE_ULP
+            if n < 80:
+                want = np.zeros((n, n), dtype=complex)
+                want[np.arange(n), src] = old
+                assert np.max(np.abs(hw_matrix(d, rep) - want)) <= _TWO_PATHS + _ANGLE_ULP
+
+    def test_commutator_root_of_unity(self):
+        for n in range(1, 300):
+            assert abs(finiteqm._unit(1, n) - np.exp(2j * np.pi / n)) <= 1e-15
+
+
+class TestPhasesBeyondInt64:
+    """A phase denominator can exceed int64: ``hw_scalar_mul`` takes any
+    RatMod1, so D and e(q) D must differ by exactly the scalar e(q)."""
+
+    @pytest.mark.parametrize("q", [RatMod1.of(1, 2**70), RatMod1.of(2**70 + 3, 3 * 2**70)])
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    def test_scalar_multiple(self, q, rep):
+        e = np.exp(2j * np.pi * float(Fraction(q.numerator, q.denominator)))
+        for n in (2, 3, 8, 15):
+            d = HWElement.from_canonical(n, 1, n - 1, 2)
+            dq = hw_scalar_mul(d, q)
+            assert dq.phase.denominator > 2**63
+            f = random_state(n, RNG, rep)
+            gap = displace(dq, f).amplitudes - e * displace(d, f).amplitudes
+            assert np.max(np.abs(gap)) <= 1e-15
+            assert np.max(np.abs(hw_matrix(dq, rep) - e * hw_matrix(d, rep))) <= 1e-15
+            stack = finiteqm._hw_matrices([dq, d], rep)
+            assert np.max(np.abs(stack[0] - e * stack[1])) <= 1e-15
 
 
 class TestExtend:

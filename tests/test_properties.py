@@ -6,7 +6,8 @@ Heisenberg-Weyl groups over Z_p and Zhat (their integer group laws against
 the checked operation-by-operation ones, unit, inverse and the projections
 to Z(n)), the FFT paths of the Fourier
 transform, the stacked state-map kernels (with the public maps, row by row,
-as oracles), the FFT paths of the phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
+as oracles), the phase kernel ``_unit`` (equal fractions give equal bits),
+the FFT paths of the phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
 (with ``Fraction`` and plain integers as oracles, every result equal to
 its checked rebuild, and the base-p digits against one divmod per digit),
 the characters chi_p and
@@ -47,6 +48,7 @@ from pqm.finiteqm import (
     _hat_values,
     _hw_matrices,
     _parity_matrices,
+    _unit,
     displace,
     extend,
     fourier,
@@ -693,6 +695,36 @@ def test_of_is_the_checked_value_of_the_reduced_pair(num, den, scale, fraction):
 def _hw_element(data, n: int) -> HWElement:
     alpha, beta = (data.draw(st.integers(0, n - 1)) for _ in range(2))
     return HWElement(n, alpha, beta, RatMod1.of(data.draw(_ints), data.draw(_dens)))
+
+
+_big = st.integers(-(2**80), 2**80)
+
+
+@_settings
+@given(num=_big, den=st.integers(1, 2**80), m=st.integers(1, 2**80), j=_big)
+def test_unit_gives_equal_fractions_equal_bits(num, den, m, j):
+    want = _unit(num, den)
+    assert _unit(m * num + j * m * den, m * den).tobytes() == want.tobytes()
+    # an object array of Python ints takes the same path element-wise
+    nums = np.array([num, m * num + j * m * den], dtype=object)
+    got = _unit(nums, np.array([den, m * den], dtype=object))
+    assert got.tobytes() == np.array([want, want]).tobytes()
+
+
+@_settings
+@given(
+    den=st.integers(1, 2**40),
+    data=st.data(),
+    nums=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=8),
+)
+def test_unit_on_int64_arrays_gives_equal_fractions_equal_bits(den, data, nums):
+    # m den < 2^53, so each int64 converts to a float exactly
+    m = data.draw(st.integers(1, (2**53 - 1) // den))
+    num = np.array(nums) % den - data.draw(st.integers(0, 1)) * den
+    j = np.array([data.draw(st.integers(-64, 64)) for _ in nums])
+    want = _unit(num, den)
+    assert _unit(m * num + j * m * den, m * den).tobytes() == want.tobytes()
+    assert want.tobytes() == np.array([_unit(int(k), den) for k in num]).tobytes()
 
 
 @_settings

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pqm.numbers import PrecisionError, ProfiniteInt, PadicInt, RatMod1, ZERO_MOD1
+from pqm.numbers import PrecisionError, ProfiniteInt, PadicInt, RatMod1, ZERO_MOD1, char_chi_p
 from pqm.finiteqm import (
     MOMENTUM,
     POSITION,
@@ -13,9 +13,10 @@ from pqm.finiteqm import (
     displace,
     fourier,
     fourier_good,
+    hw_matrix,
     inner,
 )
-from pqm.finiteqm import _hat_values
+from pqm.finiteqm import _hat_values, _hw_matrices
 from pqm.schwartz_bruhat import (
     GlobalSBFunction,
     LocalSBFunction,
@@ -247,6 +248,14 @@ class TestConstructors:
         want = np.exp(2j * np.pi * ((m * np.arange(q)) % q) / q)
         assert np.max(np.abs(np.array(f.values) - want)) <= 1e-12
 
+    def test_character_function_matches_the_per_value_loop(self):
+        for p, k in ((2, 10), (3, 6), (7, 3)):
+            q = p**k
+            for m in (1, q // 2 + 1, q - 1):
+                f = character_function(p, Fraction(m, q))
+                old = [np.exp(2j * np.pi * (m * j % q / q)) for j in range(q)]
+                assert np.max(np.abs(np.array(f.values) - old)) <= 1e-15
+
     @pytest.mark.parametrize("q", [2**21, 2**40])
     def test_character_function_has_a_size_bound(self, q):
         with pytest.raises(ValueError, match="exceeds bound 1048576"):
@@ -368,7 +377,54 @@ class TestCanonicalize:
         assert global_inner(f, f) == pytest.approx(inner(st, st))
 
 
+class TestQpZpMembership:
+    """Q_p/Z_p membership is decided in one place, with one message."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: character_function(3, Fraction(1, 2)),
+            lambda: char_chi_p(PadicInt.from_int(1, 3, 4), RatMod1(1, 2)),
+            lambda: local_displace(_random_local(3, 1), RatMod1(1, 2), 0),
+            lambda: local_displace(_random_local(3, 0), ZERO_MOD1, 0, RatMod1(1, 2)),
+        ],
+    )
+    def test_one_message(self, call):
+        msg = "1/2 is not in Q_3/Z_3: its denominator is not a power of 3"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            call()
+
+
 class TestGlobalDisplace:
+    def test_degree_zero_scalar_matches_the_old_expression(self):
+        for c in (RatMod1(1, 4), RatMod1(5, 8), RatMod1.of(3, 2**60)):
+            for b in (0, 3):
+                got = local_displace(trivial_local(2, POSITION), RatMod1(1, 2), b, c)
+                e = c - RatMod1(1, 2).scaled(b)
+                old = np.exp(2j * np.pi * (e.numerator / e.denominator))
+                assert (got.degree, abs(got.values[0] - old) <= 1e-15) == (0, True)
+
+    @pytest.mark.parametrize("c", [RatMod1.of(1, 2**70), RatMod1.of(3 * 2**68 + 1, 2**70)])
+    @pytest.mark.parametrize("side", [POSITION, MOMENTUM])
+    def test_phase_denominator_beyond_int64(self, c, side):
+        # the 2-part c = 1/2^70 (or 3/4 + 1/2^70) scales D(a, b, 0) by e(c)
+        e = np.exp(2j * np.pi * float(c.as_fraction))
+        loc, a, b = _random_local(2, 3, side), RatMod1(3, 16), 5
+        f = GlobalSBFunction.product(side, {2: loc})
+        got = global_displace(f, a, b, c).terms[0][1][2]
+        want = global_displace(f, a, b).terms[0][1][2]
+        assert got.degree == want.degree == 3
+        assert np.max(np.abs(np.array(got.values) - e * np.array(want.values))) <= 1e-15
+        # the element local_displace builds, through each displacement path
+        d = HWElement.from_phase_space(8, a, b, c)
+        d0 = HWElement.from_phase_space(8, a, b)
+        assert d.phase.denominator == 2**70
+        gap = displace(d, loc.state()).amplitudes - e * displace(d0, loc.state()).amplitudes
+        assert np.max(np.abs(gap)) <= 1e-15
+        assert np.max(np.abs(hw_matrix(d, side) - e * hw_matrix(d0, side))) <= 1e-15
+        stack = _hw_matrices([d, d0], side)
+        assert np.max(np.abs(stack[0] - e * stack[1])) <= 1e-15
+
     def test_identity_labels(self):
         f = GlobalSBFunction.product(POSITION, {3: _random_local(3, 1)})
         g = global_displace(f, ZERO_MOD1, 0, ZERO_MOD1)
