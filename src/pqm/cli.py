@@ -46,6 +46,9 @@ _EXPONENT_BOUND = 3 * 4300
 # peak (Python 3.11, numpy 2.4, one Xeon core) for a 45 MB state file, and
 # both grow linearly in --to
 _EMBED_BOUND = 2**20
+# the most cells ``pqm wigner`` writes: 2^20 cells (n = 1024) take 3.4-3.7 s
+# and 263 MB peak (Python 3.11, numpy 2.4) for a 53 MB CSV, all linear in cells
+_WIGNER_BOUND = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +168,9 @@ def cmd_wigner(args) -> int:
 
     f = load_state(args.infile)
     doubled = args.doubled and args.kind == "wigner" and f.n % 2 == 0
+    cells = (2 if doubled else 1) * f.n * f.n
+    if cells > _WIGNER_BOUND:
+        raise UsageError(f"table of {cells} cells exceeds bound {_WIGNER_BOUND}")
     table = wigner_table(f, args.kind, doubled)
     # a-major rows of Python floats, so the values print as repr(float)
     text = "".join(

@@ -35,15 +35,14 @@ from .finiteqm import (
     POSITION,
     FiniteState,
     HWElement,
-    PhasePoint,
-    _dilation,
     _displace_values,
     _element_columns,
     _extend_values,
     _fourier_values,
+    _point_elements,
+    _weyl_wigner_values,
     extend,
     norm,
-    parity_displacement,
     tensor_factor,
     to_position,
 )
@@ -244,18 +243,6 @@ def position_entropy(f: FiniteState) -> float:
     return float(-np.sum(q[mask] * np.log(pos.n * q[mask])))
 
 
-def _weyl_wigner_values(f: FiniteState, displacements, parities) -> list[complex]:
-    """(f, D f) for each displacement D, then (f, P f) for each parity P, the
-    reflection x -> -x after the displacement ``parity_displacement`` gives:
-    one stacked action on f, reduced row by row as ``inner`` does."""
-    h = _displace_values(f.amplitudes[None], f.rep, *_element_columns(displacements + parities))
-    # assigned in place, so every row stays contiguous: np.vdot sums a
-    # strided row in another order
-    reflected = slice(len(displacements), None)
-    h[reflected] = h[reflected][:, _dilation(f.n, -1)]
-    return [f.measure_weight * complex(np.vdot(f.amplitudes, row)) for row in h]
-
-
 def ubiquity_check(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]:
     """The deviations |L_r(E f) - L_k(f)| of the ubiquitous quantities under
     one embedding E f, as ``{quantity: deviation}``: ``norm``, the largest
@@ -273,8 +260,8 @@ def ubiquity_check(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]
     # bookkeeping of the index map.  The eight Weyl points are drawn first,
     # then the eight Wigner points; each source value is ``weyl_wigner``'s.
     points = [[int(v) for v in rng.integers(0, n, 2)] for _ in range(16)]
-    weyl = [HWElement.from_canonical(n, a, b, 0) for a, b in points[:8]]
-    wigner = [parity_displacement(PhasePoint(n, a, b)) for a, b in points[8:]]
+    weyl, _ = _point_elements(n, points[:8], "weyl")
+    _, wigner = _point_elements(n, points[8:], "wigner")
     source = _weyl_wigner_values(f, weyl, wigner)
     target = _weyl_wigner_values(
         g, [hw_embed(el, spec) for el in weyl], [hw_embed(el, spec) for el in wigner]

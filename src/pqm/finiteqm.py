@@ -450,19 +450,37 @@ def _parity_matrices(points, rep: str = POSITION) -> np.ndarray:
     return stack[:, _dilation(points[0].n, -1)]
 
 
+def _weyl_wigner_values(f: FiniteState, displacements, parities) -> list[complex]:
+    """The point kernel of the Weyl and Wigner functions: (f, D f) for each
+    displacement D, then (f, P f) for each parity P (x -> -x after D), as one
+    stacked action on f, reduced row by row as ``inner`` does."""
+    h = _displace_values(f.amplitudes[None], f.rep, *_element_columns(displacements + parities))
+    # assigned in place, so every row stays contiguous: np.vdot sums a
+    # strided row in another order
+    reflected = slice(len(displacements), None)
+    h[reflected] = h[reflected][:, _dilation(f.n, -1)]
+    return [f.measure_weight * complex(np.vdot(f.amplitudes, row)) for row in h]
+
+
+def _point_elements(n: int, points, kind: str, doubled: bool = False) -> tuple[list, list]:
+    """The kernel's (displacements, parities) for (a, b) points of one kind:
+    D(a, b, 0) for weyl, parity_displacement(PhasePoint(n, a, b, doubled)) for wigner."""
+    if kind == "weyl":
+        return [HWElement.from_canonical(n, a, b, 0) for a, b in points], []
+    if kind == "wigner":
+        return [], [parity_displacement(PhasePoint(n, a, b, doubled)) for a, b in points]
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def weyl_wigner(
     f: FiniteState, a: int, b: int, kind: str, doubled: bool = False
 ) -> complex:
     """The Weyl function (f, D(a,b,0) f) or the Wigner function (f, P(a,b) f).
 
-    One point at a time; ``wigner_table`` gives the whole table and this is
-    its oracle.
+    One point, the point kernel's stack of one; ``wigner_table`` gives the
+    whole table and this is its oracle.
     """
-    if kind == "weyl":
-        return inner(f, displace(HWElement.from_canonical(f.n, a, b, 0), f))
-    if kind == "wigner":
-        return inner(f, parity_apply(PhasePoint(f.n, a, b, doubled), f))
-    raise ValueError(f"unknown kind {kind!r}")
+    return _weyl_wigner_values(f, *_point_elements(f.n, [(a, b)], kind, doubled))[0]
 
 
 def _shift_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -534,16 +552,11 @@ def _square_operator(theta) -> np.ndarray:
     return m
 
 
-def _displacement_grid(n: int) -> list[list[np.ndarray]]:
-    """The n x n grid of D(a, b, 0) position matrices, built point by point.
-
-    The brute-force reference for the tomography sums: it holds n^4 values,
-    so it is for small n only.
-    """
-    return [
-        [hw_matrix(HWElement.from_canonical(n, a, b, 0)) for b in range(n)]
-        for a in range(n)
-    ]
+def _displacement_grid(n: int) -> np.ndarray:
+    """The D(a, b, 0) position matrices as an [a, b] grid, the brute-force
+    reference for the tomography sums: n^4 values, so for small n only."""
+    points = [HWElement.from_canonical(n, a, b, 0) for a in range(n) for b in range(n)]
+    return _hw_matrices(points).reshape(n, n, n, n)
 
 
 def _character_sum(n: int, k: int) -> np.ndarray:

@@ -414,9 +414,11 @@ class ProfiniteInt:
     tail: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.tail) is not int:
+            object.__setattr__(self, "tail", _index(self.tail, "tail"))
         for p, a in self.overrides.items():
-            if a.p != p:
-                raise ValueError(f"override at {p} has prime {a.p}")
+            if not isinstance(a, PadicInt) or a.p != p:
+                raise ValueError(f"override at {p} is not a {p}-adic integer")
 
     def component(self, p: int, precision: int) -> PadicInt:
         a = self.overrides.get(p)

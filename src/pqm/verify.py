@@ -159,12 +159,8 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
         el = fq.hw_mul(fq.hw_mul(z, x), fq.hw_mul(fq.hw_adjoint(z), fq.hw_adjoint(x)))
         exact = el.alpha == 0 and el.beta == 0 and el.phase == nm.RatMod1(1, n)
         rep.exact("zx_commutator_exact_phase", exact)
-        m = (
-            fq.hw_matrix(z)
-            @ fq.hw_matrix(x)
-            @ fq.hw_matrix(z).conj().T
-            @ fq.hw_matrix(x).conj().T
-        )
+        mz, mx = fq._hw_matrices([z, x])
+        m = mz @ mx @ mz.conj().T @ mx.conj().T
         rep.gap("zx_commutator_matrices", m, fq._unit(1, n) * np.eye(n), 1e-12)
     return rep.done()
 
@@ -173,11 +169,12 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 def _table_cases(rep: _Reporter, name: str, f, kind: str, doubled: bool = False) -> None:
-    """``wigner_table`` against ``weyl_wigner``, one case per point at 1e-9."""
+    """``wigner_table`` against ``weyl_wigner``'s kernel on all its points at once, at 1e-9."""
     table = fq.wigner_table(f, kind, doubled)
-    for a in range(table.shape[0]):
-        for b in range(f.n):
-            rep.case(name, abs(table[a, b] - fq.weyl_wigner(f, a, b, kind, doubled)), 1e-9)
+    points = [(a, b) for a in range(table.shape[0]) for b in range(f.n)]
+    values = fq._weyl_wigner_values(f, *fq._point_elements(f.n, points, kind, doubled))
+    for (a, b), value in zip(points, values):
+        rep.case(name, abs(table[a, b] - value), 1e-9)
 
 
 def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
@@ -192,7 +189,7 @@ def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
     # brute-force oracles, one sample per n: the sums over explicit matrices
     for n in range(2, 7):
         theta = fq.random_operator(n, rng)
-        disp = [d for row in _displacement_grid(n) for d in row]
+        disp = _displacement_grid(n).reshape(-1, n, n)
         acc = sum(d @ theta @ d.conj().T for d in disp) / n
         rep.gap("resolution_of_identity", acc, np.trace(theta) * np.eye(n), 1e-9)
         coeffs, _ = fq.operator_expand(theta)
@@ -235,7 +232,7 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
                 _table_cases(rep, "parity_tomography", f, "wigner", doubled=True)
     for n in (3, 5):
         theta = fq.random_operator(n, rng)
-        par = [fq.parity_matrix(fq.PhasePoint(n, a, b)) for a in range(n) for b in range(n)]
+        par = fq._parity_matrices([fq.PhasePoint(n, a, b) for a in range(n) for b in range(n)])
         sandwich = sum(p @ theta @ p for p in par) / n
         tomo = sum(p * np.trace(theta @ p) for p in par) / n
         rep.gap("parity_sandwich_trace", sandwich, np.trace(theta) * np.eye(n), 1e-9)
@@ -307,7 +304,7 @@ def suite_coherent(cfg: VerifyConfig) -> list[CheckResult]:
     # brute-force oracle, one fiducial per n: the explicit outer-product sum
     for n in range(2, 7):
         g = fq.random_state(n, rng)
-        vs = [d @ g.amplitudes for row in _displacement_grid(n) for d in row]
+        vs = _displacement_grid(n).reshape(-1, n, n) @ g.amplitudes
         acc = sum(np.outer(v, v.conj()) for v in vs) * (g.measure_weight / n)
         rep.gap(name, acc, np.eye(n), 1e-9)
     return rep.done()

@@ -246,6 +246,20 @@ class TestWignerCommand:
         assert main(["wigner", "--in", str(src), "--out", str(tmp_path / "no" / "w.csv")]) == 2
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize("n, flags", [(1025, []), (726, ["--doubled"])])
+    def test_table_over_the_bound_exits_2(self, n, flags, tmp_path, capsys, monkeypatch):
+        # the cells of the table that would be built, counted after the state
+        # file is read and before the table is built
+        monkeypatch.setattr(fq, "wigner_table", lambda *args: pytest.fail("table built"))
+        src, out = tmp_path / "f.json", tmp_path / "w.csv"
+        _write_state(src, n=n)
+        assert main(["wigner", *flags, "--in", str(src), "--out", str(out)]) == 2
+        cells = (2 if flags else 1) * n * n
+        assert _one_error_line(capsys) == (
+            f"pqm: error: table of {cells} cells exceeds bound 1048576\n"
+        )
+        assert not out.exists()
+
     def test_weyl_emits_complex(self, tmp_path):
         src = tmp_path / "f.json"
         _write_state(src, n=3, seed=5)
@@ -762,8 +776,8 @@ class TestVerifyCommand:
         # (wrongly doubled) parity matrices can fail the sandwich check
         zero = fq.ParityCheckResult(0.0, 0.0, 0.0)
         monkeypatch.setattr(fq, "parity_expand_check", lambda theta: zero)
-        parity_matrix = fq.parity_matrix
-        monkeypatch.setattr(fq, "parity_matrix", lambda *args: 2 * parity_matrix(*args))
+        parity_matrices = fq._parity_matrices
+        monkeypatch.setattr(fq, "_parity_matrices", lambda *args: 2 * parity_matrices(*args))
         results = {r.name: r for r in verify.suite_parity(verify.VerifyConfig())}
         assert not results["parity_sandwich_trace"].passed
         assert results["parity_sandwich_trace"].residual > 1e-3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pqm.embeddings as emb
+import pqm.finiteqm as fq
 from pqm.numbers import RatMod1, char_omega
 from pqm.finiteqm import (
     MOMENTUM,
@@ -322,9 +323,10 @@ class TestNaNGaps:
 
     @pytest.mark.parametrize("quantity", ["weyl", "wigner"])
     def test_ubiquity(self, monkeypatch, quantity):
-        # rows 0-7 of the stacked action are the Weyl points, rows 8-15 the
-        # Wigner points; a NaN in one row is that quantity's deviation only
-        displace_values = emb._displace_values
+        # rows 0-7 of the point kernel's stacked action are the Weyl points,
+        # rows 8-15 the Wigner points; a NaN in one row is that quantity's
+        # deviation only
+        displace_values = fq._displace_values
         row = {"weyl": 0, "wigner": 8}[quantity]
 
         def nan_row(v, rep, *columns):
@@ -332,7 +334,7 @@ class TestNaNGaps:
             out[row] = np.nan
             return out
 
-        monkeypatch.setattr(emb, "_displace_values", nan_row)
+        monkeypatch.setattr(fq, "_displace_values", nan_row)
         devs = ubiquity_check(random_state(3, RNG), EmbeddingSpec(3, 9), np.random.default_rng(3))
         assert np.isnan(devs[quantity])
         other = {"weyl": "wigner", "wigner": "weyl"}[quantity]

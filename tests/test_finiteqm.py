@@ -566,6 +566,13 @@ class TestWeylWigner:
                     got = weyl_wigner(f, a, b, "wigner", doubled)
                     assert abs(got - want) < 1e-12
 
+    def test_rejects_bad_kind_and_odd_doubled(self):
+        f = random_state(5, RNG)
+        with pytest.raises(ValueError, match="unknown kind"):
+            weyl_wigner(f, 0, 0, "husimi")
+        with pytest.raises(ValueError, match="even n only"):
+            weyl_wigner(f, 0, 0, "wigner", doubled=True)
+
     def test_weyl_matches_matrix_oracle(self):
         n = 5
         f = random_state(n, RNG)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pqm.numbers import (
@@ -460,6 +461,24 @@ class TestProfiniteInt:
         a = ProfiniteInt({2: PadicInt.from_int(1, 2, 2)}, tail=0)
         with pytest.raises(PrecisionError):
             a.component(2, 5)
+
+    @pytest.mark.parametrize("tail", [2.5, "3", None, Fraction(1, 2)])
+    def test_non_integer_tail_is_refused(self, tail):
+        with pytest.raises(ValueError, match="tail must be an integer"):
+            ProfiniteInt(tail=tail)
+
+    def test_integer_tail_is_stored_as_a_plain_int(self):
+        for tail in (np.int64(7), True):
+            a = ProfiniteInt(tail=tail)
+            assert type(a.tail) is int and a.tail == int(tail)
+            assert type((a * a - a).tail) is int
+
+    @pytest.mark.parametrize(
+        "overrides", [{2: 5}, {2: 1.0}, {3: PadicInt.from_int(1, 2, 3)}, {5: None}]
+    )
+    def test_override_must_be_a_padic_int_at_its_own_prime(self, overrides):
+        with pytest.raises(ValueError, match="is not a"):
+            ProfiniteInt(overrides)
 
     def test_arithmetic(self):
         a = ProfiniteInt({2: PadicInt.from_int(3, 2, 4)}, tail=2)

@@ -115,6 +115,12 @@ class TestGlobal:
         assert gh.a.tail == 7 and gh.b.tail == 10
         assert gh.c.tail == 4 + 1 + 2 * 7 - 5 * 3
 
+    def test_non_integer_tail_is_refused_at_construction(self):
+        # not at the first projection: the float would flow through the
+        # group law first
+        with pytest.raises(ValueError, match="tail must be an integer"):
+            GlobalProfiniteHW.from_tail(1.5, 2, 3)
+
     def test_global_inverse(self):
         g = GlobalProfiniteHW.from_tail(2, 3, 4)
         e = phw_global_mul(g, phw_global_inv(g))

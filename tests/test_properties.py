@@ -32,6 +32,7 @@ from helpers import (
     phw_commutator_oracle,
     phw_inv_oracle,
     phw_mul_oracle,
+    weyl_wigner_oracle,
 )
 from pqm.embeddings import EmbeddingSpec, def2_point_embed, phase_embed
 from pqm.finiteqm import (
@@ -48,7 +49,9 @@ from pqm.finiteqm import (
     _hat_values,
     _hw_matrices,
     _parity_matrices,
+    _point_elements,
     _unit,
+    _weyl_wigner_values,
     displace,
     extend,
     fourier,
@@ -120,7 +123,11 @@ from pqm.profinite_hw import (
     phw_project,
 )
 from pqm.schwartz_bruhat import (
+    GlobalSBFunction,
     LocalSBFunction,
+    global_fourier,
+    global_inner,
+    global_parity,
     local_displace,
     local_inner,
     local_reflect,
@@ -618,11 +625,49 @@ def test_tables_match_weyl_wigner(n, rep, seed):
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
 
 
+_GRIDS = [("weyl", False), ("wigner", False), ("wigner", True)]  # (kind, doubled)
+
+
+@_settings
+@given(
+    n=st.integers(2, 32),
+    rep=st.sampled_from([POSITION, MOMENTUM]),
+    grid=st.sampled_from(_GRIDS),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weyl_wigner_is_the_composed_oracle_bit_for_bit(n, rep, grid, data, seed):
+    kind, doubled = grid
+    assume(not doubled or n % 2 == 0)
+    f = random_state(n, np.random.default_rng(seed), rep=rep)
+    for _ in range(8):
+        a = data.draw(st.integers(0, (2 * n if doubled else n) - 1))
+        b = data.draw(st.integers(0, n - 1))
+        assert weyl_wigner(f, a, b, kind, doubled) == weyl_wigner_oracle(f, a, b, kind, doubled)
+
+
+@_settings
+@given(
+    n=st.integers(2, 16),
+    rep=st.sampled_from([POSITION, MOMENTUM]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_table_points_are_the_composed_oracle_bit_for_bit(n, rep, seed):
+    # a whole table's points as one stack of the point kernel, as pqm verify
+    # evaluates them: the stack leaves every row contiguous, so each value is
+    # the one-point value to the bit
+    f = random_state(n, np.random.default_rng(seed), rep=rep)
+    for kind, doubled in _GRIDS[: 3 if n % 2 == 0 else 2]:
+        points = [(a, b) for a in range(2 * n if doubled else n) for b in range(n)]
+        got = _weyl_wigner_values(f, *_point_elements(n, points, kind, doubled))
+        assert got == [weyl_wigner_oracle(f, a, b, kind, doubled) for a, b in points]
+
+
 @_settings
 @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
 def test_tomography_sums_match_dense_sums(n, seed):
     theta = random_operator(n, np.random.default_rng(seed))
-    grid = _displacement_grid(n)  # grid[a][b] = D(a, b, 0), point by point
+    grid = _displacement_grid(n)  # grid[a, b] = D(a, b, 0)
     coeffs, _ = operator_expand(theta)
     want = [[np.trace(d.conj().T @ theta) for d in row] for row in grid]
     np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-12)
@@ -997,6 +1042,59 @@ def test_local_sb_operations_match_per_point_oracles(p, degrees, side, labels, b
     degree, want = _displace_oracle(f, a, b, c)
     assert (got.degree, got.side) == (degree, side)
     np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _global_sb(draw, side: str) -> GlobalSBFunction:
+    """One to three terms, each a product of factors at some of the primes
+    2, 3, 5, of degree 0 to 2 on one side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = {}
+        for p in sorted(draw(st.sets(st.sampled_from([2, 3, 5]), min_size=1))):
+            d = draw(st.integers(0, 2))
+            values = rng.standard_normal(p**d) + 1j * rng.standard_normal(p**d)
+            factors[p] = LocalSBFunction(p, side, d, tuple(values))
+        terms.append((complex(*rng.standard_normal(2)), factors))
+    return GlobalSBFunction(side, tuple(terms))
+
+
+def _close(got: complex, want: complex, scale: float) -> bool:
+    """Equal to a relative 1e-12 of scale: |(f, g)| <= |f| |g| bounds a sum
+    of products whose terms may cancel, so scale is the product of norms."""
+    return abs(got - want) <= 1e-12 * scale
+
+
+def _norm(f: GlobalSBFunction) -> float:
+    return math.sqrt(global_inner(f, f).real)
+
+
+@_settings
+@given(side=st.sampled_from([POSITION, MOMENTUM]), data=st.data())
+def test_global_fourier_is_unitary_with_fourth_power_one(side, data):
+    f, g = data.draw(_global_sb(side)), data.draw(_global_sb(side))
+    ff, fg = global_fourier(f), global_fourier(g)
+    assert ff.side != side
+    assert _close(global_inner(ff, fg), global_inner(f, g), _norm(f) * _norm(g))
+    f4 = global_fourier(global_fourier(global_fourier(ff)))
+    assert f4.side == side
+    assert _close(global_inner(f, f4), global_inner(f, f), _norm(f) ** 2)
+
+
+@_settings
+@given(
+    side=st.sampled_from([POSITION, MOMENTUM]),
+    data=st.data(),
+    a=st.builds(RatMod1.of, st.integers(-10**6, 10**6), st.integers(1, 1000)),
+    b=st.integers(-50, 50),
+)
+def test_global_parity_is_an_involution(side, data, a, b):
+    f = data.draw(_global_sb(side))
+    p2f = global_parity(global_parity(f, a, b), a, b)
+    norm2 = global_inner(f, f).real
+    assert _close(global_inner(f, p2f), norm2, norm2)
+    assert _close(global_inner(p2f, p2f), norm2, norm2)
 
 
 @_settings
