@@ -136,13 +136,14 @@ def to_momentum(f: FiniteState) -> FiniteState:
     """Coordinate change: the momentum-side values of the same state."""
     if f.rep == MOMENTUM:
         return f
-    return FiniteState(f.n, MOMENTUM, np.fft.fft(f.amplitudes) / f.n)
+    return FiniteState(f.n, MOMENTUM, _fourier_values(f.amplitudes, POSITION))
 
 
 def to_position(f: FiniteState) -> FiniteState:
     """Coordinate change: the position-side values of the same state."""
     if f.rep == POSITION:
         return f
+    # n ifft, not the reflected forward kernel: that moves the last bit of most states
     return FiniteState(f.n, POSITION, f.n * np.fft.ifft(f.amplitudes))
 
 
@@ -560,8 +561,8 @@ def _displacement_grid(n: int) -> np.ndarray:
 
 
 def _character_sum(n: int, k: int) -> np.ndarray:
-    """sum_{a < n} e(k a d / n) for each d in Z(n), by one FFT over a."""
-    return np.fft.fft(np.ones(n))[_dilation(n, -k)]
+    """sum_{a < n} e(k a d / n) for each d in Z(n), exactly: n where n | k d, else 0."""
+    return np.where(_dilation(n, k) == 0, float(n), 0.0)
 
 
 def resolution_identity_check(theta) -> float:

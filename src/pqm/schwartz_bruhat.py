@@ -8,6 +8,8 @@ Z(p^d), and the local operations are the finite ones of ``finiteqm``:
 refinement to a higher degree (which changes nothing measurable) is the
 embedding ``extend``, and the inner product, Fourier transform and
 displacements are ``inner``, ``fourier`` and ``displace`` at that degree.
+The values are one read-only array, and a table of more than 2^20 values is
+refused with a ValueError before it is built.
 
 Cosets carry their canonical zero-integer-part representatives, so every
 character phase is an exact rational exponent, evaluated by ``_unit``.
@@ -31,6 +33,7 @@ from .numbers import (
     ProfiniteInt,
     RatMod1,
     ZERO_MOD1,
+    _index,
     _qp_level,
     is_prime,
     rat_decompose,
@@ -41,48 +44,50 @@ from .finiteqm import displace, extend, inner, reflect, tensor_join
 from .finiteqm import fourier as _finite_fourier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalSBFunction:
     """A locally constant (position) or compactly supported (momentum)
-    function at a single prime, tabulated at degree ``degree``."""
+    function at a single prime, tabulated at degree ``degree``: its p^degree
+    ``values`` are a read-only complex array, copied once, here."""
 
     p: int
     side: str
     degree: int
-    values: tuple[complex, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not type(self.p) is type(self.degree) is int:
+            for name in ("p", "degree"):
+                object.__setattr__(self, name, _index(getattr(self, name), name))
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.side not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown side {self.side!r}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if len(self.values) != self.p**self.degree:
+        object.__setattr__(self, "values", np.array(self.values, dtype=complex))
+        if self.values.shape != (self.p ** min(self.degree, 64),):  # no array has 2^64 values
             raise ValueError("value count must be p^degree")
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        self.values.flags.writeable = False
 
     @classmethod
     def position(cls, p: int, values) -> "LocalSBFunction":
-        values = tuple(values)
+        values = np.fromiter(values, complex)  # any iterable, generators too
         return cls(p, POSITION, _degree_of(p, len(values)), values)
 
     @classmethod
     def momentum(cls, p: int, values) -> "LocalSBFunction":
-        values = tuple(values)
+        values = np.fromiter(values, complex)
         return cls(p, MOMENTUM, _degree_of(p, len(values)), values)
 
     @classmethod
     def from_state(cls, p: int, st: FiniteState) -> "LocalSBFunction":
         """The function tabulated by a state on Z(p^d); its rep is the side."""
-        return cls(p, st.rep, _degree_of(p, st.n), tuple(st.amplitudes))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
+        return cls(p, st.rep, _degree_of(p, st.n), st.amplitudes)
 
     def state(self) -> FiniteState:
-        """The values as a state on Z(p^degree), with the side as its rep."""
-        return FiniteState(len(self.values), self.side, self.array())
+        """The values as a state on Z(p^degree), with the side as its rep (a view)."""
+        return FiniteState(len(self.values), self.side, self.values)
 
 
 def _degree_of(p: int, count: int) -> int:
@@ -99,8 +104,17 @@ def trivial_local(p: int, side: str) -> LocalSBFunction:
 
 def is_trivial(f: LocalSBFunction) -> bool:
     if f.side == POSITION:
-        return all(abs(v - 1.0) == 0.0 for v in f.values)
-    return abs(f.values[0] - 1.0) == 0.0 and all(v == 0 for v in f.values[1:])
+        return bool(np.all(f.values == 1.0))
+    return bool(f.values[0] == 1.0 and np.all(f.values[1:] == 0))
+
+
+_SCALE_VALUES_BOUND = 2**20
+
+
+def _check_size(p: int, d: int) -> None:
+    """Refuse p^d values over the bound; as p >= 2, d > 20 needs no p^d."""
+    if d > 20 or p**d > _SCALE_VALUES_BOUND:
+        raise ValueError(f"result size {p}^{d} exceeds bound {_SCALE_VALUES_BOUND}")
 
 
 def refine(f: LocalSBFunction, degree: int) -> LocalSBFunction:
@@ -109,12 +123,13 @@ def refine(f: LocalSBFunction, degree: int) -> LocalSBFunction:
         raise ValueError("refinement cannot lower the degree")
     if degree == f.degree:
         return f
+    _check_size(f.p, degree)
     return LocalSBFunction.from_state(f.p, extend(f.state(), f.p**degree))
 
 
 def integrate_local(f: LocalSBFunction) -> complex:
     """Haar integral (position, total mass 1) or counting sum (momentum)."""
-    total = sum(f.values)
+    total = complex(np.cumsum(f.values)[-1])  # in order: np.sum pairs terms and rounds otherwise
     if f.side == POSITION:
         return total / f.p**f.degree
     return total
@@ -127,17 +142,15 @@ def local_inner(f: LocalSBFunction, g: LocalSBFunction) -> complex:
     return inner(refine(f, d).state(), refine(g, d).state())
 
 
-_SCALE_VALUES_BOUND = 2**20
-
-
 def scale_variable(f: LocalSBFunction, lam: int) -> LocalSBFunction:
     """The function x |-> f(lam x); degrees shift by r = ord_p(lam).
 
     Position side: the constancy degree drops by r (clamped at 0; the
     argument stays inside Z_p).  Momentum side: the support degree grows by
     r and the counting integral satisfies |lam|_p * integral(f(lam .)) =
-    integral(f); a result of more than 2^20 values is a ValueError.
+    integral(f).
     """
+    lam = lam if type(lam) is int else _index(lam, "lambda")
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
     r = valuation(lam, f.p)
@@ -145,10 +158,9 @@ def scale_variable(f: LocalSBFunction, lam: int) -> LocalSBFunction:
         d, mult = max(f.degree - r, 0), lam
     else:
         d, mult = f.degree + r, lam // f.p**r
-        if f.p**d > _SCALE_VALUES_BOUND:
-            raise ValueError(f"result size {f.p}^{d} exceeds bound {_SCALE_VALUES_BOUND}")
+        _check_size(f.p, d)
     idx = _dilation(f.p**f.degree, mult, f.p**d)
-    return LocalSBFunction(f.p, f.side, d, tuple(f.array()[idx]))
+    return LocalSBFunction(f.p, f.side, d, f.values[idx])
 
 
 def local_fourier(f: LocalSBFunction) -> LocalSBFunction:
@@ -176,23 +188,22 @@ def delta_family(p: int, precision: int) -> LocalSBFunction:
     delta is the momentum point mass ``trivial_local(p, MOMENTUM)``."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    vals = [0j] * p**precision
-    vals[0] = complex(p**precision)
-    return LocalSBFunction(p, POSITION, precision, tuple(vals))
+    _check_size(p, precision)
+    vals = np.zeros(p**precision, dtype=complex)
+    vals[0] = p**precision
+    return LocalSBFunction(p, POSITION, precision, vals)
 
 
 def character_function(p: int, frak_p: Fraction) -> LocalSBFunction:
-    """The position-side function x |-> chi_p(x * frak_p); a table of more
-    than 2^20 values is a ValueError."""
+    """The position-side function x |-> chi_p(x * frak_p)."""
     frak_p = RatMod1.of(frak_p)
     k = _qp_level(frak_p, p)
+    _check_size(p, k)
     q = p**k
-    if q > _SCALE_VALUES_BOUND:
-        raise ValueError(f"table size {p}^{k} exceeds bound {_SCALE_VALUES_BOUND}")
-    return LocalSBFunction(p, POSITION, k, tuple(_unit(frak_p.numerator * np.arange(q), q)))
+    return LocalSBFunction(p, POSITION, k, _unit(frak_p.numerator * np.arange(q), q))
 
 
-def hat_transform_2adic(f: LocalSBFunction) -> tuple[complex, ...]:
+def hat_transform_2adic(f: LocalSBFunction) -> np.ndarray:
     """The 2-adic transform hat(y/2) = sum chi_2(y p / 2) F(p), y mod 2^(d+1).
 
     At even y it reproduces the position values: hat(y/2) = f(y/2).
@@ -201,7 +212,7 @@ def hat_transform_2adic(f: LocalSBFunction) -> tuple[complex, ...]:
         raise ValueError("the hat transform is specific to p = 2")
     if f.side != MOMENTUM:
         raise ValueError("input must be a momentum-side function")
-    return tuple(_hat_values(f.array()))
+    return _hat_values(f.values)
 
 
 def local_displace(
@@ -220,7 +231,7 @@ def local_displace(
     d = max(f.degree, valuation(a.scaled(2).denominator, f.p))
     if d == 0:
         e = c - a.scaled(b)
-        return LocalSBFunction(f.p, f.side, 0, (_unit(e.numerator, e.denominator) * f.values[0],))
+        return LocalSBFunction(f.p, f.side, 0, [_unit(e.numerator, e.denominator) * f.values[0]])
     el = HWElement.from_phase_space(f.p**d, a, b, c)
     return LocalSBFunction.from_state(f.p, displace(el, refine(f, d).state()))
 

@@ -498,11 +498,10 @@ def suite_schwartz(cfg: VerifyConfig) -> list[CheckResult]:
         d = int(rng.integers(0, 3))
         side = POSITION if rng.integers(0, 2) else MOMENTUM
         vals = rng.standard_normal(p**d) + 1j * rng.standard_normal(p**d)
-        f = sb.LocalSBFunction(p, side, d, tuple(vals))
+        f = sb.LocalSBFunction(p, side, d, vals)
         # on integer-valued functions the float sums are exact, so the
         # refinement identity holds bit for bit
-        ivals = tuple(complex(int(v)) for v in rng.integers(-50, 50, p**d))
-        fi = sb.LocalSBFunction(p, side, d, ivals)
+        fi = sb.LocalSBFunction(p, side, d, rng.integers(-50, 50, p**d))
         for d2 in (d + 1, d + 2):
             g = sb.refine(f, d2)
             gap = abs(sb.integrate_local(g) - sb.integrate_local(f))
@@ -520,7 +519,7 @@ def suite_schwartz(cfg: VerifyConfig) -> list[CheckResult]:
             for p in (2, 3):
                 d = int(rng.integers(1, 3))
                 v = rng.standard_normal(p**d) + 1j * rng.standard_normal(p**d)
-                factors[p] = sb.LocalSBFunction(p, POSITION, d, tuple(v))
+                factors[p] = sb.LocalSBFunction(p, POSITION, d, v)
             terms.append((coeff, factors))
         f = sb.GlobalSBFunction(POSITION, tuple(terms))
         st = sb.canonicalize_global(f)

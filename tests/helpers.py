@@ -3,7 +3,10 @@ of a displacement matrix, the partial-order axioms of a finite poset, the
 Weyl and Wigner functions composed from the public state maps, the
 one-state-at-a-time embedding laws that the stacked ones replace, the
 checked operation-by-operation group laws that the integer ones replace,
-and the one-digit-at-a-time base-p expansion."""
+the one-digit-at-a-time base-p expansion, and the Schwartz-Bruhat operations
+on tuples of Python complex that the array ones replace."""
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +29,21 @@ from pqm.finiteqm import (
     fourier,
     hw_factor,
     _chi_coeff,
+    _dilation,
+    _unit,
+    extend,
     hw_matrix,
     inner,
     norm,
     parity_apply,
     parity_displacement,
     reflect,
+    tensor_join,
 )
-from pqm.numbers import PadicInt, RatMod1, crt_idempotents
+from pqm.numbers import ZERO_MOD1, PadicInt, RatMod1, crt_idempotents, valuation
 from pqm.poset import FinitePoset
 from pqm.profinite_hw import ProfiniteHWElement
+from pqm.schwartz_bruhat import GlobalSBFunction, LocalSBFunction
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -188,3 +196,129 @@ def digits_oracle(value: int, p: int, count: int) -> tuple[int, ...]:
         r, d = divmod(r, p)
         digits.append(d)
     return tuple(digits)
+
+
+def sb_equal(f: LocalSBFunction, g: LocalSBFunction) -> bool:
+    """Value equality of two ``LocalSBFunction``s, whose ``==`` is identity:
+    the same p, side and degree, and equal values."""
+    return (f.p, f.side, f.degree) == (g.p, g.side, g.degree) and bool(
+        np.array_equal(f.values, g.values)
+    )
+
+
+# The Schwartz-Bruhat operations as they were on tuples of Python complex:
+# each local one is from_state(kernel(state())), a tuple in and a tuple out.
+
+
+class TupleSB(NamedTuple):
+    """A ``LocalSBFunction`` with its values as a tuple of Python complex."""
+
+    p: int
+    side: str
+    degree: int
+    values: tuple[complex, ...]
+
+    @classmethod
+    def of(cls, f: LocalSBFunction) -> "TupleSB":
+        return cls(f.p, f.side, f.degree, tuple(complex(v) for v in f.values))
+
+
+def _tuple_state(f: TupleSB) -> FiniteState:
+    return FiniteState(len(f.values), f.side, np.asarray(f.values, dtype=complex))
+
+
+def _tuple_from_state(p: int, st: FiniteState) -> TupleSB:
+    return TupleSB(p, st.rep, valuation(st.n, p), tuple(complex(v) for v in st.amplitudes))
+
+
+def _tuple_trivial(p: int, side: str) -> TupleSB:
+    return TupleSB(p, side, 0, (1.0 + 0j,))
+
+
+def refine_oracle(f: TupleSB, degree: int) -> TupleSB:
+    if degree == f.degree:
+        return f
+    return _tuple_from_state(f.p, extend(_tuple_state(f), f.p**degree))
+
+
+def integrate_local_oracle(f: TupleSB) -> complex:
+    total = sum(f.values)
+    return total / f.p**f.degree if f.side == POSITION else total
+
+
+def local_inner_oracle(f: TupleSB, g: TupleSB) -> complex:
+    d = max(f.degree, g.degree)
+    return inner(_tuple_state(refine_oracle(f, d)), _tuple_state(refine_oracle(g, d)))
+
+
+def scale_variable_oracle(f: TupleSB, lam: int) -> TupleSB:
+    r = valuation(lam, f.p)
+    if f.side == POSITION:
+        d, mult = max(f.degree - r, 0), lam
+    else:
+        d, mult = f.degree + r, lam // f.p**r
+    idx = _dilation(f.p**f.degree, mult, f.p**d)
+    return TupleSB(f.p, f.side, d, tuple(complex(v) for v in np.asarray(f.values)[idx]))
+
+
+def local_fourier_oracle(f: TupleSB) -> TupleSB:
+    return _tuple_from_state(f.p, fourier(_tuple_state(f)))
+
+
+def local_reflect_oracle(f: TupleSB) -> TupleSB:
+    return _tuple_from_state(f.p, reflect(_tuple_state(f)))
+
+
+def local_fourier_inv_oracle(f: TupleSB) -> TupleSB:
+    return local_fourier_oracle(local_reflect_oracle(f))
+
+
+def local_displace_oracle(f: TupleSB, a: RatMod1, b: int, c: RatMod1 = ZERO_MOD1) -> TupleSB:
+    d = max(f.degree, valuation(a.scaled(2).denominator, f.p))
+    if d == 0:
+        e = c - a.scaled(b)
+        return TupleSB(f.p, f.side, 0, (complex(_unit(e.numerator, e.denominator) * f.values[0]),))
+    el = HWElement.from_phase_space(f.p**d, a, b, c)
+    return _tuple_from_state(f.p, displace(el, _tuple_state(refine_oracle(f, d))))
+
+
+def _tuple_terms(f: GlobalSBFunction) -> list:
+    return [(c, {p: TupleSB.of(fp) for p, fp in factors.items()}) for c, factors in f.terms]
+
+
+def global_inner_oracle(f: GlobalSBFunction, g: GlobalSBFunction) -> complex:
+    total = 0j
+    for cf, ff in _tuple_terms(f):
+        for cg, gg in _tuple_terms(g):
+            val = cf.conjugate() * cg
+            for p in set(ff) | set(gg):
+                val *= local_inner_oracle(
+                    ff.get(p, _tuple_trivial(p, f.side)), gg.get(p, _tuple_trivial(p, g.side))
+                )
+            total += val
+    return total
+
+
+def canonicalize_global_oracle(f: GlobalSBFunction) -> FiniteState:
+    terms_in = _tuple_terms(f)
+    degrees: dict[int, int] = {}
+    for _, factors in terms_in:
+        for p, fp in factors.items():
+            degrees[p] = max(degrees.get(p, 0), fp.degree)
+    degrees = {p: d for p, d in degrees.items() if d > 0}
+    if not degrees:
+        raise ValueError("dimension 1 excluded: no nontrivial prime support")
+    ell = 1
+    for p, d in degrees.items():
+        ell *= p**d
+    terms = []
+    for c, term_factors in terms_in:
+        for p, fp in term_factors.items():
+            if p not in degrees:
+                c *= fp.values[0]
+        parts = {
+            p: _tuple_state(refine_oracle(term_factors.get(p, _tuple_trivial(p, f.side)), d))
+            for p, d in degrees.items()
+        }
+        terms.append((c, parts))
+    return tensor_join(terms, ell, f.side)

@@ -51,6 +51,7 @@ from pqm.finiteqm import (
     wigner_table,
 )
 from pqm import finiteqm
+from pqm.finiteqm import _character_sum, _dilation
 
 RNG = np.random.default_rng(20240817)
 
@@ -618,6 +619,17 @@ class TestWignerTable:
 class TestTomography:
     def test_identity_input(self):
         assert resolution_identity_check(np.eye(4)) < 1e-12
+
+    def test_character_sum_is_exact_and_matches_the_fft_of_ones(self):
+        # the closed form against the FFT of ones it replaced, which was
+        # inexact in 2058 of these 2394 (n, k) pairs, by at most 6.9e-14
+        for n in range(1, 400):
+            d = np.arange(n)
+            for k in (1, -1, 2, -2, 4, -4):
+                got = _character_sum(n, k)
+                assert np.array_equal(got, np.where(k * d % n == 0, n, 0))
+                fft_form = np.fft.fft(np.ones(n))[_dilation(n, -k)]
+                assert np.max(np.abs(got - fft_form)) <= 7e-14
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
     def test_resolution_random(self, n):

@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from helpers import sb_equal
 from pqm.numbers import PrecisionError, ProfiniteInt, PadicInt, RatMod1, ZERO_MOD1, char_chi_p
 from pqm.finiteqm import (
     MOMENTUM,
@@ -34,6 +36,7 @@ from pqm.schwartz_bruhat import (
     local_fourier,
     local_fourier_inv,
     local_inner,
+    local_reflect,
     refine,
     scale_variable,
     trivial_local,
@@ -83,7 +86,7 @@ class TestScaleVariable:
 
     def test_identity(self):
         f = _random_local(2, 2, MOMENTUM)
-        assert scale_variable(f, 1).values == f.values
+        assert sb_equal(scale_variable(f, 1), f)
 
     def test_momentum_two_adic_factor(self):
         # |2|_2 * integral of f(2a) equals the integral of f
@@ -103,7 +106,7 @@ class TestScaleVariable:
     def test_position_side_has_no_size_bound(self):
         # the position degree only falls, so a large 2-power keeps 1 value
         f = _random_local(2, 2)
-        assert scale_variable(f, 2**70) == LocalSBFunction(2, POSITION, 0, f.values[:1])
+        assert sb_equal(scale_variable(f, 2**70), LocalSBFunction(2, POSITION, 0, f.values[:1]))
 
     def test_momentum_factor_general(self):
         for p, lam, absval in [(3, 3, Fraction(1, 3)), (2, 4, Fraction(1, 4)), (5, 10, Fraction(1, 5))]:
@@ -159,7 +162,7 @@ class TestLocalFourier:
     def test_matches_finite_transform(self):
         f = _random_local(3, 2)
         ft = local_fourier(f)
-        st = fourier(FiniteState(9, POSITION, f.array()))
+        st = fourier(FiniteState(9, POSITION, f.values))
         assert np.allclose(ft.values, st.amplitudes)
 
 
@@ -209,7 +212,7 @@ class TestHatTransform:
 
     def test_matches_finiteqm_helper(self):
         f = _random_local(2, 3, MOMENTUM)
-        assert np.allclose(hat_transform_2adic(f), _hat_values(f.array()))
+        assert np.allclose(hat_transform_2adic(f), _hat_values(f.values))
 
     def test_wrong_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -267,13 +270,65 @@ class TestConstructors:
         st = f.state()
         assert (st.n, st.rep) == (9, side)
         assert list(st.amplitudes) == list(f.values)
-        assert LocalSBFunction.from_state(3, st) == f
+        assert sb_equal(LocalSBFunction.from_state(3, st), f)
         with pytest.raises(ValueError):
             LocalSBFunction.from_state(2, st)
 
     def test_delta_needs_positive_precision(self):
         with pytest.raises(ValueError, match="precision must be >= 1"):
             delta_family(2, 0)
+
+    @pytest.mark.parametrize(
+        "p, degree, name",
+        [(2, 1.0, "degree"), (2.0, 1, "p"), (2, "1", "degree"), (Fraction(2), 1, "p")],
+    )
+    def test_p_and_degree_must_be_integers(self, p, degree, name):
+        # each field is checked once, here: a float degree would reach pow()
+        # in canonicalize_global as a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            LocalSBFunction(p, POSITION, degree, [1, 2])
+
+    def test_integer_like_p_degree_and_lambda_are_plain_ints(self):
+        f = LocalSBFunction(np.int64(3), MOMENTUM, np.int64(1), [1, 2, 3])
+        assert (type(f.p), type(f.degree)) == (int, int)
+        assert canonicalize_global(GlobalSBFunction.product(MOMENTUM, {3: f})).n == 3
+        assert sb_equal(scale_variable(f, np.int64(6)), scale_variable(f, 6))
+
+    @pytest.mark.parametrize("lam", [2.0, "2", Fraction(2)])
+    def test_scale_variable_lambda_must_be_an_integer(self, lam):
+        # refused before the index map, which takes integer indices only
+        with pytest.raises(ValueError, match="^lambda must be an integer, got "):
+            scale_variable(_random_local(2, 2, MOMENTUM), lam)
+
+    def test_values_are_a_read_only_copy(self):
+        source = np.arange(9, dtype=complex)
+        f = LocalSBFunction(3, POSITION, 2, source)
+        source[0] = 7
+        assert f.values[0] == 0 and f.values.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 1
+        st = f.state()
+        assert np.shares_memory(st.amplitudes, f.values)
+        with pytest.raises(ValueError, match="read-only"):
+            st.amplitudes[0] = 1
+        for g in (refine(f, 3), local_fourier(f), local_reflect(f), scale_variable(f, 2)):
+            assert not g.values.flags.writeable
+
+    @pytest.mark.parametrize("make", [LocalSBFunction.position, LocalSBFunction.momentum])
+    def test_length_constructors_take_any_iterable(self, make):
+        f = make(2, (v for v in (1, 2j, 3, 4)))
+        assert f.degree == 2 and np.array_equal(f.values, [1, 2j, 3, 4])
+
+    @pytest.mark.parametrize("values", [[[1, 2]], [[1], [2]], 5])
+    def test_values_must_be_one_flat_table(self, values):
+        with pytest.raises(ValueError, match="value count must be p\\^degree"):
+            LocalSBFunction(2, POSITION, 1, values)
+
+    @pytest.mark.parametrize("degree", [65, 10**9])
+    def test_a_huge_degree_is_refused_without_its_power(self, degree):
+        # 3^(10^7) alone takes seconds to form; no table has 2^64 values
+        with pytest.raises(ValueError, match="value count must be p\\^degree"):
+            LocalSBFunction(3, POSITION, degree, [1])
 
     def test_support_primes_and_factor_accessor(self):
         f = GlobalSBFunction.product(
@@ -373,8 +428,60 @@ class TestCanonicalize:
         )
         st = canonicalize_global(f)
         assert st.n == 2
-        assert np.allclose(st.amplitudes, 2.0 * f2.array(), rtol=0, atol=1e-12)
+        assert np.allclose(st.amplitudes, 2.0 * f2.values, rtol=0, atol=1e-12)
         assert global_inner(f, f) == pytest.approx(inner(st, st))
+
+
+def _refused_before_allocation(call, message: str) -> None:
+    """call raises the bound's ValueError with message, having allocated
+    under 1 MiB: a table of 2^21 values would take 32 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+class TestSizeBound:
+    """Every table of more than 2^20 values is refused before it is built."""
+
+    @pytest.mark.parametrize("p, degree", [(2, 21), (3, 13), (7, 8), (2, 10**9)])
+    @pytest.mark.parametrize("side", [POSITION, MOMENTUM])
+    def test_refine(self, p, degree, side):
+        # 2^21, 3^13 and 7^8 are the first powers past 2^20; p^(10^9) is never formed
+        _refused_before_allocation(
+            lambda: refine(trivial_local(p, side), degree),
+            f"result size {p}^{degree} exceeds bound 1048576",
+        )
+
+    @pytest.mark.parametrize("side", [POSITION, MOMENTUM])
+    @pytest.mark.parametrize(
+        "p, den, size", [(2, 2**22, "2^21"), (2, 2**27, "2^26"), (3, 3**13, "3^13")]
+    )
+    def test_local_displace(self, side, p, den, size):
+        # 2a = 1/2^21 needs degree 21; at 1/2^27 the table would take 1 GiB
+        f = _random_local(p, 1, side)
+        _refused_before_allocation(
+            lambda: local_displace(f, RatMod1.of(1, den), 1),
+            f"result size {size} exceeds bound 1048576",
+        )
+
+    @pytest.mark.parametrize("den, size", [(2**22, "2^21"), (2**30, "2^29")])
+    def test_global_displace(self, den, size):
+        # at a = 1/2^30 the factor at the prime 2 would take 8 GiB
+        f = GlobalSBFunction.product(POSITION, {3: _random_local(3, 1)})
+        _refused_before_allocation(
+            lambda: global_displace(f, RatMod1.of(1, den), 1),
+            f"result size {size} exceeds bound 1048576",
+        )
+
+    def test_delta_family(self):
+        _refused_before_allocation(
+            lambda: delta_family(2, 21), "result size 2^21 exceeds bound 1048576"
+        )
 
 
 class TestQpZpMembership:
