@@ -72,10 +72,13 @@ def load_state(path: str) -> FiniteState:
         n, rep = data["n"], data["rep"]
         if type(n) is not int:
             raise TypeError(f"n={n!r} is not an integer")
-        pairs = np.array(data["amplitudes"])
-        numeric = pairs.dtype.kind in "biuf" or all(
-            isinstance(v, (int, float)) for v in pairs.flat
-        )
+        try:  # ragged nesting raises numpy's own ValueError, which names no field
+            pairs = np.array(data["amplitudes"])
+            numeric = pairs.dtype.kind in "biuf" or all(
+                isinstance(v, (int, float)) for v in pairs.flat
+            )
+        except ValueError:
+            numeric = False
         if not numeric or (pairs.size and pairs.shape[1:] != (2,)):
             raise TypeError("amplitudes must be [re, im] number pairs")
         # one (n, 2) float array read as complex keeps every bit, -0.0 too

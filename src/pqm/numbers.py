@@ -381,7 +381,9 @@ def ostrowski_product(q: "Fraction | int") -> Fraction:
 
 def project_xi(a: PadicInt, k: int) -> int:
     """The truncation map xi_k: Z_p -> Z(p^k) (keep the first k digits)."""
-    if not (1 <= k <= a.precision):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > a.precision:
         raise PrecisionError(f"k={k} exceeds precision {a.precision}")
     return a.residue % a.p**k
 
@@ -420,47 +422,38 @@ class ProfiniteInt:
             if not isinstance(a, PadicInt) or a.p != p:
                 raise ValueError(f"override at {p} is not a {p}-adic integer")
 
-    def component(self, p: int, precision: int) -> PadicInt:
+    def _residue(self, p: int, k: int) -> int:
+        """The one truncation Zhat -> Z(p^k), for a prime p from a trusted source."""
         a = self.overrides.get(p)
-        if a is None:
-            return PadicInt.from_int(self.tail, p, precision)
-        if a.precision < precision:
-            raise PrecisionError(
-                f"component at p={p} has precision {a.precision} < {precision}"
-            )
-        return PadicInt.from_int(a.residue, p, precision)
+        return self.tail % p**k if a is None else project_xi(a, k)
+
+    def component(self, p: int, precision: int) -> PadicInt:
+        p, precision = _check_modulus(p, precision)
+        return PadicInt._of(self._residue(p, precision), p, precision)
 
     def residue(self, n: int) -> int:
         """The projection pi_n: Zhat -> Z(n) (per-prime truncations + CRT)."""
-        comps = []
-        for p, e in factorize(n).items():
-            comps.append(project_xi(self.component(p, e), e))
-        return crt_join_mu(n, tuple(comps))
+        return crt_join_mu(n, tuple(self._residue(p, e) for p, e in factorize(n).items()))
 
     def is_even(self) -> bool:
         """True iff ord of the 2-adic component is >= 1."""
-        return self.component(2, 1).residue == 0
+        return self._residue(2, 1) == 0
 
     def _merge(self, other: "ProfiniteInt", op) -> "ProfiniteInt":
-        primes = set(self.overrides) | set(other.overrides)
-        out: dict[int, PadicInt] = {}
-        for p in primes:
-            n = min(
-                self.overrides[p].precision if p in self.overrides else math.inf,
-                other.overrides[p].precision if p in other.overrides else math.inf,
-            )
-            n = int(n)
-            out[p] = op(self.component(p, n), other.component(p, n))
+        out = {}
+        for p in self.overrides.keys() | other.overrides.keys():
+            k = min(x.overrides[p].precision for x in (self, other) if p in x.overrides)
+            out[p] = PadicInt._of(op(self._residue(p, k), other._residue(p, k)), p, k)
         return ProfiniteInt(out, op(self.tail, other.tail))
 
     def __add__(self, other: "ProfiniteInt") -> "ProfiniteInt":
-        return self._merge(other, lambda x, y: x + y)
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "ProfiniteInt") -> "ProfiniteInt":
-        return self._merge(other, lambda x, y: x - y)
+        return self._merge(other, operator.sub)
 
     def __mul__(self, other: "ProfiniteInt") -> "ProfiniteInt":
-        return self._merge(other, lambda x, y: x * y)
+        return self._merge(other, operator.mul)
 
     def __neg__(self) -> "ProfiniteInt":
         return ProfiniteInt({p: -a for p, a in self.overrides.items()}, -self.tail)
@@ -600,11 +593,8 @@ def char_chi_p(a: PadicInt, b: RatMod1) -> RatMod1:
 def char_chi_global(a: ProfiniteInt, b: Mapping[int, RatMod1]) -> RatMod1:
     """The exponent sum_p a_p b_p of chi(a*b) = prod_p chi_p(a_p b_p), b given
     on its finite support as ``{p: b_p}`` with b_p in Q_p/Z_p."""
-    q = ZERO_MOD1
-    for p, bp in b.items():
-        if bp:
-            q = q + char_chi_p(a.component(p, _qp_level(bp, p)), bp)
-    return q
+    terms = (char_chi_p(a.component(p, _qp_level(bp, p)), bp) for p, bp in b.items() if bp)
+    return sum(terms, ZERO_MOD1)
 
 
 # ---------------------------------------------------------------------------

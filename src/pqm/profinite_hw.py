@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numbers import PadicInt, ProfiniteInt, factorize, project_xi
+from .numbers import PadicInt, ProfiniteInt, crt_idempotents, project_xi
+
+
+def _check_fields(g, cls: type) -> None:
+    """Raise a ValueError naming the first of g.a, g.b, g.c that is not a cls."""
+    for name, v in zip("abc", (g.a, g.b, g.c)):
+        if not isinstance(v, cls):
+            raise ValueError(f"{name} must be a {cls.__name__}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -23,6 +30,8 @@ class ProfiniteHWElement:
     c: PadicInt
 
     def __post_init__(self) -> None:
+        if not type(self.a) is type(self.b) is type(self.c) is PadicInt:
+            _check_fields(self, PadicInt)
         if not (self.a.p == self.b.p == self.c.p):
             raise ValueError("components must share a prime")
         if not (self.a.precision == self.b.precision == self.c.precision):
@@ -38,11 +47,7 @@ class ProfiniteHWElement:
 
     @classmethod
     def from_ints(cls, a: int, b: int, c: int, p: int, precision: int) -> "ProfiniteHWElement":
-        return cls(
-            PadicInt.from_int(a, p, precision),
-            PadicInt.from_int(b, p, precision),
-            PadicInt.from_int(c, p, precision),
-        )
+        return cls(*(PadicInt.from_int(v, p, precision) for v in (a, b, c)))
 
 
 def _group_law(g: tuple, h: tuple) -> tuple:
@@ -106,16 +111,16 @@ class GlobalProfiniteHW:
     b: ProfiniteInt
     c: ProfiniteInt
 
+    def __post_init__(self) -> None:
+        if not type(self.a) is type(self.b) is type(self.c) is ProfiniteInt:
+            _check_fields(self, ProfiniteInt)
+
     @classmethod
     def from_tail(cls, a: int, b: int, c: int) -> "GlobalProfiniteHW":
         return cls(ProfiniteInt(tail=a), ProfiniteInt(tail=b), ProfiniteInt(tail=c))
 
     def component(self, p: int, precision: int) -> ProfiniteHWElement:
-        return ProfiniteHWElement(
-            self.a.component(p, precision),
-            self.b.component(p, precision),
-            self.c.component(p, precision),
-        )
+        return ProfiniteHWElement(*(x.component(p, precision) for x in (self.a, self.b, self.c)))
 
 
 def phw_global_mul(g: GlobalProfiniteHW, h: GlobalProfiniteHW) -> GlobalProfiniteHW:
@@ -132,11 +137,8 @@ def phw_global_project(g: GlobalProfiniteHW, n: int) -> tuple[int, int, int]:
     return (g.a.residue(n), g.b.residue(n), g.c.residue(n))
 
 
-def phw_global_project_factors(
-    g: GlobalProfiniteHW, n: int
-) -> dict[int, tuple[int, int, int]]:
+def phw_global_project_factors(g: GlobalProfiniteHW, n: int) -> dict[int, tuple[int, int, int]]:
     """Per-prime-power projections; CRT-joining them recovers the Z(n) triple."""
-    out = {}
-    for p, e in factorize(n).items():
-        out[p] = phw_project(g.component(p, e), e)
-    return out
+    return {
+        f.p: tuple(x._residue(f.p, f.e) for x in (g.a, g.b, g.c)) for f in crt_idempotents(n)
+    }

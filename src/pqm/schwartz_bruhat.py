@@ -22,6 +22,7 @@ side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -327,9 +328,9 @@ def canonicalize_global(f: GlobalSBFunction) -> FiniteState:
     degrees = {p: d for p, d in degrees.items() if d > 0}
     if not degrees:
         raise ValueError("dimension 1 excluded: no nontrivial prime support")
-    ell = 1
-    for p, d in degrees.items():
-        ell *= p**d
+    ell = math.prod(p**d for p, d in degrees.items())
+    if ell > _SCALE_VALUES_BOUND:  # each factor is bounded, their product is not
+        raise ValueError(f"result size {ell} exceeds bound {_SCALE_VALUES_BOUND}")
     terms = []
     for c, term_factors in f.terms:
         for p, fp in term_factors.items():
@@ -346,12 +347,11 @@ def canonicalize_global(f: GlobalSBFunction) -> FiniteState:
 def _component_residue(b, p: int, precision: int) -> int:
     if isinstance(b, ProfiniteInt):
         try:
-            comp = b.component(p, max(precision, 1))
+            return b._residue(p, max(precision, 1))
         except PrecisionError as exc:
             raise PrecisionError(
                 f"insufficient precision in b at p={p} for the displacement support"
             ) from exc
-        return comp.residue
     return int(b)
 
 

@@ -3,9 +3,12 @@ of a displacement matrix, the partial-order axioms of a finite poset, the
 Weyl and Wigner functions composed from the public state maps, the
 one-state-at-a-time embedding laws that the stacked ones replace, the
 checked operation-by-operation group laws that the integer ones replace,
-the one-digit-at-a-time base-p expansion, and the Schwartz-Bruhat operations
-on tuples of Python complex that the array ones replace."""
+the one-digit-at-a-time base-p expansion, the profinite-integer operations
+composed of checked p-adic components that the integer ones replace, and the
+Schwartz-Bruhat operations on tuples of Python complex that the array ones
+replace."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +43,22 @@ from pqm.finiteqm import (
     reflect,
     tensor_join,
 )
-from pqm.numbers import ZERO_MOD1, PadicInt, RatMod1, crt_idempotents, valuation
+from pqm.numbers import (
+    ZERO_MOD1,
+    PadicInt,
+    PrecisionError,
+    ProfiniteInt,
+    RatMod1,
+    _qp_level,
+    char_chi_p,
+    crt_idempotents,
+    crt_join_mu,
+    factorize,
+    project_xi,
+    valuation,
+)
 from pqm.poset import FinitePoset
-from pqm.profinite_hw import ProfiniteHWElement
+from pqm.profinite_hw import GlobalProfiniteHW, ProfiniteHWElement, phw_project
 from pqm.schwartz_bruhat import GlobalSBFunction, LocalSBFunction
 
 
@@ -168,6 +184,47 @@ def phw_inv_oracle(g: ProfiniteHWElement) -> ProfiniteHWElement:
 
 def phw_commutator_oracle(g: ProfiniteHWElement, h: ProfiniteHWElement) -> ProfiniteHWElement:
     return phw_mul_oracle(phw_mul_oracle(g, h), phw_inv_oracle(phw_mul_oracle(h, g)))
+
+
+def profinite_component_oracle(x: ProfiniteInt, p: int, precision: int) -> PadicInt:
+    """``ProfiniteInt.component`` through the checked ``PadicInt.from_int``."""
+    a = x.overrides.get(p)
+    if a is None:
+        return PadicInt.from_int(x.tail, p, precision)
+    if a.precision < precision:
+        raise PrecisionError(f"component at p={p} has precision {a.precision} < {precision}")
+    return PadicInt.from_int(a.residue, p, precision)
+
+
+def profinite_merge_oracle(x: ProfiniteInt, y: ProfiniteInt, op) -> ProfiniteInt:
+    """op (+, - or *) on checked components at each override prime."""
+    out = {}
+    for p in set(x.overrides) | set(y.overrides):
+        n = int(min(o.overrides[p].precision if p in o.overrides else math.inf for o in (x, y)))
+        out[p] = op(profinite_component_oracle(x, p, n), profinite_component_oracle(y, p, n))
+    return ProfiniteInt(out, op(x.tail, y.tail))
+
+
+def profinite_residue_oracle(x: ProfiniteInt, n: int) -> int:
+    comps = (project_xi(profinite_component_oracle(x, p, e), e) for p, e in factorize(n).items())
+    return crt_join_mu(n, tuple(comps))
+
+
+def phw_global_project_factors_oracle(g: GlobalProfiniteHW, n: int) -> dict:
+    """Each factor projected through a checked ``ProfiniteHWElement``."""
+    out = {}
+    for p, e in factorize(n).items():
+        parts = (profinite_component_oracle(x, p, e) for x in (g.a, g.b, g.c))
+        out[p] = phw_project(ProfiniteHWElement(*parts), e)
+    return out
+
+
+def char_chi_global_oracle(a: ProfiniteInt, b: dict) -> RatMod1:
+    q = ZERO_MOD1
+    for p, bp in b.items():
+        if bp:
+            q = q + char_chi_p(profinite_component_oracle(a, p, _qp_level(bp, p)), bp)
+    return q
 
 
 def hw_mul_oracle(d1: HWElement, d2: HWElement) -> HWElement:

@@ -120,34 +120,43 @@ class TestFourierCommand:
         assert "non-finite" in _one_error_line(capsys)
         assert not out.exists()
 
+    _PAIRS = "amplitudes must be [re, im] number pairs"
+
     @pytest.mark.parametrize(
-        "n, amplitudes",
+        "n, amplitudes, reason",
         [
-            ("2", "[[1" + "0" * 400 + ", 0.0], [0.0, 0.0]]"),  # beyond the float range
-            ("2.7", "[[1.0, 0.0], [0.0, 0.0]]"),
-            ("2.0", "[[1.0, 0.0], [0.0, 0.0]]"),
-            ("true", "[[1.0, 0.0]]"),
-            ('"2"', "[[1.0, 0.0], [0.0, 0.0]]"),
-            ("2", '[["1", 0.0], [0.0, 0.0]]'),
-            ("2", "[[1.0, null], [0.0, 0.0]]"),
-            ("2", "[[1.0], [0.0, 0.0]]"),
-            ("2", "[[1.0], [0.0]]"),
-            ("2", "[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]"),
-            ("2", "[[[1.0, 0.0]], [[0.0, 0.0]]]"),
-            ("2", "[1.0, 0.0]"),
+            ("2", "[[1" + "0" * 400 + ", 0.0], [0.0, 0.0]]", None),  # beyond the float range
+            ("2.7", "[[1.0, 0.0], [0.0, 0.0]]", "n=2.7 is not an integer"),
+            ("2.0", "[[1.0, 0.0], [0.0, 0.0]]", "n=2.0 is not an integer"),
+            ("true", "[[1.0, 0.0]]", "n=True is not an integer"),
+            ('"2"', "[[1.0, 0.0], [0.0, 0.0]]", "n='2' is not an integer"),
+            ("2", '[["1", 0.0], [0.0, 0.0]]', _PAIRS),
+            ("2", "[[1.0, null], [0.0, 0.0]]", _PAIRS),
+            # every shape that is not n pairs, ragged ones too, names the format
+            ("2", "[[1.0], [0.0, 0.0]]", _PAIRS),
+            ("2", "[[1.0], [0.0]]", _PAIRS),
+            ("2", "[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]", _PAIRS),
+            ("2", "[[[1.0, 0.0]], [[0.0, 0.0]]]", _PAIRS),
+            ("2", "[1.0, 0.0]", _PAIRS),
+            ("2", "[[1.0, 0.0], 5]", _PAIRS),
+            ("2", "[[1.0, 0.0], [[0.0, 0.0]]]", _PAIRS),
         ],
         ids=[
             "int_beyond_float", "fractional_n", "float_n", "bool_n", "string_n",
             "string_amplitude", "null_amplitude", "short_pair", "short_pairs",
-            "long_pairs", "nested_pairs", "flat_list",
+            "long_pairs", "nested_pairs", "flat_list", "pair_then_number",
+            "pair_then_nested_pair",
         ],
     )
-    def test_malformed_state_exits_2(self, n, amplitudes, tmp_path, capsys):
+    def test_malformed_state_exits_2(self, n, amplitudes, reason, tmp_path, capsys):
         src = tmp_path / "f.json"
         src.write_text(f'{{"n": {n}, "rep": "position", "amplitudes": {amplitudes}}}')
         out = tmp_path / "o.json"
         assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
-        assert _one_error_line(capsys).startswith(f"pqm: error: malformed state file {src}: ")
+        line = _one_error_line(capsys)
+        assert line.startswith(f"pqm: error: malformed state file {src}: ")
+        if reason is not None:
+            assert line == f"pqm: error: malformed state file {src}: {reason}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"abc"'], ids=["list", "string"])

@@ -250,6 +250,13 @@ class TestProjectLift:
         with pytest.raises(PrecisionError):
             project_xi(PadicInt.from_int(1, 2, 3), 4)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_level_below_one_is_not_a_precision_error(self, k):
+        # no digit count is too small for xi_0; the level itself is invalid
+        with pytest.raises(ValueError, match="^k must be >= 1$") as info:
+            project_xi(PadicInt.from_int(1, 2, 3), k)
+        assert not isinstance(info.value, PrecisionError)
+
     def test_lift_half(self):
         assert lift_tilde_xi(1, 1, 2).as_fraction == Fraction(1, 2)
 
@@ -461,6 +468,15 @@ class TestProfiniteInt:
         a = ProfiniteInt({2: PadicInt.from_int(1, 2, 2)}, tail=0)
         with pytest.raises(PrecisionError):
             a.component(2, 5)
+
+    def test_component_refuses_a_composite_key(self):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            ProfiniteInt(tail=5).component(4, 3)
+
+    def test_chi_global_refuses_a_composite_key(self):
+        # 1/4 lies in Q_4/Z_4's place only by its denominator; 4 is no prime
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            char_chi_global(ProfiniteInt(tail=3), {4: RatMod1.of(1, 4)})
 
     @pytest.mark.parametrize("tail", [2.5, "3", None, Fraction(1, 2)])
     def test_non_integer_tail_is_refused(self, tail):

@@ -106,6 +106,36 @@ class TestProjections:
                     assert reduced == phw_project(g, k)
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize(
+        "fields, name",
+        [((1, 2, 3), "a"), ((PadicInt.from_int(1, 2, 3), 2.0, None), "b")],
+    )
+    def test_local_element_names_the_field(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a PadicInt, got "):
+            ProfiniteHWElement(*fields)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [((1, 2, 3), "a"), ((ProfiniteInt(tail=1), ProfiniteInt(tail=2), 3), "c")],
+    )
+    def test_global_element_names_the_field(self, fields, name):
+        # refused here, not at the first projection
+        with pytest.raises(ValueError, match=f"^{name} must be a ProfiniteInt, got "):
+            GlobalProfiniteHW(*fields)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_projection_level_below_one(self, k):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            phw_project(ProfiniteHWElement.from_ints(1, 2, 3, 3, 4), k)
+
+    @pytest.mark.parametrize("project", [phw_global_project, phw_global_project_factors])
+    def test_global_projection_needs_n_at_least_2(self, project):
+        # Z(1) is refused by both, not answered with an empty factorization
+        with pytest.raises(ValueError, match="^n must be >= 2$"):
+            project(GlobalProfiniteHW.from_tail(1, 2, 3), 1)
+
+
 class TestGlobal:
     def test_integer_tails_close(self):
         g = GlobalProfiniteHW.from_tail(2, 3, 4)

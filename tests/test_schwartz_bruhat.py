@@ -483,6 +483,17 @@ class TestSizeBound:
             lambda: delta_family(2, 21), "result size 2^21 exceeds bound 1048576"
         )
 
+    @pytest.mark.parametrize("side", [POSITION, MOMENTUM])
+    def test_canonicalize_global(self, side):
+        # 2^11 and 3^7 values are each in bound; their tensor on Z(2^11 3^7),
+        # 4478976 values, is not
+        f = GlobalSBFunction.product(
+            side, {2: _random_local(2, 11, side), 3: _random_local(3, 7, side)}
+        )
+        _refused_before_allocation(
+            lambda: canonicalize_global(f), "result size 4478976 exceeds bound 1048576"
+        )
+
 
 class TestQpZpMembership:
     """Q_p/Z_p membership is decided in one place, with one message."""
