@@ -39,7 +39,6 @@ from .numbers import (
     crt_idempotents,
     crt_split_mu,
     crt_split_nu_hat,
-    rat_decompose,
 )
 
 
@@ -413,20 +412,6 @@ class PhasePoint:
     def frak_a(self) -> RatMod1:
         """c a/(2n), over 4n on the doubled grid."""
         return RatMod1.of(_chi_coeff(self.n) * self.a, (4 if self.doubled else 2) * self.n)
-
-    def canonical(self) -> "PhasePoint":
-        """Reduce the a-index by the exact quarter period when one exists."""
-        q = parity_quarter_period(self.n, self.doubled)
-        if q is None:
-            return self
-        return PhasePoint(self.n, self.a % q, self.b, self.doubled)
-
-
-def parity_quarter_period(n: int, doubled: bool = False) -> int | None:
-    """The a-index shift equal to 1/4 in Q/Z, when it lies on the grid."""
-    if n % 2:
-        return None  # 1/4 is not a multiple of 1/n for odd n
-    return n if doubled else n // 2
 
 
 def parity_displacement(pt: PhasePoint) -> HWElement:
@@ -855,30 +840,4 @@ def tensor_join(
         a = a + cur
     src, _ = _flat_indices(n, rep)
     return FiniteState(n, rep, a.flat[src].copy())
-
-
-def hw_factor(d: HWElement) -> dict[int, HWElement]:
-    """Factor D on Z(n) into prime-power displacement operators.
-
-    The continuum labels a and c split by exact partial fractions, the
-    position shift b by reduction; the per-prime scalar phases absorb the
-    half-phase bookkeeping so the matrix identity is exact.
-    """
-    factors = crt_idempotents(d.n)
-    a_parts = rat_decompose(d.frak_a)
-    c_parts = rat_decompose(d.frak_c)
-    out = {}
-    covered = ZERO_MOD1
-    for fac in factors:
-        c_local = c_parts.get(fac.p, ZERO_MOD1)
-        covered = covered + c_local
-        out[fac.p] = HWElement.from_phase_space(
-            fac.q, a_parts.get(fac.p, ZERO_MOD1), d.beta, c_local
-        )
-    # scalar phase supported away from the primes of n rides on one factor
-    extra = d.frak_c - covered
-    if extra:
-        p0 = factors[0].p
-        out[p0] = hw_scalar_mul(out[p0], extra)
-    return out
 

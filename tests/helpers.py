@@ -1,8 +1,7 @@
-"""Checks that only the tests call: unitarity, the exact CRT factorization
-of a displacement matrix, the partial-order axioms of a finite poset, the
-Weyl and Wigner functions composed from the public state maps, the
-one-state-at-a-time embedding laws that the stacked ones replace, the
-checked operation-by-operation group laws that the integer ones replace,
+"""Checks that only the tests call: unitarity, the partial-order axioms of a
+finite poset, the Weyl and Wigner functions composed from the public state
+maps, the whole-table Wigner CSV writer, the one-state-at-a-time embedding laws that the stacked ones replace,
+the checked operation-by-operation group laws that the integer ones replace,
 the one-digit-at-a-time base-p expansion, the profinite-integer operations
 composed of checked p-adic components that the integer ones replace, and the
 Schwartz-Bruhat operations on tuples of Python complex that the array ones
@@ -27,15 +26,12 @@ from pqm.finiteqm import (
     FiniteState,
     HWElement,
     PhasePoint,
-    _flat_indices,
     displace,
     fourier,
-    hw_factor,
     _chi_coeff,
     _dilation,
     _unit,
     extend,
-    hw_matrix,
     inner,
     norm,
     parity_apply,
@@ -51,7 +47,6 @@ from pqm.numbers import (
     RatMod1,
     _qp_level,
     char_chi_p,
-    crt_idempotents,
     crt_join_mu,
     factorize,
     project_xi,
@@ -67,16 +62,15 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol)
 
 
-def hw_factor_matrix_check(d: HWElement) -> float:
-    """Max-norm gap between matrix(D) and the remapped tensor of its factors."""
-    factors = crt_idempotents(d.n)
-    parts = hw_factor(d)
-    full = np.array([[1.0 + 0j]])
-    for fac in factors:
-        full = np.kron(full, hw_matrix(parts[fac.p]))
-    src, _ = _flat_indices(d.n, POSITION)
-    remapped = full[np.ix_(src, src)]
-    return float(np.max(np.abs(remapped - hw_matrix(d))))
+def wigner_csv_oracle(table: np.ndarray) -> str:
+    """The ``pqm wigner`` CSV of ``table`` built as one text, the whole-table
+    writer that the one-a-row-at-a-time writer replaces."""
+    text = "".join(
+        f"{a},{b},{re!r},{im!r}\n"
+        for a, (res, ims) in enumerate(zip(table.real.tolist(), table.imag.tolist()))
+        for b, (re, im) in enumerate(zip(res, ims))
+    )
+    return "a,b,re,im\n" + text
 
 
 def poset_axioms_hold(poset: FinitePoset) -> bool:

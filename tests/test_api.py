@@ -33,13 +33,13 @@ SURFACE = {
     "finiteqm": {
         "FiniteState", "HWElement", "MOMENTUM", "POSITION", "ParityCheckResult",
         "PhasePoint", "coherent_check", "displace", "extend", "fourier",
-        "fourier_good", "fourier_matrix", "hw_adjoint", "hw_factor", "hw_identity",
+        "fourier_good", "fourier_matrix", "hw_adjoint", "hw_identity",
         "hw_matrix", "hw_mul", "hw_scalar_mul", "hw_x", "hw_z", "inner",
         "marginal_a_expected", "marginal_a_matrix", "marginal_b_expected",
         "marginal_b_matrix", "momentum_pairing", "norm", "operator_expand",
         "parity_apply", "parity_displacement", "parity_expand_check",
         "parity_marginal_a_matrix", "parity_marginal_b_matrix", "parity_matrix",
-        "parity_quarter_period", "random_operator", "random_state", "reflect",
+        "random_operator", "random_state", "reflect",
         "resolution_identity_check", "tensor_factor", "tensor_join", "to_momentum",
         "to_position", "weyl_wigner", "wigner_table",
     },

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pqm
+from helpers import wigner_csv_oracle
 from pqm import finiteqm as fq
 from pqm import poset as ps
 from pqm import verify
@@ -125,13 +126,17 @@ class TestFourierCommand:
     @pytest.mark.parametrize(
         "n, amplitudes, reason",
         [
-            ("2", "[[1" + "0" * 400 + ", 0.0], [0.0, 0.0]]", None),  # beyond the float range
+            ("2", "[[1" + "0" * 400 + ", 0.0], [0.0, 0.0]]", "amplitude beyond the float range"),
             ("2.7", "[[1.0, 0.0], [0.0, 0.0]]", "n=2.7 is not an integer"),
             ("2.0", "[[1.0, 0.0], [0.0, 0.0]]", "n=2.0 is not an integer"),
             ("true", "[[1.0, 0.0]]", "n=True is not an integer"),
             ('"2"', "[[1.0, 0.0], [0.0, 0.0]]", "n='2' is not an integer"),
             ("2", '[["1", 0.0], [0.0, 0.0]]', _PAIRS),
             ("2", "[[1.0, null], [0.0, 0.0]]", _PAIRS),
+            # numpy reads JSON true as 1, or as 1.0 beside a float
+            ("2", "[[true, false], [false, true]]", _PAIRS),
+            ("2", "[[1, 0], [true, 0]]", _PAIRS),
+            ("2", "[[0.5, 0.5], [false, 0.25]]", _PAIRS),
             # every shape that is not n pairs, ragged ones too, names the format
             ("2", "[[1.0], [0.0, 0.0]]", _PAIRS),
             ("2", "[[1.0], [0.0]]", _PAIRS),
@@ -143,7 +148,8 @@ class TestFourierCommand:
         ],
         ids=[
             "int_beyond_float", "fractional_n", "float_n", "bool_n", "string_n",
-            "string_amplitude", "null_amplitude", "short_pair", "short_pairs",
+            "string_amplitude", "null_amplitude", "bool_amplitudes",
+            "bool_beside_int", "bool_beside_float", "short_pair", "short_pairs",
             "long_pairs", "nested_pairs", "flat_list", "pair_then_number",
             "pair_then_nested_pair",
         ],
@@ -153,10 +159,7 @@ class TestFourierCommand:
         src.write_text(f'{{"n": {n}, "rep": "position", "amplitudes": {amplitudes}}}')
         out = tmp_path / "o.json"
         assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
-        line = _one_error_line(capsys)
-        assert line.startswith(f"pqm: error: malformed state file {src}: ")
-        if reason is not None:
-            assert line == f"pqm: error: malformed state file {src}: {reason}\n"
+        assert _one_error_line(capsys) == f"pqm: error: malformed state file {src}: {reason}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"abc"'], ids=["list", "string"])
@@ -224,7 +227,7 @@ class TestWignerCommand:
             a, b, re, im = line.split(",")
             assert abs(float(im)) <= 1e-12  # Wigner rows are real
 
-    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("n", [2, 7, 8, 17])
     @pytest.mark.parametrize(
         "flags, kind, doubled",
         [
@@ -241,6 +244,8 @@ class TestWignerCommand:
         assert main(["wigner", *flags, "--in", str(src), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         doubled = doubled and n % 2 == 0
+        # the bytes of the whole-table writer
+        assert out.read_bytes() == wigner_csv_oracle(fq.wigner_table(f, kind, doubled)).encode()
         a_range = 2 * n if doubled else n
         assert lines[0] == "a,b,re,im" and len(lines) == 1 + a_range * n
         for i, line in enumerate(lines[1:]):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import hw_factor_matrix_check, is_unitary
+from helpers import is_unitary
 from pqm.numbers import RatMod1
 from pqm.finiteqm import (
     MOMENTUM,
@@ -20,7 +20,6 @@ from pqm.finiteqm import (
     fourier_good,
     fourier_matrix,
     hw_adjoint,
-    hw_factor,
     hw_identity,
     hw_matrix,
     hw_mul,
@@ -39,7 +38,6 @@ from pqm.finiteqm import (
     parity_marginal_a_matrix,
     parity_marginal_b_matrix,
     parity_matrix,
-    parity_quarter_period,
     random_operator,
     random_state,
     resolution_identity_check,
@@ -518,26 +516,18 @@ class TestParity:
                 ) < 1e-12
 
     def test_quarter_period_even(self):
+        # the a-index shift equal to 1/4 in Q/Z: n/2, or n on the doubled grid
         for n in (2, 4, 6, 12):
-            q = parity_quarter_period(n)
-            assert q == n // 2
+            q = n // 2
             for _ in range(4):
                 a = int(RNG.integers(0, n - q))
                 b = int(RNG.integers(0, n))
                 p1 = parity_matrix(PhasePoint(n, a, b))
                 p2 = parity_matrix(PhasePoint(n, a + q, b))
                 assert np.max(np.abs(p1 - p2)) < 1e-12
-                assert PhasePoint(n, a, b).canonical() == PhasePoint(n, a + q, b).canonical()
-            qd = parity_quarter_period(n, doubled=True)
-            assert qd == n
             pd1 = parity_matrix(PhasePoint(n, 1, 1, True))
             pd2 = parity_matrix(PhasePoint(n, 1 + n, 1, True))
             assert np.max(np.abs(pd1 - pd2)) < 1e-12
-
-    def test_quarter_period_odd_absent(self):
-        assert parity_quarter_period(9) is None
-        pt = PhasePoint(9, 4, 2)
-        assert pt.canonical() == pt
 
 
 class TestWeylWigner:
@@ -920,26 +910,6 @@ class TestTensor:
         ]
         got = tensor_join(out_terms, 6, MOMENTUM)
         assert np.max(np.abs(got.amplitudes - fourier(f).amplitudes)) < 1e-12
-
-    @pytest.mark.parametrize("n", [6, 10, 12, 15])
-    def test_displacement_factorizes(self, n):
-        for _ in range(8):
-            a, b, g = (int(v) for v in RNG.integers(0, n, 3))
-            assert hw_factor_matrix_check(HWElement.from_canonical(n, a, b, g)) < 1e-12
-
-    def test_hw_factor_component_count(self):
-        parts = hw_factor(HWElement.from_canonical(12, 5, 7, 1))
-        assert set(parts) == {2, 3}
-        assert parts[2].n == 4 and parts[3].n == 3
-
-    def test_hw_factor_with_foreign_scalar_phase(self):
-        # a scalar prefactor supported away from the primes of n must ride
-        # on one factor and keep the matrix identity exact
-        from pqm.finiteqm import hw_scalar_mul
-        from pqm.numbers import RatMod1
-
-        d = hw_scalar_mul(HWElement.from_canonical(6, 1, 5, 2), RatMod1(2, 7))
-        assert hw_factor_matrix_check(d) < 1e-12
 
 
 class TestLargeN:
