@@ -218,7 +218,7 @@ def cmd_poset(args) -> int:
             payload = {"n": args.n, args.query: payload[args.query]}
     elif args.query == "topology":
         poset = ps.divisor_poset(args.n)
-        t1, witness = ps.check_t1(poset)
+        t1, witness = ps.divisor_t1(args.n, tuple(nm.factorize(args.n)))
         payload = {
             "n": args.n,
             "T0": ps.check_t0(poset),

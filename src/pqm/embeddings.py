@@ -194,40 +194,74 @@ def compat_suite(k: int, ell: int, m: int, rng) -> dict[str, float]:
 
     On a finite target ``state_embed`` is ``extend``, so each law acts on its
     samples as one (samples, k) stack of values; the random draws keep the
-    order of one state at a time.
+    order of one state at a time.  This is ``_compat_suites``' stack of one.
     """
-    k_ell, ell_m, k_m = EmbeddingSpec(k, ell), EmbeddingSpec(ell, m), EmbeddingSpec(k, m)
-    out = {}
+    return _compat_suites([(k, ell, m)], rng)[0]
 
-    # np.max over each law's gaps, so a NaN gap is the law's residual
-    # [rep, sample, real/imaginary, x]: one state after the other
-    draws = rng.standard_normal((2, _COMPAT_SAMPLES, 2, k))
-    gaps = []
-    for rep, d in zip((POSITION, MOMENTUM), draws):
-        v = d[:, 0] + 1j * d[:, 1]
-        two_step = _extend_values(_extend_values(v, rep, ell), rep, m)
-        gaps.append(np.max(np.abs(two_step - _extend_values(v, rep, m))))
-    out["composition"] = float(np.max(gaps))
 
-    d = rng.standard_normal((_COMPAT_SAMPLES, 2, k))
-    v = d[:, 0] + 1j * d[:, 1]
-    lhs = _extend_values(_fourier_values(v, POSITION), MOMENTUM, ell)
-    rhs = _fourier_values(_extend_values(v, POSITION, ell), POSITION)
-    out["fourier_intertwining"] = float(np.max(np.abs(lhs - rhs)))
-
-    # each sample draws its state, then its exact element
-    rows, els = [], []
-    for _ in range(_COMPAT_SAMPLES):
-        rows.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        a, b, g = (int(t) for t in rng.integers(0, k, 3))
+def _compat_draws(k: int, rng) -> tuple[np.ndarray, list[HWElement]]:
+    """One chain's states and elements, drawn in the order of one state at a
+    time: the composition states (rep by rep), the Fourier states, then for
+    each sample its state and its exact element.  Each run of normal draws
+    is one call; an integer draw keeps its place between them, since it
+    leaves half a word in the generator for the next one."""
+    s = _COMPAT_SAMPLES
+    normals = [rng.standard_normal(2 * k * (3 * s + 1))]
+    els = []
+    for i in range(s):
+        if i:
+            normals.append(rng.standard_normal(2 * k))
+        a, b, g = rng.integers(0, k, 3).tolist()
         els.append(HWElement.from_canonical(k, a, b, g))
-    v = np.array(rows)
-    lhs = _extend_values(_displace_values(v, POSITION, *_element_columns(els)), POSITION, ell)
-    embedded = _element_columns([hw_embed(el, k_ell) for el in els])
-    rhs = _displace_values(_extend_values(v, POSITION, ell), POSITION, *embedded)
-    out["hw_intertwining"] = float(np.max(np.abs(lhs - rhs)))
+    d = np.concatenate(normals).reshape(-1, 2, k)  # [state, real/imaginary, x]
+    return d[:, 0] + 1j * d[:, 1], els
 
-    out["character_preservation"] = float(not _characters_preserved(k, ell))
+
+def _compat_suites(chains, rng) -> list[dict[str, float]]:
+    """``compat_suite`` on each chain (k, ell, m) in turn, bit for bit.
+
+    The draws keep chain order.  The composition law, which reads m, runs
+    once per chain; the Fourier, HW and character laws run once per group
+    of chains that share (k, ell), on the stack of the group's samples, and
+    each chain's residual is the largest gap of its own rows (np.max, so a
+    NaN gap is its law's residual).
+    """
+    s = _COMPAT_SAMPLES
+    out: list[dict[str, float]] = []
+    draws, els = [], []
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (k, ell, m) in enumerate(chains):
+        EmbeddingSpec(k, ell), EmbeddingSpec(ell, m)  # so k | m too
+        v, chain_els = _compat_draws(k, rng)
+        draws.append(v)
+        els.append(chain_els)
+        groups.setdefault((k, ell), []).append(i)
+        gaps = []
+        for rep, rows in zip((POSITION, MOMENTUM), (v[:s], v[s : 2 * s])):
+            two_step = _extend_values(_extend_values(rows, rep, ell), rep, m)
+            gaps.append(np.max(np.abs(two_step - _extend_values(rows, rep, m))))
+        out.append({"composition": float(np.max(gaps))})
+
+    for (k, ell), members in groups.items():
+        v = np.stack([draws[i] for i in members])  # [chain, state, x]
+        f, h = v[:, 2 * s : 3 * s].reshape(-1, k), v[:, 3 * s :].reshape(-1, k)
+        lhs = _extend_values(_fourier_values(f, POSITION), MOMENTUM, ell)
+        rhs = _fourier_values(_extend_values(f, POSITION, ell), POSITION)
+        fourier_gaps = np.abs(lhs - rhs).reshape(len(members), -1).max(axis=1)
+
+        group_els = [el for i in members for el in els[i]]
+        lhs = _displace_values(h, POSITION, *_element_columns(group_els))
+        lhs = _extend_values(lhs, POSITION, ell)
+        spec = EmbeddingSpec(k, ell)
+        embedded = _element_columns([hw_embed(el, spec) for el in group_els])
+        rhs = _displace_values(_extend_values(h, POSITION, ell), POSITION, *embedded)
+        hw_gaps = np.abs(lhs - rhs).reshape(len(members), -1).max(axis=1)
+
+        broken = float(not _characters_preserved(k, ell))
+        for i, fg, hg in zip(members, fourier_gaps.tolist(), hw_gaps.tolist()):
+            out[i].update(
+                fourier_intertwining=fg, hw_intertwining=hg, character_preservation=broken
+            )
     return out
 
 

@@ -101,20 +101,29 @@ def is_prime(p: int) -> bool:
 def factorize(n: int) -> Mapping[int, int]:
     """Prime factorization ``{p: e}`` with primes in increasing order.
 
-    The mapping is read-only: every caller of a given n shares it.
+    Trial division stops once the cofactor is prime (``is_prime``, asked
+    before the first division and after each factor found), so a prime, or
+    a small number times one, answers at once.  Above ``_PRIMALITY_BOUND`` a
+    cofactor that passes every Miller-Rabin base is a ValueError.  The
+    mapping is read-only: every caller of a given n shares it.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
     m = n
     f = 2
-    while f * f <= m:
-        while m % f == 0:
-            out[f] = out.get(f, 0) + 1
-            m //= f
+    prime = is_prime(m)
+    while not prime and f * f <= m:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            out[f] = e
+            prime = is_prime(m)
         f += 1 if f == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
+    if m > 1:  # prime, and above every factor found
+        out[m] = 1
     return MappingProxyType(out)
 
 
@@ -368,15 +377,21 @@ def padic_ord_abs(
 
 
 def ostrowski_product(q: "Fraction | int") -> Fraction:
-    """|q|_inf * prod_p |q|_p over the primes dividing q; equals 1 exactly."""
+    """|q|_inf * prod_p |q|_p over the primes dividing q; equals 1 exactly.
+
+    On the integers of q = num/den: |q|_p is p^(v_p(den)) at a p dividing
+    den and p^(-v_p(num)) at a p dividing num, so the product is
+    |num| prod p^(v_p(den)) / (den prod p^(v_p(num))), one Fraction at the end.
+    """
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
-    out = abs(q)
-    for p in set(factorize(abs(q.numerator))) | set(factorize(q.denominator)):
-        _, absp = padic_ord_abs(q, p)
-        out *= absp
-    return out
+    top, bottom = abs(q.numerator), q.denominator
+    for p, e in factorize(q.denominator).items():
+        top *= p**e
+    for p, e in factorize(abs(q.numerator)).items():
+        bottom *= p**e
+    return Fraction(top, bottom)
 
 
 def project_xi(a: PadicInt, k: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .numbers import factorize, is_prime
 
@@ -427,10 +427,29 @@ def check_t1(poset: FinitePoset) -> "tuple[bool, tuple | None]":
     Returns (is_T1, witness): the witness pair (m, x) has m strictly below
     x, so every open set containing x also contains m.  A poset with no
     strict pair (an antichain, in particular a singleton) is vacuously T1.
+    The scan is the oracle of ``divisor_t1``.
     """
     els = poset.elements
     for x in els:
         for m in els:
             if m != x and poset.leq(m, x):
                 return False, (m, x)
+    return True, None
+
+
+def divisor_t1(n: int, primes: Sequence[int]) -> "tuple[bool, tuple[int, int] | None]":
+    """``check_t1(divisor_poset(n))`` in closed form, from the distinct primes
+    of n in increasing order (only the first two are read).
+
+    On the sorted N(n) the scan stops at the least composite divisor x with
+    its least divisor p, the least prime of n: x is p^2 if p^2 | n, else
+    p q with q the next prime of n.  N(p) = {p} is vacuously T1.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    p = primes[0]
+    if n % (p * p) == 0:
+        return False, (p, p * p)
+    if len(primes) > 1:
+        return False, (p, p * primes[1])
     return True, None

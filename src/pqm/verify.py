@@ -19,7 +19,7 @@ from . import finiteqm as fq
 from . import numbers as nm
 from . import poset as ps
 from . import schwartz_bruhat as sb
-from .embeddings import EmbeddingSpec, compat_suite, phase_embed_character, ubiquity_check
+from .embeddings import EmbeddingSpec, _compat_suites, phase_embed_character, ubiquity_check
 # by name: perfbench's tracer swaps fq._displacement_grid for a counter that would raise
 from .finiteqm import MOMENTUM, POSITION, _displacement_grid
 
@@ -98,13 +98,23 @@ def suite_fourier(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("fourier", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed)
     for n in range(2, 31):
-        for _ in range(cfg.samples):
-            f = fq.random_state(n, rng)
-            g = fq.random_state(n, rng)
-            f4 = fq.fourier(fq.fourier(fq.fourier(fq.fourier(f))))
-            rep.gap("fourier_fourth_power_is_identity", f4.amplitudes, f.amplitudes, 1e-10)
-            parseval = abs(fq.inner(f, g) - fq.inner(fq.fourier(f), fq.fourier(g)))
-            rep.case("parseval", parseval, 1e-12)
+        # random_state's draws for f and g of every sample in one call:
+        # [sample, f/g, real/imaginary, x], normalized row by row as norm does
+        d = rng.standard_normal((cfg.samples, 2, 2, n))
+        v = d[:, :, 0] + 1j * d[:, :, 1]
+        w = fq._measure_weight(n, POSITION)
+        norms = [math.sqrt(w * np.vdot(r, r).real) for r in v.reshape(-1, n)]
+        v /= np.reshape(norms, (-1, 2, 1))
+        fv = fq._fourier_values(v, POSITION)
+        f4 = fq._fourier_values(fv[:, 0], MOMENTUM)
+        f4 = fq._fourier_values(fq._fourier_values(f4, POSITION), MOMENTUM)
+        rep.gap("fourier_fourth_power_is_identity", f4, v[:, 0], 1e-10)
+        # inner(f, g) against inner(F f, F g), row by row as inner does
+        parseval = [
+            abs(w * complex(np.vdot(f, g)) - complex(np.vdot(ff, fg)))
+            for (f, g), (ff, fg) in zip(v, fv)
+        ]
+        rep.case("parseval", np.max(parseval), 1e-12)
     return rep.done()
 
 
@@ -144,8 +154,7 @@ def suite_hw(cfg: VerifyConfig) -> list[CheckResult]:
         # the exact products pair by pair, then the matrices of all pairs
         # of this n in one stack, so one stacked product checks them
         left, right, prod = [], [], []
-        for _ in range(pairs):
-            a1, b1, g1, a2, b2, g2 = (int(v) for v in rng.integers(0, n, 6))
+        for a1, b1, g1, a2, b2, g2 in rng.integers(0, n, (pairs, 6)).tolist():
             d1 = fq.HWElement.from_canonical(n, a1, b1, g1)
             d2 = fq.HWElement.from_canonical(n, a2, b2, g2)
             left.append(d1)
@@ -351,8 +360,9 @@ def _ubiquity_pairs() -> list[tuple[int, int]]:
 def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("embeddings", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 7)
-    for k, ell, m in _divisor_chains(_LABEL_LIMIT):
-        for law, residual in compat_suite(k, ell, m, rng).items():
+    chains = list(_divisor_chains(_LABEL_LIMIT))
+    for (k, ell, m), residuals in zip(chains, _compat_suites(chains, rng)):
+        for law, residual in residuals.items():
             name, tol = _COMPAT_CHECKS[law]
             rep.case(name, residual, tol)
         if m <= _CHARACTER_ORACLE_MAX:
@@ -382,10 +392,11 @@ def suite_numbers(cfg: VerifyConfig) -> list[CheckResult]:
         all(nm.PadicInt.from_int(-1, p, 6).digits == (p - 1,) * 6 for p in (2, 3, 5, 7)),
     )
 
-    for _ in range(1000):
-        num = int(rng.integers(-(10**6), 10**6)) or 1
-        den = int(rng.integers(1, 10**6))
-        rep.exact("ostrowski_product_is_one", nm.ostrowski_product(Fraction(num, den)) == 1)
+    # each row is the two draws (num in [-10^6, 10^6), den in [1, 10^6)) one
+    # after the other, as two scalar calls would make them
+    for num, den in rng.integers((-(10**6), 1), 10**6, (1000, 2)).tolist():
+        q = Fraction(num or 1, den)
+        rep.exact("ostrowski_product_is_one", nm.ostrowski_product(q) == 1)
 
     for n in range(2, 1001):
         v = np.arange(n)
@@ -432,12 +443,12 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     for n in range(2, limit + 1):
         p = ps.FinitePoset(tuple(divisors[n]))
         rep.exact("t0_everywhere", ps.check_t0(p))
-        is_t1, witness = ps.check_t1(p)
+        is_t1, witness = ps.divisor_t1(n, _least_primes(n, divisors))
         if len(p) > 1:
             # any non-singleton divisor universe has a strict pair, so T1
-            # must fail and the reported witness must be a strict pair
+            # must fail and the reported witness must be a strict pair of N(n)
             strict = witness is not None and witness[0] != witness[1] and (
-                witness[1] % witness[0] == 0
+                witness[1] % witness[0] == 0 and n % witness[1] == 0
             )
             rep.exact("t1_fails_with_witness_for_composite", not is_t1 and strict)
         else:
@@ -454,6 +465,9 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     for n in range(2, 121):
         p = ps.divisor_poset(n)
         rep.exact("t0_everywhere", ps._check_t0_pairwise(p))
+        # and T1 by the scan, the oracle of the closed form
+        closed = ps.divisor_t1(n, tuple(nm.factorize(n)))
+        rep.exact("t1_fails_with_witness_for_composite", ps.check_t1(p) == closed)
         want, got = ps.poset_width_length(p), ps.divisor_width_length(n)
         chains = got.chain_partition
         ok = (got.width, got.length, got.max_antichain) == (
@@ -464,6 +478,16 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
 
     rep.exact("symbolic_suprema", _symbolic_suprema_hold())
     return rep.done()
+
+
+def _least_primes(n: int, divisors: list[list[int]]) -> tuple[int, ...]:
+    """The least two distinct primes of n (one for a prime power), read from
+    the sieve: the least divisor > 1 of a number is its least prime."""
+    p = divisors[n][0]
+    rest = n // p
+    while rest % p == 0:
+        rest //= p
+    return (p,) if rest == 1 else (p, divisors[rest][0])
 
 
 def _symbolic_suprema_hold() -> bool:

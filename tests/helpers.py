@@ -5,20 +5,29 @@ the checked operation-by-operation group laws that the integer ones replace,
 the one-digit-at-a-time base-p expansion, the profinite-integer operations
 composed of checked p-adic components that the integer ones replace, and the
 Schwartz-Bruhat operations on tuples of Python complex that the array ones
-replace."""
+replace, the verify suites one sample at a time that the stacked suites
+replace, the ``Fraction`` Ostrowski product, and trial division to the
+square root."""
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from pqm import finiteqm as fq
+from pqm import numbers as nm
+from pqm import poset as ps
+from pqm import verify as vf
 from pqm.embeddings import (
     _COMPAT_SAMPLES,
     EmbeddingSpec,
     _characters_preserved,
     hw_embed,
+    phase_embed_character,
     position_entropy,
     state_embed,
+    ubiquity_check,
 )
 from pqm.finiteqm import (
     MOMENTUM,
@@ -49,6 +58,7 @@ from pqm.numbers import (
     char_chi_p,
     crt_join_mu,
     factorize,
+    padic_ord_abs,
     project_xi,
     valuation,
 )
@@ -373,3 +383,180 @@ def canonicalize_global_oracle(f: GlobalSBFunction) -> FiniteState:
         }
         terms.append((c, parts))
     return tensor_join(terms, ell, f.side)
+
+
+def factorize_oracle(n: int) -> dict[int, int]:
+    """``factorize`` by trial division up to the square root, with no
+    primality test on the cofactor."""
+    out: dict[int, int] = {}
+    m, f = n, 2
+    while f * f <= m:
+        while m % f == 0:
+            out[f] = out.get(f, 0) + 1
+            m //= f
+        f += 1 if f == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def ostrowski_product_oracle(q) -> Fraction:
+    """``ostrowski_product`` as a ``Fraction`` product of |q| and each |q|_p."""
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    out = abs(q)
+    for p in set(factorize(abs(q.numerator))) | set(factorize(q.denominator)):
+        _, absp = padic_ord_abs(q, p)
+        out *= absp
+    return out
+
+
+# The verify suites one sample (pair, chain, draw or poset) at a time, as they
+# were before their stacks: each returns what its stacked suite must return.
+
+
+def suite_fourier_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    rep = vf._Reporter("fourier", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed)
+    for n in range(2, 31):
+        for _ in range(cfg.samples):
+            f = fq.random_state(n, rng)
+            g = fq.random_state(n, rng)
+            f4 = fq.fourier(fq.fourier(fq.fourier(fq.fourier(f))))
+            rep.gap("fourier_fourth_power_is_identity", f4.amplitudes, f.amplitudes, 1e-10)
+            parseval = abs(fq.inner(f, g) - fq.inner(fq.fourier(f), fq.fourier(g)))
+            rep.case("parseval", parseval, 1e-12)
+    return rep.done()
+
+
+def suite_hw_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    rep = vf._Reporter("hw", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed + 2)
+    pairs = max(cfg.samples * 10, 20)
+    for n in range(2, 17):
+        left, right, prod = [], [], []
+        for _ in range(pairs):
+            a1, b1, g1, a2, b2, g2 = (int(v) for v in rng.integers(0, n, 6))
+            d1 = fq.HWElement.from_canonical(n, a1, b1, g1)
+            d2 = fq.HWElement.from_canonical(n, a2, b2, g2)
+            left.append(d1)
+            right.append(d2)
+            prod.append(fq.hw_mul(d1, d2))
+        rhs = fq._hw_matrices(left) @ fq._hw_matrices(right)
+        rep.gap("group_law_matches_matrices", fq._hw_matrices(prod), rhs, 1e-12)
+
+    for n in range(2, 17):
+        z, x = fq.hw_z(n), fq.hw_x(n)
+        el = fq.hw_mul(fq.hw_mul(z, x), fq.hw_mul(fq.hw_adjoint(z), fq.hw_adjoint(x)))
+        exact = el.alpha == 0 and el.beta == 0 and el.phase == nm.RatMod1(1, n)
+        rep.exact("zx_commutator_exact_phase", exact)
+        mz, mx = fq._hw_matrices([z, x])
+        m = mz @ mx @ mz.conj().T @ mx.conj().T
+        rep.gap("zx_commutator_matrices", m, fq._unit(1, n) * np.eye(n), 1e-12)
+    return rep.done()
+
+
+def suite_embeddings_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    """The compat laws chain by chain through ``compat_suite_oracle``."""
+    rep = vf._Reporter("embeddings", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed + 7)
+    for k, ell, m in vf._divisor_chains(vf._LABEL_LIMIT):
+        for law, residual in compat_suite_oracle(k, ell, m, rng).items():
+            name, tol = vf._COMPAT_CHECKS[law]
+            rep.case(name, residual, tol)
+        if m <= vf._CHARACTER_ORACLE_MAX:
+            spec, grid = EmbeddingSpec(k, ell), range(min(k, 8))
+            ok = all(phase_embed_character((x, fp), spec) for x in grid for fp in grid)
+            rep.exact("character_preservation_exact", ok)
+
+    rng2 = np.random.default_rng(cfg.seed + 8)
+    for k, r in vf._ubiquity_pairs():
+        f = fq.random_state(k, rng2)
+        for quantity, residual in ubiquity_check(f, EmbeddingSpec(k, r), rng2).items():
+            name, tol = vf._UBIQUITY_CHECKS[quantity]
+            rep.case(name, residual, tol)
+    return rep.done()
+
+
+def suite_numbers_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    """Two scalar draws per Ostrowski case, and the ``Fraction`` product."""
+    rep = vf._Reporter("numbers", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed + 9)
+
+    rep.exact(
+        "minus_one_digit_pattern",
+        all(nm.PadicInt.from_int(-1, p, 6).digits == (p - 1,) * 6 for p in (2, 3, 5, 7)),
+    )
+
+    for _ in range(1000):
+        num = int(rng.integers(-(10**6), 10**6)) or 1
+        den = int(rng.integers(1, 10**6))
+        rep.exact("ostrowski_product_is_one", ostrowski_product_oracle(Fraction(num, den)) == 1)
+
+    for n in range(2, 1001):
+        v = np.arange(n)
+        dims = tuple(f.q for f in nm.crt_idempotents(n))
+        mu = nm.crt_split_mu(n, v)
+        nu = nm.crt_split_nu_hat(n, v)
+        rep.exact(
+            "crt_round_trips_bijective",
+            np.array_equal(nm.crt_join_mu(n, mu), v)
+            and np.array_equal(nm.crt_join_nu_hat(n, nu), v)
+            and all(
+                np.all(np.bincount(np.ravel_multi_index(c, dims), minlength=n) == 1)
+                for c in (mu, nu)
+            ),
+        )
+
+    for n in (6, 12, 15):
+        factors = nm.crt_idempotents(n)
+        for mu in range(n):
+            for nu in range(n):
+                lhs = nm.char_omega(n, mu * nu)
+                rhs = nm.ZERO_MOD1
+                for f, m_i, n_i in zip(factors, nm.crt_split_mu(n, mu), nm.crt_split_nu_hat(n, nu)):
+                    rhs = rhs + nm.char_omega(f.q, n_i * m_i)
+                rep.exact("character_factorization_exact", lhs == rhs)
+    return rep.done()
+
+
+def suite_poset_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    """T1 by the ``check_t1`` scan on every divisor universe."""
+    rep = vf._Reporter("poset", cfg.tolerance)
+    limit = cfg.poset_limit
+
+    divisors: list[list[int]] = [[] for _ in range(limit + 1)]
+    for d in range(2, limit + 1):
+        for mult in range(d, limit + 1, d):
+            divisors[mult].append(d)
+
+    for n in range(2, limit + 1):
+        p = ps.FinitePoset(tuple(divisors[n]))
+        rep.exact("t0_everywhere", ps.check_t0(p))
+        is_t1, witness = ps.check_t1(p)
+        if len(p) > 1:
+            strict = witness is not None and witness[0] != witness[1] and (
+                witness[1] % witness[0] == 0
+            )
+            rep.exact("t1_fails_with_witness_for_composite", not is_t1 and strict)
+        else:
+            rep.exact("t1_fails_with_witness_for_composite", is_t1)
+
+    r12 = ps.poset_width_length(ps.divisor_poset(12))
+    r36 = ps.poset_width_length(ps.divisor_poset(36))
+    ok = r12.width == 2 and r36.width == 3 and r36.length == 4
+    rep.exact("width_length_oracle_values", ok)
+    for n in range(2, 121):
+        p = ps.divisor_poset(n)
+        rep.exact("t0_everywhere", ps._check_t0_pairwise(p))
+        want, got = ps.poset_width_length(p), ps.divisor_width_length(n)
+        chains = got.chain_partition
+        ok = (got.width, got.length, got.max_antichain) == (
+            want.width, want.length, want.max_antichain
+        )
+        ok = ok and len(chains) == want.width and ps.is_chain_partition(p, chains)
+        rep.exact("width_length_oracle_values", ok)
+
+    rep.exact("symbolic_suprema", vf._symbolic_suprema_hold())
+    return rep.done()

@@ -365,6 +365,40 @@ class TestPosetPadicCommands:
         m, x = out["T1_witness"]
         assert x % m == 0 and m != x
 
+    @pytest.mark.parametrize(
+        "n, line",
+        [
+            (2, '{"T0": true, "T1": true, "T1_witness": null, "n": 2}'),
+            (4, '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 4}'),
+            (12, '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 12}'),
+            (13, '{"T0": true, "T1": true, "T1_witness": null, "n": 13}'),
+            (30, '{"T0": true, "T1": false, "T1_witness": [2, 6], "n": 30}'),
+            (35, '{"T0": true, "T1": false, "T1_witness": [5, 35], "n": 35}'),
+            (45, '{"T0": true, "T1": false, "T1_witness": [3, 9], "n": 45}'),
+            (49, '{"T0": true, "T1": false, "T1_witness": [7, 49], "n": 49}'),
+            (1001, '{"T0": true, "T1": false, "T1_witness": [7, 77], "n": 1001}'),
+            (5040, '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 5040}'),
+            (
+                963761198400,
+                '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 963761198400}',
+            ),
+            # a prime and twice it: the factorization stops at the prime cofactor
+            (
+                1000000000000000003,
+                '{"T0": true, "T1": true, "T1_witness": null, "n": 1000000000000000003}',
+            ),
+            (
+                2000000000000000006,
+                '{"T0": true, "T1": false, "T1_witness": [2, 2000000000000000006], '
+                '"n": 2000000000000000006}',
+            ),
+        ],
+    )
+    def test_topology_bytes(self, n, line, capsys):
+        # the closed-form witness prints what the check_t1 scan printed
+        assert main(["poset", "--n", str(n), "topology"]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
     def test_partition_covers(self, capsys):
         assert main(["poset", "--n", "12", "partition"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -553,6 +587,23 @@ class TestPosetPadicCommands:
         assert main(["padic", "ostrowski", "--value", "3/4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["product"] == "1"
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ("1", "1"),
+            ("-1", "-1"),
+            ("3/4", "3/4"),
+            ("-720720/1001", "-720"),
+            ("1024", "1024"),
+            ("-59049/1048576", "-59049/1048576"),
+            ("1000003/999983", "1000003/999983"),
+            ("-1000000000000000003/1024", "-1000000000000000003/1024"),
+        ],
+    )
+    def test_ostrowski_bytes(self, value, shown, capsys):
+        assert main(["padic", "ostrowski", f"--value={value}"]) == 0
+        assert capsys.readouterr().out == f'{{"product": "1", "value": "{shown}"}}\n'
 
     def test_decompose(self, capsys):
         assert main(["padic", "decompose", "--value", "5/6"]) == 0
@@ -797,15 +848,16 @@ class TestVerifyCommand:
         assert results["parity_sandwich_trace"].residual > 1e-3
 
     def test_nan_fourier_fails_both_checks(self, monkeypatch, capsys):
-        # max(res, nan) is res, so a running max would report this as a PASS
-        fourier = fq.fourier
+        # max(res, nan) is res, so a running max would report this as a PASS;
+        # the suite runs the stacked kernel, so a NaN in each of its rows
+        fourier_values = fq._fourier_values
 
-        def nan_fourier(f):
-            g = fourier(f)
-            g.amplitudes[0] = np.nan
-            return g
+        def nan_fourier(v, rep):
+            out = fourier_values(v, rep)
+            out[..., 0] = np.nan
+            return out
 
-        monkeypatch.setattr(fq, "fourier", nan_fourier)
+        monkeypatch.setattr(fq, "_fourier_values", nan_fourier)
         results = verify.suite_fourier(verify.VerifyConfig(samples=2))
         assert [r.name for r in results] == ["fourier_fourth_power_is_identity", "parseval"]
         assert all(np.isnan(r.residual) and not r.passed for r in results)

@@ -286,11 +286,20 @@ class TestStackedLawsMatchOracle:
     verify (suite_embeddings seeds with seed + 7 and seed + 8)."""
 
     def test_compat_suite_on_every_verify_chain(self):
-        rng, oracle_rng = (np.random.default_rng(VerifyConfig().seed + 7) for _ in range(2))
-        for chain in _divisor_chains(_LABEL_LIMIT):
+        # chain by chain (the stack of one), and all 516 chains in one call,
+        # whose 216 groups of a shared (k, ell) each run the laws once
+        rng, group_rng, oracle_rng = (
+            np.random.default_rng(VerifyConfig().seed + 7) for _ in range(3)
+        )
+        chains = list(_divisor_chains(_LABEL_LIMIT))
+        assert len(chains) == 516 and len({(k, ell) for k, ell, _ in chains}) == 216
+        grouped = emb._compat_suites(chains, group_rng)
+        for chain, together in zip(chains, grouped):
             got, want = compat_suite(*chain, rng), compat_suite_oracle(*chain, oracle_rng)
             assert list(got.items()) == list(want.items()), chain
+            assert list(together.items()) == list(want.items()), chain
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert group_rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_ubiquity_on_every_verify_pair(self):
         rng, oracle_rng = (np.random.default_rng(VerifyConfig().seed + 8) for _ in range(2))

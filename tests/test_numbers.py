@@ -511,6 +511,30 @@ def test_factorize_small():
     assert factorize(1) == {}
 
 
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (10**18 + 3, {10**18 + 3: 1}),
+        (6 * (10**18 + 3), {2: 1, 3: 1, 10**18 + 3: 1}),
+        (2**5 * 7**2 * (10**18 + 3), {2: 5, 7: 2, 10**18 + 3: 1}),
+        (2**61 - 1, {2**61 - 1: 1}),
+        (2**64, {2: 64}),
+    ],
+)
+def test_factorize_stops_at_a_prime_cofactor(n, want):
+    # trial division to sqrt(10^18 + 3) would take minutes
+    got = factorize(n)
+    assert dict(got) == want and list(got) == sorted(want)
+
+
+def test_factorize_refuses_an_unprovable_cofactor():
+    # 2^89 - 1 is prime and above the bound where Miller-Rabin decides
+    with pytest.raises(ValueError, match="cannot prove"):
+        factorize(2**89 - 1)
+    with pytest.raises(ValueError, match="cannot prove"):
+        factorize(12 * (2**89 - 1))
+
+
 def test_factorize_cannot_be_changed_through_its_cache():
     from pqm.poset import divisor_width_length
 

@@ -5,7 +5,8 @@ import pytest
 
 import pqm.poset as ps
 from helpers import poset_axioms_hold
-from pqm.numbers import is_prime
+from pqm.numbers import factorize, is_prime
+from pqm.verify import _least_primes
 from pqm.poset import (
     INF,
     OMEGA,
@@ -17,6 +18,7 @@ from pqm.poset import (
     check_t0,
     check_t1,
     divisor_poset,
+    divisor_t1,
     divisor_width_length,
     is_chain_partition,
     is_open,
@@ -394,6 +396,25 @@ class TestTopology:
         # N(p) is a single point; there is no strict pair to violate T1
         ok, witness = check_t1(divisor_poset(13))
         assert ok and witness is None
+
+    def test_t1_closed_form_matches_the_scan(self):
+        # every divisor universe up to 10^4, listed by a sieve as the verify
+        # suite lists them; the primes from factorize and from the sieve
+        limit = 10**4
+        divisors = [[] for _ in range(limit + 1)]
+        for d in range(2, limit + 1):
+            for mult in range(d, limit + 1, d):
+                divisors[mult].append(d)
+        for n in range(2, limit + 1):
+            want = check_t1(FinitePoset(tuple(divisors[n])))
+            primes = tuple(factorize(n))
+            assert _least_primes(n, divisors) == primes[:2], n
+            assert divisor_t1(n, primes) == divisor_t1(n, primes[:2]) == want, n
+
+    @pytest.mark.parametrize("n", [0, 1, -6])
+    def test_t1_closed_form_rejects_small_n(self, n):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            divisor_t1(n, (2,))
 
     def test_mixed_element_types_rejected(self):
         # integer and supernatural divisibility are different orders

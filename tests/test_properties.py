@@ -10,6 +10,8 @@ as oracles), the phase kernel ``_unit`` (equal fractions give equal bits),
 the FFT paths of the phase-space tables and tomography sums, the exact Q/Z and p-adic arithmetic
 (with ``Fraction`` and plain integers as oracles, every result equal to
 its checked rebuild, and the base-p digits against one divmod per digit),
+the factorization against trial division to the square root, the integer
+Ostrowski product against the ``Fraction`` one,
 the characters chi_p and
 chi over Zhat, and the local
 Schwartz-Bruhat operations and x -> lam x (with per-point loops and the
@@ -32,6 +34,7 @@ from helpers import (
     canonicalize_global_oracle,
     char_chi_global_oracle,
     digits_oracle,
+    factorize_oracle,
     global_inner_oracle,
     hw_adjoint_oracle,
     hw_mul_oracle,
@@ -40,6 +43,7 @@ from helpers import (
     local_fourier_inv_oracle,
     local_fourier_oracle,
     local_reflect_oracle,
+    ostrowski_product_oracle,
     phw_commutator_oracle,
     phw_global_project_factors_oracle,
     phw_inv_oracle,
@@ -105,6 +109,7 @@ from pqm.numbers import (
     factorize,
     is_prime,
     lift_tilde_xi,
+    ostrowski_product,
     project_xi,
     rat_decompose,
     rat_recombine,
@@ -272,6 +277,50 @@ def test_is_prime_matches_trial_division_below_2000():
     assert [n for n in range(-2, 2000) if is_prime(n)] == [
         n for n in range(-2, 2000) if _trial_division_is_prime(n)
     ]
+
+
+# primes above 10^6, where trial division to the square root stops paying
+_BIG_PRIMES = (1000003, 999999937, 10**18 + 3)
+
+
+@_settings
+@given(n=st.integers(1, 10**6))
+@example(n=1)
+@example(n=2**19)
+@example(n=999983)  # the largest prime below 10^6
+@example(n=997 * 991)  # two primes just below 10^3
+def test_factorize_matches_trial_division(n):
+    got = factorize(n)
+    assert list(got.items()) == list(factorize_oracle(n).items())
+
+
+@_settings
+@given(m=st.integers(1, 10**4), big=st.sampled_from(_BIG_PRIMES))
+def test_factorize_with_a_big_prime_factor(m, big):
+    # the cofactor test ends the division at the big prime, in order
+    want = {**factorize_oracle(m), big: 1}
+    assert list(factorize(m * big).items()) == sorted(want.items())
+
+
+def _ostrowski_ints():
+    """Integers >= 1 of the kinds whose primes the product walks: 1, any up
+    to 10^6, prime powers, and multiples of a prime above 10^6."""
+    powers = st.builds(pow, st.sampled_from([2, 3, 5, 7, 1000003]), st.integers(0, 12))
+    big = st.builds(operator.mul, st.integers(1, 10**4), st.sampled_from(_BIG_PRIMES))
+    return st.just(1) | st.integers(1, 10**6) | powers | big
+
+
+@_settings
+@given(num=_ostrowski_ints(), den=_ostrowski_ints(), negative=st.booleans())
+@example(num=1, den=1, negative=False)
+@example(num=1, den=1, negative=True)
+@example(num=2**12, den=3**12, negative=True)
+@example(num=10**18 + 3, den=999999937, negative=False)
+def test_ostrowski_product_matches_fraction_oracle(num, den, negative):
+    q = Fraction(-num if negative else num, den)
+    got = ostrowski_product(q)
+    assert type(got) is Fraction and got == ostrowski_product_oracle(q) == 1
+    assert ostrowski_product(q.numerator) == ostrowski_product_oracle(q.numerator) == 1
 
 
 @pytest.mark.parametrize("split, _", MAPS)
