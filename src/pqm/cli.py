@@ -6,13 +6,14 @@ codes: 0 success, 1 verification failure, 2 usage, parse or I/O errors and
 running out of memory.
 
 Only the modules a subcommand needs are imported, inside it: ``padic`` and
-``poset`` are integer arithmetic and never load numpy.  Likewise ``main``
-declares only the arguments of the subcommand that argv names.
+``poset`` are integer arithmetic and never load numpy.  ``main`` builds its
+parser on its first call and reuses it for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -217,11 +218,11 @@ def cmd_poset(args) -> int:
         if args.query in ("width", "length"):
             payload = {"n": args.n, args.query: payload[args.query]}
     elif args.query == "topology":
-        poset = ps.divisor_poset(args.n)
+        t0 = ps.divisor_t0(args.n)
         t1, witness = ps.divisor_t1(args.n, tuple(nm.factorize(args.n)))
         payload = {
             "n": args.n,
-            "T0": ps.check_t0(poset),
+            "T0": t0,
             "T1": t1,
             "T1_witness": list(witness) if witness else None,
         }
@@ -361,7 +362,6 @@ def _fourier_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=("direct", "good"), default="direct")
     p.add_argument("--n", type=int, default=None, help="validate the dimension")
-    p.set_defaults(func=cmd_fourier)
 
 
 def _displace_args(p: argparse.ArgumentParser) -> None:
@@ -370,7 +370,6 @@ def _displace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--gamma", type=int, default=0)
-    p.set_defaults(func=cmd_displace)
 
 
 def _wigner_args(p: argparse.ArgumentParser) -> None:
@@ -378,7 +377,6 @@ def _wigner_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--kind", choices=("wigner", "weyl"), default="wigner")
     p.add_argument("--doubled", action="store_true", help="even-n doubled a-grid")
-    p.set_defaults(func=cmd_wigner)
 
 
 def _embed_args(p: argparse.ArgumentParser) -> None:
@@ -386,7 +384,6 @@ def _embed_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--to", dest="dst", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
 
 
 def _poset_args(p: argparse.ArgumentParser) -> None:
@@ -396,7 +393,6 @@ def _poset_args(p: argparse.ArgumentParser) -> None:
         choices=("width", "length", "partition", "antichain", "topology", "basis"),
     )
     p.add_argument("--element", type=int, default=None)
-    p.set_defaults(func=cmd_poset)
 
 
 def _padic_args(p: argparse.ArgumentParser) -> None:
@@ -406,7 +402,6 @@ def _padic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--value", default=None)
     p.add_argument("--precision", type=int, default=8)
-    p.set_defaults(func=cmd_padic)
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
@@ -415,11 +410,11 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", default=None, help="write the JSON report here")
     for key, kind in _CONFIG_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
-    p.set_defaults(func=cmd_verify)
 
 
 # each subcommand, in `pqm -h` order: its help and the function declaring its
-# arguments (which binds cmd_* when called, so a wrapped cmd_* is the one run)
+# arguments.  ``main`` looks cmd_<name> up in the module on each call, so a
+# cmd_* replaced after the parser is built (a tracer's wrapper) is the one run
 _COMMANDS = {
     "fourier": ("Fourier-transform a state file", _fourier_args),
     "displace": ("apply a displacement operator", _displace_args),
@@ -431,25 +426,22 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``pqm`` parser with every subcommand, or with ``command`` alone.
-
-    The one-subcommand tree parses that subcommand's argv exactly as the full
-    tree does; its subcommand metavar keeps the top-level usage line, which an
-    unrecognized argument prints, byte-identical.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A new ``pqm`` parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="pqm",
         description="Exact finite phase-space machinery on Z(n) and its p-adic limits",
     )
     parser.add_argument("--version", action="version", version=f"pqm {__version__}")
-    # on the full tree a metavar would rename "argument command" in its errors
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, declare = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, declare) in _COMMANDS.items():
         declare(sub.add_parser(name, help=help_text))
     return parser
+
+
+# the parser ``main`` parses with: built on its first call, kept for the process
+# (each parse_args makes a new Namespace, so no call sees another's values)
+_parser = functools.cache(build_parser)
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -465,13 +457,9 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    # a leading subcommand name needs only that subcommand's parser; help,
-    # --version and every error before the name need the full tree
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"pqm: error: {exc}", file=sys.stderr)
         return 2

@@ -437,6 +437,17 @@ def check_t1(poset: FinitePoset) -> "tuple[bool, tuple | None]":
     return True, None
 
 
+def divisor_t0(n: int) -> bool:
+    """``check_t0(divisor_poset(n))`` without listing N(n): distinct positive
+    divisors never divide each other both ways, so N(n) is T0 by construction.
+
+    Like ``divisor_poset``, it refuses n < 2 and an N(n) of more than
+    SIZE_BOUND elements, from the factorization.
+    """
+    _divisor_exponents(n)
+    return True
+
+
 def divisor_t1(n: int, primes: Sequence[int]) -> "tuple[bool, tuple[int, int] | None]":
     """``check_t1(divisor_poset(n))`` in closed form, from the distinct primes
     of n in increasing order (only the first two are read).

@@ -378,6 +378,8 @@ class TestPosetPadicCommands:
             (49, '{"T0": true, "T1": false, "T1_witness": [7, 49], "n": 49}'),
             (1001, '{"T0": true, "T1": false, "T1_witness": [7, 77], "n": 1001}'),
             (5040, '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 5040}'),
+            (720720, '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 720720}'),
+            (1000000, '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 1000000}'),
             (
                 963761198400,
                 '{"T0": true, "T1": false, "T1_witness": [2, 4], "n": 963761198400}',
@@ -395,9 +397,19 @@ class TestPosetPadicCommands:
         ],
     )
     def test_topology_bytes(self, n, line, capsys):
-        # the closed-form witness prints what the check_t1 scan printed
+        # the closed forms print what the check_t0 and check_t1 scans printed
         assert main(["poset", "--n", str(n), "topology"]) == 0
         assert capsys.readouterr().out == line + "\n"
+
+    def test_topology_lists_no_divisors(self, monkeypatch, capsys):
+        # T0 and T1 both answer from the factorization of n
+        def refuse(*args):
+            raise AssertionError("N(n) listed")
+
+        for name in ("divisor_poset", "check_t0", "check_t1"):
+            monkeypatch.setattr(ps, name, refuse)
+        assert main(["poset", "--n", "963761198400", "topology"]) == 0
+        assert json.loads(capsys.readouterr().out)["T0"] is True
 
     def test_partition_covers(self, capsys):
         assert main(["poset", "--n", "12", "partition"]) == 0

@@ -1,8 +1,8 @@
-"""`pqm` parses a leading subcommand with that subcommand's parser alone.
+"""`pqm` builds its parser once per process and reuses it on every call.
 
-The one-subcommand tree must declare the same arguments as the full tree,
-and `cli.main` must print the same bytes and exit with the same code as a
-`main` that always parses with the full tree.
+A `cli.main` call on the reused parser must print the same bytes and exit
+with the same code as one on a parser built for it alone, and no call may
+see the values or the functions of another.
 """
 
 import argparse
@@ -13,22 +13,10 @@ import pytest
 
 from pqm import cli
 
-_ATTRS = (
-    "option_strings", "dest", "type", "default", "const", "choices", "required",
-    "nargs", "help", "metavar",
-)
-_CHOICES = "{fourier,displace,wigner,embed,poset,padic,verify}"
-
 
 def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return sub
-
-
-def _declared(parser: argparse.ArgumentParser) -> list:
-    return [
-        (type(a).__name__, *(getattr(a, attr) for attr in _ATTRS)) for a in parser._actions
-    ]
 
 
 def _run(argv: list[str]) -> tuple:
@@ -41,23 +29,13 @@ def _run(argv: list[str]) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+def _fresh(argv: list[str]) -> tuple:
+    cli._parser.cache_clear()
+    return _run(argv)
+
+
 def test_commands_are_the_full_tree_choices_in_order():
     assert tuple(cli._COMMANDS) == tuple(_subparsers(cli.build_parser()).choices)
-
-
-@pytest.mark.parametrize("name", list(cli._COMMANDS))
-def test_one_subcommand_tree_declares_what_the_full_tree_does(name):
-    full, small = _subparsers(cli.build_parser()), _subparsers(cli.build_parser(name))
-    assert list(small.choices) == [name]
-    want, got = full.choices[name], small.choices[name]
-    assert _declared(got) == _declared(want)
-    assert got._defaults == want._defaults
-    assert (got.prog, got.description, got.usage) == (want.prog, want.description, want.usage)
-    # the help string `pqm -h` lists beside the name
-    assert [(a.dest, a.help) for a in small._choices_actions] == [
-        (a.dest, a.help) for a in full._choices_actions if a.dest == name
-    ]
-    assert small.metavar == _CHOICES
 
 
 def test_full_tree_keeps_argparse_names_for_the_command():
@@ -72,6 +50,14 @@ def test_full_tree_keeps_argparse_names_for_the_command():
     assert err.endswith(
         f"\npqm: error: argument command: invalid choice: 'bogus' (choose from {choices})\n"
     )
+
+
+def test_build_parser_returns_a_new_parser():
+    # a caller that changes its parser cannot change what main parses with
+    mine = cli.build_parser()
+    assert mine is not cli.build_parser() and mine is not cli._parser()
+    mine.add_argument("--extra")
+    assert _run(["--extra", "1"])[0] == 2
 
 
 _ARGVS = [
@@ -97,25 +83,69 @@ _ARGVS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def runs() -> dict:
+    """Each argv's (exit code, stdout, stderr): on a fresh parser, then on the
+    reused one after every argv has run, in forward and in reverse order."""
+    fresh = [_fresh(argv) for argv in _ARGVS]
+    for argv in _ARGVS:
+        _run(argv)
+    forward = [_run(argv) for argv in _ARGVS]
+    reverse = [_run(argv) for argv in _ARGVS[::-1]][::-1]
+    return {tuple(argv): got for argv, *got in zip(_ARGVS, fresh, forward, reverse)}
+
+
 @pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
-def test_main_prints_what_the_full_tree_prints(argv, monkeypatch):
-    got = _run(argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert got == _run(argv)
+def test_main_prints_what_the_full_tree_prints(argv, runs):
+    # help, --version and the usage errors end in SystemExit; none of them,
+    # and no earlier call, may change what a later call prints
+    fresh, forward, reverse = runs[tuple(argv)]
+    assert forward == reverse == fresh
 
 
-def test_a_subcommand_builds_one_subparser(monkeypatch):
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+# one argv per subcommand that parses and ends quickly, in an error or not
+_PARSED = {
+    "fourier": ["fourier", "--in", "missing.json", "--out", "x.json"],
+    "displace": ["displace", "--in", "missing.json", "--out", "x.json", "--alpha", "1",
+                 "--beta", "2"],
+    "wigner": ["wigner", "--in", "missing.json", "--out", "x.csv"],
+    "embed": ["embed", "--from", "2", "--to", "4", "--in", "missing.json", "--out", "x.json"],
+    "poset": ["poset", "--n", "12", "width"],
+    "padic": ["padic", "crt", "--n", "12", "--mu", "7"],
+    "verify": ["verify", "--config", "missing.cfg"],
+}
 
-    def spy(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    assert _run(["padic", "crt", "--n", "12", "--mu", "7"])[0] == 0
-    assert names == ["padic"]
-    names.clear()
-    assert _run(["--bogus", "padic"])[0] == 2
-    assert names == list(cli._COMMANDS)
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_second_call_builds_no_parser(name, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    first = _fresh(_PARSED[name])
+    assert len(built) == 1 + len(cli._COMMANDS)  # the top level and each subcommand
+    built.clear()
+    assert _run(_PARSED[name]) == first
+    assert built == []
+
+
+def test_an_appended_suite_does_not_leak_into_the_next_call(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.suite) or 0)
+    assert _run(["verify", "--suite", "parity", "--suite", "hw"])[0] == 0
+    assert _run(["verify"])[0] == 0
+    assert _run(["verify", "--suite", "parity"])[0] == 0
+    assert seen == [["parity", "hw"], None, ["parity"]]
+
+
+def test_main_runs_the_cmd_function_the_module_holds_when_it_runs(monkeypatch):
+    # a tracer wraps cli.cmd_* after the parser exists; its wrapper must run
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_poset", lambda args: seen.append(args.n) or 0)
+    assert _run(["poset", "--n", "12", "width"]) == (0, "", "")
+    assert seen == [12]

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -18,6 +19,7 @@ from pqm.poset import (
     check_t0,
     check_t1,
     divisor_poset,
+    divisor_t0,
     divisor_t1,
     divisor_width_length,
     is_chain_partition,
@@ -26,6 +28,15 @@ from pqm.poset import (
     sn_divides,
     sn_sup,
 )
+
+
+def _sieved_divisors(limit):
+    """divisors[n] lists N(n) in increasing order, for every n <= limit."""
+    divisors = [[] for _ in range(limit + 1)]
+    for d in range(2, limit + 1):
+        for mult in range(d, limit + 1, d):
+            divisors[mult].append(d)
+    return divisors
 
 
 def _random_supernatural(rng):
@@ -400,12 +411,8 @@ class TestTopology:
     def test_t1_closed_form_matches_the_scan(self):
         # every divisor universe up to 10^4, listed by a sieve as the verify
         # suite lists them; the primes from factorize and from the sieve
-        limit = 10**4
-        divisors = [[] for _ in range(limit + 1)]
-        for d in range(2, limit + 1):
-            for mult in range(d, limit + 1, d):
-                divisors[mult].append(d)
-        for n in range(2, limit + 1):
+        divisors = _sieved_divisors(10**4)
+        for n in range(2, len(divisors)):
             want = check_t1(FinitePoset(tuple(divisors[n])))
             primes = tuple(factorize(n))
             assert _least_primes(n, divisors) == primes[:2], n
@@ -415,6 +422,28 @@ class TestTopology:
     def test_t1_closed_form_rejects_small_n(self, n):
         with pytest.raises(ValueError, match="n must be >= 2"):
             divisor_t1(n, (2,))
+
+    def test_t0_closed_form_matches_both_scans(self):
+        divisors = _sieved_divisors(10**4)
+        for n in range(2, len(divisors)):
+            p = FinitePoset(tuple(divisors[n]))
+            assert divisor_t0(n) is check_t0(p) is ps._check_t0_pairwise(p) is True, n
+
+    @pytest.mark.parametrize(
+        "n, match",
+        [
+            (0, "n must be >= 2"),
+            (1, "n must be >= 2"),
+            (-6, "n must be >= 2"),
+            # 2*3*...*59: 2^17 - 1 divisors above 1
+            (math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)),
+             "poset size 131071 exceeds bound 10000"),
+        ],
+    )
+    def test_t0_closed_form_refuses_what_divisor_poset_refuses(self, n, match):
+        for f in (divisor_t0, divisor_poset):
+            with pytest.raises(ValueError, match=match):
+                f(n)
 
     def test_mixed_element_types_rejected(self):
         # integer and supernatural divisibility are different orders

@@ -1337,6 +1337,10 @@ _SIDES = st.sampled_from([POSITION, MOMENTUM])
     b=st.integers(-50, 50),
     seed=st.integers(0, 2**32 - 1),
 )
+# the momentum degree grows by v_3(3^11 * 31) = 11 to 13: 3^13 values are over the bound
+@example(
+    p=3, degree=2, side=MOMENTUM, unit=3**9 * 31, r=2, labels=(0, 0, 0, 0), b=0, seed=0
+)
 def test_local_sb_operations_match_the_tuple_oracles(p, degree, side, unit, r, labels, b, seed):
     rng = np.random.default_rng(seed)
     q = p**degree
@@ -1348,7 +1352,12 @@ def test_local_sb_operations_match_the_tuple_oracles(p, degree, side, unit, r, l
     assert _agrees(local_fourier_inv(f), local_fourier_inv_oracle(t))
     assert _agrees(local_reflect(f), local_reflect_oracle(t))
     lam = unit * p**r
-    assert _agrees(scale_variable(f, lam), scale_variable_oracle(t, lam))
+    scaled = degree + valuation(lam, p)
+    if side == MOMENTUM and (scaled > 20 or p**scaled > 2**20):
+        with pytest.raises(ValueError, match="exceeds bound"):
+            scale_variable(f, lam)
+    else:
+        assert _agrees(scale_variable(f, lam), scale_variable_oracle(t, lam))
     a, c = RatMod1.of(labels[1], p ** labels[0]), RatMod1.of(labels[3], p ** labels[2])
     assert _agrees(local_displace(f, a, b, c), local_displace_oracle(t, a, b, c))
     assert _same_bits(integrate_local(f), integrate_local_oracle(t))
