@@ -204,18 +204,23 @@ def cmd_embed(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    if args.query in ("width", "length", "partition", "antichain"):
+    if args.query == "partition":
         res = ps.divisor_width_length(args.n)
         payload = {
             "n": args.n,
             "width": res.width,
             "length": res.length,
+            "chain_partition": [list(c) for c in res.chain_partition],
         }
-        if args.query == "partition":
-            payload["chain_partition"] = [list(c) for c in res.chain_partition]
+    elif args.query in ("width", "length", "antichain"):
+        # the rank sizes answer without the chains: the width is the largest,
+        # and the highest rank of that size is the antichain of the chains
+        sizes = ps.divisor_rank_sizes(args.n)
+        payload = {"n": args.n, "width": max(sizes), "length": len(sizes) - 1}
         if args.query == "antichain":
-            payload["max_antichain"] = sorted(res.max_antichain)
-        if args.query in ("width", "length"):
+            top = payload["length"] - sizes.index(payload["width"])
+            payload["max_antichain"] = list(ps.divisor_rank(args.n, top))
+        else:
             payload = {"n": args.n, args.query: payload[args.query]}
     elif args.query == "topology":
         t0 = ps.divisor_t0(args.n)

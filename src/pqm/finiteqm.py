@@ -213,7 +213,7 @@ def _chi_coeff(n: int) -> int:
     return 2 if n % 2 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HWElement:
     """A displacement operator D on Z(n) with an exact scalar prefactor.
 
@@ -243,10 +243,10 @@ class HWElement:
         """The element for an n, alpha and beta that valid elements already
         carry, alpha and beta reduced mod n: built without ``__post_init__``."""
         d = object.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "alpha", alpha)
-        object.__setattr__(d, "beta", beta)
-        object.__setattr__(d, "phase", phase)
+        _SET_N(d, n)
+        _SET_ALPHA(d, alpha)
+        _SET_BETA(d, beta)
+        _SET_PHASE(d, phase)
         return d
 
     @classmethod
@@ -275,6 +275,13 @@ class HWElement:
     def frak_c(self) -> RatMod1:
         """The continuum label c in Q/Z (phase = c - a b)."""
         return self.phase + self.frak_a.scaled(self.beta)
+
+
+# the slots' own setters, for ``HWElement._of``
+_SET_N = HWElement.__dict__["n"].__set__
+_SET_ALPHA = HWElement.__dict__["alpha"].__set__
+_SET_BETA = HWElement.__dict__["beta"].__set__
+_SET_PHASE = HWElement.__dict__["phase"].__set__
 
 
 def hw_identity(n: int) -> HWElement:

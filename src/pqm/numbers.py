@@ -97,15 +97,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# trial division stops at this divisor; a cofactor left with no prime
+# factor below it is split by rho, which finds a prime q in about sqrt(q) steps
+_TRIAL_BOUND = 1024
+_RHO_BATCH = 128  # steps whose differences share one gcd
+
+
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> Mapping[int, int]:
     """Prime factorization ``{p: e}`` with primes in increasing order.
 
-    Trial division stops once the cofactor is prime (``is_prime``, asked
-    before the first division and after each factor found), so a prime, or
-    a small number times one, answers at once.  Above ``_PRIMALITY_BOUND`` a
-    cofactor that passes every Miller-Rabin base is a ValueError.  The
-    mapping is read-only: every caller of a given n shares it.
+    Trial division by f < ``_TRIAL_BOUND`` stops once the cofactor is prime
+    (``is_prime``, asked before the first division and after each factor
+    found), so a prime, or a small number times one, answers at once.  A
+    composite cofactor left after it is split by Pollard-Brent rho.  Above
+    ``_PRIMALITY_BOUND`` a cofactor that passes every Miller-Rabin base is
+    a ValueError.  The mapping is read-only: every caller of a given n
+    shares it.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
@@ -114,6 +122,10 @@ def factorize(n: int) -> Mapping[int, int]:
     f = 2
     prime = is_prime(m)
     while not prime and f * f <= m:
+        if f >= _TRIAL_BOUND:  # m is composite, with no prime factor below f
+            for q in _rho_primes(m):
+                out[q] = out.get(q, 0) + 1
+            return MappingProxyType(out)
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -125,6 +137,51 @@ def factorize(n: int) -> Mapping[int, int]:
     if m > 1:  # prime, and above every factor found
         out[m] = 1
     return MappingProxyType(out)
+
+
+def _rho_primes(m: int) -> list[int]:
+    """The primes of a composite m with no prime factor below
+    ``_TRIAL_BOUND``, with multiplicity and in increasing order."""
+    primes, todo = [], [m]
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            primes.append(m)
+        else:
+            d = _rho_divisor(m)
+            todo += [d, m // d]
+    return sorted(primes)
+
+
+def _rho_divisor(m: int) -> int:
+    """A divisor 1 < d < m of an odd composite m, by Pollard's rho on
+    x -> x^2 + c from x = 2, with Brent's cycle search and a product of
+    ``_RHO_BATCH`` differences per gcd (Brent, BIT 20 (1980) 176).  A run
+    that closes the cycle mod m without a divisor retries with c + 1."""
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:  # the batch met the cycle: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
+        c += 1
 
 
 def valuation(m: int, p: int) -> int:
@@ -168,7 +225,8 @@ class RatMod1:
 
         Every value the arithmetic makes comes from here.  The pair is
         reduced here, so the value is built without ``__post_init__``, whose
-        checks would only repeat this gcd; ``RatMod1(num, den)`` checks.
+        checks would only repeat this gcd, each field set through its slot;
+        ``RatMod1(num, den)`` checks.
         """
         # an int skips the slower abstract-base check of isinstance(_, Fraction)
         if not isinstance(numerator, int) and isinstance(numerator, Fraction):
@@ -179,8 +237,8 @@ class RatMod1:
         numerator %= denominator
         g = math.gcd(numerator, denominator)
         q = object.__new__(cls)
-        object.__setattr__(q, "numerator", numerator // g)
-        object.__setattr__(q, "denominator", denominator // g)
+        _SET_NUMERATOR(q, numerator // g)
+        _SET_DENOMINATOR(q, denominator // g)
         return q
 
     @property
@@ -209,6 +267,11 @@ class RatMod1:
     def __bool__(self) -> bool:
         return self.numerator != 0
 
+
+# the slots' own setters: the unchecked builders store a field with one call,
+# past the frozen ``__setattr__`` and without a lookup by name
+_SET_NUMERATOR = RatMod1.__dict__["numerator"].__set__
+_SET_DENOMINATOR = RatMod1.__dict__["denominator"].__set__
 
 ZERO_MOD1 = RatMod1(0, 1)
 
@@ -268,7 +331,7 @@ def _check_modulus(p, precision) -> tuple[int, int]:
     return p, precision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicInt:
     """A p-adic integer truncated to N = ``precision`` digits: a residue mod p^N.
 
@@ -296,9 +359,9 @@ class PadicInt:
         """value mod p^precision, for an int value and a p and precision that
         a valid ``PadicInt`` already carries: built without ``__post_init__``."""
         a = object.__new__(cls)
-        object.__setattr__(a, "p", p)
-        object.__setattr__(a, "precision", precision)
-        object.__setattr__(a, "residue", value % p**precision)
+        _SET_P(a, p)
+        _SET_PRECISION(a, precision)
+        _SET_RESIDUE(a, value % p**precision)
         return a
 
     @property
@@ -348,6 +411,12 @@ class PadicInt:
 
     def __repr__(self) -> str:
         return f"PadicInt(p={self.p}, digits={self.digits})"
+
+
+# the slots' own setters, for ``PadicInt._of``
+_SET_P = PadicInt.__dict__["p"].__set__
+_SET_PRECISION = PadicInt.__dict__["precision"].__set__
+_SET_RESIDUE = PadicInt.__dict__["residue"].__set__
 
 
 def padic_ord_abs(

@@ -372,6 +372,47 @@ def divisor_width_length(n: int) -> WidthLengthResult:
     )
 
 
+def divisor_rank_sizes(n: int) -> tuple[int, ...]:
+    """The coefficients of prod (1 + x + ... + x^e) over n = prod p^e: entry k
+    counts the divisors d of n, 1 included, with Omega(d) = k.
+
+    They are the rank sizes of ``divisor_width_length``'s symmetric chain
+    decomposition, so the width of N(n) is their maximum and its length is
+    Omega(n), the last index.  Like ``divisor_poset``, it refuses n < 2 and
+    an N(n) of more than SIZE_BOUND elements, from the factorization.
+    """
+    sizes = [1]
+    for e in _divisor_exponents(n).values():
+        # times 1 + x + ... + x^e: each entry is a sum over a sliding window
+        window, out = 0, []
+        for k in range(len(sizes) + e):
+            window += sizes[k] if k < len(sizes) else 0
+            window -= sizes[k - e - 1] if k > e else 0
+            out.append(window)
+        sizes = out
+    return tuple(sizes)
+
+
+def divisor_rank(n: int, k: int) -> tuple[int, ...]:
+    """The divisors d of n with Omega(d) = k, in increasing order (1 at k = 0,
+    none outside 0 <= k <= Omega(n)).
+
+    At k = Omega(n) - i, i the first index of the largest rank size, it is
+    the maximum antichain ``divisor_width_length`` returns.  Errors as for
+    ``divisor_rank_sizes``.
+    """
+    fac = _divisor_exponents(n)
+    rest = sum(fac.values())
+    ranks = {0: [1]}  # Omega j -> divisors over the primes so far, for j that can reach k
+    for p, e in fac.items():
+        rest -= e
+        ranks = {
+            j: [d * p**i for i in range(min(e, j) + 1) for d in ranks.get(j - i, ())]
+            for j in range(max(k - rest, 0), k + 1)
+        }
+    return tuple(sorted(ranks.get(k, ())))
+
+
 # ---------------------------------------------------------------------------
 # The divisor topology (Alexandrov): opens are down-sets
 # ---------------------------------------------------------------------------
@@ -442,9 +483,11 @@ def divisor_t0(n: int) -> bool:
     divisors never divide each other both ways, so N(n) is T0 by construction.
 
     Like ``divisor_poset``, it refuses n < 2 and an N(n) of more than
-    SIZE_BOUND elements, from the factorization.
+    SIZE_BOUND elements, from the factorization.  N(n) lies in {2, ..., n},
+    so an n up to SIZE_BOUND + 1 is within the bound unfactorized.
     """
-    _divisor_exponents(n)
+    if not 2 <= n <= SIZE_BOUND + 1:
+        _divisor_exponents(n)
     return True
 
 

@@ -21,7 +21,7 @@ def _check_fields(g, cls: type) -> None:
             raise ValueError(f"{name} must be a {cls.__name__}, got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProfiniteHWElement:
     """A triple (a, b, c) of truncated p-adic integers at a shared precision."""
 
@@ -37,6 +37,16 @@ class ProfiniteHWElement:
         if not (self.a.precision == self.b.precision == self.c.precision):
             raise ValueError("components must share a precision")
 
+    @classmethod
+    def _of(cls, a: PadicInt, b: PadicInt, c: PadicInt) -> "ProfiniteHWElement":
+        """The element of three valid ``PadicInt``s that share a prime and a
+        precision: built without ``__post_init__``."""
+        g = object.__new__(cls)
+        _SET_A(g, a)
+        _SET_B(g, b)
+        _SET_C(g, c)
+        return g
+
     @property
     def p(self) -> int:
         return self.a.p
@@ -48,6 +58,12 @@ class ProfiniteHWElement:
     @classmethod
     def from_ints(cls, a: int, b: int, c: int, p: int, precision: int) -> "ProfiniteHWElement":
         return cls(*(PadicInt.from_int(v, p, precision) for v in (a, b, c)))
+
+
+# the slots' own setters, for ``ProfiniteHWElement._of``
+_SET_A = ProfiniteHWElement.__dict__["a"].__set__
+_SET_B = ProfiniteHWElement.__dict__["b"].__set__
+_SET_C = ProfiniteHWElement.__dict__["c"].__set__
 
 
 def _group_law(g: tuple, h: tuple) -> tuple:
@@ -67,7 +83,10 @@ def _residues(g: ProfiniteHWElement) -> tuple[int, int, int]:
 def _reduced(t: tuple, p: int, precision: int) -> ProfiniteHWElement:
     """The integer triple t mod p^precision, for a p and precision taken from
     valid elements: each component is reduced once, unchecked."""
-    return ProfiniteHWElement(*(PadicInt._of(v, p, precision) for v in t))
+    a, b, c = t
+    return ProfiniteHWElement._of(
+        PadicInt._of(a, p, precision), PadicInt._of(b, p, precision), PadicInt._of(c, p, precision)
+    )
 
 
 def _shared(g: ProfiniteHWElement, h: ProfiniteHWElement) -> tuple[int, int]:

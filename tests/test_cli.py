@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -352,6 +353,10 @@ class TestDisplaceEmbed:
         assert not out.exists()
 
 
+def _refuse_chains(*args):
+    raise AssertionError("chains built")
+
+
 class TestPosetPadicCommands:
     def test_width_36(self, capsys):
         assert main(["poset", "--n", "36", "width"]) == 0
@@ -424,6 +429,65 @@ class TestPosetPadicCommands:
         assert json.loads(capsys.readouterr().out) == {"n": n, "width": 882}
         assert main(["poset", "--n", str(n), "length"]) == 0
         assert json.loads(capsys.readouterr().out) == {"n": n, "length": 18}
+
+    @pytest.mark.parametrize(
+        "n, query, line",
+        [
+            (5040, "width", '{"n": 5040, "width": 12}'),
+            (5040, "length", '{"length": 8, "n": 5040}'),
+            (
+                5040,
+                "antichain",
+                '{"length": 8, "max_antichain": [16, 24, 36, 40, 56, 60, 84, 90, 126, 140, '
+                '210, 315], "n": 5040, "width": 12}',
+            ),
+            (720720, "width", '{"n": 720720, "width": 46}'),
+            (720720, "length", '{"length": 10, "n": 720720}'),
+            (
+                720720,
+                "antichain",
+                '{"length": 10, "max_antichain": [48, 72, 80, 112, 120, 168, 176, 180, 208, '
+                "252, 264, 280, 312, 396, 420, 440, 468, 520, 616, 630, 660, 728, 780, 924, "
+                "990, 1092, 1144, 1170, 1386, 1540, 1638, 1716, 1820, 2310, 2574, 2730, 2860, "
+                '3465, 4004, 4095, 4290, 6006, 6435, 9009, 10010, 15015], "n": 720720, '
+                '"width": 46}',
+            ),
+            (1000000, "width", '{"n": 1000000, "width": 7}'),
+            (1000000, "length", '{"length": 12, "n": 1000000}'),
+            (
+                1000000,
+                "antichain",
+                '{"length": 12, "max_antichain": [64, 160, 400, 1000, 2500, 6250, 15625], '
+                '"n": 1000000, "width": 7}',
+            ),
+            (963761198400, "width", '{"n": 963761198400, "width": 882}'),
+            (963761198400, "length", '{"length": 18, "n": 963761198400}'),
+        ],
+    )
+    def test_rank_queries_bytes(self, n, query, line, capsys, monkeypatch):
+        # width, length and antichain answer from the rank sizes, never the
+        # chains, and print what the chains printed
+        monkeypatch.setattr(ps, "divisor_width_length", _refuse_chains)
+        assert main(["poset", "--n", str(n), query]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_rank_antichain_bytes_at_6719_divisors(self, capsys, monkeypatch):
+        # the 882 divisors of rank 9 of 963761198400: 7559 bytes, by digest
+        monkeypatch.setattr(ps, "divisor_width_length", _refuse_chains)
+        assert main(["poset", "--n", "963761198400", "antichain"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 7559
+        assert hashlib.sha256(out).hexdigest() == (
+            "abd6b5b64c2a7714bf57b3535050382dd2119f93cfd662f121666d1c4c8f769a"
+        )
+
+    def test_semiprime_near_10_18(self, capsys):
+        # (10^9 + 7)(10^9 + 9): rho splits it; trial division would run to 10^9
+        n = 1000000016000000063
+        assert main(["poset", "--n", str(n), "width"]) == 0
+        assert capsys.readouterr().out == f'{{"n": {n}, "width": 2}}\n'
+        assert main(["padic", "crt", "--n", str(n), "--mu", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["moduli"] == [1000000007, 1000000009]
 
     @pytest.mark.parametrize("query", ["width", "partition", "antichain", "topology"])
     def test_size_bound_before_divisors(self, query, capsys):

@@ -19,6 +19,8 @@ from pqm.poset import (
     check_t0,
     check_t1,
     divisor_poset,
+    divisor_rank,
+    divisor_rank_sizes,
     divisor_t0,
     divisor_t1,
     divisor_width_length,
@@ -37,6 +39,17 @@ def _sieved_divisors(limit):
         for mult in range(d, limit + 1, d):
             divisors[mult].append(d)
     return divisors
+
+
+# what divisor_poset refuses, and its message; the closed forms refuse the same
+_REFUSED = [
+    (0, "n must be >= 2"),
+    (1, "n must be >= 2"),
+    (-6, "n must be >= 2"),
+    # 2*3*...*59: 2^17 - 1 divisors above 1
+    (math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)),
+     "poset size 131071 exceeds bound 10000"),
+]
 
 
 def _random_supernatural(rng):
@@ -299,8 +312,9 @@ class TestWidthLength:
         # factorization, before any divisor is listed
         with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
             divisor_poset(360)
-        with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
-            divisor_width_length(360)
+        for f in (divisor_width_length, divisor_rank_sizes, lambda m: divisor_rank(m, 1)):
+            with pytest.raises(ValueError, match="poset size 23 exceeds bound 3"):
+                f(360)
 
     def test_matching_needs_no_deep_stack(self):
         # the augmenting-path search runs on an explicit stack, so a poset
@@ -334,6 +348,47 @@ class TestWidthLength:
         want = poset_width_length(divisor_poset(n))
         assert got.max_antichain == want.max_antichain
         assert (got.width, got.length) == (want.width, want.length)
+
+    def test_rank_forms_match_the_chains_to_10_4(self):
+        # the divisors of n, 1 included, bucketed by Omega from the sieve
+        # (Omega(d) is one more than that of d over its least prime): the
+        # rank sizes count the buckets and divisor_rank lists each one; the
+        # chains' width is the largest size, their length the last rank and
+        # their antichain the highest rank of largest size
+        divisors = _sieved_divisors(10**4)
+        omega = [0, 0]
+        for d in range(2, len(divisors)):
+            omega.append(omega[d // divisors[d][0]] + 1)
+        for n in range(2, len(divisors)):
+            ranks = [[] for _ in range(omega[n] + 1)]
+            for d in [1, *divisors[n]]:
+                ranks[omega[d]].append(d)
+            ranks = [tuple(r) for r in ranks]
+            sizes = divisor_rank_sizes(n)
+            assert sizes == tuple(map(len, ranks)), n
+            got = [divisor_rank(n, k) for k in range(-1, len(ranks) + 1)]
+            assert got == [(), *ranks, ()], n
+            res = divisor_width_length(n)
+            top = omega[n] - sizes.index(max(sizes))
+            assert (res.width, res.length, res.max_antichain) == (
+                max(sizes), omega[n], ranks[top]
+            ), n
+
+    def test_rank_forms_match_the_matching_to_500(self):
+        for n in range(2, 501):
+            want = poset_width_length(divisor_poset(n))
+            sizes = divisor_rank_sizes(n)
+            length = len(sizes) - 1
+            antichain = divisor_rank(n, length - sizes.index(max(sizes)))
+            assert (max(sizes), length, antichain) == (
+                want.width, want.length, want.max_antichain
+            ), n
+
+    @pytest.mark.parametrize("n, match", _REFUSED)
+    def test_rank_forms_refuse_what_divisor_poset_refuses(self, n, match):
+        for f in (divisor_rank_sizes, lambda m: divisor_rank(m, 1), divisor_poset):
+            with pytest.raises(ValueError, match=match):
+                f(n)
 
     def test_is_chain_partition_rejects(self):
         p = divisor_poset(12)
@@ -429,21 +484,26 @@ class TestTopology:
             p = FinitePoset(tuple(divisors[n]))
             assert divisor_t0(n) is check_t0(p) is ps._check_t0_pairwise(p) is True, n
 
-    @pytest.mark.parametrize(
-        "n, match",
-        [
-            (0, "n must be >= 2"),
-            (1, "n must be >= 2"),
-            (-6, "n must be >= 2"),
-            # 2*3*...*59: 2^17 - 1 divisors above 1
-            (math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)),
-             "poset size 131071 exceeds bound 10000"),
-        ],
-    )
+    @pytest.mark.parametrize("n, match", _REFUSED)
     def test_t0_closed_form_refuses_what_divisor_poset_refuses(self, n, match):
         for f in (divisor_t0, divisor_poset):
             with pytest.raises(ValueError, match=match):
                 f(n)
+
+    @pytest.mark.parametrize("bound", [1, 3, 7])
+    def test_t0_closed_form_reads_the_bound_when_called(self, bound, monkeypatch):
+        # N(n) lies in {2, ..., n}: an n up to the bound + 1 is within it
+        # unfactorized, and every larger n is refused exactly when
+        # divisor_poset refuses it
+        monkeypatch.setattr(ps, "SIZE_BOUND", bound)
+        divisors = _sieved_divisors(200)
+        for n in range(2, len(divisors)):
+            size = len(divisors[n])
+            if size > bound:
+                with pytest.raises(ValueError, match=f"poset size {size} exceeds bound {bound}"):
+                    divisor_t0(n)
+            else:
+                assert divisor_t0(n) is True
 
     def test_mixed_element_types_rejected(self):
         # integer and supernatural divisibility are different orders

@@ -18,6 +18,7 @@ Schwartz-Bruhat operations and x -> lam x (with per-point loops and the
 operations on tuples of Python complex as oracles), and the laws of the
 local transforms, characters and delta family."""
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -300,6 +301,47 @@ def test_factorize_with_a_big_prime_factor(m, big):
     # the cofactor test ends the division at the big prime, in order
     want = {**factorize_oracle(m), big: 1}
     assert list(factorize(m * big).items()) == sorted(want.items())
+
+
+def _prime_from(n: int) -> int:
+    """The least prime >= n, by the trial-division oracle."""
+    while factorize_oracle(n) != {n: 1}:
+        n += 1
+    return n
+
+
+@_settings
+@given(
+    p=st.integers(1024, 10**5).map(_prime_from),
+    q=st.integers(1024, 10**5).map(_prime_from),
+    m=st.integers(1, 10**4),
+)
+@example(p=31607, q=31627, m=1)  # two primes near sqrt(10^9)
+@example(p=1031, q=1031, m=1031)  # a cube, split twice by rho
+def test_factorize_splits_semiprimes_near_10_9(p, q, m):
+    # both primes are above the trial bound, so rho splits p q; m adds
+    # small primes, or one more above the bound
+    n = m * p * q
+    assert list(factorize(n).items()) == list(factorize_oracle(n).items())
+
+
+# primes near 10^9, whose products trial division to the square root
+# would take ~10^9 steps to split
+_PRIMES_NEAR_1E9 = (999999937, 1000000007, 1000000009, 1000000021, 1000000033)
+
+
+# 25 draws: each splits a product near 10^18 by rho, about 15 ms
+@settings(deadline=None, max_examples=25)
+@given(
+    p=st.sampled_from(_PRIMES_NEAR_1E9),
+    q=st.sampled_from(_PRIMES_NEAR_1E9),
+    m=st.integers(1, 10**4),
+)
+def test_factorize_splits_products_of_two_primes_near_10_9(p, q, m):
+    want = dict(factorize_oracle(m))
+    for r in (p, q):
+        want[r] = want.get(r, 0) + 1
+    assert list(factorize(m * p * q).items()) == sorted(want.items())
 
 
 def _ostrowski_ints():
@@ -821,16 +863,63 @@ def test_of_is_the_checked_value_of_the_reduced_pair(num, den, scale, fraction):
     else:
         got, want = RatMod1.of(num, den), Fraction(num, den)
     checked = RatMod1(*_mod1(want))
-    assert got == checked and hash(got) == hash(checked)
-    assert _pair(got) == _pair(checked)
+    _assert_same_record(got, checked)
+
+
+def _assert_same_record(got, want) -> None:
+    # an unchecked build is its checked one: equal, with one hash and, field
+    # by field, the same value of the same type
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    for f in dataclasses.fields(want):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        assert type(x) is type(y) and x == y, f.name
+
+
+_big = st.integers(-(2**80), 2**80)
+
+
+@_settings
+@given(data=st.data(), n=st.integers(2, 10**6))
+def test_hw_of_is_the_checked_element(data, n):
+    alpha, beta = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    phase = RatMod1.of(data.draw(_ints), data.draw(_dens))
+    _assert_same_record(HWElement._of(n, alpha, beta, phase), HWElement(n, alpha, beta, phase))
+
+
+@_settings
+@given(p=_phw_primes, precision=st.integers(1, 12), value=_big)
+def test_padic_of_is_the_checked_residue(p, precision, value):
+    want = PadicInt(p, precision, value % p**precision)
+    _assert_same_record(PadicInt._of(value, p, precision), want)
+
+
+@_settings
+@given(p=_phw_primes, precision=st.integers(1, 12), values=st.tuples(_big, _big, _big))
+def test_phw_of_is_the_checked_element(p, precision, values):
+    a, b, c = (PadicInt._of(v, p, precision) for v in values)
+    _assert_same_record(ProfiniteHWElement._of(a, b, c), ProfiniteHWElement(a, b, c))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        RatMod1(1, 3),
+        PadicInt(3, 2, 5),
+        HWElement(6, 1, 2, RatMod1(1, 12)),
+        ProfiniteHWElement.from_ints(1, 2, 3, 5, 2),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_records_are_frozen(value):
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
 
 
 def _hw_element(data, n: int) -> HWElement:
     alpha, beta = (data.draw(st.integers(0, n - 1)) for _ in range(2))
     return HWElement(n, alpha, beta, RatMod1.of(data.draw(_ints), data.draw(_dens)))
-
-
-_big = st.integers(-(2**80), 2**80)
 
 
 @_settings
