@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -48,6 +49,12 @@ _EXPONENT_BOUND = 3 * 4300
 # peak (Python 3.11, numpy 2.4, one Xeon core) for a 45 MB state file, and
 # both grow linearly in --to
 _EMBED_BOUND = 2**20
+# the largest state file ``load_state`` reads, checked before it is parsed:
+# the largest state ``pqm embed`` writes, 2^20 amplitude pairs each at the
+# longest repr of a float, plus the keys
+_STATE_BOUND = (
+    _EMBED_BOUND * len("[-2.2250738585072014e-308, -2.2250738585072014e-308], ") + 2**10
+)
 # the most cells ``pqm wigner`` writes: 2^20 cells (n = 1024) take 2.7-3.9 s
 # and 94 MB peak (Python 3.11, numpy 2.4) for a 53 MB CSV, all linear in cells
 _WIGNER_BOUND = 2**20
@@ -64,6 +71,8 @@ def load_state(path: str) -> FiniteState:
     from .finiteqm import FiniteState
 
     try:
+        if os.stat(path).st_size > _STATE_BOUND:
+            raise UsageError(f"state file {path} exceeds bound {_STATE_BOUND} bytes")
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
@@ -90,6 +99,11 @@ def load_state(path: str) -> FiniteState:
             raise ValueError("amplitude beyond the float range") from None
         if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
+        # a finite sum of squares bounds every output value (Cauchy-Schwarz)
+        xs = amps.view(float)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.dot(xs, xs)):
+                raise ValueError("squared amplitudes sum beyond the float range")
         return FiniteState(n, rep, amps)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
@@ -107,7 +121,10 @@ def dump_state(f: FiniteState, path: str, metadata: dict | None = None) -> None:
     if metadata:
         data["metadata"] = metadata
     # one json.dumps call takes the C encoder; a streamed json.dump does not
-    text = json.dumps(data, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(data, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or infinite value is no JSON number
+        raise UsageError(f"cannot write state file {path}: non-finite amplitude") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -182,12 +199,17 @@ def cmd_wigner(args) -> int:
     table = wigner_table(f, args.kind, doubled)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("a,b,re,im\n")
-        # one a-row at a time, of Python floats, so the values print as repr(float)
+        # one a-row at a time, of Python floats, so the values print as
+        # repr(float); a real (Wigner) table has im 0.0 in every row
         for a, row in enumerate(table):
-            fh.write("".join(
-                f"{a},{b},{re!r},{im!r}\n"
-                for b, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
-            ))
+            if table.dtype == complex:
+                lines = (
+                    f"{a},{b},{re!r},{im!r}\n"
+                    for b, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
+                )
+            else:
+                lines = (f"{a},{b},{re!r},0.0\n" for b, re in enumerate(row.tolist()))
+            fh.write("".join(lines))
     return 0
 
 

@@ -514,6 +514,10 @@ def wigner_table(f: FiniteState, kind: str, doubled: bool = False) -> np.ndarray
 
     a_range is 2n on the even-n doubled Wigner grid and n otherwise;
     ``doubled`` has no effect on the Weyl table, as in ``weyl_wigner``.
+
+    The Weyl table is complex.  The Wigner table is float64: P(a, b) is
+    Hermitian, so W is real, and the table is the real part of the FFT,
+    bit for bit; its imaginary part is rounding noise and is dropped.
     """
     if kind not in ("weyl", "wigner"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -526,7 +530,7 @@ def wigner_table(f: FiniteState, kind: str, doubled: bool = False) -> np.ndarray
     ka = _dilation(n, _parity_k(n, doubled), 2 * n if doubled else n)
     rows, cols = _reflect_indices(n)
     diag = np.fft.fft(v[rows] * v.conj()[cols], axis=1, norm="forward")  # [b, m]
-    return diag[:, ka].T
+    return diag.real[:, ka].T
 
 
 # ---------------------------------------------------------------------------

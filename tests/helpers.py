@@ -1,6 +1,7 @@
 """Checks that only the tests call: unitarity, the partial-order axioms of a
 finite poset, the Weyl and Wigner functions composed from the public state
-maps, the whole-table Wigner CSV writer, the one-state-at-a-time embedding laws that the stacked ones replace,
+maps, the complex Wigner table whose real part is the float one, the
+whole-table Wigner CSV writer, the one-state-at-a-time embedding laws that the stacked ones replace,
 the checked operation-by-operation group laws that the integer ones replace,
 the one-digit-at-a-time base-p expansion, the profinite-integer operations
 composed of checked p-adic components that the integer ones replace, and the
@@ -81,6 +82,18 @@ def wigner_csv_oracle(table: np.ndarray) -> str:
         for b, (re, im) in enumerate(zip(res, ims))
     )
     return "a,b,re,im\n" + text
+
+
+def wigner_table_complex_oracle(f: FiniteState, doubled: bool = False) -> np.ndarray:
+    """``wigner_table(f, "wigner", doubled)`` as the complex FFT it takes the
+    real part of, with the imaginary rounding noise kept: the table's kernel
+    before the table became float64."""
+    n = f.n
+    v = fq.to_position(f).amplitudes
+    ka = _dilation(n, fq._parity_k(n, doubled), 2 * n if doubled else n)
+    rows, cols = fq._reflect_indices(n)
+    diag = np.fft.fft(v[rows] * v.conj()[cols], axis=1, norm="forward")  # [b, m]
+    return diag[:, ka].T
 
 
 def poset_axioms_hold(poset: FinitePoset) -> bool:

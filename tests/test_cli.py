@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 import pqm
-from helpers import wigner_csv_oracle
+from helpers import wigner_csv_oracle, wigner_table_complex_oracle
+from pqm import cli
 from pqm import finiteqm as fq
 from pqm import poset as ps
 from pqm import verify
 from pqm.cli import dump_state, load_state, main
-from pqm.finiteqm import MOMENTUM, POSITION, random_state, weyl_wigner
+from pqm.finiteqm import MOMENTUM, POSITION, FiniteState, random_state, weyl_wigner
 
 RNG = np.random.default_rng(99)
 
@@ -72,6 +74,48 @@ class TestStateFiles:
         new = tmp_path / "new.json"
         dump_state(f, str(new), metadata=metadata)
         assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_is_refused_unwritten(self, bad, tmp_path, capsys, monkeypatch):
+        # JSON has no NaN or Infinity: the writer refuses them, in pqm's line
+        monkeypatch.setattr(fq, "fourier", lambda f: FiniteState(2, MOMENTUM, [bad, 1.0]))
+        src, out = tmp_path / "f.json", tmp_path / "g.json"
+        _write_state(src, n=2)
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: cannot write state file {out}: non-finite amplitude\n"
+        )
+        assert not out.exists()
+
+    def test_size_bound_before_parsing(self, tmp_path, capsys, monkeypatch):
+        src, out = tmp_path / "f.json", tmp_path / "g.json"
+        _write_state(src, n=6)
+        size = src.stat().st_size
+        monkeypatch.setattr(cli, "_STATE_BOUND", size)
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 0
+        monkeypatch.setattr(cli, "_STATE_BOUND", size - 1)
+        monkeypatch.setattr(json, "load", lambda fh: pytest.fail("file parsed"))
+        out.unlink()
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: state file {src} exceeds bound {size - 1} bytes\n"
+        )
+        assert not out.exists()
+
+    def test_size_bound_holds_the_largest_state_pqm_writes(self, tmp_path):
+        # 2^20 amplitudes (the bound of ``pqm embed --to``), every pair at the
+        # longest repr of a float, with fourier's longest metadata.  The file
+        # is linear in the pairs, so two small ones give its size
+        z = complex(-2.2250738585072014e-308, -2.2250738585072014e-308)
+        sizes = []
+        for k in (1, 2):
+            p = tmp_path / f"s{k}.json"
+            dump_state(FiniteState(k, MOMENTUM, [z] * k), str(p), metadata={"method": "direct"})
+            sizes.append(p.stat().st_size)
+        per_pair = sizes[1] - sizes[0]
+        assert per_pair == 54
+        largest = sizes[0] + (cli._EMBED_BOUND - 1) * per_pair + len(str(cli._EMBED_BOUND)) - 1
+        assert largest <= cli._STATE_BOUND < largest + 2**10
 
 
 class TestFourierCommand:
@@ -201,6 +245,31 @@ class TestFourierCommand:
         _one_error_line(capsys)
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["fourier"],
+            ["fourier", "--method", "good"],
+            ["displace", "--alpha", "1", "--beta", "1"],
+            ["embed", "--from", "2", "--to", "4"],
+            ["wigner"],
+            ["wigner", "--kind", "weyl"],
+        ],
+    )
+    def test_squared_norm_beyond_the_float_range_exits_2(self, command, tmp_path, capsys):
+        # every amplitude is finite, but the squares are not: the outputs
+        # would be inf and NaN, which JSON cannot hold
+        src, out = tmp_path / "f.json", tmp_path / "o.out"
+        src.write_text('{"n": 2, "rep": "position", "amplitudes": [[1e308, 1e308], [1e308, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: malformed state file {src}: "
+            "squared amplitudes sum beyond the float range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command", [["fourier"], ["wigner"], ["wigner", "--kind", "weyl"]]
     )
     def test_empty_state_exits_2(self, command, tmp_path, capsys):
@@ -254,6 +323,23 @@ class TestWignerCommand:
             assert (int(a), int(b)) == divmod(i, n)  # a-major rows
             want = weyl_wigner(f, int(a), int(b), kind, doubled)
             assert abs(complex(float(re), float(im)) - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 17])
+    @pytest.mark.parametrize("flags", [[], ["--doubled"]])
+    def test_wigner_im_is_zero_and_re_the_complex_kernel(self, n, flags, tmp_path):
+        # W is real: the a,b,re fields are those of the complex kernel, byte
+        # for byte, and every im field is 0.0, not rounding noise
+        src, out = tmp_path / "f.json", tmp_path / "w.csv"
+        _write_state(src, n=n, seed=n)
+        f = load_state(str(src))
+        assert main(["wigner", "--kind", "wigner", *flags, "--in", str(src), "--out", str(out)]) == 0
+        complex_table = wigner_table_complex_oracle(f, bool(flags) and n % 2 == 0)
+        want = wigner_csv_oracle(complex_table).splitlines()
+        got = out.read_text().splitlines()
+        assert got[0] == want[0] == "a,b,re,im" and len(got) == len(want)
+        for line, old in zip(got[1:], want[1:]):
+            fields, im = line.rsplit(",", 1)
+            assert fields == old.rsplit(",", 1)[0] and im == "0.0"
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         src = tmp_path / "f.json"

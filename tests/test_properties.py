@@ -56,6 +56,7 @@ from helpers import (
     sb_equal,
     scale_variable_oracle,
     weyl_wigner_oracle,
+    wigner_table_complex_oracle,
 )
 from pqm.embeddings import EmbeddingSpec, def2_point_embed, phase_embed
 from pqm.finiteqm import (
@@ -753,6 +754,27 @@ def test_tables_match_weyl_wigner(n, rep, seed):
             for a in range(table.shape[0])
         ]
         np.testing.assert_allclose(table, want, rtol=0, atol=1e-12)
+
+
+@_settings
+@given(
+    n=st.integers(2, 16),
+    rep=st.sampled_from([POSITION, MOMENTUM]),
+    doubled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wigner_table_is_the_real_part_of_the_complex_kernel(n, rep, doubled, seed):
+    # P(a, b) is Hermitian, so W is real: the table drops only rounding noise,
+    # which the complex point kernel, its oracle, still shows
+    doubled = doubled and n % 2 == 0
+    f = random_state(n, np.random.default_rng(seed), rep=rep)
+    table = wigner_table(f, "wigner", doubled)
+    assert table.dtype == np.float64
+    assert table.tobytes() == wigner_table_complex_oracle(f, doubled).real.tobytes()
+    values = [
+        weyl_wigner(f, a, b, "wigner", doubled) for a in range(table.shape[0]) for b in range(n)
+    ]
+    assert max(abs(w.imag) for w in values) <= 1e-12
 
 
 _GRIDS = [("weyl", False), ("wigner", False), ("wigner", True)]  # (kind, doubled)
