@@ -97,16 +97,28 @@ def load_state(path: str) -> FiniteState:
             amps = np.asarray(pairs, dtype=float).view(complex).ravel()
         except OverflowError:
             raise ValueError("amplitude beyond the float range") from None
-        if not np.isfinite(amps).all():
-            raise ValueError("non-finite amplitude")
-        # a finite sum of squares bounds every output value (Cauchy-Schwarz)
-        xs = amps.view(float)
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.dot(xs, xs)):
-                raise ValueError("squared amplitudes sum beyond the float range")
-        return FiniteState(n, rep, amps)
+        state = FiniteState(n, rep, amps)
+        _check_bounded(state)
+        return state
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed state file {path}: {exc}") from exc
+
+
+def _check_bounded(f: FiniteState) -> None:
+    """Raise ValueError unless every amplitude is finite and the squares of
+    f's position values sum to a finite float.  That sum bounds every value a
+    transform or table computes from f (Cauchy-Schwarz), and ``fourier`` and
+    ``displace`` keep it.  Momentum values carry the counting weight, so the
+    position side's sum is n times theirs (Parseval)."""
+    import numpy as np
+
+    if not np.isfinite(f.amplitudes).all():
+        raise ValueError("non-finite amplitude")
+    xs = f.amplitudes.view(float)
+    with np.errstate(over="ignore"):
+        total = (f.n if f.rep == "momentum" else 1) * np.dot(xs, xs)
+    if not np.isfinite(total):
+        raise ValueError("squared amplitudes sum beyond the float range")
 
 
 def dump_state(f: FiniteState, path: str, metadata: dict | None = None) -> None:
@@ -120,11 +132,14 @@ def dump_state(f: FiniteState, path: str, metadata: dict | None = None) -> None:
     }
     if metadata:
         data["metadata"] = metadata
-    # one json.dumps call takes the C encoder; a streamed json.dump does not
+    # what this writes, load_state reads: ``embed`` multiplies the position
+    # side's sum of squares by --to/--from.  One json.dumps call takes the C
+    # encoder; a streamed json.dump does not
     try:
+        _check_bounded(f)
         text = json.dumps(data, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:  # a NaN or infinite value is no JSON number
-        raise UsageError(f"cannot write state file {path}: non-finite amplitude") from exc
+    except ValueError as exc:
+        raise UsageError(f"cannot write state file {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -200,16 +215,12 @@ def cmd_wigner(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("a,b,re,im\n")
         # one a-row at a time, of Python floats, so the values print as
-        # repr(float); a real (Wigner) table has im 0.0 in every row
+        # repr(float); a real (Wigner) table's imag is 0.0 in every row
         for a, row in enumerate(table):
-            if table.dtype == complex:
-                lines = (
-                    f"{a},{b},{re!r},{im!r}\n"
-                    for b, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
-                )
-            else:
-                lines = (f"{a},{b},{re!r},0.0\n" for b, re in enumerate(row.tolist()))
-            fh.write("".join(lines))
+            fh.write("".join(
+                f"{a},{b},{re!r},{im!r}\n"
+                for b, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
+            ))
     return 0
 
 

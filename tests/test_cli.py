@@ -256,15 +256,35 @@ class TestFourierCommand:
         ],
     )
     def test_squared_norm_beyond_the_float_range_exits_2(self, command, tmp_path, capsys):
-        # every amplitude is finite, but the squares are not: the outputs
-        # would be inf and NaN, which JSON cannot hold
+        # every amplitude is finite, but the squares of the position values
+        # are not: the outputs would be inf and NaN, which JSON cannot hold.
+        # The momentum squares sum to 1.44e308, but the position values
+        # n ifft(p) are 2.4e154 at x = 0 and their squares sum to 5.8e308
         src, out = tmp_path / "f.json", tmp_path / "o.out"
-        src.write_text('{"n": 2, "rep": "position", "amplitudes": [[1e308, 1e308], [1e308, 0]]}')
+        for text in (
+            '{"n": 2, "rep": "position", "amplitudes": [[1e308, 1e308], [1e308, 0]]}',
+            '{"n": 4, "rep": "momentum", "amplitudes": [[6e153, 0], [6e153, 0], [6e153, 0], [6e153, 0]]}',
+        ):
+            src.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*command, "--in", str(src), "--out", str(out)]) == 2
+            assert _one_error_line(capsys) == (
+                f"pqm: error: malformed state file {src}: "
+                "squared amplitudes sum beyond the float range\n"
+            )
+            assert not out.exists()
+
+    def test_embed_beyond_the_float_range_is_refused_unwritten(self, tmp_path, capsys):
+        # embed repeats the position values --to/--from times, and so their
+        # sum of squares: 1.44e308 loads, 2.88e308 would not load again
+        src, out = tmp_path / "f.json", tmp_path / "g.json"
+        src.write_text('{"n": 2, "rep": "position", "amplitudes": [[8.4e153, 0], [8.4e153, 0]]}')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*command, "--in", str(src), "--out", str(out)]) == 2
+            assert main(["embed", "--from", "2", "--to", "4", "--in", str(src), "--out", str(out)]) == 2
         assert _one_error_line(capsys) == (
-            f"pqm: error: malformed state file {src}: "
+            f"pqm: error: cannot write state file {out}: "
             "squared amplitudes sum beyond the float range\n"
         )
         assert not out.exists()
