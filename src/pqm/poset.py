@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .numbers import factorize, is_prime
 
@@ -196,7 +196,7 @@ class FinitePoset:
 SIZE_BOUND = 10**4
 
 
-def _divisor_exponents(n: int) -> Mapping[int, int]:
+def _divisor_exponents(n: int) -> dict[int, int]:
     """factorize(n), refusing an N(n) of more than SIZE_BOUND elements before
     any divisor is listed (N(n) has prod (e_p + 1) - 1 elements)."""
     if n < 2:
@@ -439,20 +439,9 @@ def is_open(poset: FinitePoset, s: Iterable) -> bool:
 
 
 def check_t0(poset: FinitePoset) -> bool:
-    """True iff every pair of distinct points has a separating down-set.
-
-    Only a pair that divides both ways has none, so T0 is antisymmetry, one
-    pass over the elements: integers divide both ways iff they share |x|, and
-    a canonical Supernatural divides back only itself.  ``_check_t0_pairwise``
-    is the oracle.
-    """
-    els = poset.elements
-    keys = els if poset.leq is sn_divides else map(abs, els)
-    return len(set(keys)) == len(els)
-
-
-def _check_t0_pairwise(poset: FinitePoset) -> bool:
-    """``check_t0`` by scanning every pair for a separating basis open set."""
+    """True iff every pair of distinct points has a separating down-set,
+    by scanning every pair: O(|P|^2).  ``divisor_t0`` answers a divisor
+    universe N(n) without listing it."""
     els = poset.elements
     for i, x in enumerate(els):
         for y in els[i + 1 :]:

@@ -72,16 +72,6 @@ class LocalSBFunction:
         self.values.flags.writeable = False
 
     @classmethod
-    def position(cls, p: int, values) -> "LocalSBFunction":
-        values = np.fromiter(values, complex)  # any iterable, generators too
-        return cls(p, POSITION, _degree_of(p, len(values)), values)
-
-    @classmethod
-    def momentum(cls, p: int, values) -> "LocalSBFunction":
-        values = np.fromiter(values, complex)
-        return cls(p, MOMENTUM, _degree_of(p, len(values)), values)
-
-    @classmethod
     def from_state(cls, p: int, st: FiniteState) -> "LocalSBFunction":
         """The function tabulated by a state on Z(p^d); its rep is the side."""
         return cls(p, st.rep, _degree_of(p, st.n), st.amplitudes)

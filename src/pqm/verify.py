@@ -460,12 +460,10 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     rep.exact("width_length_oracle_values", ok)
     # the closed form against the matching: the same width, length and
     # antichain, and chains that cover N(n) once each, as few as the width;
-    # and T0 by the antisymmetry pass and by the scan over all pairs, the
-    # oracles of the closed form
+    # and T0 by the scan over all pairs, the oracle of divisor_t0
     for n in range(2, 121):
         p = ps.divisor_poset(n)
         rep.exact("t0_everywhere", ps.check_t0(p))
-        rep.exact("t0_everywhere", ps._check_t0_pairwise(p))
         # and T1 by the scan, the oracle of the closed form
         closed = ps.divisor_t1(n, tuple(nm.factorize(n)))
         rep.exact("t1_fails_with_witness_for_composite", ps.check_t1(p) == closed)

@@ -446,6 +446,11 @@ class TestProfiniteInt:
         assert a.residue(12) == 35 % 12
         assert a.residue(8) == 35 % 8
 
+    @pytest.mark.parametrize("n", [1, 0, -12])
+    def test_residue_refuses_n_below_2(self, n):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            ProfiniteInt(tail=35).residue(n)
+
     def test_projection_compatibility(self):
         # n | l  ->  residue(l) mod n == residue(n)
         a = ProfiniteInt(tail=123)
@@ -535,11 +540,13 @@ def test_factorize_refuses_an_unprovable_cofactor():
         factorize(12 * (2**89 - 1))
 
 
-def test_factorize_cannot_be_changed_through_its_cache():
+def test_factorize_returns_a_fresh_dict():
+    # nothing is cached, so a caller that changes its dict changes no other
     from pqm.poset import divisor_width_length
 
-    with pytest.raises(TypeError):
-        factorize(12)[5] = 1
+    first, second = factorize(12), factorize(12)
+    assert first == second == {2: 2, 3: 1} and first is not second
+    first[5] = 1
     assert factorize(12) == {2: 2, 3: 1}
     assert divisor_width_length(12).width == 2
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import pqm.poset as ps
-from helpers import poset_axioms_hold
+from helpers import check_t0_oracle, poset_axioms_hold
 from pqm.numbers import factorize, is_prime
 from pqm.verify import _least_primes
 from pqm.poset import (
@@ -482,7 +482,7 @@ class TestTopology:
         divisors = _sieved_divisors(10**4)
         for n in range(2, len(divisors)):
             p = FinitePoset(tuple(divisors[n]))
-            assert divisor_t0(n) is check_t0(p) is ps._check_t0_pairwise(p) is True, n
+            assert divisor_t0(n) is check_t0(p) is check_t0_oracle(p) is True, n
 
     @pytest.mark.parametrize("n, match", _REFUSED)
     def test_t0_closed_form_refuses_what_divisor_poset_refuses(self, n, match):
@@ -526,9 +526,9 @@ class TestTopology:
     def test_negatives_break_t0(self):
         # -2 and 2 divide each other, so no open set separates them
         p = FinitePoset((-2, 2))
-        assert check_t0(p) is False and ps._check_t0_pairwise(p) is False
+        assert check_t0(p) is False and check_t0_oracle(p) is False
         p = FinitePoset((-2, 3, 4))
-        assert check_t0(p) is True and ps._check_t0_pairwise(p) is True
+        assert check_t0(p) is True and check_t0_oracle(p) is True
 
     def test_one_element_in_two_forms_is_a_duplicate(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -34,6 +34,7 @@ from helpers import (
     TupleSB,
     canonicalize_global_oracle,
     char_chi_global_oracle,
+    check_t0_oracle,
     digits_oracle,
     factorize_oracle,
     global_inner_oracle,
@@ -122,7 +123,6 @@ from pqm.poset import (
     OMEGA,
     FinitePoset,
     Supernatural,
-    _check_t0_pairwise,
     basis_open,
     check_t0,
     check_t1,
@@ -454,7 +454,7 @@ def test_sn_sup_is_the_least_upper_bound(xs, y):
 @given(els=st.lists(_supernaturals(), min_size=1, max_size=5, unique=True), data=st.data())
 def test_supernatural_alexandrov_topology(els, data):
     poset = FinitePoset(tuple(els))
-    assert check_t0(poset) is _check_t0_pairwise(poset) is True
+    assert check_t0(poset) is check_t0_oracle(poset) is True
     ok, witness = check_t1(poset)
     strict = [(m, x) for m in els for x in els if m != x and sn_divides(m, x)]
     assert ok == (not strict)
@@ -556,7 +556,7 @@ def test_sup_with_a_fixed_element_is_continuous_on_integers(n, k):
 def test_check_t0_is_the_pairwise_scan_on_integers(els):
     # antisymmetry fails exactly on a pair x, -x
     poset = FinitePoset(tuple(els))
-    assert check_t0(poset) is _check_t0_pairwise(poset)
+    assert check_t0(poset) is check_t0_oracle(poset)
 
 
 @_settings

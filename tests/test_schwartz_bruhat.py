@@ -225,12 +225,12 @@ class TestHatTransform:
 
 class TestConstructors:
     def test_length_based_degree(self):
-        f = LocalSBFunction.position(3, [1, 2, 3])
-        assert f.degree == 1
-        g = LocalSBFunction.momentum(2, [1, 0, 0, 0])
-        assert g.degree == 2
-        with pytest.raises(ValueError):
-            LocalSBFunction.position(3, [1, 2])
+        f = LocalSBFunction.from_state(3, FiniteState(3, POSITION, [1, 2, 3]))
+        assert (f.degree, f.side) == (1, POSITION)
+        g = LocalSBFunction.from_state(2, FiniteState(4, MOMENTUM, [1, 0, 0, 0]))
+        assert (g.degree, g.side) == (2, MOMENTUM)
+        with pytest.raises(ValueError, match="value count 2 is not a power of 3"):
+            LocalSBFunction.from_state(3, FiniteState(2, POSITION, [1, 2]))
 
     def test_character_function_rejects_foreign_denominator(self):
         from pqm.schwartz_bruhat import character_function
@@ -313,11 +313,6 @@ class TestConstructors:
             st.amplitudes[0] = 1
         for g in (refine(f, 3), local_fourier(f), local_reflect(f), scale_variable(f, 2)):
             assert not g.values.flags.writeable
-
-    @pytest.mark.parametrize("make", [LocalSBFunction.position, LocalSBFunction.momentum])
-    def test_length_constructors_take_any_iterable(self, make):
-        f = make(2, (v for v in (1, 2j, 3, 4)))
-        assert f.degree == 2 and np.array_equal(f.values, [1, 2j, 3, 4])
 
     @pytest.mark.parametrize("values", [[[1, 2]], [[1], [2]], 5])
     def test_values_must_be_one_flat_table(self, values):
