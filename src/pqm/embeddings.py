@@ -22,7 +22,6 @@ import numpy as np
 
 from .numbers import (
     PadicInt,
-    ZERO_MOD1,
     char_chi_p,
     char_omega,
     crt_idempotents,
@@ -36,7 +35,6 @@ from .finiteqm import (
     FiniteState,
     HWElement,
     _displace_values,
-    _element_columns,
     _extend_values,
     _fourier_values,
     _point_elements,
@@ -250,11 +248,10 @@ def _compat_suites(chains, rng) -> list[dict[str, float]]:
         fourier_gaps = np.abs(lhs - rhs).reshape(len(members), -1).max(axis=1)
 
         group_els = [el for i in members for el in els[i]]
-        lhs = _displace_values(h, POSITION, *_element_columns(group_els))
-        lhs = _extend_values(lhs, POSITION, ell)
+        lhs = _extend_values(_displace_values(h, POSITION, group_els), POSITION, ell)
         spec = EmbeddingSpec(k, ell)
-        embedded = _element_columns([hw_embed(el, spec) for el in group_els])
-        rhs = _displace_values(_extend_values(h, POSITION, ell), POSITION, *embedded)
+        embedded = [hw_embed(el, spec) for el in group_els]
+        rhs = _displace_values(_extend_values(h, POSITION, ell), POSITION, embedded)
         hw_gaps = np.abs(lhs - rhs).reshape(len(members), -1).max(axis=1)
 
         broken = float(not _characters_preserved(k, ell))
@@ -315,12 +312,4 @@ def annihilator(n: int, m: int) -> tuple[int, frozenset[int]]:
     """
     if n < 1 or m < 1 or n % m != 0:
         raise ValueError("m must be a positive divisor of n")
-    gen = n // m
-    subgroup = {(gen * t) % n for t in range(m)}
-    ann = {
-        b
-        for b in range(n)
-        if all(char_omega(n, a * b) == ZERO_MOD1 for a in subgroup)
-    }
-    assert ann == {(m * t) % n for t in range(n // m)}
-    return m, frozenset(ann)
+    return m, frozenset(range(0, n, m))

@@ -331,11 +331,18 @@ def hw_z(n: int) -> HWElement:
     return HWElement.from_canonical(n, pow(_chi_coeff(n), -1, n), 0, 0)
 
 
-def _displacement_action(n: int, alpha, beta, unit, rep: str) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, src) with (D f)(x) = phases[i, x] f(src[i, x]) on the rep's
-    values, for the k elements D_i = e(phase_i) D(alpha_i, beta_i) given as
-    the (k, 1) columns of ``_element_columns``: unit holds e(phase_i), and
-    the integer x-term t gives the factor e(t/n)."""
+def _displacement_action(elements, rep: str) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, src) with (D_i f)(x) = phases[i, x] f(src[i, x]) on the rep's
+    values, for k elements D_i = e(phase_i) D(alpha_i, beta_i) of one n, as
+    (k, n) stacks; the integer x-term t gives the factor e(t/n).  A phase
+    denominator may exceed int64 (``hw_scalar_mul``), so phases reach
+    ``_unit`` as Python ints."""
+    n = elements[0].n
+    if any(d.n != n for d in elements):
+        raise ValueError("dimension mismatch")
+    cols = [(d.alpha, d.beta, d.phase.numerator, d.phase.denominator) for d in elements]
+    cols = np.array(cols, dtype=object)
+    alpha, beta = cols[:, :1].astype(int), cols[:, 1:2].astype(int)
     c = _chi_coeff(n)
     x = np.arange(n)
     if rep == POSITION:
@@ -344,27 +351,14 @@ def _displacement_action(n: int, alpha, beta, unit, rep: str) -> tuple[np.ndarra
         src = (x - c * alpha) % n
         t = -beta * src
     phases = _unit(t, n)
-    phases *= unit
+    phases *= _unit(cols[:, 2:3], cols[:, 3:])
     return phases, src
 
 
-def _element_columns(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alpha, beta, e(phase)) of elements of one n as (k, 1) columns, the
-    stacked arguments of ``_displacement_action``; a phase denominator may
-    exceed int64 (``hw_scalar_mul``), so phases reach ``_unit`` as Python ints."""
-    n = elements[0].n
-    if any(d.n != n for d in elements):
-        raise ValueError("dimension mismatch")
-    cols = [(d.alpha, d.beta, d.phase.numerator, d.phase.denominator) for d in elements]
-    cols = np.array(cols, dtype=object)
-    return cols[:, :1].astype(int), cols[:, 1:2].astype(int), _unit(cols[:, 2:3], cols[:, 3:])
-
-
-def _displace_values(v: np.ndarray, rep: str, alpha, beta, unit) -> np.ndarray:
-    """``displace`` on the last axis of a (k, n) stack of ``rep`` values, for
-    the elements given as (k, 1) columns as in ``_displacement_action``,
-    acting row by row (or all on one (1, n) row)."""
-    phases, src = _displacement_action(v.shape[-1], alpha, beta, unit, rep)
+def _displace_values(v: np.ndarray, rep: str, elements) -> np.ndarray:
+    """``displace`` on the last axis of a (k, n) stack of ``rep`` values, by
+    k elements of that n acting row by row (or all on one (1, n) row)."""
+    phases, src = _displacement_action(elements, rep)
     # one row is a 1-D gather, twice as fast as the row-wise one at large n
     phases *= v[0][src] if len(v) == 1 else np.take_along_axis(v, src, axis=-1)
     return phases
@@ -373,7 +367,7 @@ def _displace_values(v: np.ndarray, rep: str, alpha, beta, unit) -> np.ndarray:
 def displace(d: HWElement, f: FiniteState) -> FiniteState:
     if d.n != f.n:
         raise ValueError("dimension mismatch")
-    values = _displace_values(f.amplitudes[None], f.rep, *_element_columns([d]))[0]
+    values = _displace_values(f.amplitudes[None], f.rep, [d])[0]
     return FiniteState(d.n, f.rep, values)
 
 
@@ -384,7 +378,7 @@ def hw_matrix(d: HWElement, rep: str = POSITION) -> np.ndarray:
 def _hw_matrices(elements, rep: str = POSITION) -> np.ndarray:
     """``hw_matrix`` of each element, all of one n, as one (k, n, n) stack."""
     n = elements[0].n
-    phases, src = _displacement_action(n, *_element_columns(elements), rep)
+    phases, src = _displacement_action(elements, rep)
     m = np.zeros((len(elements), n, n), dtype=complex)
     m[np.arange(len(elements))[:, None], np.arange(n), src] = phases
     return m
@@ -447,7 +441,7 @@ def _weyl_wigner_values(f: FiniteState, displacements, parities) -> list[complex
     """The point kernel of the Weyl and Wigner functions: (f, D f) for each
     displacement D, then (f, P f) for each parity P (x -> -x after D), as one
     stacked action on f, reduced row by row as ``inner`` does."""
-    h = _displace_values(f.amplitudes[None], f.rep, *_element_columns(displacements + parities))
+    h = _displace_values(f.amplitudes[None], f.rep, displacements + parities)
     # assigned in place, so every row stays contiguous: np.vdot sums a
     # strided row in another order
     reflected = slice(len(displacements), None)

@@ -99,7 +99,6 @@ def is_prime(p: int) -> bool:
 # trial division stops at this divisor; a cofactor left with no prime
 # factor below it is split by rho, which finds a prime q in about sqrt(q) steps
 _TRIAL_BOUND = 1024
-_RHO_BATCH = 128  # steps whose differences share one gcd
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -108,7 +107,8 @@ def factorize(n: int) -> dict[int, int]:
     Trial division by f < ``_TRIAL_BOUND`` stops once the cofactor is prime
     (``is_prime``, asked before the first division and after each factor
     found), so a prime, or a small number times one, answers at once.  A
-    composite cofactor left after it is split by Pollard-Brent rho.  Above
+    composite cofactor left after it is split by textbook Pollard rho
+    (``_rho_divisor``), about sqrt(q) steps for its least prime q.  Above
     ``_PRIMALITY_BOUND`` a cofactor that passes every Miller-Rabin base is
     a ValueError.  Each call returns a new dict: factoring costs a few
     microseconds at the n this package meets, so nothing is cached.
@@ -153,30 +153,18 @@ def _rho_primes(m: int) -> list[int]:
 
 def _rho_divisor(m: int) -> int:
     """A divisor 1 < d < m of an odd composite m, by Pollard's rho on
-    x -> x^2 + c from x = 2, with Brent's cycle search and a product of
-    ``_RHO_BATCH`` differences per gcd (Brent, BIT 20 (1980) 176).  A run
-    that closes the cycle mod m without a divisor retries with c + 1."""
+    x -> x^2 + c from x = 2 with Floyd's cycle search, one gcd per step
+    (Pollard, BIT 15 (1975) 331).  A run whose cycle closes on m without a
+    divisor retries with c + 1."""
     c = 1
     while True:
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % m
-                    q = q * (x - y) % m
-                g = math.gcd(q, m)
-                k += _RHO_BATCH
-            r *= 2
-        if g == m:  # the batch met the cycle: redo it one difference at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = math.gcd(x - ys, m)
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            g = math.gcd(x - y, m)
         if g != m:
             return g
         c += 1
@@ -558,7 +546,7 @@ class CrtFactor:
     w: int
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1024)
 def crt_idempotents(n: int) -> tuple[CrtFactor, ...]:
     """One ``CrtFactor`` per prime power p^e of n, in increasing p; n >= 2.
 
@@ -567,7 +555,10 @@ def crt_idempotents(n: int) -> tuple[CrtFactor, ...]:
     ``finiteqm._flat_indices`` and ``phw_global_project_factors`` read it on
     every call.  One default ``pqm verify`` makes about 9300 hits and 1000
     misses, and a miss costs about 4 us at n = 12 and 25 us at n = 9699690
-    (Python 3.11).  ``factorize`` itself is not cached.
+    (Python 3.11).  The cache keeps at most 1024 moduli, room for verify's
+    1000: an entry takes about 0.5 kB, so the bound caps it near 0.6 MB,
+    where 65536 entries could reach about 38 MB.  ``factorize`` itself is
+    not cached.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -435,15 +435,11 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("poset", cfg.tolerance)
     limit = cfg.poset_limit
 
-    divisors: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(2, limit + 1):
-        for mult in range(d, limit + 1, d):
-            divisors[mult].append(d)
-
+    least = _least_prime_sieve(limit)
     for n in range(2, limit + 1):
         rep.exact("t0_everywhere", ps.divisor_t0(n))
-        is_t1, witness = ps.divisor_t1(n, _least_primes(n, divisors))
-        if len(divisors[n]) > 1:
+        is_t1, witness = ps.divisor_t1(n, _least_primes(n, least))
+        if least[n] != n:
             # any non-singleton divisor universe has a strict pair, so T1
             # must fail and the reported witness must be a strict pair of N(n)
             strict = witness is not None and witness[0] != witness[1] and (
@@ -479,14 +475,25 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     return rep.done()
 
 
-def _least_primes(n: int, divisors: list[list[int]]) -> tuple[int, ...]:
+def _least_prime_sieve(limit: int) -> list[int]:
+    """least[n] = the least prime of n, for every 2 <= n <= limit."""
+    least = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if least[p] == p:
+            for mult in range(p * p, limit + 1, p):
+                if least[mult] == mult:
+                    least[mult] = p
+    return least
+
+
+def _least_primes(n: int, least: list[int]) -> tuple[int, ...]:
     """The least two distinct primes of n (one for a prime power), read from
-    the sieve: the least divisor > 1 of a number is its least prime."""
-    p = divisors[n][0]
+    the least-prime sieve ``least``."""
+    p = least[n]
     rest = n // p
     while rest % p == 0:
         rest //= p
-    return (p,) if rest == 1 else (p, divisors[rest][0])
+    return (p,) if rest == 1 else (p, least[rest])
 
 
 def _symbolic_suprema_hold() -> bool:

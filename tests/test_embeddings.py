@@ -3,7 +3,7 @@ import pytest
 
 import pqm.embeddings as emb
 import pqm.finiteqm as fq
-from pqm.numbers import RatMod1, char_omega
+from pqm.numbers import ZERO_MOD1, RatMod1, char_omega
 from pqm.finiteqm import (
     MOMENTUM,
     POSITION,
@@ -263,7 +263,19 @@ class TestUbiquity:
         assert list(devs) == list(_UBIQUITY_CHECKS)
 
 
+def _annihilator_oracle(n, m):
+    """Ann_{Z(n)} of the order-m subgroup by its definition: the b whose
+    character omega(a b) is trivial for every a in the subgroup."""
+    subgroup = {(n // m * t) % n for t in range(m)}
+    return {b for b in range(n) if all(char_omega(n, a * b) == ZERO_MOD1 for a in subgroup)}
+
+
 class TestAnnihilator:
+    def test_closed_form_matches_the_character_definition(self):
+        for n in range(1, 61):
+            for m in (m for m in range(1, n + 1) if n % m == 0):
+                assert annihilator(n, m) == (m, _annihilator_oracle(n, m)), (n, m)
+
     @pytest.mark.parametrize("n,m", [(12, 3), (12, 4), (8, 2), (30, 5), (7, 7)])
     def test_sizes(self, n, m):
         gen, ann = annihilator(n, m)
@@ -338,8 +350,8 @@ class TestNaNGaps:
         displace_values = fq._displace_values
         row = {"weyl": 0, "wigner": 8}[quantity]
 
-        def nan_row(v, rep, *columns):
-            out = displace_values(v, rep, *columns)
+        def nan_row(v, rep, elements):
+            out = displace_values(v, rep, elements)
             out[row] = np.nan
             return out
 

@@ -532,6 +532,14 @@ def test_factorize_stops_at_a_prime_cofactor(n, want):
     assert dict(got) == want and list(got) == sorted(want)
 
 
+def test_factorize_splits_the_largest_64_bit_semiprime_by_rho():
+    # the two largest primes below 2^32: rho's longest 64-bit split, far
+    # beyond the trial-division oracle
+    p, q = 4294967279, 4294967291
+    got = factorize(p * q)
+    assert got == {p: 1, q: 1} and list(got) == [p, q]
+
+
 def test_factorize_refuses_an_unprovable_cofactor():
     # 2^89 - 1 is prime and above the bound where Miller-Rabin decides
     with pytest.raises(ValueError, match="cannot prove"):

@@ -7,7 +7,7 @@ import pytest
 import pqm.poset as ps
 from helpers import check_t0_oracle, poset_axioms_hold
 from pqm.numbers import factorize, is_prime
-from pqm.verify import _least_primes
+from pqm.verify import _least_prime_sieve, _least_primes
 from pqm.poset import (
     INF,
     OMEGA,
@@ -464,13 +464,15 @@ class TestTopology:
         assert ok and witness is None
 
     def test_t1_closed_form_matches_the_scan(self):
-        # every divisor universe up to 10^4, listed by a sieve as the verify
-        # suite lists them; the primes from factorize and from the sieve
+        # every divisor universe up to 10^4; the primes from factorize and
+        # from verify's least-prime sieve, whose entry is the least divisor > 1
         divisors = _sieved_divisors(10**4)
+        least = _least_prime_sieve(10**4)
         for n in range(2, len(divisors)):
             want = check_t1(FinitePoset(tuple(divisors[n])))
             primes = tuple(factorize(n))
-            assert _least_primes(n, divisors) == primes[:2], n
+            assert least[n] == divisors[n][0], n
+            assert _least_primes(n, least) == primes[:2], n
             assert divisor_t1(n, primes) == divisor_t1(n, primes[:2]) == want, n
 
     @pytest.mark.parametrize("n", [0, 1, -6])
