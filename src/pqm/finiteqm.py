@@ -213,6 +213,12 @@ def _chi_coeff(n: int) -> int:
     return 2 if n % 2 else 1
 
 
+def _check_dimension(n: int) -> None:
+    """The Heisenberg-Weyl group on Z(n) needs n >= 2: checked before any mod n."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+
+
 @dataclass(frozen=True, slots=True)
 class HWElement:
     """A displacement operator D on Z(n) with an exact scalar prefactor.
@@ -231,8 +237,7 @@ class HWElement:
             # an int subclass or an integer-like value is stored as the plain int
             for name in ("n", "alpha", "beta"):
                 object.__setattr__(self, name, _index(getattr(self, name), name))
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        _check_dimension(self.n)
         if not (0 <= self.alpha < self.n and 0 <= self.beta < self.n):
             raise ValueError("alpha, beta must be canonical residues in [0, n)")
         if not isinstance(self.phase, RatMod1):
@@ -251,6 +256,7 @@ class HWElement:
 
     @classmethod
     def from_canonical(cls, n: int, alpha: int, beta: int, gamma: int) -> "HWElement":
+        _check_dimension(n)
         alpha, beta, gamma = alpha % n, beta % n, gamma % n
         phase = RatMod1.of(2 * gamma - _chi_coeff(n) * alpha * beta, 2 * n)
         return cls(n, alpha, beta, phase)
@@ -260,6 +266,7 @@ class HWElement:
         cls, n: int, a: RatMod1, b: int, c: RatMod1 = ZERO_MOD1
     ) -> "HWElement":
         """Build from continuum data (a, b, c); requires 2a on the 1/n grid."""
+        _check_dimension(n)
         r, rem = divmod(2 * n * a.numerator, a.denominator)
         if rem:
             raise ValueError(f"a={a} does not displace the Z({n}) momentum grid")
@@ -328,6 +335,7 @@ def hw_x(n: int) -> HWElement:
 
 
 def hw_z(n: int) -> HWElement:
+    _check_dimension(n)
     return HWElement.from_canonical(n, pow(_chi_coeff(n), -1, n), 0, 0)
 
 
@@ -381,6 +389,15 @@ def _hw_matrices(elements, rep: str = POSITION) -> np.ndarray:
     phases, src = _displacement_action(elements, rep)
     m = np.zeros((len(elements), n, n), dtype=complex)
     m[np.arange(len(elements))[:, None], np.arange(n), src] = phases
+    return m
+
+
+def _hw_sum(elements, rep: str) -> np.ndarray:
+    """The sum of the ``_hw_matrices`` stack, scattered into one matrix in its order."""
+    n = elements[0].n
+    phases, src = _displacement_action(elements, rep)
+    m = np.zeros((n, n), dtype=complex)
+    np.add.at(m, (np.arange(n), src), phases)
     return m
 
 
@@ -629,22 +646,13 @@ class ParityCheckResult:
 def _parity_expansion_residual(n: int) -> float:
     """Max gap of P(a, b) = (1/n) sum_{a',b'} omega_n(2(a'b - ab')) D(a',b',0), odd n.
 
-    Entry [x, x - b'] of the sum is
-    (1/n) e(-2ab'/n) sum_{a'} e(s_{a'b'} + 2a'(b + x)/n): one inverse FFT over
-    a' per b', shared by every (a, b).  The n^2 matrices are compared in a
-    loop over a, in O(n^3) memory.
+    Entry [x, x - b'] of the sum is (1/n) e(-2ab'/n) sum_{a'} e(s_{a'b'} + 2a'm/n)
+    with m = 2(b + x), and P(a, b) holds e(-4a(x + b)/n) = e(-2ab'/n) at b' = m:
+    each a's gap is the a = 0 gap times e(-2ab'/n).  m covers Z(n) for odd n, so
+    that gap is the inverse FFT over a' of e(s_{a'b'}) minus the identity, [m, b'].
     """
-    j = np.arange(n)
-    b, x = j[:, None], j[None, :]
     spectrum = np.fft.ifft(_displacement_phases(n), axis=0)  # [m, b']
-    terms = spectrum[(2 * (b + x)) % n]  # [b, x, b'] up to e(-2ab'/n)
-    worst = 0.0
-    for a in range(n):
-        gap = _unit(-2 * a * j, n) * terms
-        # P(a, b) holds e(-4a(x + b)/n) at [x, -x - 2b], i.e. b' = 2(x + b)
-        gap[b, x, (2 * (b + x)) % n] -= _unit(-4 * a * (b + x), n)
-        worst = np.maximum(worst, np.max(np.abs(gap)))  # a NaN gap stays
-    return float(worst)
+    return float(np.max(np.abs(spectrum - np.eye(n))))
 
 
 def parity_expand_check(theta) -> ParityCheckResult:
@@ -698,12 +706,12 @@ def marginal_a_matrix(n: int, a: int) -> np.ndarray:
     b-integral runs over Z(2n) with weight 1/(2n) because the half phases
     depend on b mod 2n; ``from_phase_space`` keeps b unreduced in the phase.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_dimension(n)
+    a = _index(a, "a")
     b_range = n if n % 2 else 2 * n
     frak_a = RatMod1.of(a, b_range)
     els = [HWElement.from_phase_space(n, frak_a, b) for b in range(b_range)]
-    return _hw_matrices(els, MOMENTUM).sum(axis=0) / b_range
+    return _hw_sum(els, MOMENTUM) / b_range
 
 
 def marginal_a_expected(gt: np.ndarray, ft: np.ndarray, a: int) -> complex:
@@ -727,11 +735,11 @@ def marginal_b_matrix(n: int, b: int) -> np.ndarray:
     kernel K[P, Q] = e(-b (P + Q) / 2n); for even b this equals the section
     sum.  The index b runs mod 2n for even n.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_dimension(n)
+    b = _index(b, "b")
     if n % 2:
         els = [HWElement.from_canonical(n, a, b, 0) for a in range(n)]
-        return _hw_matrices(els, MOMENTUM).sum(axis=0)
+        return _hw_sum(els, MOMENTUM)
     p = np.arange(n)
     return _unit(-b * (p[:, None] + p[None, :]), 2 * n)
 
@@ -755,16 +763,18 @@ def parity_marginal_a_matrix(n: int, a: int) -> np.ndarray:
     """cal-A(a) = (1/n) sum_b P(a, b), momentum representation (odd n)."""
     if n < 2 or n % 2 == 0:
         raise ValueError("unsupported regime: parity marginals need odd n >= 3")
-    points = [PhasePoint(n, a, b) for b in range(n)]
-    return _parity_matrices(points, MOMENTUM).sum(axis=0) / n
+    a = _index(a, "a")
+    els = [parity_displacement(PhasePoint(n, a, b)) for b in range(n)]
+    return _hw_sum(els, MOMENTUM)[_dilation(n, -1)] / n
 
 
 def parity_marginal_b_matrix(n: int, b: int) -> np.ndarray:
     """cal-B(b) = sum_a P(a, b), momentum representation (odd n)."""
     if n < 2 or n % 2 == 0:
         raise ValueError("unsupported regime: parity marginals need odd n >= 3")
-    points = [PhasePoint(n, a, b) for a in range(n)]
-    return _parity_matrices(points, MOMENTUM).sum(axis=0)
+    b = _index(b, "b")
+    els = [parity_displacement(PhasePoint(n, a, b)) for a in range(n)]
+    return _hw_sum(els, MOMENTUM)[_dilation(n, -1)]
 
 
 def momentum_pairing(gt: np.ndarray, m: np.ndarray, ft: np.ndarray) -> complex:

@@ -231,8 +231,8 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
             rep.case("parity_displacement_expansion", out.expansion_residual, 1e-9)
             rep.case("parity_sandwich_trace", out.sandwich_residual, 1e-9)
             rep.case("parity_tomography", out.tomography_residual, 1e-9)
-    # brute-force oracles: the Wigner table point by point, and the sandwich
-    # and tomography sums over explicit parity matrices
+    # brute-force oracles: the Wigner table point by point, and the expansion,
+    # sandwich and tomography sums over explicit parity matrices
     for n in range(2, 9):
         for r in (POSITION, MOMENTUM):
             f = fq.random_state(n, rng, rep=r)
@@ -242,6 +242,10 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
     for n in (3, 5):
         theta = fq.random_operator(n, rng)
         par = fq._parity_matrices([fq.PhasePoint(n, a, b) for a in range(n) for b in range(n)])
+        # P(a, b) = (1/n) sum_{a', b'} e(2(a'b - ab')/n) D(a', b', 0); w[p, q] = e(2pq/n)
+        w = fq._unit(2 * np.outer(np.arange(n), np.arange(n)), n)
+        expansion = np.einsum("pb,aq,pqxy->abxy", w, w.conj(), _displacement_grid(n)) / n
+        rep.gap("parity_displacement_expansion", par, expansion.reshape(-1, n, n), 1e-9)
         sandwich = sum(p @ theta @ p for p in par) / n
         tomo = sum(p * np.trace(theta @ p) for p in par) / n
         rep.gap("parity_sandwich_trace", sandwich, np.trace(theta) * np.eye(n), 1e-9)

@@ -225,6 +225,24 @@ class TestDisplacement:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             HWElement(*args)
 
+    @pytest.mark.parametrize("n", [0, 1, -3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: HWElement.from_canonical(n, 1, 1, 1),
+            lambda n: HWElement.from_phase_space(n, RatMod1.of(1, 2), 1),
+            hw_identity,
+            hw_x,
+            hw_z,
+        ],
+        ids=["from_canonical", "from_phase_space", "hw_identity", "hw_x", "hw_z"],
+    )
+    def test_dimension_below_two_raises(self, n, build):
+        # at n = 0 a residue mod n or an inverse mod n used to run first, and
+        # raised ZeroDivisionError or pow()'s own message
+        with pytest.raises(ValueError, match="^n must be >= 2$"):
+            build(n)
+
     @pytest.mark.parametrize("phase", [0.5, Fraction(1, 2), 0])
     def test_element_rejects_a_phase_outside_q_z(self, phase):
         # HWElement(4, 1, 0, 0.5) once built, and hw_mul ended in an AttributeError
@@ -363,9 +381,11 @@ class TestPhaseKernel:
                 assert np.max(np.abs(marginal_b_matrix(n, b) - old)) <= _TWO_PATHS
 
     def test_parity_expansion_residual(self):
+        # the a-loop's maximum includes its a = 0 term, which is the fast form
         for n in range(3, 32, 2):
             got = finiteqm._parity_expansion_residual(n)
-            assert abs(got - _old_parity_expansion_residual(n)) <= 1e-15
+            old = _old_parity_expansion_residual(n)
+            assert got <= old <= got + 1e-15
 
     @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
     def test_displacement_action(self, rep):
@@ -408,6 +428,28 @@ class TestPhasesBeyondInt64:
             assert np.max(np.abs(hw_matrix(dq, rep) - e * hw_matrix(d, rep))) <= 1e-15
             stack = finiteqm._hw_matrices([dq, d], rep)
             assert np.max(np.abs(stack[0] - e * stack[1])) <= 1e-15
+
+
+class TestHWSum:
+    """``_hw_sum`` scatters the phases of many elements into one n x n
+    matrix; the sum over the ``_hw_matrices`` stack is its oracle."""
+
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    def test_scatter_is_the_stack_sum(self, rep):
+        # few (alpha, beta) labels per list, so several elements land on one
+        # entry, and phases over denominators far beyond int64
+        rng = np.random.default_rng(36)
+        for n in range(2, 41):
+            for k in (1, 2, n, 3 * n):
+                labels = rng.integers(0, n, (3, 2))
+                els = []
+                for i in rng.integers(0, 3, k):
+                    alpha, beta = (int(v) for v in labels[i])
+                    den = int(rng.integers(1, 2**62)) * 2**int(rng.integers(0, 80))
+                    phase = RatMod1.of(int(rng.integers(0, 2**62)) * 3**40, den)
+                    els.append(HWElement(n, alpha, beta, phase))
+                want = finiteqm._hw_matrices(els, rep).sum(axis=0)
+                assert np.array_equal(finiteqm._hw_sum(els, rep), want)
 
 
 class TestExtend:
@@ -808,8 +850,10 @@ class TestMarginals:
 
     @pytest.mark.parametrize("n", range(2, 33))
     def test_stacked_sums_are_the_per_point_sums(self, n):
-        # the per-point loops the stacked builds replaced are the oracle; an
-        # axis-0 sum adds the slices in order, so they agree bit for bit
+        # the per-point loops are the oracle; the builders scatter every
+        # element's phases into one matrix with np.add.at, which adds them
+        # entry by entry in element order, as these loops do, so the two
+        # agree bit for bit
         b_range = n if n % 2 else 2 * n
         for a in range(n):
             frak_a = RatMod1.of(a, b_range)
@@ -842,6 +886,26 @@ class TestMarginals:
         for build in (parity_marginal_a_matrix, parity_marginal_b_matrix):
             with pytest.raises(ValueError, match="odd n >= 3"):
                 build(n, index)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("label", [1.5, 2.0, "1", None])
+    def test_label_must_be_an_integer(self, n, label):
+        # marginal_b_matrix(4, 1.5) returned a matrix of half-integer phases,
+        # and the others raised a bare TypeError
+        builds = [(marginal_a_matrix, "a"), (marginal_b_matrix, "b")]
+        if n % 2:
+            builds += [(parity_marginal_a_matrix, "a"), (parity_marginal_b_matrix, "b")]
+        for build, name in builds:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                build(n, label)
+
+    def test_label_accepts_integer_likes(self):
+        for label in (np.int64(2), True):
+            want = int(label)
+            assert np.array_equal(marginal_a_matrix(5, label), marginal_a_matrix(5, want))
+            assert np.array_equal(marginal_b_matrix(4, label), marginal_b_matrix(4, want))
+            got = parity_marginal_b_matrix(5, label)
+            assert np.array_equal(got, parity_marginal_b_matrix(5, want))
 
     @pytest.mark.parametrize("ng,nf", [(3, 5), (5, 3), (4, 6)])
     def test_b_expected_dimension_mismatch(self, ng, nf):
@@ -964,6 +1028,30 @@ class TestLargeN:
             tracemalloc.stop()
         assert max(res.expansion_residual, res.sandwich_residual, res.tomography_residual) < 1e-9
         assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: marginal_a_matrix(129, 1),
+            lambda: marginal_a_matrix(128, 3),
+            lambda: marginal_b_matrix(129, 1),
+            lambda: parity_marginal_a_matrix(129, 1),
+            lambda: parity_marginal_b_matrix(129, 1),
+            lambda: finiteqm._parity_expansion_residual(129),
+        ],
+        ids=["marginal_a_odd", "marginal_a_even", "marginal_b", "parity_marginal_a",
+             "parity_marginal_b", "parity_expansion_residual"],
+    )
+    def test_phase_space_sums_at_129_below_4_mb(self, build):
+        # an n x n result in O(n^2) memory: a (k, n, n) stack of the summands,
+        # or a [b, x, b'] array, took 33 to 99 MB here
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestNoGridCaches:
