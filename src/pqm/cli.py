@@ -152,7 +152,6 @@ _CONFIG_KEYS = {
     "tolerance": float,
     "samples": int,
     "seed": int,
-    "poset_limit": int,
 }
 
 
@@ -256,11 +255,11 @@ def cmd_poset(args) -> int:
         else:
             payload = {"n": args.n, args.query: payload[args.query]}
     elif args.query == "topology":
-        t0 = ps.divisor_t0(args.n)
-        t1, witness = ps.divisor_t1(args.n, tuple(nm.factorize(args.n)))
+        # N(n) is T0 by antisymmetry; divisor_t1 refuses what divisor_poset refuses
+        t1, witness = ps.divisor_t1(args.n)
         payload = {
             "n": args.n,
-            "T0": t0,
+            "T0": True,
             "T1": t1,
             "T1_witness": list(witness) if witness else None,
         }

@@ -22,6 +22,7 @@ import numpy as np
 
 from .numbers import (
     PadicInt,
+    _index,
     char_chi_p,
     char_omega,
     crt_idempotents,
@@ -56,6 +57,10 @@ class EmbeddingSpec:
     target: "int | Supernatural"
 
     def __post_init__(self) -> None:
+        if type(self.source) is not int:
+            object.__setattr__(self, "source", _index(self.source, "source"))
+        if not (type(self.target) is int or isinstance(self.target, Supernatural)):
+            object.__setattr__(self, "target", _index(self.target, "target"))
         if self.source < 2:
             raise ValueError("source label must be >= 2")
         if isinstance(self.target, Supernatural):

@@ -67,6 +67,8 @@ class FiniteState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            self.n = _index(self.n, "n")
         if self.n < 1:
             raise ValueError(f"n={self.n} must be >= 1")
         if self.rep not in (POSITION, MOMENTUM):
@@ -149,6 +151,10 @@ def to_position(f: FiniteState) -> FiniteState:
 def extend(f: FiniteState, ell: int) -> FiniteState:
     """The isometric embedding Z(n) -> Z(ell), n | ell: position values extend
     periodically, momentum values move from P to (ell/n) P with zero padding."""
+    if type(ell) is not int:
+        ell = _index(ell, "ell")
+    if ell < f.n:
+        raise ValueError(f"ell={ell} is smaller than n={f.n}")
     if ell % f.n:
         raise ValueError(f"{f.n} does not divide {ell}")
     return FiniteState(ell, f.rep, _extend_values(f.amplitudes, f.rep, ell))
@@ -213,10 +219,14 @@ def _chi_coeff(n: int) -> int:
     return 2 if n % 2 else 1
 
 
-def _check_dimension(n: int) -> None:
-    """The Heisenberg-Weyl group on Z(n) needs n >= 2: checked before any mod n."""
+def _check_dimension(n: int) -> int:
+    """n as a plain int: the Heisenberg-Weyl group on Z(n) needs n >= 2,
+    checked before any mod n."""
+    if type(n) is not int:
+        n = _index(n, "n")
     if n < 2:
         raise ValueError("n must be >= 2")
+    return n
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,7 +266,10 @@ class HWElement:
 
     @classmethod
     def from_canonical(cls, n: int, alpha: int, beta: int, gamma: int) -> "HWElement":
-        _check_dimension(n)
+        n = _check_dimension(n)
+        if not type(alpha) is type(beta) is type(gamma) is int:
+            alpha, beta = _index(alpha, "alpha"), _index(beta, "beta")
+            gamma = _index(gamma, "gamma")
         alpha, beta, gamma = alpha % n, beta % n, gamma % n
         phase = RatMod1.of(2 * gamma - _chi_coeff(n) * alpha * beta, 2 * n)
         return cls(n, alpha, beta, phase)
@@ -266,7 +279,7 @@ class HWElement:
         cls, n: int, a: RatMod1, b: int, c: RatMod1 = ZERO_MOD1
     ) -> "HWElement":
         """Build from continuum data (a, b, c); requires 2a on the 1/n grid."""
-        _check_dimension(n)
+        n = _check_dimension(n)
         r, rem = divmod(2 * n * a.numerator, a.denominator)
         if rem:
             raise ValueError(f"a={a} does not displace the Z({n}) momentum grid")
@@ -335,7 +348,7 @@ def hw_x(n: int) -> HWElement:
 
 
 def hw_z(n: int) -> HWElement:
-    _check_dimension(n)
+    n = _check_dimension(n)
     return HWElement.from_canonical(n, pow(_chi_coeff(n), -1, n), 0, 0)
 
 
@@ -420,6 +433,9 @@ class PhasePoint:
     doubled: bool = False
 
     def __post_init__(self) -> None:
+        if not type(self.n) is type(self.a) is type(self.b) is int:
+            for name in ("n", "a", "b"):
+                object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.doubled and self.n % 2:
             raise ValueError("doubled grid applies to even n only")
         mod_a = 2 * self.n if self.doubled else self.n
@@ -706,7 +722,7 @@ def marginal_a_matrix(n: int, a: int) -> np.ndarray:
     b-integral runs over Z(2n) with weight 1/(2n) because the half phases
     depend on b mod 2n; ``from_phase_space`` keeps b unreduced in the phase.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     a = _index(a, "a")
     b_range = n if n % 2 else 2 * n
     frak_a = RatMod1.of(a, b_range)
@@ -735,7 +751,7 @@ def marginal_b_matrix(n: int, b: int) -> np.ndarray:
     kernel K[P, Q] = e(-b (P + Q) / 2n); for even b this equals the section
     sum.  The index b runs mod 2n for even n.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     b = _index(b, "b")
     if n % 2:
         els = [HWElement.from_canonical(n, a, b, 0) for a in range(n)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .numbers import factorize, is_prime
 
@@ -440,8 +440,8 @@ def is_open(poset: FinitePoset, s: Iterable) -> bool:
 
 def check_t0(poset: FinitePoset) -> bool:
     """True iff every pair of distinct points has a separating down-set,
-    by scanning every pair: O(|P|^2).  ``divisor_t0`` answers a divisor
-    universe N(n) without listing it."""
+    by scanning every pair: O(|P|^2).  A divisor universe N(n) is T0 by
+    antisymmetry, see ``divisor_t1``."""
     els = poset.elements
     for i, x in enumerate(els):
         for y in els[i + 1 :]:
@@ -467,32 +467,22 @@ def check_t1(poset: FinitePoset) -> "tuple[bool, tuple | None]":
     return True, None
 
 
-def divisor_t0(n: int) -> bool:
-    """``check_t0(divisor_poset(n))`` without listing N(n): distinct positive
-    divisors never divide each other both ways, so N(n) is T0 by construction.
-
-    Like ``divisor_poset``, it refuses n < 2 and an N(n) of more than
-    SIZE_BOUND elements, from the factorization.  N(n) lies in {2, ..., n},
-    so an n up to SIZE_BOUND + 1 is within the bound unfactorized.
-    """
-    if not 2 <= n <= SIZE_BOUND + 1:
-        _divisor_exponents(n)
-    return True
-
-
-def divisor_t1(n: int, primes: Sequence[int]) -> "tuple[bool, tuple[int, int] | None]":
-    """``check_t1(divisor_poset(n))`` in closed form, from the distinct primes
-    of n in increasing order (only the first two are read).
+def divisor_t1(n: int) -> "tuple[bool, tuple[int, int] | None]":
+    """``check_t1(divisor_poset(n))`` in closed form, from the least two
+    primes of n.
 
     On the sorted N(n) the scan stops at the least composite divisor x with
     its least divisor p, the least prime of n: x is p^2 if p^2 | n, else
-    p q with q the next prime of n.  N(p) = {p} is vacuously T1.
+    p q with q the next prime of n.  N(p) = {p} is vacuously T1.  Like
+    ``divisor_poset``, it refuses n < 2 and an N(n) of more than SIZE_BOUND
+    elements, from the factorization.
+
+    N(n) is T0 by antisymmetry: distinct positive divisors never divide
+    each other both ways, so no closed form is needed for it.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    p = primes[0]
+    p, *rest = _divisor_exponents(n)
     if n % (p * p) == 0:
         return False, (p, p * p)
-    if len(primes) > 1:
-        return False, (p, p * primes[1])
+    if rest:
+        return False, (p, p * rest[0])
     return True, None

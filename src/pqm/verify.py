@@ -23,8 +23,6 @@ from .embeddings import EmbeddingSpec, _compat_suites, phase_embed_character, ub
 # by name: perfbench's tracer swaps fq._displacement_grid for a counter that would raise
 from .finiteqm import MOMENTUM, POSITION, _displacement_grid
 
-_POSET_LIMIT_MAX = 10**5  # the poset suite builds every divisor list up to the limit
-
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -32,7 +30,6 @@ class VerifyConfig:
     samples: int = 20
     seed: int = 0
     tolerance: float | None = None  # overrides every per-check tolerance
-    poset_limit: int = 10**4
 
     def __post_init__(self) -> None:
         tol = self.tolerance
@@ -42,8 +39,6 @@ class VerifyConfig:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:  # each suite seeds numpy with seed + its offset
             raise ValueError("seed must be >= 0")
-        if not 2 <= self.poset_limit <= _POSET_LIMIT_MAX:
-            raise ValueError(f"poset limit must be between 2 and {_POSET_LIMIT_MAX}")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -437,36 +432,18 @@ def suite_numbers(cfg: VerifyConfig) -> list[CheckResult]:
 
 def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("poset", cfg.tolerance)
-    limit = cfg.poset_limit
-
-    least = _least_prime_sieve(limit)
-    for n in range(2, limit + 1):
-        rep.exact("t0_everywhere", ps.divisor_t0(n))
-        is_t1, witness = ps.divisor_t1(n, _least_primes(n, least))
-        if least[n] != n:
-            # any non-singleton divisor universe has a strict pair, so T1
-            # must fail and the reported witness must be a strict pair of N(n)
-            strict = witness is not None and witness[0] != witness[1] and (
-                witness[1] % witness[0] == 0 and n % witness[1] == 0
-            )
-            rep.exact("t1_fails_with_witness_for_composite", not is_t1 and strict)
-        else:
-            # N(prime) is a single point: T1 holds vacuously
-            rep.exact("t1_fails_with_witness_for_composite", is_t1)
-
     r12 = ps.poset_width_length(ps.divisor_poset(12))
     r36 = ps.poset_width_length(ps.divisor_poset(36))
     ok = r12.width == 2 and r36.width == 3 and r36.length == 4
     rep.exact("width_length_oracle_values", ok)
     # the closed form against the matching: the same width, length and
     # antichain, and chains that cover N(n) once each, as few as the width;
-    # and T0 by the scan over all pairs, the oracle of divisor_t0
+    # T0 by the scan over all pairs (it holds by antisymmetry), and T1 by the
+    # scan, the oracle of the closed form: a prime (2), p^2 | n (4), p q (6)
     for n in range(2, 121):
         p = ps.divisor_poset(n)
         rep.exact("t0_everywhere", ps.check_t0(p))
-        # and T1 by the scan, the oracle of the closed form
-        closed = ps.divisor_t1(n, tuple(nm.factorize(n)))
-        rep.exact("t1_fails_with_witness_for_composite", ps.check_t1(p) == closed)
+        rep.exact("t1_fails_with_witness_for_composite", ps.check_t1(p) == ps.divisor_t1(n))
         want, got = ps.poset_width_length(p), ps.divisor_width_length(n)
         chains = got.chain_partition
         ok = (got.width, got.length, got.max_antichain) == (
@@ -477,27 +454,6 @@ def suite_poset(cfg: VerifyConfig) -> list[CheckResult]:
 
     rep.exact("symbolic_suprema", _symbolic_suprema_hold())
     return rep.done()
-
-
-def _least_prime_sieve(limit: int) -> list[int]:
-    """least[n] = the least prime of n, for every 2 <= n <= limit."""
-    least = list(range(limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
-        if least[p] == p:
-            for mult in range(p * p, limit + 1, p):
-                if least[mult] == mult:
-                    least[mult] = p
-    return least
-
-
-def _least_primes(n: int, least: list[int]) -> tuple[int, ...]:
-    """The least two distinct primes of n (one for a prime power), read from
-    the least-prime sieve ``least``."""
-    p = least[n]
-    rest = n // p
-    while rest % p == 0:
-        rest //= p
-    return (p,) if rest == 1 else (p, least[rest])
 
 
 def _symbolic_suprema_hold() -> bool:

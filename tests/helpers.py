@@ -542,43 +542,3 @@ def suite_numbers_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
                     rhs = rhs + nm.char_omega(f.q, n_i * m_i)
                 rep.exact("character_factorization_exact", lhs == rhs)
     return rep.done()
-
-
-def suite_poset_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
-    """T1 by the ``check_t1`` scan on every divisor universe."""
-    rep = vf._Reporter("poset", cfg.tolerance)
-    limit = cfg.poset_limit
-
-    divisors: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(2, limit + 1):
-        for mult in range(d, limit + 1, d):
-            divisors[mult].append(d)
-
-    for n in range(2, limit + 1):
-        p = ps.FinitePoset(tuple(divisors[n]))
-        rep.exact("t0_everywhere", ps.check_t0(p))
-        is_t1, witness = ps.check_t1(p)
-        if len(p) > 1:
-            strict = witness is not None and witness[0] != witness[1] and (
-                witness[1] % witness[0] == 0
-            )
-            rep.exact("t1_fails_with_witness_for_composite", not is_t1 and strict)
-        else:
-            rep.exact("t1_fails_with_witness_for_composite", is_t1)
-
-    r12 = ps.poset_width_length(ps.divisor_poset(12))
-    r36 = ps.poset_width_length(ps.divisor_poset(36))
-    ok = r12.width == 2 and r36.width == 3 and r36.length == 4
-    rep.exact("width_length_oracle_values", ok)
-    for n in range(2, 121):
-        p = ps.divisor_poset(n)
-        want, got = ps.poset_width_length(p), ps.divisor_width_length(n)
-        chains = got.chain_partition
-        ok = (got.width, got.length, got.max_antichain) == (
-            want.width, want.length, want.max_antichain
-        )
-        ok = ok and len(chains) == want.width and ps.is_chain_partition(p, chains)
-        rep.exact("width_length_oracle_values", ok)
-
-    rep.exact("symbolic_suprema", vf._symbolic_suprema_hold())
-    return rep.done()

@@ -55,7 +55,7 @@ SURFACE = {
         "FinitePoset", "INF", "OMEGA", "OmegaChain", "PrimePowerChain",
         "SIZE_BOUND", "Supernatural", "WidthLengthResult", "basis_open",
         "check_t0", "check_t1", "divisor_poset", "divisor_rank", "divisor_rank_sizes",
-        "divisor_t0", "divisor_t1", "divisor_width_length", "is_chain_partition",
+        "divisor_t1", "divisor_width_length", "is_chain_partition",
         "is_open", "poset_width_length",
         "sn_divides", "sn_sup",
     },

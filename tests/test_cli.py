@@ -14,6 +14,7 @@ import pqm
 from helpers import wigner_csv_oracle, wigner_table_complex_oracle
 from pqm import cli
 from pqm import finiteqm as fq
+from pqm import numbers as nm
 from pqm import poset as ps
 from pqm import verify
 from pqm.cli import dump_state, load_state, main
@@ -522,6 +523,20 @@ class TestPosetPadicCommands:
         assert main(["poset", "--n", "963761198400", "topology"]) == 0
         assert json.loads(capsys.readouterr().out)["T0"] is True
 
+    def test_topology_factorizes_n_once(self, monkeypatch, capsys):
+        # T0 needs no factorization, and T1 reads the primes divisor_t1 reads
+        calls, factorize = [], nm.factorize
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(ps, "factorize", counted)
+        monkeypatch.setattr(nm, "factorize", counted)
+        assert main(["poset", "--n", "963761198400", "topology"]) == 0
+        assert calls == [963761198400]
+        assert capsys.readouterr().out.startswith('{"T0": true, "T1": false')
+
     def test_partition_covers(self, capsys):
         assert main(["poset", "--n", "12", "partition"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -841,8 +856,6 @@ class TestVerifyCommand:
                 "numbers",
                 "--suite",
                 "poset",
-                "--poset-limit",
-                "300",
                 "--json",
                 str(report),
             ]
@@ -864,17 +877,22 @@ class TestVerifyCommand:
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "pqm.cfg"
-        cfg.write_text("samples = 2\nseed = 3\nposet_limit = 100\n# comment\n")
+        cfg.write_text("samples = 2\nseed = 3\n# comment\n")
         code = main(["verify", "--suite", "poset", "--config", str(cfg)])
         assert code == 0
 
     @pytest.mark.parametrize(
         "flags, key",
-        [(["--max-n", "5"], "max_n = 5"), (["--even-n-exploratory"], "even_n_exploratory = yes")],
-        ids=["max_n", "even_n_exploratory"],
+        [
+            (["--max-n", "5"], "max_n = 5"),
+            (["--even-n-exploratory"], "even_n_exploratory = yes"),
+            (["--poset-limit", "100"], "poset_limit = 100"),
+        ],
+        ids=["max_n", "even_n_exploratory", "poset_limit"],
     )
     def test_removed_knobs_exit_2(self, tmp_path, capsys, monkeypatch, flags, key):
-        # these changed no case of any suite, so neither flag nor key exists
+        # these changed no case of any suite, or fed a sweep that could fail
+        # only through verify's own sieve, so neither flag nor key exists
         monkeypatch.setitem(verify._SUITE_FUNCS, "parity", None)  # a run would fail
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "parity", *flags])
@@ -896,13 +914,9 @@ class TestVerifyCommand:
         [
             ("fourier", "samples", -5),
             ("fourier", "samples", 0),
-            ("poset", "poset_limit", 1),
-            ("poset", "poset_limit", -3),
             # a NaN tolerance fails every check, an infinite one passes any residual
             ("good", "tolerance", "nan"),
             ("good", "tolerance", "inf"),
-            # above the bound the poset suite would build 10^5+ divisor lists
-            ("poset", "poset_limit", 100001),
             # coherent seeds numpy with seed + 6, so it ran and passed
             ("coherent", "seed", -1),
         ],

@@ -151,6 +151,23 @@ class TestStateEmbed:
                     with pytest.raises(ValueError):
                         EmbeddingSpec(k, l)
 
+    @pytest.mark.parametrize("label", [2.5, 4.0, "4", None])
+    @pytest.mark.parametrize("field", ["source", "target"])
+    def test_labels_must_be_integers(self, field, label):
+        # EmbeddingSpec(2.5, 5) and EmbeddingSpec(2, 4.0) once built, and
+        # state_embed then raised a bare TypeError
+        labels = {"source": 2, "target": 4, field: label}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            EmbeddingSpec(labels["source"], labels["target"])
+
+    def test_integer_like_labels_are_read_as_ints(self):
+        spec = EmbeddingSpec(np.int64(2), np.int64(4))
+        assert (spec.source, spec.target) == (2, 4)
+        assert type(spec.source) is type(spec.target) is int
+        f = random_state(2, RNG)
+        got = state_embed(f, spec).amplitudes
+        assert np.array_equal(got, state_embed(f, EmbeddingSpec(2, 4)).amplitudes)
+
 
 class TestHWEmbed:
     @pytest.mark.parametrize(

@@ -34,12 +34,14 @@ from pqm.finiteqm import (
     momentum_pairing,
     operator_expand,
     parity_apply,
+    parity_displacement,
     parity_expand_check,
     parity_marginal_a_matrix,
     parity_marginal_b_matrix,
     parity_matrix,
     random_operator,
     random_state,
+    reflect,
     resolution_identity_check,
     tensor_factor,
     tensor_join,
@@ -472,6 +474,67 @@ class TestExtend:
         with pytest.raises(ValueError, match="does not divide"):
             extend(random_state(4, RNG), 6)
 
+    @pytest.mark.parametrize("ell", [-4, -2, 0, 1])
+    def test_rejects_a_smaller_target(self, ell):
+        # a multiple of n below it, -4 at n = 2, ended in numpy's
+        # "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=f"^ell={ell} is smaller than n=2$"):
+            extend(random_state(2, RNG), ell)
+
+    @pytest.mark.parametrize("ell", [4.0, "4", None])
+    def test_rejects_a_non_integer_target(self, ell):
+        with pytest.raises(ValueError, match="^ell must be an integer, got "):
+            extend(random_state(2, RNG), ell)
+
+
+class TestIntegerLabels:
+    """A phase-space or state label that is not an integer is a ValueError
+    naming the field, where a bare TypeError or numpy's IndexError came later;
+    integer-likes such as np.int64 are read as the plain int."""
+
+    @pytest.mark.parametrize("label", [1.5, "1", None])
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda v: PhasePoint(v, 1, 2), "n"),
+            (lambda v: PhasePoint(5, v, 2), "a"),
+            (lambda v: PhasePoint(5, 1, v), "b"),
+            (lambda v: parity_displacement(PhasePoint(5, v, 2)), "a"),
+            (lambda v: parity_matrix(PhasePoint(5, 2, v)), "b"),
+            (lambda v: weyl_wigner(random_state(5, RNG), v, 0, "wigner"), "a"),
+            (lambda v: weyl_wigner(random_state(5, RNG), 0, v, "wigner"), "b"),
+            (lambda v: weyl_wigner(random_state(5, RNG), v, 0, "weyl"), "alpha"),
+            (lambda v: weyl_wigner(random_state(5, RNG), 0, v, "weyl"), "beta"),
+            (lambda v: HWElement.from_canonical(v, 1, 1, 1), "n"),
+            (lambda v: HWElement.from_canonical(5, 1, 1, v), "gamma"),
+            (lambda v: HWElement.from_phase_space(v, RatMod1.of(1, 2), 1), "n"),
+            (hw_x, "n"),
+            (hw_z, "n"),
+            (lambda v: marginal_a_matrix(v, 1), "n"),
+            (lambda v: marginal_b_matrix(v, 1), "n"),
+            (lambda v: FiniteState(v, POSITION, [1, 0]), "n"),
+        ],
+    )
+    def test_non_integer_label_names_its_field(self, call, field, label):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            call(label)
+
+    def test_integer_likes_are_read_as_ints(self):
+        n, a, b = np.int64(5), np.int64(3), np.int64(2)
+        pt = PhasePoint(n, a, b)
+        assert (pt.n, pt.a, pt.b) == (5, 3, 2)
+        assert all(type(v) is int for v in (pt.n, pt.a, pt.b))
+        assert parity_displacement(pt) == parity_displacement(PhasePoint(5, 3, 2))
+        assert HWElement.from_canonical(n, a, b, a) == HWElement.from_canonical(5, 3, 2, 3)
+        assert hw_x(n) == hw_x(5) and hw_z(n) == hw_z(5)
+        assert np.array_equal(marginal_a_matrix(n, a), marginal_a_matrix(5, 3))
+        f = random_state(5, RNG)
+        for kind in ("weyl", "wigner"):
+            assert weyl_wigner(f, a, b, kind) == weyl_wigner(f, 3, 2, kind)
+        g = FiniteState(np.int64(2), POSITION, [0, 1])
+        assert type(g.n) is int
+        assert list(reflect(g).amplitudes) == [0, 1]
+
 
 class TestParity:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
@@ -523,8 +586,6 @@ class TestParity:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
     def test_equivalent_parity_factorizations(self, n):
         # D^dagger F^2 D = [D(2a,2b,0)]^dagger F^2 = F^2 D(2a,2b,0)
-        from pqm.finiteqm import parity_displacement
-
         neg = np.zeros((n, n))
         neg[np.arange(n), (-np.arange(n)) % n] = 1.0
         for _ in range(6):

@@ -6,8 +6,7 @@ import pytest
 
 import pqm.poset as ps
 from helpers import check_t0_oracle, poset_axioms_hold
-from pqm.numbers import factorize, is_prime
-from pqm.verify import _least_prime_sieve, _least_primes
+from pqm.numbers import is_prime
 from pqm.poset import (
     INF,
     OMEGA,
@@ -21,7 +20,6 @@ from pqm.poset import (
     divisor_poset,
     divisor_rank,
     divisor_rank_sizes,
-    divisor_t0,
     divisor_t1,
     divisor_width_length,
     is_chain_partition,
@@ -194,7 +192,7 @@ class TestSup:
         from pqm import verify
 
         def check():
-            cfg = verify.VerifyConfig(suites=("poset",), poset_limit=2)
+            cfg = verify.VerifyConfig(suites=("poset",))
             (res,) = [r for r in verify.suite_poset(cfg) if r.name == "symbolic_suprema"]
             return res.passed
 
@@ -464,48 +462,41 @@ class TestTopology:
         assert ok and witness is None
 
     def test_t1_closed_form_matches_the_scan(self):
-        # every divisor universe up to 10^4; the primes from factorize and
-        # from verify's least-prime sieve, whose entry is the least divisor > 1
+        # every divisor universe up to 10^4, the primes read from n itself
         divisors = _sieved_divisors(10**4)
-        least = _least_prime_sieve(10**4)
         for n in range(2, len(divisors)):
-            want = check_t1(FinitePoset(tuple(divisors[n])))
-            primes = tuple(factorize(n))
-            assert least[n] == divisors[n][0], n
-            assert _least_primes(n, least) == primes[:2], n
-            assert divisor_t1(n, primes) == divisor_t1(n, primes[:2]) == want, n
+            assert divisor_t1(n) == check_t1(FinitePoset(tuple(divisors[n]))), n
 
     @pytest.mark.parametrize("n", [0, 1, -6])
     def test_t1_closed_form_rejects_small_n(self, n):
         with pytest.raises(ValueError, match="n must be >= 2"):
-            divisor_t1(n, (2,))
+            divisor_t1(n)
 
-    def test_t0_closed_form_matches_both_scans(self):
+    def test_t0_holds_by_both_scans(self):
+        # distinct positive divisors never divide each other both ways
         divisors = _sieved_divisors(10**4)
         for n in range(2, len(divisors)):
             p = FinitePoset(tuple(divisors[n]))
-            assert divisor_t0(n) is check_t0(p) is check_t0_oracle(p) is True, n
+            assert check_t0(p) is check_t0_oracle(p) is True, n
 
     @pytest.mark.parametrize("n, match", _REFUSED)
-    def test_t0_closed_form_refuses_what_divisor_poset_refuses(self, n, match):
-        for f in (divisor_t0, divisor_poset):
+    def test_t1_closed_form_refuses_what_divisor_poset_refuses(self, n, match):
+        for f in (divisor_t1, divisor_poset):
             with pytest.raises(ValueError, match=match):
                 f(n)
 
     @pytest.mark.parametrize("bound", [1, 3, 7])
-    def test_t0_closed_form_reads_the_bound_when_called(self, bound, monkeypatch):
-        # N(n) lies in {2, ..., n}: an n up to the bound + 1 is within it
-        # unfactorized, and every larger n is refused exactly when
-        # divisor_poset refuses it
+    def test_t1_closed_form_reads_the_bound_when_called(self, bound, monkeypatch):
+        # every n is refused exactly when divisor_poset refuses it
         monkeypatch.setattr(ps, "SIZE_BOUND", bound)
         divisors = _sieved_divisors(200)
         for n in range(2, len(divisors)):
             size = len(divisors[n])
             if size > bound:
                 with pytest.raises(ValueError, match=f"poset size {size} exceeds bound {bound}"):
-                    divisor_t0(n)
+                    divisor_t1(n)
             else:
-                assert divisor_t0(n) is True
+                assert divisor_t1(n) == check_t1(FinitePoset(tuple(divisors[n]))), n
 
     def test_mixed_element_types_rejected(self):
         # integer and supernatural divisibility are different orders

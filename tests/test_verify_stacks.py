@@ -9,7 +9,6 @@ from helpers import (
     suite_fourier_oracle,
     suite_hw_oracle,
     suite_numbers_oracle,
-    suite_poset_oracle,
 )
 from pqm import verify
 from pqm.cli import main
@@ -25,21 +24,17 @@ ORACLES = {
     "hw": (suite_hw_oracle, {"seed", "samples"}),
     "embeddings": (suite_embeddings_oracle, {"seed"}),
     "numbers": (suite_numbers_oracle, {"seed"}),
-    "poset": (suite_poset_oracle, set()),
 }
 
 
 def _cases():
     # every seed with every sample count where the suite reads both; each
-    # seed once, the sample counts taken in turn, where it reads the seed
-    # only; the poset suite reads neither (its limits are tested below)
+    # seed once, the sample counts taken in turn, where it reads the seed only
     for suite, (_, reads) in ORACLES.items():
         if "samples" in reads:
             yield from ((suite, seed, samples) for seed in SEEDS for samples in SAMPLES)
-        elif reads:
-            yield from ((suite, seed, SAMPLES[seed % 3]) for seed in SEEDS)
         else:
-            yield suite, 0, 20
+            yield from ((suite, seed, SAMPLES[seed % 3]) for seed in SEEDS)
 
 
 @pytest.mark.parametrize("suite, seed, samples", list(_cases()))
@@ -48,12 +43,6 @@ def test_stacked_suite_matches_oracle(suite, seed, samples):
     oracle, _ = ORACLES[suite]
     # CheckResult equality: names, order, tolerances and residual bits
     assert verify._SUITE_FUNCS[suite](cfg) == oracle(cfg)
-
-
-@pytest.mark.parametrize("limit", [2, 3, 4, 121, 1000, 10**4])
-def test_poset_suite_matches_oracle_at_each_limit(limit):
-    cfg = verify.VerifyConfig(poset_limit=limit)
-    assert verify.suite_poset(cfg) == suite_poset_oracle(cfg)
 
 
 class TestStreamIdentities:
@@ -120,15 +109,15 @@ class TestStreamIdentities:
         assert not (np.array_equal(x1, x2) and np.array_equal(n1, n2))
 
 
-BATCHED = ("fourier", "hw", "embeddings", "numbers", "poset")
+BATCHED = ("fourier", "hw", "embeddings", "numbers")
 
 
 @pytest.mark.parametrize("suite", BATCHED)
 def test_smallest_config_reports_every_check(suite, capsys):
-    # one sample and a poset limit of 2: no stack is empty, so no check is
-    # dropped and no np.max meets an empty array
+    # one sample: no stack is empty, so no check is dropped and no np.max
+    # meets an empty array
     want = [r.name for r in verify.run_suites(verify.VerifyConfig(suites=(suite,)))]
-    assert main(["verify", "--suite", suite, "--samples", "1", "--poset-limit", "2"]) == 0
+    assert main(["verify", "--suite", suite, "--samples", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1].split(":")[1] for line in lines[:-1]] == want
     assert all(line.startswith(f"[PASS] {suite}:") for line in lines[:-1])
