@@ -45,9 +45,10 @@ _VALUE_BOUND = 10**4300
 # its fraction and a printable value each have at most 4300 digits, so only
 # a value of 0 can have a longer exponent than this
 _EXPONENT_BOUND = 3 * 4300
-# the most amplitudes ``pqm embed`` writes: --to 2^20 takes 3.5 s and 0.3 GB
-# peak (Python 3.11, numpy 2.4, one Xeon core) for a 45 MB state file, and
-# both grow linearly in --to
+# the most amplitudes ``pqm embed`` writes: --to 2^20 from a 1024-point state
+# takes 2.4-2.6 s and 53 MB peak (Python 3.11, numpy 2.4, one core) for a
+# 45 MB state file.  The time grows linearly in --to; the memory holds a few
+# arrays of --to values, since the text is written a chunk at a time
 _EMBED_BOUND = 2**20
 # the largest state file ``load_state`` reads, checked before it is parsed:
 # the largest state ``pqm embed`` writes, 2^20 amplitude pairs each at the
@@ -55,8 +56,18 @@ _EMBED_BOUND = 2**20
 _STATE_BOUND = (
     _EMBED_BOUND * len("[-2.2250738585072014e-308, -2.2250738585072014e-308], ") + 2**10
 )
-# the most cells ``pqm wigner`` writes: 2^20 cells (n = 1024) take 2.7-3.9 s
-# and 94 MB peak (Python 3.11, numpy 2.4) for a 53 MB CSV, all linear in cells
+# the JSON tokens ``load_state`` counts before it parses, and the most it
+# parses: a state pqm writes holds 3 per amplitude pair ("[", the pair's ","
+# and the "," after it) and a few dozen in its keys.  Short pairs, empty
+# objects or short strings parse into far more Python objects per byte than
+# the byte bound allows for
+_STATE_TOKENS = ",[{:\""
+_STATE_TOKEN_BOUND = 3 * _EMBED_BOUND + 2**10
+# the amplitude pairs ``dump_state`` encodes in one json.dumps call
+_STATE_CHUNK = 2**14
+# the most cells ``pqm wigner`` writes: 2^20 cells (n = 1024) take 1.8-2.0 s
+# and 95 MB peak (Python 3.11, numpy 2.4, one core) for the 52 MB Weyl CSV,
+# all linear in cells
 _WIGNER_BOUND = 2**20
 
 
@@ -74,8 +85,19 @@ def load_state(path: str) -> FiniteState:
         if os.stat(path).st_size > _STATE_BOUND:
             raise UsageError(f"state file {path} exceeds bound {_STATE_BOUND} bytes")
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = fh.read()
+        # every array holds a "[", every object a "{" and every string two
+        # '"'; every value after the first in an array or object follows a
+        # "," (and an object's key a ":"), so this count bounds the values
+        # the parse builds, and so its memory.  Each token is one character,
+        # so a text no longer than the bound needs no count
+        if len(text) > _STATE_TOKEN_BOUND and (
+            sum(map(text.count, _STATE_TOKENS)) > _STATE_TOKEN_BOUND
+        ):
+            raise UsageError(f"state file {path} exceeds bound {_STATE_TOKEN_BOUND} JSON tokens")
+        data = json.loads(text)
+        del text  # free before the parsed pairs become an array
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read state file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"malformed state file {path}: not a JSON object")
@@ -83,6 +105,8 @@ def load_state(path: str) -> FiniteState:
         n, rep = data["n"], data["rep"]
         if type(n) is not int:
             raise TypeError(f"n={n!r} is not an integer")
+        if n > _EMBED_BOUND:
+            raise ValueError(f"n={n} exceeds bound {_EMBED_BOUND}")
         try:  # ragged nesting raises numpy's own ValueError, which names no field
             pairs = np.array(data["amplitudes"])
         except ValueError:
@@ -124,24 +148,30 @@ def _check_bounded(f: FiniteState) -> None:
 def dump_state(f: FiniteState, path: str, metadata: dict | None = None) -> None:
     import numpy as np
 
-    a = f.amplitudes
-    data = {
-        "n": f.n,
-        "rep": f.rep,
-        "amplitudes": np.column_stack((a.real, a.imag)).tolist(),
-    }
+    keys = {"n": f.n, "rep": f.rep}
     if metadata:
-        data["metadata"] = metadata
+        keys["metadata"] = metadata
     # what this writes, load_state reads: ``embed`` multiplies the position
-    # side's sum of squares by --to/--from.  One json.dumps call takes the C
-    # encoder; a streamed json.dump does not
+    # side's sum of squares by --to/--from.  Both checks run before the file
+    # is opened, so a refused state writes no file
     try:
         _check_bounded(f)
-        text = json.dumps(data, sort_keys=True, allow_nan=False) + "\n"
+        tail = json.dumps(keys, sort_keys=True, allow_nan=False)[1:]
     except ValueError as exc:
         raise UsageError(f"cannot write state file {path}: {exc}") from exc
+    # the bytes of json.dumps(data, sort_keys=True), whose "amplitudes" sorts
+    # before "metadata", "n" and "rep", written a chunk of pairs at a time:
+    # each chunk is one call of the C encoder, and no text of the whole
+    # state is held at once
+    a = f.amplitudes
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write('{"amplitudes": [')
+        for i in range(0, len(a), _STATE_CHUNK):
+            c = a[i : i + _STATE_CHUNK]
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(np.column_stack((c.real, c.imag)).tolist(), allow_nan=False)[1:-1])
+        fh.write("], " + tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +241,18 @@ def cmd_wigner(args) -> int:
     if cells > _WIGNER_BOUND:
         raise UsageError(f"table of {cells} cells exceeds bound {_WIGNER_BOUND}")
     table = wigner_table(f, args.kind, doubled)
+    # the ",b," of every row, built once: each line is then its a-prefix, that
+    # middle and two repr(float)s, which set the cost
+    cols = [f",{b}," for b in range(f.n)]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("a,b,re,im\n")
         # one a-row at a time, of Python floats, so the values print as
         # repr(float); a real (Wigner) table's imag is 0.0 in every row
         for a, row in enumerate(table):
+            a = str(a)
             fh.write("".join(
-                f"{a},{b},{re!r},{im!r}\n"
-                for b, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
+                f"{a}{b}{re!r},{im!r}\n"
+                for b, re, im in zip(cols, row.real.tolist(), row.imag.tolist())
             ))
     return 0
 

@@ -498,9 +498,11 @@ def weyl_wigner(
     """The Weyl function (f, D(a,b,0) f) or the Wigner function (f, P(a,b) f).
 
     One point, the point kernel's stack of one; ``wigner_table`` gives the
-    whole table and this is its oracle.
+    whole table and this is its oracle.  A label that is not an integer is a
+    ValueError naming ``a`` or ``b``, at either kind.
     """
-    return _weyl_wigner_values(f, *_point_elements(f.n, [(a, b)], kind, doubled))[0]
+    points = [(_index(a, "a"), _index(b, "b"))]
+    return _weyl_wigner_values(f, *_point_elements(f.n, points, kind, doubled))[0]
 
 
 def _shift_indices(n: int) -> tuple[np.ndarray, np.ndarray]:

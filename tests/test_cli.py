@@ -96,6 +96,7 @@ class TestStateFiles:
         assert main(["fourier", "--in", str(src), "--out", str(out)]) == 0
         monkeypatch.setattr(cli, "_STATE_BOUND", size - 1)
         monkeypatch.setattr(json, "load", lambda fh: pytest.fail("file parsed"))
+        monkeypatch.setattr(json, "loads", lambda text: pytest.fail("file parsed"))
         out.unlink()
         assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
         assert _one_error_line(capsys) == (
@@ -117,6 +118,85 @@ class TestStateFiles:
         assert per_pair == 54
         largest = sizes[0] + (cli._EMBED_BOUND - 1) * per_pair + len(str(cli._EMBED_BOUND)) - 1
         assert largest <= cli._STATE_BOUND < largest + 2**10
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("metadata", [None, {"method": "good"}])
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_chunked_writer_matches_one_json_dumps(
+        self, n, rep, metadata, chunk, tmp_path, monkeypatch
+    ):
+        # chunks of 1, 2 and 3 pairs meet every n here at a full, a partial
+        # and a single last chunk; the real chunk of 2^14 pairs is one of them
+        monkeypatch.setattr(cli, "_STATE_CHUNK", chunk)
+        f = random_state(n, np.random.default_rng(n), rep=rep)
+        f.amplitudes[0] = complex(-0.0, 1e-300)
+        data = {"n": n, "rep": rep, "amplitudes": [[z.real, z.imag] for z in f.amplitudes]}
+        if metadata:
+            data["metadata"] = metadata
+        p, q = tmp_path / "f.json", tmp_path / "g.json"
+        dump_state(f, str(p), metadata=metadata)
+        assert p.read_text() == json.dumps(data, sort_keys=True) + "\n"
+        g = load_state(str(p))
+        dump_state(g, str(q), metadata=metadata)
+        assert q.read_bytes() == p.read_bytes()
+        assert np.array_equal(g.amplitudes.view(float), f.amplitudes.view(float))
+
+    @pytest.mark.parametrize(
+        "extra", [[0] * 50, [{}] * 50, [[]] * 50, ["ab"] * 50, {f"k{i}": 0 for i in range(50)}]
+    )
+    def test_count_bound_before_parsing(self, extra, tmp_path, capsys, monkeypatch):
+        # a file pqm did not write: valid pairs, and an extra key that holds
+        # most of the values.  Counted in the text, refused unparsed
+        src, out = tmp_path / "f.json", tmp_path / "g.json"
+        src.write_text(json.dumps(
+            {"n": 2, "rep": POSITION, "amplitudes": [[1, 0], [0, 0]], "extra": extra}
+        ))
+        count = sum(src.read_text().count(c) for c in ',[{:"')
+        monkeypatch.setattr(cli, "_STATE_TOKEN_BOUND", count)
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 0
+        monkeypatch.setattr(cli, "_STATE_TOKEN_BOUND", count - 1)
+        monkeypatch.setattr(json, "loads", lambda text: pytest.fail("file parsed"))
+        out.unlink()
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: state file {src} exceeds bound {count - 1} JSON tokens\n"
+        )
+        assert not out.exists()
+
+    def test_count_bound_holds_the_largest_state_pqm_writes(self, tmp_path):
+        # as for the byte bound: 2^20 pairs with fourier's metadata, from the
+        # count of two small files, which is linear in the pairs
+        counts = []
+        for k in (1, 2):
+            p = tmp_path / f"s{k}.json"
+            dump_state(FiniteState(k, MOMENTUM, [1j] * k), str(p), metadata={"method": "direct"})
+            counts.append(sum(p.read_text().count(c) for c in ',[{:"'))
+        assert counts[1] - counts[0] == 3
+        largest = counts[0] + (cli._EMBED_BOUND - 1) * 3
+        assert largest <= cli._STATE_TOKEN_BOUND < largest + 2**10
+
+    def test_n_bound_before_the_array(self, tmp_path, capsys, monkeypatch):
+        src, out = tmp_path / "f.json", tmp_path / "g.json"
+        _write_state(src, n=6)
+        monkeypatch.setattr(cli, "_EMBED_BOUND", 5)
+        monkeypatch.setattr(np, "array", lambda *a, **k: pytest.fail("array built"))
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (
+            f"pqm: error: malformed state file {src}: n=6 exceeds bound 5\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_deep_nesting_exits_2(self, opener, tmp_path, capsys):
+        # a few hundred kB of nesting, far under both bounds, ends at the
+        # parser's recursion limit: one line, not a RecursionError traceback
+        src, out = tmp_path / "f.json", tmp_path / "g.json"
+        closer = "]" if opener == "[" else "}"
+        src.write_text(opener * 10**5 + "0" + closer * 10**5)
+        assert main(["fourier", "--in", str(src), "--out", str(out)]) == 2
+        assert _one_error_line(capsys).startswith(f"pqm: error: cannot read state file {src}: ")
+        assert not out.exists()
 
 
 class TestFourierCommand:
@@ -344,6 +424,24 @@ class TestWignerCommand:
             assert (int(a), int(b)) == divmod(i, n)  # a-major rows
             want = weyl_wigner(f, int(a), int(b), kind, doubled)
             assert abs(complex(float(re), float(im)) - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 17, 64])
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    @pytest.mark.parametrize(
+        "flags, kind, doubled",
+        [
+            (["--kind", "weyl"], "weyl", False),
+            (["--kind", "wigner"], "wigner", False),
+            (["--doubled"], "wigner", True),
+        ],
+    )
+    def test_bytes_match_the_whole_table_writer(self, n, rep, flags, kind, doubled, tmp_path):
+        src, out = tmp_path / "f.json", tmp_path / "w.csv"
+        _write_state(src, n=n, rep=rep, seed=n)
+        f = load_state(str(src))
+        assert main(["wigner", *flags, "--in", str(src), "--out", str(out)]) == 0
+        table = fq.wigner_table(f, kind, doubled and n % 2 == 0)
+        assert out.read_bytes() == wigner_csv_oracle(table).encode()
 
     @pytest.mark.parametrize("n", [2, 7, 8, 17])
     @pytest.mark.parametrize("flags", [[], ["--doubled"]])

@@ -503,8 +503,10 @@ class TestIntegerLabels:
             (lambda v: parity_matrix(PhasePoint(5, 2, v)), "b"),
             (lambda v: weyl_wigner(random_state(5, RNG), v, 0, "wigner"), "a"),
             (lambda v: weyl_wigner(random_state(5, RNG), 0, v, "wigner"), "b"),
-            (lambda v: weyl_wigner(random_state(5, RNG), v, 0, "weyl"), "alpha"),
-            (lambda v: weyl_wigner(random_state(5, RNG), 0, v, "weyl"), "beta"),
+            (lambda v: weyl_wigner(random_state(5, RNG), v, 0, "weyl"), "a"),
+            (lambda v: weyl_wigner(random_state(5, RNG), 0, v, "weyl"), "b"),
+            (lambda v: HWElement.from_canonical(5, v, 1, 1), "alpha"),
+            (lambda v: HWElement.from_canonical(5, 1, v, 1), "beta"),
             (lambda v: HWElement.from_canonical(v, 1, 1, 1), "n"),
             (lambda v: HWElement.from_canonical(5, 1, 1, v), "gamma"),
             (lambda v: HWElement.from_phase_space(v, RatMod1.of(1, 2), 1), "n"),
