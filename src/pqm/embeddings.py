@@ -35,6 +35,7 @@ from .finiteqm import (
     POSITION,
     FiniteState,
     HWElement,
+    _chi_coeff,
     _displace_values,
     _extend_values,
     _fourier_values,
@@ -170,13 +171,19 @@ def state_embed(f: FiniteState, spec: EmbeddingSpec):
 
 
 def hw_embed(d: HWElement, spec: EmbeddingSpec) -> HWElement:
-    """Embed a displacement operator: the continuum labels are invariant."""
+    """Embed a displacement operator: the continuum labels are invariant.
+
+    a = c_k alpha/(2k) = c_l alpha'/(2l) fixes alpha' = (l/k) c_k alpha / c_l
+    mod l; the shift beta and the exponent phase = c - a beta carry over as
+    they are.  ``from_phase_space`` on (a, beta, c) is its oracle in the tests.
+    """
     if d.n != spec.source:
         raise ValueError("element dimension does not match the source label")
     if not spec.finite_target:
         raise ValueError("operator embedding targets are finite labels")
-    a = d.frak_a  # once: frak_c = phase + a b would rebuild it
-    return HWElement.from_phase_space(spec.target, a, d.beta, d.phase + a.scaled(d.beta))
+    k, ell = spec.source, spec.target
+    alpha = (ell // k) * _chi_coeff(k) * d.alpha * pow(_chi_coeff(ell), -1, ell) % ell
+    return HWElement._of(ell, alpha, d.beta, d.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -220,50 +227,83 @@ def _compat_draws(k: int, rng) -> tuple[np.ndarray, list[HWElement]]:
     return d[:, 0] + 1j * d[:, 1], els
 
 
+def _index_groups(keys) -> dict:
+    """The positions of ``keys`` grouped by key, keys in order of first sight."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def _compat_suites(chains, rng) -> list[dict[str, float]]:
     """``compat_suite`` on each chain (k, ell, m) in turn, bit for bit.
 
-    The draws keep chain order.  The composition law, which reads m, runs
-    once per chain; the Fourier, HW and character laws run once per group
-    of chains that share (k, ell), on the stack of the group's samples, and
-    each chain's residual is the largest gap of its own rows (np.max, so a
-    NaN gap is its law's residual).
+    The draws keep chain order.  Each law runs once per label or pair of
+    labels, on the stacked samples of every chain that has it: the Fourier
+    and HW laws run their Z(k) side once per source label k and their
+    Z(ell) side once per target label ell; the extension Z(k) -> Z(ell) runs
+    once per group of chains that share (k, ell), and so does the character
+    law, which reads nothing else; the composition law extends each group's
+    rows on to m once per (ell, m), against each chain's rows extended to m
+    at once.  Each chain's residual is the largest gap of its own rows
+    (np.max, so a NaN gap is its law's residual).
     """
     s = _COMPAT_SAMPLES
-    out: list[dict[str, float]] = []
     draws, els = [], []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (k, ell, m) in enumerate(chains):
+    for k, ell, m in chains:
         EmbeddingSpec(k, ell), EmbeddingSpec(ell, m)  # so k | m too
         v, chain_els = _compat_draws(k, rng)
         draws.append(v)
         els.append(chain_els)
-        groups.setdefault((k, ell), []).append(i)
-        gaps = []
-        for rep, rows in zip((POSITION, MOMENTUM), (v[:s], v[s : 2 * s])):
-            two_step = _extend_values(_extend_values(rows, rep, ell), rep, m)
-            gaps.append(np.max(np.abs(two_step - _extend_values(rows, rep, m))))
-        out.append({"composition": float(np.max(gaps))})
 
-    for (k, ell), members in groups.items():
-        v = np.stack([draws[i] for i in members])  # [chain, state, x]
-        f, h = v[:, 2 * s : 3 * s].reshape(-1, k), v[:, 3 * s :].reshape(-1, k)
-        lhs = _extend_values(_fourier_values(f, POSITION), MOMENTUM, ell)
-        rhs = _fourier_values(_extend_values(f, POSITION, ell), POSITION)
-        fourier_gaps = np.abs(lhs - rhs).reshape(len(members), -1).max(axis=1)
+    # the Z(k) side: F f and D h for the samples [chain, state, x] of each k
+    fh, dh = [None] * len(chains), [None] * len(chains)
+    for k, members in _index_groups(c[0] for c in chains).items():
+        v = np.stack([draws[i][2 * s :] for i in members])
+        source_els = [el for i in members for el in els[i]]
+        fk = _fourier_values(v[:, :s], POSITION)
+        hk = _displace_values(v[:, s:].reshape(-1, k), POSITION, source_els)
+        for j, i in enumerate(members):
+            fh[i], dh[i] = fk[j], hk[j * s : (j + 1) * s]
 
-        group_els = [el for i in members for el in els[i]]
-        lhs = _extend_values(_displace_values(h, POSITION, group_els), POSITION, ell)
-        spec = EmbeddingSpec(k, ell)
-        embedded = [hw_embed(el, spec) for el in group_els]
-        rhs = _displace_values(_extend_values(h, POSITION, ell), POSITION, embedded)
-        hw_gaps = np.abs(lhs - rhs).reshape(len(members), -1).max(axis=1)
+    # the Z(ell) side, one target label at a time, so one label's stacks
+    # are freed before the next label's are built
+    out: list[dict[str, float]] = [{} for _ in chains]
+    for ell, members in _index_groups(c[1] for c in chains).items():
+        order, broken, embedded = [], [], []
+        up, lhs_f, f_up, lhs_h, h_up = [], [], [], [], []
+        for k, at in _index_groups(chains[i][0] for i in members).items():
+            group = [members[j] for j in at]
+            v = np.stack([draws[i] for i in group])
+            up.append(_extend_values(v[:, :s], POSITION, ell))
+            up.append(_extend_values(v[:, s : 2 * s], MOMENTUM, ell))
+            lhs_f.append(_extend_values(np.stack([fh[i] for i in group]), MOMENTUM, ell))
+            f_up.append(_extend_values(v[:, 2 * s : 3 * s], POSITION, ell))
+            lhs_h.append(_extend_values(np.stack([dh[i] for i in group]), POSITION, ell))
+            h_up.append(_extend_values(v[:, 3 * s :], POSITION, ell))
+            spec = EmbeddingSpec(k, ell)
+            embedded += [hw_embed(el, spec) for i in group for el in els[i]]
+            broken += [float(not _characters_preserved(k, ell))] * len(group)
+            order += group
+        up = np.concatenate(up[0::2]), np.concatenate(up[1::2])  # [chain, state, x]
+        for m, at in _index_groups(chains[i][2] for i in order).items():
+            gaps = []
+            for rep, rows, two_step in zip((POSITION, MOMENTUM), (0, s), up):
+                one_step = [_extend_values(draws[order[j]][rows : rows + s], rep, m) for j in at]
+                gap = np.abs(_extend_values(two_step[at], rep, m) - np.stack(one_step))
+                gaps.append(gap.reshape(len(at), -1).max(axis=1))
+            for j, gap in zip(at, np.maximum(*gaps).tolist()):
+                out[order[j]]["composition"] = gap
 
-        broken = float(not _characters_preserved(k, ell))
-        for i, fg, hg in zip(members, fourier_gaps.tolist(), hw_gaps.tolist()):
-            out[i].update(
-                fourier_intertwining=fg, hw_intertwining=hg, character_preservation=broken
-            )
+        rhs_f = _fourier_values(np.concatenate(f_up), POSITION)
+        fourier_gaps = np.abs(np.concatenate(lhs_f) - rhs_f).reshape(len(order), -1).max(axis=1)
+        h_up = np.concatenate(h_up).reshape(-1, ell)
+        rhs_h = _displace_values(h_up, POSITION, embedded)
+        hw_gaps = np.abs(np.concatenate(lhs_h).reshape(-1, ell) - rhs_h)
+        hw_gaps = hw_gaps.reshape(len(order), -1).max(axis=1)
+        gaps = zip(order, fourier_gaps.tolist(), hw_gaps.tolist(), broken)
+        for i, fg, hg, cb in gaps:
+            out[i].update(fourier_intertwining=fg, hw_intertwining=hg, character_preservation=cb)
     return out
 
 
@@ -279,33 +319,78 @@ def position_entropy(f: FiniteState) -> float:
     return float(-np.sum(q[mask] * np.log(pos.n * q[mask])))
 
 
+_UBIQUITY_POINTS = 8  # random (a, b) points per function, Weyl then Wigner
+
+
 def ubiquity_check(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]:
     """The deviations |L_r(E f) - L_k(f)| of the ubiquitous quantities under
     one embedding E f, as ``{quantity: deviation}``: ``norm``, the largest
     over eight random points of ``weyl`` and of ``wigner``, and
-    ``position_entropy``.  The caller holds the tolerances."""
+    ``position_entropy``.  The caller holds the tolerances.  This is
+    ``_ubiquity_checks``' stack of one."""
     if not spec.finite_target:
         raise ValueError("ubiquity checks use finite targets")
-    g = state_embed(f, spec)
-    n = f.n
-    out = {"norm": abs(norm(g) - norm(f))}
-    # evaluate the target-side function with the intertwined operator at the
-    # embedded phase-space point; when source and target parities agree this
-    # is the canonical-grid Weyl/Wigner value at hw_embed's index pair, and
-    # for odd k inside even l it additionally carries the exact half-phase
-    # bookkeeping of the index map.  The eight Weyl points are drawn first,
-    # then the eight Wigner points; each source value is ``weyl_wigner``'s.
-    points = [[int(v) for v in rng.integers(0, n, 2)] for _ in range(16)]
-    weyl, _ = _point_elements(n, points[:8], "weyl")
-    _, wigner = _point_elements(n, points[8:], "wigner")
-    source = _weyl_wigner_values(f, weyl, wigner)
-    target = _weyl_wigner_values(
-        g, [hw_embed(el, spec) for el in weyl], [hw_embed(el, spec) for el in wigner]
-    )
-    gaps = [abs(t - s) for t, s in zip(target, source)]
-    # np.max keeps a NaN gap, max() would drop it
-    out["weyl"], out["wigner"] = float(np.max(gaps[:8])), float(np.max(gaps[8:]))
-    out["position_entropy"] = abs(position_entropy(g) - position_entropy(f))
+    if f.n != spec.source:
+        raise ValueError("state dimension does not match the source label")
+    return _ubiquity_checks([(f, spec, _ubiquity_points(f.n, rng))])[0]
+
+
+def _ubiquity_points(n: int, rng) -> np.ndarray:
+    """The eight Weyl points, then the eight Wigner points, in one draw: the
+    stream of one (a, b) draw per point."""
+    return rng.integers(0, n, (2 * _UBIQUITY_POINTS, 2))
+
+
+def _ubiquity_checks(cases) -> list[dict[str, float]]:
+    """``ubiquity_check`` on each case (f, spec, points) in turn, bit for bit,
+    with points its (16, 2) draws and spec's target finite.
+
+    The target side evaluates the target-side function with the intertwined
+    operator at the embedded phase-space point; when source and target
+    parities agree this is the canonical-grid Weyl/Wigner value at
+    hw_embed's index pair, and for odd k inside even l it additionally
+    carries the exact half-phase bookkeeping of the index map.  Each source
+    value is ``weyl_wigner``'s.  The point kernel runs once per source label
+    and once per target label, on the stacked rows of every case with it.
+    """
+    q = _UBIQUITY_POINTS
+    targets = [extend(f, spec.target) for f, spec, _ in cases]
+    source_els, target_els = [], []
+    for f, spec, points in cases:
+        points = points.tolist()
+        weyl, _ = _point_elements(f.n, points[:q], "weyl")
+        _, wigner = _point_elements(f.n, points[q:], "wigner")
+        source_els.append((weyl, wigner))
+        target_els.append(tuple([hw_embed(el, spec) for el in els] for els in (weyl, wigner)))
+    source = _stacked_point_values([f for f, _, _ in cases], source_els)
+    target = _stacked_point_values(targets, target_els)
+    out = []
+    for (f, _, _), g, s, t in zip(cases, targets, source, target):
+        gaps = [abs(a - b) for a, b in zip(t, s)]
+        # np.max keeps a NaN gap, max() would drop it
+        out.append({
+            "norm": abs(norm(g) - norm(f)),
+            "weyl": float(np.max(gaps[:q])),
+            "wigner": float(np.max(gaps[q:])),
+            "position_entropy": abs(position_entropy(g) - position_entropy(f)),
+        })
+    return out
+
+
+def _stacked_point_values(states, elements) -> list[list[complex]]:
+    """``_weyl_wigner_values`` of each state with its (displacements,
+    parities), q of each, run once per (n, rep) on the stacked rows of the
+    states that share it."""
+    q = _UBIQUITY_POINTS
+    out: list = [None] * len(states)
+    for (n, rep), members in _index_groups((f.n, f.rep) for f in states).items():
+        v = np.repeat(np.stack([states[i].amplitudes for i in members]), q, axis=0)
+        weyl = [el for i in members for el in elements[i][0]]
+        wigner = [el for i in members for el in elements[i][1]]
+        values = _weyl_wigner_values(np.concatenate([v, v]), rep, weyl, wigner)
+        half = len(v)
+        for j, i in enumerate(members):
+            out[i] = values[j * q : (j + 1) * q] + values[half + j * q : half + (j + 1) * q]
     return out
 
 

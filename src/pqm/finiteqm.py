@@ -42,12 +42,16 @@ from .numbers import (
 )
 
 
-def _unit(num, den):
-    """e(num/den) for integers num, den >= 1: Python ints of any size (object
-    arrays too) or int64 arrays below 2^53.  num is reduced mod den in integers
-    and the one correctly rounded quotient is taken before the 2 pi i, so equal
-    fractions give equal bits: _unit(m num + j m den, m den) == _unit(num, den)."""
-    return np.exp(2j * np.pi * np.asarray((num % den) / den, dtype=float))
+def _unit(num, den=None):
+    """e(num/den) for integers num, den >= 1: Python ints or int64 arrays
+    below 2^53.  num is reduced mod den in integers and the one correctly
+    rounded quotient is taken before the 2 pi i, so equal fractions give
+    equal bits: _unit(m num + j m den, m den) == _unit(num, den).  With den
+    None, num holds such quotients already taken, floats in [0, 1): a
+    denominator past int64 takes its quotient in Python ints first, where
+    int / int is correctly rounded too (``_displacement_action``)."""
+    q = num if den is None else (num % den) / den
+    return np.exp(2j * np.pi * np.asarray(q, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +200,26 @@ def _flat_indices(n: int, rep: str) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.ravel_multi_index(split(n, np.arange(n)), dims), dims
 
 
+def _good_values(v: np.ndarray, rep: str) -> np.ndarray:
+    """``fourier_good`` on the last axis of a stack of ``rep`` values: the
+    CRT index maps are built once for the whole stack."""
+    n = v.shape[-1]
+    if n == 1 or len(crt_idempotents(n)) == 1:
+        return _fourier_values(v, rep)
+    src, dims = _flat_indices(n, rep)
+    dst, _ = _flat_indices(n, MOMENTUM if rep == POSITION else POSITION)
+    lead = v.shape[:-1]
+    a = np.zeros(lead + dims, dtype=complex)
+    a.reshape(lead + (n,))[..., src] = v
+    a = _measure_weight(n, rep) * np.fft.fftn(a, axes=range(len(lead), a.ndim))
+    return a.reshape(lead + (n,))[..., dst]
+
+
 def fourier_good(f: FiniteState) -> FiniteState:
-    """Good's prime-factor transform: CRT index remaps, per-prime-power FFTs."""
-    if len(crt_idempotents(f.n)) == 1:
-        return fourier(f)
+    """Good's prime-factor transform: CRT index remaps, per-prime-power FFTs.
+    A prime power, and n = 1, take the single FFT of ``fourier``."""
     other = MOMENTUM if f.rep == POSITION else POSITION
-    src, dims = _flat_indices(f.n, f.rep)
-    dst, _ = _flat_indices(f.n, other)
-    a = np.zeros(dims, dtype=complex)
-    a.flat[src] = f.amplitudes
-    a = f.measure_weight * np.fft.fftn(a)
-    return FiniteState(f.n, other, a.flat[dst])
+    return FiniteState(f.n, other, _good_values(f.amplitudes, f.rep))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +285,7 @@ class HWElement:
             gamma = _index(gamma, "gamma")
         alpha, beta, gamma = alpha % n, beta % n, gamma % n
         phase = RatMod1.of(2 * gamma - _chi_coeff(n) * alpha * beta, 2 * n)
-        return cls(n, alpha, beta, phase)
+        return cls._of(n, alpha, beta, phase)
 
     @classmethod
     def from_phase_space(
@@ -280,11 +293,15 @@ class HWElement:
     ) -> "HWElement":
         """Build from continuum data (a, b, c); requires 2a on the 1/n grid."""
         n = _check_dimension(n)
+        if type(b) is not int:
+            b = _index(b, "b")
         r, rem = divmod(2 * n * a.numerator, a.denominator)
         if rem:
             raise ValueError(f"a={a} does not displace the Z({n}) momentum grid")
-        alpha = r * pow(_chi_coeff(n), -1, n) % n
-        return cls(n, alpha, b % n, c - a.scaled(b))
+        phase = c - a.scaled(b)
+        if not isinstance(phase, RatMod1):
+            raise ValueError(f"phase must be a RatMod1, got {phase!r}")
+        return cls._of(n, r * pow(_chi_coeff(n), -1, n) % n, b % n, phase)
 
     @property
     def frak_a(self) -> RatMod1:
@@ -356,14 +373,15 @@ def _displacement_action(elements, rep: str) -> tuple[np.ndarray, np.ndarray]:
     """(phases, src) with (D_i f)(x) = phases[i, x] f(src[i, x]) on the rep's
     values, for k elements D_i = e(phase_i) D(alpha_i, beta_i) of one n, as
     (k, n) stacks; the integer x-term t gives the factor e(t/n).  A phase
-    denominator may exceed int64 (``hw_scalar_mul``), so phases reach
-    ``_unit`` as Python ints."""
+    denominator may exceed int64 (``hw_scalar_mul``), so each phase's
+    quotient is taken in Python ints, a RatMod1 being reduced to [0, 1),
+    and reaches ``_unit`` as a float."""
     n = elements[0].n
     if any(d.n != n for d in elements):
         raise ValueError("dimension mismatch")
-    cols = [(d.alpha, d.beta, d.phase.numerator, d.phase.denominator) for d in elements]
-    cols = np.array(cols, dtype=object)
-    alpha, beta = cols[:, :1].astype(int), cols[:, 1:2].astype(int)
+    ab = np.array([(d.alpha, d.beta) for d in elements])
+    alpha, beta = ab[:, :1], ab[:, 1:]
+    quotients = [[d.phase.numerator / d.phase.denominator] for d in elements]
     c = _chi_coeff(n)
     x = np.arange(n)
     if rep == POSITION:
@@ -372,7 +390,7 @@ def _displacement_action(elements, rep: str) -> tuple[np.ndarray, np.ndarray]:
         src = (x - c * alpha) % n
         t = -beta * src
     phases = _unit(t, n)
-    phases *= _unit(cols[:, 2:3], cols[:, 3:])
+    phases *= _unit(quotients)
     return phases, src
 
 
@@ -470,16 +488,21 @@ def _parity_matrices(points, rep: str = POSITION) -> np.ndarray:
     return stack[:, _dilation(points[0].n, -1)]
 
 
-def _weyl_wigner_values(f: FiniteState, displacements, parities) -> list[complex]:
+def _weyl_wigner_values(v: np.ndarray, rep: str, displacements, parities) -> list[complex]:
     """The point kernel of the Weyl and Wigner functions: (f, D f) for each
     displacement D, then (f, P f) for each parity P (x -> -x after D), as one
-    stacked action on f, reduced row by row as ``inner`` does."""
-    h = _displace_values(f.amplitudes[None], f.rep, displacements + parities)
+    stacked action, reduced row by row as ``inner`` does.  v is a (1, n)
+    row of one state's ``rep`` values, acted on by every element, or a
+    (k, n) stack with each element's own state in its row."""
+    h = _displace_values(v, rep, displacements + parities)
     # assigned in place, so every row stays contiguous: np.vdot sums a
     # strided row in another order
+    n = v.shape[-1]
     reflected = slice(len(displacements), None)
-    h[reflected] = h[reflected][:, _dilation(f.n, -1)]
-    return [f.measure_weight * complex(np.vdot(f.amplitudes, row)) for row in h]
+    h[reflected] = h[reflected][:, _dilation(n, -1)]
+    w = _measure_weight(n, rep)
+    states = v if len(v) == len(h) else [v[0]] * len(h)
+    return [w * complex(np.vdot(f, row)) for f, row in zip(states, h)]
 
 
 def _point_elements(n: int, points, kind: str, doubled: bool = False) -> tuple[list, list]:
@@ -502,7 +525,8 @@ def weyl_wigner(
     ValueError naming ``a`` or ``b``, at either kind.
     """
     points = [(_index(a, "a"), _index(b, "b"))]
-    return _weyl_wigner_values(f, *_point_elements(f.n, points, kind, doubled))[0]
+    elements = _point_elements(f.n, points, kind, doubled)
+    return _weyl_wigner_values(f.amplitudes[None], f.rep, *elements)[0]
 
 
 def _shift_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -515,6 +539,15 @@ def _reflect_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(-y - b, y - b) mod n as [b, y] arrays: P(a, b)^T lives on these entries."""
     y = np.arange(n)
     return (-y - y[:, None]) % n, (y - y[:, None]) % n
+
+
+def _wrapped_diagonals(theta: np.ndarray) -> np.ndarray:
+    """[..., b, x] = theta[..., x, x - b] of a (..., n, n) stack, in C order:
+    a gather behind a leading slice would not be, and its sum over x would
+    run in another order than one matrix's."""
+    n = theta.shape[-1]
+    rows, cols = _shift_indices(n)
+    return np.take(theta.reshape(theta.shape[:-2] + (n * n,)), rows * n + cols, axis=-1)
 
 
 def _displacement_phases(n: int) -> np.ndarray:
@@ -598,13 +631,16 @@ def resolution_identity_check(theta) -> float:
     (1/n) A(x - y) S(x - y) with A(d) = sum_a e(c a d/n) and
     S(d) = sum_z theta[z, z - d]: it depends on x - y only.
     """
-    theta = _square_operator(theta)
-    n = theta.shape[0]
-    rows, cols = _shift_indices(n)
-    s = theta[rows, cols].sum(axis=1)  # S(d), d = b
+    return float(_resolution_residuals(_square_operator(theta)))
+
+
+def _resolution_residuals(theta: np.ndarray) -> np.ndarray:
+    """``resolution_identity_check`` of each operator of a (..., n, n) stack."""
+    n = theta.shape[-1]
+    s = _wrapped_diagonals(theta).sum(axis=-1)  # S(d), d = b
     acc = _character_sum(n, _chi_coeff(n)) * s / n
-    acc[0] -= np.trace(theta)
-    return float(np.max(np.abs(acc)))
+    acc[..., 0] -= np.trace(theta, axis1=-2, axis2=-1)
+    return np.abs(acc).max(axis=-1)
 
 
 def operator_expand(theta) -> tuple[np.ndarray, float]:
@@ -619,18 +655,23 @@ def operator_expand(theta) -> tuple[np.ndarray, float]:
     e(-s_ab) sum_x e(-c a x/n) theta[x, x - b] is an FFT of theta's b-th
     wrapped diagonal, and the reconstruction is an inverse FFT per b.
     """
-    theta = _square_operator(theta)
-    n = theta.shape[0]
-    rows, cols = _shift_indices(n)
-    diag = theta[rows, cols]  # [b, x] = theta[x, x - b]
+    coeffs, residual = _expand_stack(_square_operator(theta))
+    return coeffs, float(residual)
+
+
+def _expand_stack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``operator_expand`` of each operator of a (..., n, n) stack: the
+    coefficients [..., a, b] and the residuals [...]."""
+    n = theta.shape[-1]
+    diag = _wrapped_diagonals(theta)
     ca = _dilation(n, _chi_coeff(n))
     phases = _displacement_phases(n)
-    coeffs = phases.conj() * np.fft.fft(diag, axis=1)[:, ca].T
+    coeffs = phases.conj() * np.fft.fft(diag)[..., ca].swapaxes(-1, -2)
     # recon[x, x - b] = (1/n) sum_a coeffs[a, b] e(s_ab + c a x/n)
-    spectrum = np.empty((n, n), dtype=complex)
-    spectrum[:, ca] = (coeffs * phases).T
-    recon = np.fft.ifft(spectrum, axis=1)
-    return coeffs, float(np.max(np.abs(recon - diag)))
+    spectrum = np.empty(theta.shape, dtype=complex)
+    spectrum[..., ca] = (coeffs * phases).swapaxes(-1, -2)
+    recon = np.fft.ifft(spectrum)
+    return coeffs, np.abs(recon - diag).max(axis=(-2, -1))
 
 
 def coherent_check(g: FiniteState) -> float:
@@ -645,13 +686,19 @@ def coherent_check(g: FiniteState) -> float:
     """
     if abs(norm(g) - 1.0) > 1e-9:
         raise ValueError("fiducial state must be normalized")
-    n = g.n
-    k = _chi_coeff(n) if g.rep == POSITION else -1
-    spectrum = np.fft.fft(g.amplitudes)
+    return float(_coherent_residuals(g.amplitudes, g.rep))
+
+
+def _coherent_residuals(v: np.ndarray, rep: str) -> np.ndarray:
+    """``coherent_check`` of each fiducial of a (..., n) stack of normalized
+    ``rep`` values."""
+    n = v.shape[-1]
+    k = _chi_coeff(n) if rep == POSITION else -1
+    spectrum = np.fft.fft(v)
     r = np.fft.ifft(spectrum * spectrum.conj())  # r(d) = sum_z g(z + d) g*(z)
-    acc = _character_sum(n, k) * r * (g.measure_weight / n)
-    acc[0] -= 1.0
-    return float(np.max(np.abs(acc)))
+    acc = _character_sum(n, k) * r * (_measure_weight(n, rep) / n)
+    acc[..., 0] -= 1.0
+    return np.abs(acc).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -686,23 +733,29 @@ def parity_expand_check(theta) -> ParityCheckResult:
     n = theta.shape[0]
     if n % 2 == 0:
         raise ValueError("unsupported regime: the parity identities hold for odd n only")
+    sandwich, tomo = _parity_residuals(theta)
+    return ParityCheckResult(_parity_expansion_residual(n), float(sandwich), float(tomo))
+
+
+def _parity_residuals(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sandwich and tomography residuals of ``parity_expand_check`` for
+    each operator of a (..., n, n) stack, n odd."""
+    n = theta.shape[-1]
     k = _parity_k(n, False)
-    expansion = _parity_expansion_residual(n)
     j = np.arange(n)
 
-    diag = theta[(-j[:, None]) % n, (-j[:, None] - j) % n]  # [z, d] = theta[-z, -z - d]
-    sandwich = _character_sum(n, -k)[_dilation(n, -1)] * diag.sum(axis=0) / n
-    sandwich[0] -= np.trace(theta)
+    diag = theta[..., (-j[:, None]) % n, (-j[:, None] - j) % n]  # [z, d] = theta[-z, -z - d]
+    sandwich = _character_sum(n, -k)[_dilation(n, -1)] * diag.sum(axis=-2) / n
+    sandwich[..., 0] -= np.trace(theta, axis1=-2, axis2=-1)
 
     rows, cols = _reflect_indices(n)
-    traces = np.fft.fft(theta[rows, cols], axis=1)[:, _dilation(n, k)]
-    # sum_a e(-k a y/n) tr(theta P(a, b)), the entry at [y - b, -y - b]
-    weights = np.fft.fft(traces, axis=1)[:, _dilation(n, k)]
-    tomo = -theta.copy()
-    np.add.at(tomo, (cols, rows), weights / n)
-    return ParityCheckResult(
-        expansion, float(np.max(np.abs(sandwich))), float(np.max(np.abs(tomo)))
-    )
+    traces = np.fft.fft(theta[..., rows, cols])[..., _dilation(n, k)]
+    # sum_a e(-k a y/n) tr(theta P(a, b)), the entry at [y - b, -y - b]:
+    # (b, y) -> (y - b, -y - b) is one-to-one for odd n, so each entry gets one
+    weights = np.fft.fft(traces)[..., _dilation(n, k)]
+    tomo = -theta
+    tomo[..., cols, rows] += weights / n
+    return np.abs(sandwich).max(axis=-1), np.abs(tomo).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

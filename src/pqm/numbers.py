@@ -28,6 +28,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -99,6 +100,14 @@ def is_prime(p: int) -> bool:
 # trial division stops at this divisor; a cofactor left with no prime
 # factor below it is split by rho, which finds a prime q in about sqrt(q) steps
 _TRIAL_BOUND = 1024
+# rho splits a composite cofactor below _RHO_BOUND whatever it takes: its
+# least prime is below 2^32, about 2^16 steps (53804 for 4294967279 *
+# 4294967291, 55 ms; at most 87406 over 20 products of two primes near 2^32).
+# A cofactor of the bound or more gets _RHO_STEPS in all, about 0.35 s at 30
+# digits: enough for a small prime factor, while a product of two 15-digit
+# primes would take hours
+_RHO_BOUND = 2**64
+_RHO_STEPS = 2**18
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -108,7 +117,9 @@ def factorize(n: int) -> dict[int, int]:
     (``is_prime``, asked before the first division and after each factor
     found), so a prime, or a small number times one, answers at once.  A
     composite cofactor left after it is split by textbook Pollard rho
-    (``_rho_divisor``), about sqrt(q) steps for its least prime q.  Above
+    (``_rho_divisor``), about sqrt(q) steps for its least prime q; a
+    composite cofactor of ``_RHO_BOUND`` = 2^64 or more that rho does not
+    split in ``_RHO_STEPS`` steps is a ValueError naming the bound.  Above
     ``_PRIMALITY_BOUND`` a cofactor that passes every Miller-Rabin base is
     a ValueError.  Each call returns a new dict: factoring costs a few
     microseconds at the n this package meets, so nothing is cached.
@@ -146,25 +157,35 @@ def _rho_primes(m: int) -> list[int]:
         if is_prime(m):
             primes.append(m)
         else:
-            d = _rho_divisor(m)
+            d = _rho_divisor(m, None if m < _RHO_BOUND else _RHO_STEPS)
+            if d is None:
+                raise ValueError(
+                    f"composite cofactor {m} exceeds bound {_RHO_BOUND}, "
+                    f"and rho split no factor off it in {_RHO_STEPS} steps"
+                )
             todo += [d, m // d]
     return sorted(primes)
 
 
-def _rho_divisor(m: int) -> int:
+def _rho_divisor(m: int, steps: int | None = None) -> int | None:
     """A divisor 1 < d < m of an odd composite m, by Pollard's rho on
     x -> x^2 + c from x = 2 with Floyd's cycle search, one gcd per step
     (Pollard, BIT 15 (1975) 331).  A run whose cycle closes on m without a
-    divisor retries with c + 1."""
+    divisor retries with c + 1.  With ``steps``, None once that many steps,
+    over all runs, found no divisor."""
+    budget = itertools.count() if steps is None else iter(range(steps))
     c = 1
     while True:
         x = y = 2
-        g = 1
-        while g == 1:
+        for _ in budget:
             x = (x * x + c) % m
             y = (y * y + c) % m
             y = (y * y + c) % m
             g = math.gcd(x - y, m)
+            if g != 1:
+                break
+        else:
+            return None
         if g != m:
             return g
         c += 1

@@ -19,7 +19,13 @@ from . import finiteqm as fq
 from . import numbers as nm
 from . import poset as ps
 from . import schwartz_bruhat as sb
-from .embeddings import EmbeddingSpec, _compat_suites, phase_embed_character, ubiquity_check
+from .embeddings import (
+    EmbeddingSpec,
+    _compat_suites,
+    _ubiquity_checks,
+    _ubiquity_points,
+    phase_embed_character,
+)
 # by name: perfbench's tracer swaps fq._displacement_grid for a counter that would raise
 from .finiteqm import MOMENTUM, POSITION, _displacement_grid
 
@@ -86,6 +92,24 @@ class _Reporter:
         return out
 
 
+def _random_states(rng, count: int, n: int, rep: str = POSITION) -> np.ndarray:
+    """The values of ``count`` calls of ``fq.random_state(n, rng, rep)``, drawn
+    in one call: [state, real/imaginary, x], normalized row by row as
+    ``norm`` does, as a (count, n) stack."""
+    d = rng.standard_normal((count, 2, n))
+    v = d[:, 0] + 1j * d[:, 1]
+    w = fq._measure_weight(n, rep)
+    v /= np.reshape([math.sqrt(w * np.vdot(r, r).real) for r in v], (-1, 1))
+    return v
+
+
+def _random_operators(rng, count: int, n: int) -> np.ndarray:
+    """The values of ``count`` calls of ``fq.random_operator(n, rng)``, drawn
+    in one call, as a (count, n, n) stack."""
+    d = rng.standard_normal((count, 2, n, n))
+    return d[:, 0] + 1j * d[:, 1]
+
+
 # --- Fourier involution and Parseval ---------------------------------------
 
 
@@ -93,13 +117,9 @@ def suite_fourier(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("fourier", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed)
     for n in range(2, 31):
-        # random_state's draws for f and g of every sample in one call:
-        # [sample, f/g, real/imaginary, x], normalized row by row as norm does
-        d = rng.standard_normal((cfg.samples, 2, 2, n))
-        v = d[:, :, 0] + 1j * d[:, :, 1]
+        # f and g of every sample, one after the other: [sample, f/g, x]
+        v = _random_states(rng, 2 * cfg.samples, n).reshape(cfg.samples, 2, n)
         w = fq._measure_weight(n, POSITION)
-        norms = [math.sqrt(w * np.vdot(r, r).real) for r in v.reshape(-1, n)]
-        v /= np.reshape(norms, (-1, 2, 1))
         fv = fq._fourier_values(v, POSITION)
         f4 = fq._fourier_values(fv[:, 0], MOMENTUM)
         f4 = fq._fourier_values(fq._fourier_values(f4, POSITION), MOMENTUM)
@@ -120,15 +140,16 @@ def suite_good(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("good", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 1)
     name = "good_factorization_matches_direct"
-    # both FFT paths against the dense matrix oracle at small n
+    # both FFT paths against the dense matrix oracle at small n, on the
+    # stack of each n's samples
     for n in (6, 10, 12, 15, 30, 36):
         w = np.sqrt(n) * fq.fourier_matrix(n)
         for r in (POSITION, MOMENTUM):
-            for _ in range(cfg.samples):
-                f = fq.random_state(n, rng, rep=r)
-                want = f.measure_weight * (w @ f.amplitudes)
-                for g in (fq.fourier_good(f), fq.fourier(f)):
-                    rep.gap(name, g.amplitudes, want, 1e-10)
+            v = _random_states(rng, cfg.samples, n, r)
+            # one matrix-vector product per row, as w @ f does
+            want = fq._measure_weight(n, r) * np.matmul(w, v[:, :, None])[:, :, 0]
+            for g in (fq._good_values(v, r), fq._fourier_values(v, r)):
+                rep.gap(name, g, want, 1e-10)
     # Good against the single FFT at a large mixed radix, relative to the peak
     for r in (POSITION, MOMENTUM):
         f = fq.random_state(2 * 3 * 5 * 7 * 11 * 13, rng, rep=r)
@@ -176,7 +197,8 @@ def _table_cases(rep: _Reporter, name: str, f, kind: str, doubled: bool = False)
     """``wigner_table`` against ``weyl_wigner``'s kernel on all its points at once, at 1e-9."""
     table = fq.wigner_table(f, kind, doubled)
     points = [(a, b) for a in range(table.shape[0]) for b in range(f.n)]
-    values = fq._weyl_wigner_values(f, *fq._point_elements(f.n, points, kind, doubled))
+    elements = fq._point_elements(f.n, points, kind, doubled)
+    values = fq._weyl_wigner_values(f.amplitudes[None], f.rep, *elements)
     for (a, b), value in zip(points, values):
         rep.case(name, abs(table[a, b] - value), 1e-9)
 
@@ -185,11 +207,10 @@ def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("tomography", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 3)
     for n in range(2, 13):
-        for _ in range(cfg.samples):
-            theta = fq.random_operator(n, rng)
-            rep.case("resolution_of_identity", fq.resolution_identity_check(theta), 1e-9)
-            _, r = fq.operator_expand(theta)
-            rep.case("displacement_expansion", r, 1e-9)
+        theta = _random_operators(rng, cfg.samples, n)
+        rep.case("resolution_of_identity", np.max(fq._resolution_residuals(theta)), 1e-9)
+        _, r = fq._expand_stack(theta)
+        rep.case("displacement_expansion", np.max(r), 1e-9)
     # brute-force oracles, one sample per n: the sums over explicit matrices
     for n in range(2, 7):
         theta = fq.random_operator(n, rng)
@@ -220,12 +241,12 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
             rep.gap("parity_hermitian", p, p.conj().transpose(0, 2, 1), 1e-12)
 
     for n in (3, 5, 7, 9, 11):
-        for _ in range(max(cfg.samples // 4, 2)):
-            theta = fq.random_operator(n, rng)
-            out = fq.parity_expand_check(theta)
-            rep.case("parity_displacement_expansion", out.expansion_residual, 1e-9)
-            rep.case("parity_sandwich_trace", out.sandwich_residual, 1e-9)
-            rep.case("parity_tomography", out.tomography_residual, 1e-9)
+        theta = _random_operators(rng, max(cfg.samples // 4, 2), n)
+        # parity_expand_check's expansion residual depends on n alone
+        rep.case("parity_displacement_expansion", fq._parity_expansion_residual(n), 1e-9)
+        sandwich, tomo = fq._parity_residuals(theta)
+        rep.case("parity_sandwich_trace", np.max(sandwich), 1e-9)
+        rep.case("parity_tomography", np.max(tomo), 1e-9)
     # brute-force oracles: the Wigner table point by point, and the expansion,
     # sandwich and tomography sums over explicit parity matrices
     for n in range(2, 9):
@@ -307,8 +328,8 @@ def suite_coherent(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 6)
     name = "coherent_resolution_of_identity"
     for n in range(2, 13):
-        for _ in range(max(cfg.samples // 2, 10)):
-            rep.case(name, fq.coherent_check(fq.random_state(n, rng)), 1e-9)
+        v = _random_states(rng, max(cfg.samples // 2, 10), n)
+        rep.case(name, np.max(fq._coherent_residuals(v, POSITION)), 1e-9)
     # brute-force oracle, one fiducial per n: the explicit outer-product sum
     for n in range(2, 7):
         g = fq.random_state(n, rng)
@@ -360,20 +381,25 @@ def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     rep = _Reporter("embeddings", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 7)
     chains = list(_divisor_chains(_LABEL_LIMIT))
+    oracle_pairs = set()  # the character law reads (k, ell) alone
     for (k, ell, m), residuals in zip(chains, _compat_suites(chains, rng)):
         for law, residual in residuals.items():
             name, tol = _COMPAT_CHECKS[law]
             rep.case(name, residual, tol)
-        if m <= _CHARACTER_ORACLE_MAX:
+        if m <= _CHARACTER_ORACLE_MAX and (k, ell) not in oracle_pairs:
+            oracle_pairs.add((k, ell))
             # the character law point by point, as exact Q/Z values
             spec, grid = EmbeddingSpec(k, ell), range(min(k, 8))
             ok = all(phase_embed_character((x, fp), spec) for x in grid for fp in grid)
             rep.exact("character_preservation_exact", ok)
 
     rng2 = np.random.default_rng(cfg.seed + 8)
+    cases = []
     for k, r in _ubiquity_pairs():
         f = fq.random_state(k, rng2)
-        for quantity, residual in ubiquity_check(f, EmbeddingSpec(k, r), rng2).items():
+        cases.append((f, EmbeddingSpec(k, r), _ubiquity_points(k, rng2)))
+    for residuals in _ubiquity_checks(cases):
+        for quantity, residual in residuals.items():
             name, tol = _UBIQUITY_CHECKS[quantity]
             rep.case(name, residual, tol)
     return rep.done()

@@ -28,7 +28,6 @@ from pqm.embeddings import (
     phase_embed_character,
     position_entropy,
     state_embed,
-    ubiquity_check,
 )
 from pqm.finiteqm import (
     MOMENTUM,
@@ -453,6 +452,99 @@ def suite_fourier_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
     return rep.done()
 
 
+def suite_good_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    rep = vf._Reporter("good", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed + 1)
+    name = "good_factorization_matches_direct"
+    for n in (6, 10, 12, 15, 30, 36):
+        w = np.sqrt(n) * fq.fourier_matrix(n)
+        for r in (POSITION, MOMENTUM):
+            for _ in range(cfg.samples):
+                f = fq.random_state(n, rng, rep=r)
+                want = f.measure_weight * (w @ f.amplitudes)
+                for g in (fq.fourier_good(f), fq.fourier(f)):
+                    rep.gap(name, g.amplitudes, want, 1e-10)
+    for r in (POSITION, MOMENTUM):
+        f = fq.random_state(2 * 3 * 5 * 7 * 11 * 13, rng, rep=r)
+        want = fq.fourier(f).amplitudes
+        gap = np.max(np.abs(fq.fourier_good(f).amplitudes - want))
+        rep.case(name, gap / np.max(np.abs(want)), 1e-10)
+    return rep.done()
+
+
+def suite_tomography_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    rep = vf._Reporter("tomography", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed + 3)
+    for n in range(2, 13):
+        for _ in range(cfg.samples):
+            theta = fq.random_operator(n, rng)
+            rep.case("resolution_of_identity", fq.resolution_identity_check(theta), 1e-9)
+            _, r = fq.operator_expand(theta)
+            rep.case("displacement_expansion", r, 1e-9)
+    for n in range(2, 7):
+        theta = fq.random_operator(n, rng)
+        disp = fq._displacement_grid(n).reshape(-1, n, n)
+        acc = sum(d @ theta @ d.conj().T for d in disp) / n
+        rep.gap("resolution_of_identity", acc, np.trace(theta) * np.eye(n), 1e-9)
+        coeffs, _ = fq.operator_expand(theta)
+        want = np.array([np.trace(d.conj().T @ theta) for d in disp])
+        rep.gap("displacement_expansion", coeffs.ravel(), want, 1e-9)
+    for n in range(2, 9):
+        for r in (POSITION, MOMENTUM):
+            f = fq.random_state(n, rng, rep=r)
+            vf._table_cases(rep, "displacement_expansion", f, "weyl")
+    return rep.done()
+
+
+def suite_parity_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    rep = vf._Reporter("parity", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed + 4)
+    for n in range(2, 13):
+        for a in range(n):
+            p = fq._parity_matrices([fq.PhasePoint(n, a, b) for b in range(n)])
+            rep.gap("parity_squares_to_identity", p @ p, np.eye(n), 1e-12)
+            rep.gap("parity_hermitian", p, p.conj().transpose(0, 2, 1), 1e-12)
+    for n in (3, 5, 7, 9, 11):
+        for _ in range(max(cfg.samples // 4, 2)):
+            out = fq.parity_expand_check(fq.random_operator(n, rng))
+            rep.case("parity_displacement_expansion", out.expansion_residual, 1e-9)
+            rep.case("parity_sandwich_trace", out.sandwich_residual, 1e-9)
+            rep.case("parity_tomography", out.tomography_residual, 1e-9)
+    for n in range(2, 9):
+        for r in (POSITION, MOMENTUM):
+            f = fq.random_state(n, rng, rep=r)
+            vf._table_cases(rep, "parity_tomography", f, "wigner")
+            if n % 2 == 0:
+                vf._table_cases(rep, "parity_tomography", f, "wigner", doubled=True)
+    for n in (3, 5):
+        theta = fq.random_operator(n, rng)
+        par = fq._parity_matrices([fq.PhasePoint(n, a, b) for a in range(n) for b in range(n)])
+        w = fq._unit(2 * np.outer(np.arange(n), np.arange(n)), n)
+        grid = fq._displacement_grid(n)
+        expansion = np.einsum("pb,aq,pqxy->abxy", w, w.conj(), grid) / n
+        rep.gap("parity_displacement_expansion", par, expansion.reshape(-1, n, n), 1e-9)
+        sandwich = sum(p @ theta @ p for p in par) / n
+        tomo = sum(p * np.trace(theta @ p) for p in par) / n
+        rep.gap("parity_sandwich_trace", sandwich, np.trace(theta) * np.eye(n), 1e-9)
+        rep.gap("parity_tomography", tomo, theta, 1e-9)
+    return rep.done()
+
+
+def suite_coherent_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
+    rep = vf._Reporter("coherent", cfg.tolerance)
+    rng = np.random.default_rng(cfg.seed + 6)
+    name = "coherent_resolution_of_identity"
+    for n in range(2, 13):
+        for _ in range(max(cfg.samples // 2, 10)):
+            rep.case(name, fq.coherent_check(fq.random_state(n, rng)), 1e-9)
+    for n in range(2, 7):
+        g = fq.random_state(n, rng)
+        vs = fq._displacement_grid(n).reshape(-1, n, n) @ g.amplitudes
+        acc = sum(np.outer(v, v.conj()) for v in vs) * (g.measure_weight / n)
+        rep.gap(name, acc, np.eye(n), 1e-9)
+    return rep.done()
+
+
 def suite_hw_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
     rep = vf._Reporter("hw", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 2)
@@ -481,7 +573,8 @@ def suite_hw_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
 
 
 def suite_embeddings_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
-    """The compat laws chain by chain through ``compat_suite_oracle``."""
+    """The compat laws chain by chain through ``compat_suite_oracle``, and
+    the ubiquity checks pair by pair through ``ubiquity_check_oracle``."""
     rep = vf._Reporter("embeddings", cfg.tolerance)
     rng = np.random.default_rng(cfg.seed + 7)
     for k, ell, m in vf._divisor_chains(vf._LABEL_LIMIT):
@@ -496,7 +589,7 @@ def suite_embeddings_oracle(cfg: vf.VerifyConfig) -> list[vf.CheckResult]:
     rng2 = np.random.default_rng(cfg.seed + 8)
     for k, r in vf._ubiquity_pairs():
         f = fq.random_state(k, rng2)
-        for quantity, residual in ubiquity_check(f, EmbeddingSpec(k, r), rng2).items():
+        for quantity, residual in ubiquity_check_oracle(f, EmbeddingSpec(k, r), rng2).items():
             name, tol = vf._UBIQUITY_CHECKS[quantity]
             rep.case(name, residual, tol)
     return rep.done()

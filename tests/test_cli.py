@@ -216,6 +216,26 @@ class TestFourierCommand:
         b = load_state(str(out_good)).amplitudes
         assert np.max(np.abs(a - b)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_good_writes_what_direct_writes(self, n, tmp_path):
+        # Good's transform took n >= 2 only, and refused a 1-point state that
+        # the direct one transforms.  Where Good takes the single FFT, at a
+        # prime power and at n = 1, the two files differ only in the method
+        # tag; at n = 6 the CRT remap rounds in its own order
+        src = tmp_path / "f.json"
+        _write_state(src, n=n)
+        text = {}
+        for method in ("direct", "good"):
+            out = tmp_path / f"{method}.json"
+            assert main(["fourier", "--method", method, "--in", str(src), "--out", str(out)]) == 0
+            text[method] = out.read_text().replace(f'"method": "{method}"', '"method": "?"')
+        if n < 6:
+            assert text["good"] == text["direct"]
+        else:
+            a, b = (json.loads(text[m]) for m in ("direct", "good"))
+            assert {**a, "amplitudes": None} == {**b, "amplitudes": None}
+            np.testing.assert_allclose(a["amplitudes"], b["amplitudes"], rtol=0, atol=1e-15)
+
     def test_four_applications_identity(self, tmp_path):
         src = tmp_path / "f0.json"
         f = _write_state(src, n=5)
@@ -707,6 +727,20 @@ class TestPosetPadicCommands:
         assert capsys.readouterr().out == f'{{"n": {n}, "width": 2}}\n'
         assert main(["padic", "crt", "--n", str(n), "--mu", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["moduli"] == [1000000007, 1000000009]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["padic", "crt", "--n", "{n}", "--mu", "5"],
+            ["poset", "--n", "{n}", "width"],
+            ["padic", "ostrowski", "--value", "{n}"],
+        ],
+    )
+    def test_semiprime_past_the_rho_bound_exits_2(self, argv, capsys):
+        # two 15-digit primes: rho would run for hours on their product
+        n = 316227766016849 * 316227766016857
+        assert main([a.format(n=n) for a in argv]) == 2
+        assert "exceeds bound 18446744073709551616" in _one_error_line(capsys)
 
     @pytest.mark.parametrize("query", ["width", "partition", "antichain", "topology"])
     def test_size_bound_before_divisors(self, query, capsys):

@@ -10,6 +10,7 @@ from pqm.finiteqm import (
     FiniteState,
     HWElement,
     displace,
+    hw_scalar_mul,
     norm,
     random_state,
 )
@@ -190,6 +191,20 @@ class TestHWEmbed:
                 el = hw_embed(HWElement.from_canonical(k, a, b, 0), EmbeddingSpec(k, l))
                 assert el.alpha == (l // k) * a % l
                 assert el.beta == b
+
+    def test_hw_embed_is_the_continuum_label_map(self):
+        # the labels a, b, c carried over through from_phase_space, on every
+        # element label of k | l <= 24, with phases over denominators past int64
+        rng = np.random.default_rng(41)
+        for ell in range(2, 25):
+            for k in (k for k in range(2, ell + 1) if ell % k == 0):
+                spec = EmbeddingSpec(k, ell)
+                for alpha in range(k):
+                    for beta in range(k):
+                        q = RatMod1.of(int(rng.integers(0, 2**62)), 3 * 2**70 + 1)
+                        d = hw_scalar_mul(HWElement(k, alpha, beta), q)
+                        want = HWElement.from_phase_space(ell, d.frak_a, d.beta, d.frak_c)
+                        assert hw_embed(d, spec) == want
 
     def test_index_map_odd_into_even(self):
         # an odd k in an even l picks up the conversion factor 2

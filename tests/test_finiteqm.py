@@ -432,6 +432,47 @@ class TestPhasesBeyondInt64:
             assert np.max(np.abs(stack[0] - e * stack[1])) <= 1e-15
 
 
+    @pytest.mark.parametrize("rep", [POSITION, MOMENTUM])
+    def test_displacement_action_is_the_object_array_formula(self, rep):
+        # each phase's quotient in Python ints, then _unit of the floats: the
+        # bits of the object-array formula, where Python int / int rounded
+        # each entry once, also past int64
+        rng = np.random.default_rng(40)
+        for n in (2, 3, 8, 15, 64):
+            els = []
+            for den in (2**70, 3 * 2**70 + 1, 7**40, 5):
+                alpha, beta, gamma, num = (int(v) for v in rng.integers(0, n, 4))
+                d = HWElement.from_canonical(n, alpha, beta, gamma)
+                els.append(hw_scalar_mul(d, RatMod1.of(num * 2**61 + 1, den)))
+            assert max(d.phase.denominator for d in els) > 2**63
+            phases, src = finiteqm._displacement_action(els, rep)
+            want_phases, want_src = _object_displacement_action(els, rep)
+            assert np.array_equal(phases, want_phases) and np.array_equal(src, want_src)
+
+
+def _object_displacement_action(elements, rep):
+    """``_displacement_action`` as it was built: one object array of the
+    (alpha, beta, numerator, denominator) columns, and the unit of each
+    exponent e(num/den) taken on it as ``_unit`` took it, num mod den and
+    one quotient, on Python ints for an object array."""
+
+    def unit(num, den):
+        return np.exp(2j * np.pi * np.asarray((num % den) / den, dtype=float))
+
+    n = elements[0].n
+    cols = [(d.alpha, d.beta, d.phase.numerator, d.phase.denominator) for d in elements]
+    cols = np.array(cols, dtype=object)
+    alpha, beta = cols[:, :1].astype(int), cols[:, 1:2].astype(int)
+    c = 2 if n % 2 else 1
+    x = np.arange(n)
+    if rep == POSITION:
+        src, t = (x - beta) % n, c * alpha % n * x
+    else:
+        src = (x - c * alpha) % n
+        t = -beta * src
+    return unit(t, n) * unit(cols[:, 2:3], cols[:, 3:]), src
+
+
 class TestHWSum:
     """``_hw_sum`` scatters the phases of many elements into one n x n
     matrix; the sum over the ``_hw_matrices`` stack is its oracle."""
@@ -510,6 +551,7 @@ class TestIntegerLabels:
             (lambda v: HWElement.from_canonical(v, 1, 1, 1), "n"),
             (lambda v: HWElement.from_canonical(5, 1, 1, v), "gamma"),
             (lambda v: HWElement.from_phase_space(v, RatMod1.of(1, 2), 1), "n"),
+            (lambda v: HWElement.from_phase_space(5, RatMod1.of(1, 5), v), "b"),
             (hw_x, "n"),
             (hw_z, "n"),
             (lambda v: marginal_a_matrix(v, 1), "n"),

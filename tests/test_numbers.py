@@ -540,6 +540,34 @@ def test_factorize_splits_the_largest_64_bit_semiprime_by_rho():
     assert got == {p: 1, q: 1} and list(got) == [p, q]
 
 
+# two 15-digit primes, whose 30-digit product rho would take hours to split
+_SEMIPRIME_30 = 316227766016849 * 316227766016857
+
+
+@pytest.mark.parametrize("n", [_SEMIPRIME_30, 4 * 1031 * _SEMIPRIME_30])
+def test_factorize_refuses_rho_on_a_cofactor_past_the_bound(n):
+    # rho splits 1031 off the second at once, then gets nowhere on the rest
+    bound = r"^composite cofactor (\d+) exceeds bound 18446744073709551616, "
+    with pytest.raises(ValueError, match=bound) as exc:
+        factorize(n)
+    assert exc.value.args[0].split()[2] == str(_SEMIPRIME_30)
+
+
+def test_factorize_bounds_the_cofactor_not_n():
+    # the product of the first 25 primes is about 2.3e36, far past 2^64, but
+    # trial division leaves no cofactor for rho
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    n = math.prod(primes)
+    assert len(primes) == 25 and n > 2**64
+    assert factorize(n) == dict.fromkeys(primes, 1)
+    p, q = 4294967279, 4294967291
+    assert factorize(n * p * q) == {**dict.fromkeys(primes, 1), p: 1, q: 1}
+    # past the bound, rho's steps still split off a prime near 2^32: here the
+    # two least primes above 2^32
+    p, q = 2**32 + 15, 2**32 + 61
+    assert p * q > 2**64 and factorize(p * q) == {p: 1, q: 1}
+
+
 def test_factorize_refuses_an_unprovable_cofactor():
     # 2^89 - 1 is prime and above the bound where Miller-Rabin decides
     with pytest.raises(ValueError, match="cannot prove"):

@@ -813,7 +813,8 @@ def test_stacked_table_points_are_the_composed_oracle_bit_for_bit(n, rep, seed):
     f = random_state(n, np.random.default_rng(seed), rep=rep)
     for kind, doubled in _GRIDS[: 3 if n % 2 == 0 else 2]:
         points = [(a, b) for a in range(2 * n if doubled else n) for b in range(n)]
-        got = _weyl_wigner_values(f, *_point_elements(n, points, kind, doubled))
+        elements = _point_elements(n, points, kind, doubled)
+        got = _weyl_wigner_values(f.amplitudes[None], rep, *elements)
         assert got == [weyl_wigner_oracle(f, a, b, kind, doubled) for a, b in points]
 
 

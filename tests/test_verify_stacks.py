@@ -1,19 +1,34 @@
 """The stacked verify suites against the suites one sample at a time, the
-rng stream identities the stacks rely on, and the smallest configs."""
+stacked kernels against their public per-item functions, the rng stream
+identities the stacks rely on, and the smallest configs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    suite_coherent_oracle,
     suite_embeddings_oracle,
     suite_fourier_oracle,
+    suite_good_oracle,
     suite_hw_oracle,
     suite_numbers_oracle,
+    suite_parity_oracle,
+    suite_tomography_oracle,
 )
+from pqm import finiteqm as fq
 from pqm import verify
 from pqm.cli import main
-from pqm.embeddings import _COMPAT_SAMPLES, _compat_draws
-from pqm.finiteqm import HWElement
+from pqm.embeddings import (
+    _COMPAT_SAMPLES,
+    EmbeddingSpec,
+    _compat_draws,
+    _ubiquity_checks,
+    _ubiquity_points,
+    ubiquity_check,
+)
+from pqm.finiteqm import MOMENTUM, POSITION, FiniteState, HWElement
 
 SEEDS = range(4)
 SAMPLES = (1, 3, 20)
@@ -21,7 +36,11 @@ SAMPLES = (1, 3, 20)
 # suite -> its oracle, and the config fields it reads of seed and samples
 ORACLES = {
     "fourier": (suite_fourier_oracle, {"seed", "samples"}),
+    "good": (suite_good_oracle, {"seed", "samples"}),
     "hw": (suite_hw_oracle, {"seed", "samples"}),
+    "tomography": (suite_tomography_oracle, {"seed", "samples"}),
+    "parity": (suite_parity_oracle, {"seed", "samples"}),
+    "coherent": (suite_coherent_oracle, {"seed", "samples"}),
     "embeddings": (suite_embeddings_oracle, {"seed"}),
     "numbers": (suite_numbers_oracle, {"seed"}),
 }
@@ -109,7 +128,75 @@ class TestStreamIdentities:
         assert not (np.array_equal(x1, x2) and np.array_equal(n1, n2))
 
 
-BATCHED = ("fourier", "hw", "embeddings", "numbers")
+class TestStackedKernels:
+    """Each stacked kernel, row by row, is its public function on that row's
+    item, to the bit, whatever the stack size and the row's place in it."""
+
+    @staticmethod
+    def _stack(seed, k, shape):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((k,) + shape) + 1j * rng.standard_normal((k,) + shape)
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(1, 40), k=st.integers(1, 6), rep=st.sampled_from([POSITION, MOMENTUM]))
+    def test_good_values(self, n, k, rep):
+        v = self._stack(n, k, (n,))
+        got = fq._good_values(v, rep)
+        for row, want in zip(got, v):
+            assert np.array_equal(row, fq.fourier_good(FiniteState(n, rep, want)).amplitudes)
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(2, 24), k=st.integers(1, 6))
+    def test_resolution_and_expansion(self, n, k):
+        theta = self._stack(n, k, (n, n))
+        residuals = fq._resolution_residuals(theta)
+        coeffs, expand_residuals = fq._expand_stack(theta)
+        for i, t in enumerate(theta):
+            assert residuals[i] == fq.resolution_identity_check(t)
+            want_coeffs, want = fq.operator_expand(t)
+            assert np.array_equal(coeffs[i], want_coeffs) and expand_residuals[i] == want
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(1, 12).map(lambda j: 2 * j + 1), k=st.integers(1, 6))
+    def test_parity_residuals(self, n, k):
+        theta = self._stack(n, k, (n, n))
+        sandwich, tomo = fq._parity_residuals(theta)
+        for i, t in enumerate(theta):
+            want = fq.parity_expand_check(t)
+            assert (sandwich[i], tomo[i]) == (want.sandwich_residual, want.tomography_residual)
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(2, 40), k=st.integers(1, 6), rep=st.sampled_from([POSITION, MOMENTUM]))
+    def test_coherent_residuals(self, n, k, rep):
+        v = self._stack(n, k, (n,))
+        v /= np.sqrt(fq._measure_weight(n, rep) * np.sum(np.abs(v) ** 2, axis=1, keepdims=True))
+        got = fq._coherent_residuals(v, rep)
+        for i, row in enumerate(v):
+            assert got[i] == fq.coherent_check(FiniteState(n, rep, row))
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        labels=st.lists(
+            st.tuples(st.integers(2, 8), st.integers(1, 4), st.sampled_from([POSITION, MOMENTUM])),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ubiquity_checks(self, labels, seed):
+        # cases of mixed source and target labels, grouped by each in turn
+        rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        cases, want = [], []
+        for k, scale, rep in labels:
+            f = fq.random_state(k, rng, rep)
+            spec = EmbeddingSpec(k, k * scale)
+            cases.append((f, spec, _ubiquity_points(k, rng)))
+            want.append(ubiquity_check(fq.random_state(k, one_rng, rep), spec, one_rng))
+        got = _ubiquity_checks(cases)
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
+BATCHED = ("fourier", "good", "hw", "tomography", "parity", "coherent", "embeddings", "numbers")
 
 
 @pytest.mark.parametrize("suite", BATCHED)
