@@ -337,6 +337,8 @@ def _parse_rational(text: str, mod1: bool = False) -> Fraction:
 
 
 def cmd_padic(args) -> int:
+    if args.p is not None and args.p >= nm._PRIMALITY_BOUND:  # no such p is provably prime
+        raise UsageError(f"p exceeds bound {nm._PRIMALITY_BOUND}")
     if args.action == "crt":
         if args.n is None or args.mu is None:
             raise UsageError("crt needs --n and --mu")

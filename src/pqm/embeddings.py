@@ -194,21 +194,6 @@ def hw_embed(d: HWElement, spec: EmbeddingSpec) -> HWElement:
 _COMPAT_SAMPLES = 2  # random states per law and representation
 
 
-def compat_suite(k: int, ell: int, m: int, rng) -> dict[str, float]:
-    """The embedding laws along the chain k | ell | m, as ``{law: residual}``.
-
-    (i) ``composition``, (ii) ``fourier_intertwining``, (iii)
-    ``hw_intertwining``: the largest gap over the samples, NaN if any gap is
-    NaN; (iv) ``character_preservation``: 0.0 when the exact law holds, else
-    1.0.  Failures are measured, not raised; the caller holds the tolerances.
-
-    On a finite target ``state_embed`` is ``extend``, so each law acts on its
-    samples as one (samples, k) stack of values; the random draws keep the
-    order of one state at a time.  This is ``_compat_suites``' stack of one.
-    """
-    return _compat_suites([(k, ell, m)], rng)[0]
-
-
 def _compat_draws(k: int, rng) -> tuple[np.ndarray, list[HWElement]]:
     """One chain's states and elements, drawn in the order of one state at a
     time: the composition states (rep by rep), the Fourier states, then for
@@ -235,18 +220,25 @@ def _index_groups(keys) -> dict:
     return groups
 
 
-def _compat_suites(chains, rng) -> list[dict[str, float]]:
-    """``compat_suite`` on each chain (k, ell, m) in turn, bit for bit.
+def compat_suite(chains, rng) -> list[dict[str, float]]:
+    """The embedding laws along each chain k | ell | m, as ``{law: residual}``.
 
-    The draws keep chain order.  Each law runs once per label or pair of
-    labels, on the stacked samples of every chain that has it: the Fourier
-    and HW laws run their Z(k) side once per source label k and their
-    Z(ell) side once per target label ell; the extension Z(k) -> Z(ell) runs
-    once per group of chains that share (k, ell), and so does the character
-    law, which reads nothing else; the composition law extends each group's
-    rows on to m once per (ell, m), against each chain's rows extended to m
-    at once.  Each chain's residual is the largest gap of its own rows
-    (np.max, so a NaN gap is its law's residual).
+    (i) ``composition``, (ii) ``fourier_intertwining``, (iii)
+    ``hw_intertwining``: the largest gap over the chain's samples, NaN if
+    any gap is NaN; (iv) ``character_preservation``: 0.0 when the exact law
+    holds, else 1.0.  Failures are measured, not raised; the caller holds
+    the tolerances.
+
+    On a finite target ``state_embed`` is ``extend``, so each law acts on
+    stacks of values.  The draws keep chain order.  Each law runs once per
+    label or pair of labels, on the stacked samples of every chain that has
+    it: the Fourier and HW laws run their Z(k) side once per source label k
+    and their Z(ell) side once per target label ell; the extension
+    Z(k) -> Z(ell) runs once per group of chains that share (k, ell), and so
+    does the character law, which reads nothing else; the composition law
+    extends each group's rows on to m once per (ell, m), against each
+    chain's rows extended to m at once.  Each chain's residual is the
+    largest gap of its own rows (np.max, so a NaN gap is its law's residual).
     """
     s = _COMPAT_SAMPLES
     draws, els = [], []
@@ -322,28 +314,19 @@ def position_entropy(f: FiniteState) -> float:
 _UBIQUITY_POINTS = 8  # random (a, b) points per function, Weyl then Wigner
 
 
-def ubiquity_check(f: FiniteState, spec: EmbeddingSpec, rng) -> dict[str, float]:
-    """The deviations |L_r(E f) - L_k(f)| of the ubiquitous quantities under
-    one embedding E f, as ``{quantity: deviation}``: ``norm``, the largest
-    over eight random points of ``weyl`` and of ``wigner``, and
-    ``position_entropy``.  The caller holds the tolerances.  This is
-    ``_ubiquity_checks``' stack of one."""
-    if not spec.finite_target:
-        raise ValueError("ubiquity checks use finite targets")
-    if f.n != spec.source:
-        raise ValueError("state dimension does not match the source label")
-    return _ubiquity_checks([(f, spec, _ubiquity_points(f.n, rng))])[0]
-
-
 def _ubiquity_points(n: int, rng) -> np.ndarray:
     """The eight Weyl points, then the eight Wigner points, in one draw: the
     stream of one (a, b) draw per point."""
     return rng.integers(0, n, (2 * _UBIQUITY_POINTS, 2))
 
 
-def _ubiquity_checks(cases) -> list[dict[str, float]]:
-    """``ubiquity_check`` on each case (f, spec, points) in turn, bit for bit,
-    with points its (16, 2) draws and spec's target finite.
+def ubiquity_check(cases) -> list[dict[str, float]]:
+    """The deviations |L_r(E f) - L_k(f)| of the ubiquitous quantities under
+    each case's embedding E f, as ``{quantity: deviation}``: ``norm``, the
+    largest over the case's eight Weyl and eight Wigner points of ``weyl``
+    and of ``wigner``, and ``position_entropy``.  The caller holds the
+    tolerances.  A case is (f, spec, points): spec's target finite, f.n its
+    source, and points the (16, 2) integer draws of ``_ubiquity_points``.
 
     The target side evaluates the target-side function with the intertwined
     operator at the embedded phase-space point; when source and target
@@ -354,14 +337,21 @@ def _ubiquity_checks(cases) -> list[dict[str, float]]:
     and once per target label, on the stacked rows of every case with it.
     """
     q = _UBIQUITY_POINTS
-    targets = [extend(f, spec.target) for f, spec, _ in cases]
     source_els, target_els = [], []
     for f, spec, points in cases:
+        if not spec.finite_target:
+            raise ValueError("ubiquity checks use finite targets")
+        if f.n != spec.source:
+            raise ValueError("state dimension does not match the source label")
+        points = np.asarray(points)
+        if points.shape != (2 * q, 2) or points.dtype.kind not in "iu":
+            raise ValueError(f"points must be ({2 * q}, 2) integers")
         points = points.tolist()
         weyl, _ = _point_elements(f.n, points[:q], "weyl")
         _, wigner = _point_elements(f.n, points[q:], "wigner")
         source_els.append((weyl, wigner))
         target_els.append(tuple([hw_embed(el, spec) for el in els] for els in (weyl, wigner)))
+    targets = [extend(f, spec.target) for f, spec, _ in cases]
     source = _stacked_point_values([f for f, _, _ in cases], source_els)
     target = _stacked_point_values(targets, target_els)
     out = []

@@ -110,18 +110,14 @@ def random_state(n: int, rng, rep: str = POSITION) -> FiniteState:
     return f
 
 
-# The state maps ``fourier``, ``extend`` and ``displace`` each have one kernel
-# on raw values: a (..., n) stack of one representation's values, transformed
-# on the last axis.  The public functions apply it to one state's values.
-
-
 def _fourier_values(v: np.ndarray, rep: str) -> np.ndarray:
     """``fourier`` on the last axis of a stack of ``rep`` values."""
     return _measure_weight(v.shape[-1], rep) * np.fft.fft(v)
 
 
 def fourier(f: FiniteState) -> FiniteState:
-    """Apply the Fourier operator: forward kernel, source measure, tag flip."""
+    """Apply the Fourier operator: forward kernel, source measure, tag flip.
+    A FiniteState holds one state, so the stacked kernel stays private."""
     other = MOMENTUM if f.rep == POSITION else POSITION
     return FiniteState(f.n, other, _fourier_values(f.amplitudes, f.rep))
 
@@ -154,7 +150,8 @@ def to_position(f: FiniteState) -> FiniteState:
 
 def extend(f: FiniteState, ell: int) -> FiniteState:
     """The isometric embedding Z(n) -> Z(ell), n | ell: position values extend
-    periodically, momentum values move from P to (ell/n) P with zero padding."""
+    periodically, momentum values move from P to (ell/n) P with zero padding.
+    A FiniteState holds one state, so the stacked kernel stays private."""
     if type(ell) is not int:
         ell = _index(ell, "ell")
     if ell < f.n:
@@ -217,7 +214,8 @@ def _good_values(v: np.ndarray, rep: str) -> np.ndarray:
 
 def fourier_good(f: FiniteState) -> FiniteState:
     """Good's prime-factor transform: CRT index remaps, per-prime-power FFTs.
-    A prime power, and n = 1, take the single FFT of ``fourier``."""
+    A prime power, and n = 1, take the single FFT of ``fourier``.  A
+    FiniteState holds one state, so the stacked kernel stays private."""
     other = MOMENTUM if f.rep == POSITION else POSITION
     return FiniteState(f.n, other, _good_values(f.amplitudes, f.rep))
 
@@ -404,6 +402,7 @@ def _displace_values(v: np.ndarray, rep: str, elements) -> np.ndarray:
 
 
 def displace(d: HWElement, f: FiniteState) -> FiniteState:
+    """D f.  A FiniteState holds one state, so the stacked kernel stays private."""
     if d.n != f.n:
         raise ValueError("dimension mismatch")
     values = _displace_values(f.amplitudes[None], f.rep, [d])[0]
@@ -605,9 +604,10 @@ def random_operator(n: int, rng) -> np.ndarray:
 
 
 def _square_operator(theta) -> np.ndarray:
+    """theta as a complex (..., n, n) stack of operators, n >= 2."""
     m = np.asarray(theta, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        raise ValueError("operator must be a square matrix with n >= 2")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 2:
+        raise ValueError("operator must be a square matrix, or a stack of them, with n >= 2")
     return m
 
 
@@ -623,27 +623,27 @@ def _character_sum(n: int, k: int) -> np.ndarray:
     return np.where(_dilation(n, k) == 0, float(n), 0.0)
 
 
-def resolution_identity_check(theta) -> float:
+def resolution_identity_check(theta) -> float | np.ndarray:
     """Residual of (1/n) sum_{a,b} D theta D^dagger = tr(theta) 1.
 
     Entry [x, y] of D(a,b,0) theta D(a,b,0)^dagger is
     e(c a (x - y)/n) theta[x - b, y - b], so entry [x, y] of the sum is
     (1/n) A(x - y) S(x - y) with A(d) = sum_a e(c a d/n) and
     S(d) = sum_z theta[z, z - d]: it depends on x - y only.
+
+    One operator gives a float; a (..., n, n) stack gives an array of its
+    leading shape, each entry that operator's float, to the bit.
     """
-    return float(_resolution_residuals(_square_operator(theta)))
-
-
-def _resolution_residuals(theta: np.ndarray) -> np.ndarray:
-    """``resolution_identity_check`` of each operator of a (..., n, n) stack."""
+    theta = _square_operator(theta)
     n = theta.shape[-1]
     s = _wrapped_diagonals(theta).sum(axis=-1)  # S(d), d = b
     acc = _character_sum(n, _chi_coeff(n)) * s / n
     acc[..., 0] -= np.trace(theta, axis1=-2, axis2=-1)
-    return np.abs(acc).max(axis=-1)
+    residuals = np.abs(acc).max(axis=-1)
+    return float(residuals) if theta.ndim == 2 else residuals
 
 
-def operator_expand(theta) -> tuple[np.ndarray, float]:
+def operator_expand(theta) -> tuple[np.ndarray, float | np.ndarray]:
     """Expand theta over the displacement basis; return (coefficients, residual).
 
     theta = (1/n) sum_{a,b} D(a,b,0) tr[D(a,b,0)^dagger theta].  The adjoint
@@ -654,14 +654,12 @@ def operator_expand(theta) -> tuple[np.ndarray, float]:
     D(a,b,0) holds e(s_ab + c a x/n) at [x, x - b], so the coefficient
     e(-s_ab) sum_x e(-c a x/n) theta[x, x - b] is an FFT of theta's b-th
     wrapped diagonal, and the reconstruction is an inverse FFT per b.
+
+    One operator gives its [a, b] coefficients and a float; a (..., n, n)
+    stack gives coefficients [..., a, b] and an array of residuals of its
+    leading shape, each that operator's, to the bit.
     """
-    coeffs, residual = _expand_stack(_square_operator(theta))
-    return coeffs, float(residual)
-
-
-def _expand_stack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``operator_expand`` of each operator of a (..., n, n) stack: the
-    coefficients [..., a, b] and the residuals [...]."""
+    theta = _square_operator(theta)
     n = theta.shape[-1]
     diag = _wrapped_diagonals(theta)
     ca = _dilation(n, _chi_coeff(n))
@@ -671,7 +669,8 @@ def _expand_stack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spectrum = np.empty(theta.shape, dtype=complex)
     spectrum[..., ca] = (coeffs * phases).swapaxes(-1, -2)
     recon = np.fft.ifft(spectrum)
-    return coeffs, np.abs(recon - diag).max(axis=(-2, -1))
+    residuals = np.abs(recon - diag).max(axis=(-2, -1))
+    return coeffs, float(residuals) if theta.ndim == 2 else residuals
 
 
 def coherent_check(g: FiniteState) -> float:
@@ -682,7 +681,7 @@ def coherent_check(g: FiniteState) -> float:
     (w/n) A(x - y) r(x - y), with r the circular autocorrelation of g's
     values and A(d) the character sum over the label that sets the phase:
     sum_a e(c a d/n) on the position side, sum_b e(-b d/n) on the momentum
-    side.
+    side.  A FiniteState holds one state, so the stacked kernel stays private.
     """
     if abs(norm(g) - 1.0) > 1e-9:
         raise ValueError("fiducial state must be normalized")
@@ -703,6 +702,7 @@ def _coherent_residuals(v: np.ndarray, rep: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParityCheckResult:
+    """``parity_expand_check``'s: floats for one operator, arrays for a stack."""
     expansion_residual: float  # parity as character-weighted displacement sum
     sandwich_residual: float  # sum P theta P = tr(theta) 1
     tomography_residual: float  # theta = (1/n) sum P tr(theta P)
@@ -728,19 +728,15 @@ def parity_expand_check(theta) -> ParityCheckResult:
     A(d) = sum_a e(-k a d/n); tr(theta P(a, b)) is an FFT over y of
     theta[-y - b, y - b]; and the tomography sum at [y - b, -y - b] is an FFT
     over a of those traces.
+
+    One operator gives a result of floats; a (..., n, n) stack gives one of
+    arrays of its leading shape, each entry that operator's float, to the
+    bit.  The expansion residual depends on n alone.
     """
     theta = _square_operator(theta)
-    n = theta.shape[0]
+    n = theta.shape[-1]
     if n % 2 == 0:
         raise ValueError("unsupported regime: the parity identities hold for odd n only")
-    sandwich, tomo = _parity_residuals(theta)
-    return ParityCheckResult(_parity_expansion_residual(n), float(sandwich), float(tomo))
-
-
-def _parity_residuals(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sandwich and tomography residuals of ``parity_expand_check`` for
-    each operator of a (..., n, n) stack, n odd."""
-    n = theta.shape[-1]
     k = _parity_k(n, False)
     j = np.arange(n)
 
@@ -755,7 +751,11 @@ def _parity_residuals(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights = np.fft.fft(traces)[..., _dilation(n, k)]
     tomo = -theta
     tomo[..., cols, rows] += weights / n
-    return np.abs(sandwich).max(axis=-1), np.abs(tomo).max(axis=(-2, -1))
+    sandwich, tomo = np.abs(sandwich).max(axis=-1), np.abs(tomo).max(axis=(-2, -1))
+    expansion = _parity_expansion_residual(n)
+    if theta.ndim == 2:
+        return ParityCheckResult(expansion, float(sandwich), float(tomo))
+    return ParityCheckResult(np.full(theta.shape[:-2], expansion), sandwich, tomo)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from . import poset as ps
 from . import schwartz_bruhat as sb
 from .embeddings import (
     EmbeddingSpec,
-    _compat_suites,
-    _ubiquity_checks,
     _ubiquity_points,
+    compat_suite,
     phase_embed_character,
+    ubiquity_check,
 )
 # by name: perfbench's tracer swaps fq._displacement_grid for a counter that would raise
 from .finiteqm import MOMENTUM, POSITION, _displacement_grid
@@ -208,8 +208,8 @@ def suite_tomography(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 3)
     for n in range(2, 13):
         theta = _random_operators(rng, cfg.samples, n)
-        rep.case("resolution_of_identity", np.max(fq._resolution_residuals(theta)), 1e-9)
-        _, r = fq._expand_stack(theta)
+        rep.case("resolution_of_identity", np.max(fq.resolution_identity_check(theta)), 1e-9)
+        _, r = fq.operator_expand(theta)
         rep.case("displacement_expansion", np.max(r), 1e-9)
     # brute-force oracles, one sample per n: the sums over explicit matrices
     for n in range(2, 7):
@@ -242,11 +242,10 @@ def suite_parity(cfg: VerifyConfig) -> list[CheckResult]:
 
     for n in (3, 5, 7, 9, 11):
         theta = _random_operators(rng, max(cfg.samples // 4, 2), n)
-        # parity_expand_check's expansion residual depends on n alone
-        rep.case("parity_displacement_expansion", fq._parity_expansion_residual(n), 1e-9)
-        sandwich, tomo = fq._parity_residuals(theta)
-        rep.case("parity_sandwich_trace", np.max(sandwich), 1e-9)
-        rep.case("parity_tomography", np.max(tomo), 1e-9)
+        out = fq.parity_expand_check(theta)
+        rep.case("parity_displacement_expansion", np.max(out.expansion_residual), 1e-9)
+        rep.case("parity_sandwich_trace", np.max(out.sandwich_residual), 1e-9)
+        rep.case("parity_tomography", np.max(out.tomography_residual), 1e-9)
     # brute-force oracles: the Wigner table point by point, and the expansion,
     # sandwich and tomography sums over explicit parity matrices
     for n in range(2, 9):
@@ -382,7 +381,7 @@ def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 7)
     chains = list(_divisor_chains(_LABEL_LIMIT))
     oracle_pairs = set()  # the character law reads (k, ell) alone
-    for (k, ell, m), residuals in zip(chains, _compat_suites(chains, rng)):
+    for (k, ell, m), residuals in zip(chains, compat_suite(chains, rng)):
         for law, residual in residuals.items():
             name, tol = _COMPAT_CHECKS[law]
             rep.case(name, residual, tol)
@@ -398,7 +397,7 @@ def suite_embeddings(cfg: VerifyConfig) -> list[CheckResult]:
     for k, r in _ubiquity_pairs():
         f = fq.random_state(k, rng2)
         cases.append((f, EmbeddingSpec(k, r), _ubiquity_points(k, rng2)))
-    for residuals in _ubiquity_checks(cases):
+    for residuals in ubiquity_check(cases):
         for quantity, residual in residuals.items():
             name, tol = _UBIQUITY_CHECKS[quantity]
             rep.case(name, residual, tol)

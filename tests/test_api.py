@@ -3,7 +3,9 @@
 A module's public names are the top-level names it defines (functions,
 classes and assignments, not imports) without a leading underscore, plus
 dunders such as ``__version__``.  Adding or removing one fails this test on
-purpose, so that the change is deliberate and named in CHANGES.md.
+purpose, so that the change is deliberate and named in CHANGES.md.  So
+does a public function or class that no command, suite or benchmark
+workload reaches and that ``UNREACHED`` does not list.
 """
 
 import ast
@@ -119,6 +121,56 @@ def test_names_the_benchmark_reads_exist():
     assert callable(importlib.import_module("pqm.finiteqm")._displacement_grid)
     verify = importlib.import_module("pqm.verify")
     assert tuple(verify._SUITE_FUNCS) == verify.SUITES
+
+
+# The public functions and classes that no command, suite or benchmark
+# workload reaches: only the tests call them.  The list may only shrink; a
+# name added to it is named in CHANGES.md.
+UNREACHED = {
+    "embeddings.annihilator",
+    "finiteqm.hw_scalar_mul", "finiteqm.parity_apply", "finiteqm.to_momentum",
+    "finiteqm.weyl_wigner",
+    "numbers.char_chi_global",
+    "poset.basis_open", "poset.is_open",
+    "profinite_hw.hw_triple_mul", "profinite_hw.phw_global_inv",
+    "profinite_hw.phw_global_project", "profinite_hw.phw_identity", "profinite_hw.phw_inv",
+    "profinite_hw.phw_project",
+    "schwartz_bruhat.character_function", "schwartz_bruhat.delta_family",
+    "schwartz_bruhat.global_fourier", "schwartz_bruhat.global_parity",
+    "schwartz_bruhat.hat_transform_2adic", "schwartz_bruhat.local_fourier_inv",
+    "schwartz_bruhat.scale_variable",
+}
+
+
+def _reached_names() -> set[str]:
+    """Every name used as a Name, an Attribute or an import alias in
+    ``src/pqm`` or ``perfbench``, every string constant of the benchmark's
+    workloads, and ``cmd_<name>`` for each CLI command.  The strings of
+    ``tracing.TRACED`` do not count: wrapping a function does not call it."""
+    seen = {f"cmd_{name}" for name in importlib.import_module("pqm.cli")._COMMANDS}
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.alias):
+                seen.add(node.asname or node.name)
+            elif path.name == "workloads.py" and isinstance(node, ast.Constant):
+                seen.add(node.value)
+    return seen
+
+
+def test_unreached_public_names_are_pinned():
+    reached = _reached_names()
+    unreached = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if defines and not node.name.startswith("_") and node.name not in reached:
+                unreached.add(f"{path.stem}.{node.name}")
+    assert unreached == UNREACHED
 
 
 def test_submodules_load_on_first_access():

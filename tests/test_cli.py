@@ -742,6 +742,39 @@ class TestPosetPadicCommands:
         assert main([a.format(n=n) for a in argv]) == 2
         assert "exceeds bound 18446744073709551616" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poset", "--n", "{n}", "width"],
+            ["padic", "crt", "--n", "{n}", "--mu", "5"],
+            ["padic", "ostrowski", "--value", "{n}"],
+            ["padic", "ord", "--p", "{n}", "--value", "3"],
+        ],
+    )
+    def test_huge_integer_exits_2_at_once(self, argv):
+        # 10^4000 + 1 leaves a 13,288-bit cofactor after trial division, where
+        # one Miller-Rabin call takes seconds and rho's budget minutes; a fresh
+        # process, so that a hang is a timeout, not a stuck suite
+        n = str(10**4000 + 1)
+        src = str(Path(pqm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqm.cli", *(a.format(n=n) for a in argv)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert len(line) < 200 and "exceeds bound" in line, line
+
+    @pytest.mark.parametrize("action", ["ord", "expand"])
+    def test_p_past_the_primality_bound_exits_2_before_any_work(self, action, capsys):
+        # a composite p there is not prime and a probable prime cannot be proved
+        bound = nm._PRIMALITY_BOUND
+        assert main(["padic", action, "--p", str(bound), "--value", "3"]) == 2
+        assert capsys.readouterr() == ("", f"pqm: error: p exceeds bound {bound}\n")
+        assert main(["padic", action, "--p", str(bound - 2), "--value", "3"]) == 2
+        assert _one_error_line(capsys) == f"pqm: error: {bound - 2} is not prime\n"
+
     @pytest.mark.parametrize("query", ["width", "partition", "antichain", "topology"])
     def test_size_bound_before_divisors(self, query, capsys):
         # 2*3*5*...*59 has 2^17 - 1 = 131071 divisors above 1; the check
@@ -1167,11 +1200,18 @@ class TestVerifyCommand:
     def test_parity_sandwich_oracle_files_under_its_check(self, monkeypatch):
         # the fast residuals are zero, so only the brute-force sum over
         # (wrongly doubled) parity matrices can fail the sandwich check
-        zero = fq.ParityCheckResult(0.0, 0.0, 0.0)
-        monkeypatch.setattr(fq, "parity_expand_check", lambda theta: zero)
+        calls = []
+
+        def zero(theta):
+            calls.append(theta.shape)
+            return fq.ParityCheckResult(0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(fq, "parity_expand_check", zero)
         parity_matrices = fq._parity_matrices
         monkeypatch.setattr(fq, "_parity_matrices", lambda *args: 2 * parity_matrices(*args))
         results = {r.name: r for r in verify.suite_parity(verify.VerifyConfig())}
+        # the suite reads its fast residuals through the patched name, one stack per n
+        assert calls == [(5, n, n) for n in (3, 5, 7, 9, 11)]
         assert not results["parity_sandwich_trace"].passed
         assert results["parity_sandwich_trace"].residual > 1e-3
 

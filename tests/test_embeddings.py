@@ -24,6 +24,7 @@ from pqm.embeddings import (
     phase_embed_character,
     position_entropy,
     state_embed,
+    _ubiquity_points,
     ubiquity_check,
 )
 from pqm.poset import INF, Supernatural
@@ -40,6 +41,12 @@ from pqm.schwartz_bruhat import GlobalSBFunction, canonicalize_global
 from helpers import compat_suite_oracle, ubiquity_check_oracle
 
 RNG = np.random.default_rng(424242)
+
+
+def _ubiquity(f, spec, seed=3):
+    """``ubiquity_check`` on one case, its points drawn from ``seed``."""
+    points = _ubiquity_points(f.n, np.random.default_rng(seed))
+    return ubiquity_check([(f, spec, points)])[0]
 
 
 class TestPhaseEmbed:
@@ -73,7 +80,7 @@ class TestPhaseEmbed:
         )
         for k, ell in pairs:
             assert emb._characters_preserved(k, ell) is per_point(k, ell) is False
-        assert compat_suite(2, 4, 8, np.random.default_rng(5))["character_preservation"] == 1.0
+        assert compat_suite([(2, 4, 8)], np.random.default_rng(5))[0]["character_preservation"] == 1.0
 
     def test_composition(self):
         s12, s23, s13 = EmbeddingSpec(3, 9), EmbeddingSpec(9, 27), EmbeddingSpec(3, 27)
@@ -232,17 +239,17 @@ class TestHWEmbed:
 class TestCompatSuite:
     @pytest.mark.parametrize("chain", [(2, 4, 8), (3, 9, 27), (2, 6, 12), (5, 10, 30)])
     def test_chains_pass(self, chain):
-        residuals = compat_suite(*chain, rng=np.random.default_rng(5))
+        residuals = compat_suite([chain], np.random.default_rng(5))[0]
         assert residuals.keys() == _COMPAT_CHECKS.keys()
         for law, residual in residuals.items():
             assert residual <= _COMPAT_CHECKS[law][1], (chain, law, residual)
 
     def test_rejects_non_chain(self):
         with pytest.raises(ValueError, match="4 does not divide 6"):
-            compat_suite(2, 4, 6, np.random.default_rng(5))
+            compat_suite([(2, 4, 6)], np.random.default_rng(5))
         # the labels enter through EmbeddingSpec, so 0 is a bad label, not a modulus
         with pytest.raises(ValueError, match="source label must be >= 2"):
-            compat_suite(0, 4, 8, np.random.default_rng(5))
+            compat_suite([(0, 4, 8)], np.random.default_rng(5))
 
 
 class TestDef2Points:
@@ -268,31 +275,47 @@ class TestUbiquity:
     @pytest.mark.parametrize("k,l", [(3, 9), (4, 8), (6, 12), (5, 30)])
     def test_norm(self, k, l):
         f = random_state(k, RNG)
-        dev = ubiquity_check(f, EmbeddingSpec(k, l), np.random.default_rng(3))["norm"]
+        dev = _ubiquity(f, EmbeddingSpec(k, l))["norm"]
         assert dev <= _UBIQUITY_CHECKS["norm"][1]
 
     @pytest.mark.parametrize("k,l", [(3, 9), (3, 12), (4, 8)])
     def test_weyl_and_wigner(self, k, l):
         f = random_state(k, RNG)
-        devs = ubiquity_check(f, EmbeddingSpec(k, l), np.random.default_rng(3))
+        devs = _ubiquity(f, EmbeddingSpec(k, l))
         for q in ("weyl", "wigner"):
             assert devs[q] <= _UBIQUITY_CHECKS[q][1], (q, devs[q])
 
     def test_entropy_uniform_state(self):
         f = FiniteState(4, POSITION, np.ones(4))
         assert position_entropy(f) == pytest.approx(0.0, abs=1e-14)
-        dev = ubiquity_check(f, EmbeddingSpec(4, 16), np.random.default_rng(3))
+        dev = _ubiquity(f, EmbeddingSpec(4, 16))
         assert dev["position_entropy"] <= _UBIQUITY_CHECKS["position_entropy"][1]
 
     def test_entropy_random_state(self):
         f = random_state(6, RNG)
-        dev = ubiquity_check(f, EmbeddingSpec(6, 18), np.random.default_rng(3))
+        dev = _ubiquity(f, EmbeddingSpec(6, 18))
         assert dev["position_entropy"] <= _UBIQUITY_CHECKS["position_entropy"][1], dev
 
     def test_returns_every_quantity_in_check_order(self):
         # verify reads the checks in the returned order; the rng draws follow it
-        devs = ubiquity_check(random_state(3, RNG), EmbeddingSpec(3, 9), np.random.default_rng(3))
+        devs = _ubiquity(random_state(3, RNG), EmbeddingSpec(3, 9))
         assert list(devs) == list(_UBIQUITY_CHECKS)
+
+    def test_rejects_a_bad_case(self):
+        f, spec = random_state(3, RNG), EmbeddingSpec(3, 9)
+        points = _ubiquity_points(3, np.random.default_rng(3))
+        good = (f, spec, points)
+        profinite = EmbeddingSpec(3, Supernatural.prime_power(3, INF))
+        with pytest.raises(ValueError, match="ubiquity checks use finite targets"):
+            ubiquity_check([good, (f, profinite, points)])
+        with pytest.raises(ValueError, match="does not match the source label"):
+            ubiquity_check([good, (random_state(4, RNG), spec, points)])
+        bad_points = [points[:15], points.T, points.astype(float), points > 0, points[:, 0]]
+        for bad in bad_points:
+            with pytest.raises(ValueError, match=r"^points must be \(16, 2\) integers$"):
+                ubiquity_check([good, (f, spec, bad)])
+        # integer lists are points too
+        assert ubiquity_check([(f, spec, points.tolist())]) == ubiquity_check([good])
 
 
 def _annihilator_oracle(n, m):
@@ -337,9 +360,9 @@ class TestStackedLawsMatchOracle:
         )
         chains = list(_divisor_chains(_LABEL_LIMIT))
         assert len(chains) == 516 and len({(k, ell) for k, ell, _ in chains}) == 216
-        grouped = emb._compat_suites(chains, group_rng)
+        grouped = emb.compat_suite(chains, group_rng)
         for chain, together in zip(chains, grouped):
-            got, want = compat_suite(*chain, rng), compat_suite_oracle(*chain, oracle_rng)
+            got, want = compat_suite([chain], rng)[0], compat_suite_oracle(*chain, oracle_rng)
             assert list(got.items()) == list(want.items()), chain
             assert list(together.items()) == list(want.items()), chain
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -351,7 +374,7 @@ class TestStackedLawsMatchOracle:
         assert len(pairs) == 44
         for k, r in pairs:
             spec = EmbeddingSpec(k, r)
-            got = ubiquity_check(random_state(k, rng), spec, rng)
+            got = ubiquity_check([(random_state(k, rng), spec, _ubiquity_points(k, rng))])[0]
             want = ubiquity_check_oracle(random_state(k, oracle_rng), spec, oracle_rng)
             assert list(got.items()) == list(want.items()), (k, r)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -370,7 +393,7 @@ class TestNaNGaps:
             return out
 
         monkeypatch.setattr(emb, "_extend_values", nan_extend)
-        residuals = compat_suite(2, 4, 8, rng=np.random.default_rng(5))
+        residuals = compat_suite([(2, 4, 8)], np.random.default_rng(5))[0]
         for law in ("composition", "fourier_intertwining", "hw_intertwining"):
             assert np.isnan(residuals[law]), law
 
@@ -388,7 +411,7 @@ class TestNaNGaps:
             return out
 
         monkeypatch.setattr(fq, "_displace_values", nan_row)
-        devs = ubiquity_check(random_state(3, RNG), EmbeddingSpec(3, 9), np.random.default_rng(3))
+        devs = _ubiquity(random_state(3, RNG), EmbeddingSpec(3, 9))
         assert np.isnan(devs[quantity])
         other = {"weyl": "wigner", "wigner": "weyl"}[quantity]
         assert devs[other] <= _UBIQUITY_CHECKS[other][1]

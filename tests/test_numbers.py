@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pqm import numbers as nm
 from pqm.numbers import (
     ZERO_MOD1,
     PadicInt,
@@ -574,6 +575,19 @@ def test_factorize_refuses_an_unprovable_cofactor():
         factorize(2**89 - 1)
     with pytest.raises(ValueError, match="cannot prove"):
         factorize(12 * (2**89 - 1))
+
+
+def test_factorize_bounds_the_bits_of_a_cofactor(monkeypatch):
+    # past the bound neither Miller-Rabin nor rho is asked, prime or not
+    monkeypatch.setattr(nm, "_FACTOR_BITS", 40)
+    for n in (4294967279 * 4294967291, 2**61 - 1, 1031 * (2**61 - 1)):
+        with pytest.raises(ValueError, match=r"^cofactor exceeds bound 2\^40$"):
+            factorize(n)
+    # trial division strips a smooth n of any size first
+    assert factorize(2**300 * 3**200 * 1021) == {2: 300, 3: 200, 1021: 1}
+    assert factorize(1031 * 2**300) == {2: 300, 1031: 1}
+    assert factorize(2**31 - 1) == {2**31 - 1: 1}
+    assert factorize(1031 * 1033) == {1031: 1, 1033: 1}
 
 
 def test_factorize_returns_a_fresh_dict():

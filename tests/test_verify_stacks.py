@@ -1,6 +1,6 @@
 """The stacked verify suites against the suites one sample at a time, the
-stacked kernels against their public per-item functions, the rng stream
-identities the stacks rely on, and the smallest configs."""
+stacked kernels and checks against their public functions item by item,
+the rng stream identities the stacks rely on, and the smallest configs."""
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from pqm.embeddings import (
     _COMPAT_SAMPLES,
     EmbeddingSpec,
     _compat_draws,
-    _ubiquity_checks,
     _ubiquity_points,
     ubiquity_check,
 )
@@ -129,8 +128,9 @@ class TestStreamIdentities:
 
 
 class TestStackedKernels:
-    """Each stacked kernel, row by row, is its public function on that row's
-    item, to the bit, whatever the stack size and the row's place in it."""
+    """Each stacked kernel, and each public check on a stack, row by row, is
+    its public function on that row's item alone, to the bit, whatever the
+    stack size and the row's place in it."""
 
     @staticmethod
     def _stack(seed, k, shape):
@@ -149,21 +149,28 @@ class TestStackedKernels:
     @given(n=st.integers(2, 24), k=st.integers(1, 6))
     def test_resolution_and_expansion(self, n, k):
         theta = self._stack(n, k, (n, n))
-        residuals = fq._resolution_residuals(theta)
-        coeffs, expand_residuals = fq._expand_stack(theta)
+        residuals = fq.resolution_identity_check(theta)
+        coeffs, expand_residuals = fq.operator_expand(theta)
+        assert residuals.shape == expand_residuals.shape == (k,)
         for i, t in enumerate(theta):
             assert residuals[i] == fq.resolution_identity_check(t)
             want_coeffs, want = fq.operator_expand(t)
             assert np.array_equal(coeffs[i], want_coeffs) and expand_residuals[i] == want
+        # a stack of stacks is read the same way
+        grid = theta.reshape((1, k, n, n))
+        assert np.array_equal(fq.resolution_identity_check(grid), residuals[None])
 
     @settings(deadline=None, max_examples=40)
     @given(n=st.integers(1, 12).map(lambda j: 2 * j + 1), k=st.integers(1, 6))
-    def test_parity_residuals(self, n, k):
+    def test_parity_expand_check(self, n, k):
         theta = self._stack(n, k, (n, n))
-        sandwich, tomo = fq._parity_residuals(theta)
+        got = fq.parity_expand_check(theta)
+        assert got.expansion_residual.shape == got.sandwich_residual.shape == (k,)
         for i, t in enumerate(theta):
             want = fq.parity_expand_check(t)
-            assert (sandwich[i], tomo[i]) == (want.sandwich_residual, want.tomography_residual)
+            assert got.expansion_residual[i] == want.expansion_residual
+            assert got.sandwich_residual[i] == want.sandwich_residual
+            assert got.tomography_residual[i] == want.tomography_residual
 
     @settings(deadline=None, max_examples=40)
     @given(n=st.integers(2, 40), k=st.integers(1, 6), rep=st.sampled_from([POSITION, MOMENTUM]))
@@ -183,16 +190,15 @@ class TestStackedKernels:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_ubiquity_checks(self, labels, seed):
+    def test_ubiquity_check(self, labels, seed):
         # cases of mixed source and target labels, grouped by each in turn
-        rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        cases, want = [], []
+        rng = np.random.default_rng(seed)
+        cases = []
         for k, scale, rep in labels:
             f = fq.random_state(k, rng, rep)
-            spec = EmbeddingSpec(k, k * scale)
-            cases.append((f, spec, _ubiquity_points(k, rng)))
-            want.append(ubiquity_check(fq.random_state(k, one_rng, rep), spec, one_rng))
-        got = _ubiquity_checks(cases)
+            cases.append((f, EmbeddingSpec(k, k * scale), _ubiquity_points(k, rng)))
+        want = [ubiquity_check([case])[0] for case in cases]
+        got = ubiquity_check(cases)
         assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
 
