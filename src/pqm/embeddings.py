@@ -191,111 +191,65 @@ def hw_embed(d: HWElement, spec: EmbeddingSpec) -> HWElement:
 # ---------------------------------------------------------------------------
 
 
-_COMPAT_SAMPLES = 2  # random states per law and representation
-
-
-def _compat_draws(k: int, rng) -> tuple[np.ndarray, list[HWElement]]:
-    """One chain's states and elements, drawn in the order of one state at a
-    time: the composition states (rep by rep), the Fourier states, then for
-    each sample its state and its exact element.  Each run of normal draws
-    is one call; an integer draw keeps its place between them, since it
-    leaves half a word in the generator for the next one."""
-    s = _COMPAT_SAMPLES
-    normals = [rng.standard_normal(2 * k * (3 * s + 1))]
-    els = []
-    for i in range(s):
-        if i:
-            normals.append(rng.standard_normal(2 * k))
-        a, b, g = rng.integers(0, k, 3).tolist()
-        els.append(HWElement.from_canonical(k, a, b, g))
-    d = np.concatenate(normals).reshape(-1, 2, k)  # [state, real/imaginary, x]
-    return d[:, 0] + 1j * d[:, 1], els
-
-
-def _index_groups(keys) -> dict:
-    """The positions of ``keys`` grouped by key, keys in order of first sight."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
+_COMPAT_SAMPLES = 2  # random Heisenberg-Weyl elements per chain
 
 
 def compat_suite(chains, rng) -> list[dict[str, float]]:
     """The embedding laws along each chain k | ell | m, as ``{law: residual}``.
 
     (i) ``composition``, (ii) ``fourier_intertwining``, (iii)
-    ``hw_intertwining``: the largest gap over the chain's samples, NaN if
-    any gap is NaN; (iv) ``character_preservation``: 0.0 when the exact law
-    holds, else 1.0.  Failures are measured, not raised; the caller holds
-    the tolerances.
+    ``hw_intertwining``: the largest gap, NaN if any gap is NaN; (iv)
+    ``character_preservation``: 0.0 when the exact law holds, else 1.0.
+    Failures are measured, not raised; the caller holds the tolerances.
 
-    On a finite target ``state_embed`` is ``extend``, so each law acts on
-    stacks of values.  The draws keep chain order.  Each law runs once per
-    label or pair of labels, on the stacked samples of every chain that has
-    it: the Fourier and HW laws run their Z(k) side once per source label k
-    and their Z(ell) side once per target label ell; the extension
-    Z(k) -> Z(ell) runs once per group of chains that share (k, ell), and so
-    does the character law, which reads nothing else; the composition law
-    extends each group's rows on to m once per (ell, m), against each
-    chain's rows extended to m at once.  Each chain's residual is the
-    largest gap of its own rows (np.max, so a NaN gap is its law's residual).
+    On a finite target ``state_embed`` is ``extend``.  An extension and a
+    displacement move every value to one place times a unit phase (the
+    momentum extension also pads with zeros), so the composition and
+    Heisenberg-Weyl laws hold for every state iff they hold for the
+    labelled state x -> x + 1, whose values are distinct and nonzero.  The
+    Fourier law mixes values, so it runs on the k basis states of Z(k),
+    which span every state.  Each chain draws its ``_COMPAT_SAMPLES``
+    Heisenberg-Weyl elements, in chain order.  The Fourier, character and
+    Heisenberg-Weyl laws run once per (k, ell), the last on the elements of
+    every chain with that pair; the composition law runs per chain.
     """
-    s = _COMPAT_SAMPLES
-    draws, els = [], []
-    for k, ell, m in chains:
+    pairs: dict[tuple[int, int], list[int]] = {}
+    els = []
+    for i, (k, ell, m) in enumerate(chains):
         EmbeddingSpec(k, ell), EmbeddingSpec(ell, m)  # so k | m too
-        v, chain_els = _compat_draws(k, rng)
-        draws.append(v)
-        els.append(chain_els)
+        draws = rng.integers(0, k, (_COMPAT_SAMPLES, 3)).tolist()
+        els.append([HWElement.from_canonical(k, *abg) for abg in draws])
+        pairs.setdefault((k, ell), []).append(i)
 
-    # the Z(k) side: F f and D h for the samples [chain, state, x] of each k
-    fh, dh = [None] * len(chains), [None] * len(chains)
-    for k, members in _index_groups(c[0] for c in chains).items():
-        v = np.stack([draws[i][2 * s :] for i in members])
-        source_els = [el for i in members for el in els[i]]
-        fk = _fourier_values(v[:, :s], POSITION)
-        hk = _displace_values(v[:, s:].reshape(-1, k), POSITION, source_els)
-        for j, i in enumerate(members):
-            fh[i], dh[i] = fk[j], hk[j * s : (j + 1) * s]
-
-    # the Z(ell) side, one target label at a time, so one label's stacks
-    # are freed before the next label's are built
     out: list[dict[str, float]] = [{} for _ in chains]
-    for ell, members in _index_groups(c[1] for c in chains).items():
-        order, broken, embedded = [], [], []
-        up, lhs_f, f_up, lhs_h, h_up = [], [], [], [], []
-        for k, at in _index_groups(chains[i][0] for i in members).items():
-            group = [members[j] for j in at]
-            v = np.stack([draws[i] for i in group])
-            up.append(_extend_values(v[:, :s], POSITION, ell))
-            up.append(_extend_values(v[:, s : 2 * s], MOMENTUM, ell))
-            lhs_f.append(_extend_values(np.stack([fh[i] for i in group]), MOMENTUM, ell))
-            f_up.append(_extend_values(v[:, 2 * s : 3 * s], POSITION, ell))
-            lhs_h.append(_extend_values(np.stack([dh[i] for i in group]), POSITION, ell))
-            h_up.append(_extend_values(v[:, 3 * s :], POSITION, ell))
-            spec = EmbeddingSpec(k, ell)
-            embedded += [hw_embed(el, spec) for i in group for el in els[i]]
-            broken += [float(not _characters_preserved(k, ell))] * len(group)
-            order += group
-        up = np.concatenate(up[0::2]), np.concatenate(up[1::2])  # [chain, state, x]
-        for m, at in _index_groups(chains[i][2] for i in order).items():
-            gaps = []
-            for rep, rows, two_step in zip((POSITION, MOMENTUM), (0, s), up):
-                one_step = [_extend_values(draws[order[j]][rows : rows + s], rep, m) for j in at]
-                gap = np.abs(_extend_values(two_step[at], rep, m) - np.stack(one_step))
-                gaps.append(gap.reshape(len(at), -1).max(axis=1))
-            for j, gap in zip(at, np.maximum(*gaps).tolist()):
-                out[order[j]]["composition"] = gap
+    for (k, ell), members in pairs.items():
+        spec = EmbeddingSpec(k, ell)
+        basis = np.eye(k, dtype=complex)
+        lhs = _extend_values(_fourier_values(basis, POSITION), MOMENTUM, ell)
+        rhs = _fourier_values(_extend_values(basis, POSITION, ell), POSITION)
+        fourier_gap = float(np.max(np.abs(lhs - rhs)))
+        broken = float(not _characters_preserved(k, ell))
 
-        rhs_f = _fourier_values(np.concatenate(f_up), POSITION)
-        fourier_gaps = np.abs(np.concatenate(lhs_f) - rhs_f).reshape(len(order), -1).max(axis=1)
-        h_up = np.concatenate(h_up).reshape(-1, ell)
-        rhs_h = _displace_values(h_up, POSITION, embedded)
-        hw_gaps = np.abs(np.concatenate(lhs_h).reshape(-1, ell) - rhs_h)
-        hw_gaps = hw_gaps.reshape(len(order), -1).max(axis=1)
-        gaps = zip(order, fourier_gaps.tolist(), hw_gaps.tolist(), broken)
-        for i, fg, hg, cb in gaps:
-            out[i].update(fourier_intertwining=fg, hw_intertwining=hg, character_preservation=cb)
+        v = np.arange(1, k + 1, dtype=complex)  # the labelled state
+        source = [el for i in members for el in els[i]]
+        lhs = _extend_values(_displace_values(v, POSITION, source), POSITION, ell)
+        target = [hw_embed(el, spec) for el in source]
+        rhs = _displace_values(_extend_values(v, POSITION, ell), POSITION, target)
+        hw_gaps = np.abs(lhs - rhs).reshape(len(members), -1).max(axis=1).tolist()
+
+        up = {rep: _extend_values(v, rep, ell) for rep in (POSITION, MOMENTUM)}
+        for i, hw_gap in zip(members, hw_gaps):
+            m = chains[i][2]
+            gaps = [
+                np.abs(_extend_values(w, rep, m) - _extend_values(v, rep, m))
+                for rep, w in up.items()
+            ]
+            out[i] = {
+                "composition": float(np.max(gaps)),
+                "fourier_intertwining": fourier_gap,
+                "hw_intertwining": hw_gap,
+                "character_preservation": broken,
+            }
     return out
 
 
@@ -333,11 +287,11 @@ def ubiquity_check(cases) -> list[dict[str, float]]:
     parities agree this is the canonical-grid Weyl/Wigner value at
     hw_embed's index pair, and for odd k inside even l it additionally
     carries the exact half-phase bookkeeping of the index map.  Each source
-    value is ``weyl_wigner``'s.  The point kernel runs once per source label
-    and once per target label, on the stacked rows of every case with it.
+    value is ``weyl_wigner``'s.  Each case runs the point kernel once on
+    each side.
     """
     q = _UBIQUITY_POINTS
-    source_els, target_els = [], []
+    out = []
     for f, spec, points in cases:
         if not spec.finite_target:
             raise ValueError("ubiquity checks use finite targets")
@@ -349,14 +303,12 @@ def ubiquity_check(cases) -> list[dict[str, float]]:
         points = points.tolist()
         weyl, _ = _point_elements(f.n, points[:q], "weyl")
         _, wigner = _point_elements(f.n, points[q:], "wigner")
-        source_els.append((weyl, wigner))
-        target_els.append(tuple([hw_embed(el, spec) for el in els] for els in (weyl, wigner)))
-    targets = [extend(f, spec.target) for f, spec, _ in cases]
-    source = _stacked_point_values([f for f, _, _ in cases], source_els)
-    target = _stacked_point_values(targets, target_els)
-    out = []
-    for (f, _, _), g, s, t in zip(cases, targets, source, target):
-        gaps = [abs(a - b) for a, b in zip(t, s)]
+        g = extend(f, spec.target)
+        source = _weyl_wigner_values(f.amplitudes, f.rep, weyl, wigner)
+        target = _weyl_wigner_values(
+            g.amplitudes, g.rep, *([hw_embed(el, spec) for el in els] for els in (weyl, wigner))
+        )
+        gaps = [abs(a - b) for a, b in zip(target, source)]
         # np.max keeps a NaN gap, max() would drop it
         out.append({
             "norm": abs(norm(g) - norm(f)),
@@ -364,23 +316,6 @@ def ubiquity_check(cases) -> list[dict[str, float]]:
             "wigner": float(np.max(gaps[q:])),
             "position_entropy": abs(position_entropy(g) - position_entropy(f)),
         })
-    return out
-
-
-def _stacked_point_values(states, elements) -> list[list[complex]]:
-    """``_weyl_wigner_values`` of each state with its (displacements,
-    parities), q of each, run once per (n, rep) on the stacked rows of the
-    states that share it."""
-    q = _UBIQUITY_POINTS
-    out: list = [None] * len(states)
-    for (n, rep), members in _index_groups((f.n, f.rep) for f in states).items():
-        v = np.repeat(np.stack([states[i].amplitudes for i in members]), q, axis=0)
-        weyl = [el for i in members for el in elements[i][0]]
-        wigner = [el for i in members for el in elements[i][1]]
-        values = _weyl_wigner_values(np.concatenate([v, v]), rep, weyl, wigner)
-        half = len(v)
-        for j, i in enumerate(members):
-            out[i] = values[j * q : (j + 1) * q] + values[half + j * q : half + (j + 1) * q]
     return out
 
 

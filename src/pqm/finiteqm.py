@@ -393,11 +393,10 @@ def _displacement_action(elements, rep: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _displace_values(v: np.ndarray, rep: str, elements) -> np.ndarray:
-    """``displace`` on the last axis of a (k, n) stack of ``rep`` values, by
-    k elements of that n acting row by row (or all on one (1, n) row)."""
+    """``displace`` of one state's ``rep`` values v by k elements of its n:
+    the (k, n) stack of D_i v."""
     phases, src = _displacement_action(elements, rep)
-    # one row is a 1-D gather, twice as fast as the row-wise one at large n
-    phases *= v[0][src] if len(v) == 1 else np.take_along_axis(v, src, axis=-1)
+    phases *= v[src]
     return phases
 
 
@@ -405,7 +404,7 @@ def displace(d: HWElement, f: FiniteState) -> FiniteState:
     """D f.  A FiniteState holds one state, so the stacked kernel stays private."""
     if d.n != f.n:
         raise ValueError("dimension mismatch")
-    values = _displace_values(f.amplitudes[None], f.rep, [d])[0]
+    values = _displace_values(f.amplitudes, f.rep, [d])[0]
     return FiniteState(d.n, f.rep, values)
 
 
@@ -490,18 +489,16 @@ def _parity_matrices(points, rep: str = POSITION) -> np.ndarray:
 def _weyl_wigner_values(v: np.ndarray, rep: str, displacements, parities) -> list[complex]:
     """The point kernel of the Weyl and Wigner functions: (f, D f) for each
     displacement D, then (f, P f) for each parity P (x -> -x after D), as one
-    stacked action, reduced row by row as ``inner`` does.  v is a (1, n)
-    row of one state's ``rep`` values, acted on by every element, or a
-    (k, n) stack with each element's own state in its row."""
+    stacked action on one state's ``rep`` values v, reduced row by row as
+    ``inner`` does."""
     h = _displace_values(v, rep, displacements + parities)
     # assigned in place, so every row stays contiguous: np.vdot sums a
     # strided row in another order
-    n = v.shape[-1]
+    n = len(v)
     reflected = slice(len(displacements), None)
     h[reflected] = h[reflected][:, _dilation(n, -1)]
     w = _measure_weight(n, rep)
-    states = v if len(v) == len(h) else [v[0]] * len(h)
-    return [w * complex(np.vdot(f, row)) for f, row in zip(states, h)]
+    return [w * complex(np.vdot(v, row)) for row in h]
 
 
 def _point_elements(n: int, points, kind: str, doubled: bool = False) -> tuple[list, list]:
@@ -525,7 +522,7 @@ def weyl_wigner(
     """
     points = [(_index(a, "a"), _index(b, "b"))]
     elements = _point_elements(f.n, points, kind, doubled)
-    return _weyl_wigner_values(f.amplitudes[None], f.rep, *elements)[0]
+    return _weyl_wigner_values(f.amplitudes, f.rep, *elements)[0]
 
 
 def _shift_indices(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -71,11 +71,15 @@ def is_prime(p: int) -> bool:
     decides every p below 43^2; above it, Miller-Rabin with as many bases as
     p's size needs.  Above the bound a composite still returns False; a p
     that passes all 13 bases raises ValueError, since no proof is at hand.
+    A p of over ``_FACTOR_BITS`` bits that no base divides is a ValueError
+    naming that bound, before any Miller-Rabin round.
     """
     if p < 43:
         return p in _MR_PRIMES
     if math.gcd(p, _MR_PRODUCT) != 1:  # a base divides p
         return False
+    if p.bit_length() > _FACTOR_BITS:  # its rounds would take seconds, for no proof
+        raise ValueError(f"p exceeds bound 2^{_FACTOR_BITS}")
     if p < 43 * 43:  # no prime factor below 43, so none at all
         return True
     d = p - 1

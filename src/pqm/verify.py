@@ -198,7 +198,7 @@ def _table_cases(rep: _Reporter, name: str, f, kind: str, doubled: bool = False)
     table = fq.wigner_table(f, kind, doubled)
     points = [(a, b) for a in range(table.shape[0]) for b in range(f.n)]
     elements = fq._point_elements(f.n, points, kind, doubled)
-    values = fq._weyl_wigner_values(f.amplitudes[None], f.rep, *elements)
+    values = fq._weyl_wigner_values(f.amplitudes, f.rep, *elements)
     for (a, b), value in zip(points, values):
         rep.case(name, abs(table[a, b] - value), 1e-9)
 

@@ -134,30 +134,32 @@ def weyl_wigner_oracle(
 
 
 def compat_suite_oracle(k: int, ell: int, m: int, rng) -> dict[str, float]:
-    """``compat_suite`` one sample at a time, through the public state maps."""
+    """``compat_suite`` one state at a time, through the public state maps:
+    composition and the Heisenberg-Weyl law on the labelled state x -> x + 1,
+    the Fourier law on each basis state of Z(k)."""
     k_ell, ell_m, k_m = EmbeddingSpec(k, ell), EmbeddingSpec(ell, m), EmbeddingSpec(k, m)
+    draws = rng.integers(0, k, (_COMPAT_SAMPLES, 3)).tolist()  # compat_suite's one draw
+    labelled = np.arange(1, k + 1, dtype=complex)
     out = {}
     gaps = []
     for rep in (POSITION, MOMENTUM):
-        for _ in range(_COMPAT_SAMPLES):
-            f = FiniteState(k, rep, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-            two_step = state_embed(state_embed(f, k_ell), ell_m)
-            one_step = state_embed(f, k_m)
-            gaps.append(np.max(np.abs(two_step.amplitudes - one_step.amplitudes)))
+        f = FiniteState(k, rep, labelled)
+        two_step = state_embed(state_embed(f, k_ell), ell_m)
+        one_step = state_embed(f, k_m)
+        gaps.append(np.max(np.abs(two_step.amplitudes - one_step.amplitudes)))
     out["composition"] = float(np.max(gaps))
 
     gaps = []
-    for _ in range(_COMPAT_SAMPLES):
-        f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    for e in np.eye(k, dtype=complex):
+        f = FiniteState(k, POSITION, e)
         lhs = state_embed(fourier(f), k_ell)
         rhs = fourier(state_embed(f, k_ell))
         gaps.append(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
     out["fourier_intertwining"] = float(np.max(gaps))
 
     gaps = []
-    for _ in range(_COMPAT_SAMPLES):
-        f = FiniteState(k, POSITION, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        a, b, g = (int(v) for v in rng.integers(0, k, 3))
+    f = FiniteState(k, POSITION, labelled)
+    for a, b, g in draws:
         el = HWElement.from_canonical(k, a, b, g)
         lhs = state_embed(displace(el, f), k_ell)
         rhs = displace(hw_embed(el, k_ell), state_embed(f, k_ell))

@@ -11,6 +11,7 @@ workload reaches and that ``UNREACHED`` does not list.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,33 @@ def test_unreached_public_names_are_pinned():
             if defines and not node.name.startswith("_") and node.name not in reached:
                 unreached.add(f"{path.stem}.{node.name}")
     assert unreached == UNREACHED
+
+
+# regex -> (file glob under src/pqm, number of lines that match)
+SOURCE_PINS = {
+    # every phase goes through the one kernel finiteqm._unit
+    r"np\.exp\(": ("*.py", 1),
+    # no second forward path in to_momentum, no float FFT for the exact character sum
+    r"np\.fft\.": ("*.py", 13),
+    # crt_idempotents is the one memo; factorize is uncached
+    r"lru_cache\(": ("*.py", 1),
+    # the marginal builders scatter into one n x n matrix through _hw_sum
+    r"_(hw|parity)_matrices\(.*\)\.sum\(": ("*.py", 0),
+    # each displacement's phase quotient is taken in Python ints
+    r"dtype=object": ("finiteqm.py", 0),
+}
+
+
+def test_source_text_pins():
+    counts = {}
+    for pattern, (glob, _) in SOURCE_PINS.items():
+        lines = [
+            line
+            for path in sorted(SRC.glob(glob))
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        counts[pattern] = sum(1 for line in lines if re.search(pattern, line))
+    assert counts == {pattern: count for pattern, (_, count) in SOURCE_PINS.items()}
 
 
 def test_submodules_load_on_first_access():

@@ -252,6 +252,69 @@ class TestCompatSuite:
             compat_suite([(0, 4, 8)], np.random.default_rng(5))
 
 
+class TestLabelledStateCatchesBrokenMaps:
+    """The composition and Heisenberg-Weyl laws run on the one labelled state
+    x -> x + 1; a map that moves a value to the wrong place or drops a phase
+    must still fail them."""
+
+    CHAINS = [(2, 4, 8), (3, 9, 27), (4, 8, 16), (5, 10, 20), (6, 12, 24), (7, 14, 28)]
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_alpha_off_by_one(self, monkeypatch, chain):
+        def shifted(d, spec):
+            e = hw_embed(d, spec)
+            return HWElement._of(e.n, (e.alpha + 1) % e.n, e.beta, e.phase)
+
+        monkeypatch.setattr(emb, "hw_embed", shifted)
+        residuals = compat_suite([chain], np.random.default_rng(5))[0]
+        assert residuals["hw_intertwining"] > _COMPAT_CHECKS["hw_intertwining"][1]
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_beta_off_by_one(self, monkeypatch, chain):
+        # a shift moves values without changing a phase: only distinct
+        # values see it, so a constant state would pass this map
+        def shifted(d, spec):
+            e = hw_embed(d, spec)
+            return HWElement._of(e.n, e.alpha, (e.beta + 1) % e.n, e.phase)
+
+        monkeypatch.setattr(emb, "hw_embed", shifted)
+        residuals = compat_suite([chain], np.random.default_rng(5))[0]
+        assert residuals["hw_intertwining"] > _COMPAT_CHECKS["hw_intertwining"][1]
+
+    def test_phase_dropped(self, monkeypatch):
+        # dropping the phase changes the operator iff some drawn element has one
+        phases = []
+
+        def phaseless(d, spec):
+            phases.append(d.phase)
+            e = hw_embed(d, spec)
+            return HWElement._of(e.n, e.alpha, e.beta, ZERO_MOD1)
+
+        monkeypatch.setattr(emb, "hw_embed", phaseless)
+        tol = _COMPAT_CHECKS["hw_intertwining"][1]
+        mattered = 0
+        for chain in self.CHAINS:
+            phases.clear()
+            residual = compat_suite([chain], np.random.default_rng(5))[0]["hw_intertwining"]
+            if any(p != ZERO_MOD1 for p in phases):
+                assert residual > tol, chain
+                mattered += 1
+            else:
+                assert residual == 0.0, chain
+        assert mattered >= 4
+
+    def test_momentum_padding_shifted(self, monkeypatch):
+        extend_values = emb._extend_values
+
+        def shifted(v, rep, ell):
+            out = extend_values(v, rep, ell)
+            return np.roll(out, 1, axis=-1) if rep == MOMENTUM else out
+
+        monkeypatch.setattr(emb, "_extend_values", shifted)
+        for residuals in compat_suite(self.CHAINS, np.random.default_rng(5)):
+            assert residuals["composition"] > 0.0
+
+
 class TestDef2Points:
     def test_new_prime_component_zero(self):
         x2, p2 = def2_point_embed(1, 1, 2, 6)

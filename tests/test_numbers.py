@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -666,3 +667,21 @@ def test_is_prime_refuses_what_it_cannot_prove():
         is_prime(psi13)
     assert not is_prime(43 * psi13)
     assert not is_prime(2**127 + 1)
+
+
+def test_is_prime_refuses_a_huge_p_at_once():
+    # 10^4000 + 1 has no factor among the 13 bases: its Miller-Rabin rounds
+    # took seconds, and each error echoed its 4001 digits
+    p = 10**4000 + 1
+    for call in (
+        lambda: is_prime(p),
+        lambda: padic_ord_abs(Fraction(3), p),
+        lambda: lift_tilde_xi(0, 1, p),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^p exceeds bound 2\^256$") as err:
+            call()
+        assert time.perf_counter() - start < 1.0
+        assert len(str(err.value)) < 200
+    # a base still divides a huge even p first, so it reads False at once
+    assert not is_prime(2**300)

@@ -20,14 +20,8 @@ from helpers import (
 from pqm import finiteqm as fq
 from pqm import verify
 from pqm.cli import main
-from pqm.embeddings import (
-    _COMPAT_SAMPLES,
-    EmbeddingSpec,
-    _compat_draws,
-    _ubiquity_points,
-    ubiquity_check,
-)
-from pqm.finiteqm import MOMENTUM, POSITION, FiniteState, HWElement
+from pqm.embeddings import EmbeddingSpec, _ubiquity_points, ubiquity_check
+from pqm.finiteqm import MOMENTUM, POSITION, FiniteState
 
 SEEDS = range(4)
 SAMPLES = (1, 3, 20)
@@ -101,22 +95,6 @@ class TestStreamIdentities:
         want = [[b.integers(-(10**6), 10**6), b.integers(1, 10**6)] for _ in range(1000)]
         assert np.array_equal(got, want)
         assert a.bit_generator.state == b.bit_generator.state
-
-    @pytest.mark.parametrize("k", [2, 5, 12, 64])
-    def test_compat_draws_are_the_state_by_state_draws(self, k):
-        # one normal call per run, the integer draws in place between them
-        a, b = self._pair(k)
-        values, els = _compat_draws(k, a)
-        rows = [
-            b.standard_normal(k) + 1j * b.standard_normal(k) for _ in range(3 * _COMPAT_SAMPLES)
-        ]
-        want_els = []
-        for _ in range(_COMPAT_SAMPLES):
-            rows.append(b.standard_normal(k) + 1j * b.standard_normal(k))
-            want_els.append(tuple(b.integers(0, k, 3).tolist()))
-        assert np.array_equal(values, rows)
-        assert a.bit_generator.state == b.bit_generator.state
-        assert els == [HWElement.from_canonical(k, *w) for w in want_els]
 
     def test_integers_do_not_move_across_normals(self):
         # why the stacks merge only runs of one kind: an integer draw moved
@@ -215,3 +193,21 @@ def test_smallest_config_reports_every_check(suite, capsys):
     assert [line.split()[1].split(":")[1] for line in lines[:-1]] == want
     assert all(line.startswith(f"[PASS] {suite}:") for line in lines[:-1])
     assert lines[-1] == f"OK: {len(want)} checks"
+
+
+def test_each_check_has_one_tolerance(monkeypatch):
+    # _Reporter keeps the tolerance of a check's worst case, so two cases of
+    # one check with different tolerances would make the reported one
+    # depend on the data
+    seen: dict[tuple[str, str], set[float]] = {}
+    case = verify._Reporter.case
+
+    def recording(self, name, residual, tol):
+        seen.setdefault((self.suite, name), set()).add(tol)
+        case(self, name, residual, tol)
+
+    monkeypatch.setattr(verify._Reporter, "case", recording)
+    results = verify.run_suites(verify.VerifyConfig(samples=1))
+    assert len(results) == len(seen) == 36
+    assert {key: tols for key, tols in seen.items() if len(tols) != 1} == {}
+    assert all(seen[r.suite, r.name] == {r.tolerance} for r in results)
